@@ -37,7 +37,6 @@ from .maps import (
     Disk,
     HoloMap,
     IfsSystem,
-    InverseOf,
     SqrtBranch,
     Word,
     compose_maps,

@@ -19,18 +19,8 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from ._threads import thread_cap
-from .errors import BudgetExceeded, DomainError, SeparationFailure
-from .maps import (
-    Affine,
-    Composite,
-    Disk,
-    HoloMap,
-    IfsSystem,
-    InverseOf,
-    SqrtBranch,
-    _SqrtBranchInverse,
-    inverse_map,
-)
+from .errors import BudgetExceeded, SeparationFailure
+from .maps import Disk, IfsSystem
 
 #: default cap on the number of cylinder disks per refinement level
 POINT_CAP = 10**7
@@ -100,37 +90,14 @@ class SeparationCertificate:
         return self.margin > 0.0
 
 
-def _enclosure_arrays(m: HoloMap, centers: np.ndarray, radii: np.ndarray):
-    """Vectorized form of ``HoloMap.image_enclosure`` over many disks."""
-    if isinstance(m, Affine):
-        return m.alpha * centers + m.b, abs(m.alpha) * radii
-    if isinstance(m, SqrtBranch):
-        v = centers - m.c
-        cut_dist = np.abs(v - np.minimum(v.real, 0.0))
-        if np.any(cut_dist <= radii):
-            raise DomainError("cylinder disk meets a square-root branch cut")
-        d = np.abs(v)
-        bound = 0.5 / np.sqrt(d - radii)
-        return m.sign * np.sqrt(v), bound * radii
-    if isinstance(m, _SqrtBranchInverse):
-        return centers * centers + m.branch.c, (2.0 * np.abs(centers) + radii) * radii
-    if isinstance(m, Composite):
-        for f in reversed(m.factors):
-            centers, radii = _enclosure_arrays(f, centers, radii)
-        return centers, radii
-    if isinstance(m, InverseOf):
-        return _enclosure_arrays(inverse_map(m.inner), centers, radii)
-    raise TypeError(f"no enclosure rule for {type(m).__name__}")
-
-
 def _refine_level(system: IfsSystem, centers: np.ndarray, radii: np.ndarray):
     """One Hutchinson refinement step, merged in map-index order."""
     workers = min(thread_cap(), len(system.maps))
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(lambda g: _enclosure_arrays(g, centers, radii), system.maps))
+            parts = list(pool.map(lambda g: g.enclosure_arrays(centers, radii), system.maps))
     else:
-        parts = [_enclosure_arrays(g, centers, radii) for g in system.maps]
+        parts = [g.enclosure_arrays(centers, radii) for g in system.maps]
     return (
         np.concatenate([p[0] for p in parts]),
         np.concatenate([p[1] for p in parts]),
@@ -180,28 +147,23 @@ def _as_points(obj) -> np.ndarray:
     return np.asarray(obj, dtype=np.complex128)
 
 
-def _directed_hausdorff(a: np.ndarray, b: np.ndarray) -> float:
+def _nearest_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Distance from each point of ``a`` to its nearest point of ``b``."""
     tree = cKDTree(np.column_stack((b.real, b.imag)))
     d, _ = tree.query(np.column_stack((a.real, a.imag)), k=1, workers=thread_cap())
-    return float(np.max(d))
+    return d
 
 
 def hausdorff(a, b) -> float:
     """Hausdorff distance between two finite point sets (or nets)."""
     pa, pb = _as_points(a), _as_points(b)
-    return max(_directed_hausdorff(pa, pb), _directed_hausdorff(pb, pa))
+    return float(max(np.max(_nearest_distances(pa, pb)), np.max(_nearest_distances(pb, pa))))
 
 
 def hutchinson_defect(system: IfsSystem, net: AttractorNet) -> float:
     """Hausdorff distance between the net and its own Hutchinson image."""
     images = np.concatenate([g(net.points) for g in system.maps])
     return hausdorff(net.points, images)
-
-
-def _min_set_distance(a: np.ndarray, b: np.ndarray) -> float:
-    tree = cKDTree(np.column_stack((b.real, b.imag)))
-    d, _ = tree.query(np.column_stack((a.real, a.imag)), k=1, workers=thread_cap())
-    return float(np.min(d))
 
 
 def certify_ssc(system: IfsSystem, net: AttractorNet) -> SeparationCertificate:
@@ -215,7 +177,7 @@ def certify_ssc(system: IfsSystem, net: AttractorNet) -> SeparationCertificate:
     pairwise = math.inf
     for i in range(len(images)):
         for j in range(i + 1, len(images)):
-            pairwise = min(pairwise, _min_set_distance(images[i], images[j]))
+            pairwise = min(pairwise, float(np.min(_nearest_distances(images[i], images[j]))))
     if not math.isfinite(pairwise):
         pairwise = 0.0  # single-map system: nothing to separate
     lip = max(float(np.max(np.abs(g.deriv(net.points)))) for g in system.maps)
@@ -372,7 +334,7 @@ def _box_checks_pass(system, net, centers, radii, depth, m) -> bool:
         return False
     # images of every disk under every map fit inside a single cover disk
     for g in system.maps:
-        ic, ir = _enclosure_arrays(g, centers, radii)
+        ic, ir = g.enclosure_arrays(centers, radii)
         fits = np.abs(ic[:, None] - centers[None, :]) + ir[:, None] <= radii[None, :]
         if not np.all(np.any(fits, axis=1)):
             return False

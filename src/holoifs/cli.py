@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -64,7 +65,13 @@ def _number(record: dict, where: str, field: str) -> float:
         raise ConfigError(
             f"{where}.{field}: expected a number, got {type(value).__name__}"
         )
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an integer literal beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigError(f"{where}.{field}: expected a finite number, got {number}")
+    return number
 
 
 def _parse_map(record, where: str) -> HoloMap:

@@ -2,8 +2,8 @@
 
 A germ here is a truncated power series with zero constant term — a
 holomorphic map fixing the origin.  Taylor data for the map variants comes
-from exact recurrences (affine, square-root branch) chained through series
-composition and reversion, so germ extraction needs no numerical
+from each map class's exact ``taylor`` rule (composites chain their factors
+through series composition), so germ extraction needs no numerical
 differentiation.
 
 The linearizer of a germ ``R`` with multiplier ``0 < |lambda| < 1`` is the
@@ -23,7 +23,7 @@ import numpy as np
 
 from . import _series
 from .errors import InvalidMultiplier, NoConvergence, NonInvertible, NotAFixedPoint
-from .maps import Affine, Composite, HoloMap, InverseOf, SqrtBranch
+from .maps import HoloMap
 
 #: default truncation order (coefficients c_1 .. c_ORDER)
 ORDER = 32
@@ -118,52 +118,13 @@ class PowerSeriesGerm:
         return PowerSeriesGerm(self.coefficients * np.power(complex(factor), ks))
 
 
-def _taylor_pair(m: HoloMap, point: complex, order: int) -> tuple[complex, np.ndarray]:
-    """Image value and centered coefficients ``c_1..c_order`` of ``m`` at ``point``."""
-    point = complex(point)
-    if isinstance(m, Affine):
-        coeffs = np.zeros(order, dtype=np.complex128)
-        coeffs[0] = m.alpha
-        return m.alpha * point + m.b, coeffs
-    if isinstance(m, SqrtBranch):
-        u0 = complex(m(point))
-        if u0 == 0:
-            raise NonInvertible("expansion at the branch point")
-        coeffs = np.zeros(order, dtype=np.complex128)
-        c = u0
-        for k in range(1, order + 1):
-            c = c * ((1.5 - k) / k) / (u0 * u0)
-            coeffs[k - 1] = c
-        return u0, coeffs
-    if isinstance(m, Composite):
-        value = point
-        full = None
-        for factor in reversed(m.factors):
-            value, coeffs = _taylor_pair(factor, value, order)
-            layer = np.concatenate(([0.0], coeffs))
-            full = layer if full is None else _series.compose(layer, full, order)
-        if full is None:
-            coeffs = np.zeros(order, dtype=np.complex128)
-            coeffs[0] = 1.0
-            return point, coeffs
-        return value, full[1:]
-    if isinstance(m, InverseOf):
-        value = complex(m(point))
-        _, inner_coeffs = _taylor_pair(m.inner, value, order)
-        if inner_coeffs[0] == 0:
-            raise NonInvertible("inner derivative vanishes")
-        rev = _series.reversion(np.concatenate(([0.0], inner_coeffs)), order)
-        return value, rev[1:]
-    raise TypeError(f"no Taylor rule for {type(m).__name__}")
-
-
 def series_of_map(m: HoloMap, point: complex, order: int = ORDER) -> PowerSeriesGerm:
     """Centered Taylor germ of ``m`` at a fixed point.
 
     The germ represents ``z -> m(point + z) - point``; the point must be
     fixed within ``FIXED_POINT_TOL`` so the constant term genuinely vanishes.
     """
-    value, coeffs = _taylor_pair(m, point, order)
+    value, coeffs = m.taylor(point, order)
     if abs(value - complex(point)) > FIXED_POINT_TOL:
         raise NotAFixedPoint(
             f"map moves {point} to {value}; germ extraction needs a fixed point"

@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, NotInImage, SingularDerivative
+from . import _series
+from .errors import DomainError, NonInvertible, NotInImage, SingularDerivative
 
 #: relative tolerance for inversion round-trip verification
 INVERT_RTOL = 1e-12
@@ -105,7 +106,20 @@ class Word:
 
 
 class HoloMap:
-    """Base class for the closed family of holomorphic maps."""
+    """Base class for the closed family of holomorphic maps.
+
+    Each variant is one class that supplies every per-variant rule:
+
+    * ``__call__(z)``, ``deriv(z)`` and ``invert(y)``: value, derivative and
+      preimage, on complex scalars or arrays;
+    * ``inverse()``: the closed-form inverse map, again a family member;
+    * ``enclosure_arrays(centers, radii)``: disks certified to contain the
+      images of many disks at once;
+    * ``taylor(point, order)``: the image of ``point`` and the Taylor
+      coefficients ``c_1..c_order`` there;
+    * ``meets_branch_cut(disk)``: whether the cut of any square-root factor
+      meets ``disk``.
+    """
 
     def __call__(self, z):
         raise NotImplementedError
@@ -116,9 +130,29 @@ class HoloMap:
     def invert(self, y):
         raise NotImplementedError
 
+    def inverse(self) -> "HoloMap":
+        """Closed-form inverse map within the variant family."""
+        raise NotImplementedError
+
+    def enclosure_arrays(self, centers: np.ndarray, radii: np.ndarray):
+        """Centers and radii of disks containing the images of the given disks."""
+        raise NotImplementedError
+
+    def taylor(self, point: complex, order: int) -> tuple[complex, np.ndarray]:
+        """Image value and centered coefficients ``c_1..c_order`` at ``point``."""
+        raise NotImplementedError
+
+    def meets_branch_cut(self, disk: Disk) -> bool:
+        """Whether the cut of any square-root factor meets ``disk``."""
+        raise NotImplementedError
+
     def image_enclosure(self, disk: Disk) -> Disk:
         """A disk certified to contain the image of ``disk``."""
-        raise NotImplementedError
+        centers, radii = self.enclosure_arrays(
+            np.array([disk.center], dtype=np.complex128),
+            np.array([disk.radius], dtype=np.float64),
+        )
+        return Disk(complex(centers[0]), float(radii[0]))
 
     def _verify_roundtrip(self, x, y):
         scale = np.maximum(1.0, np.abs(y)) if isinstance(y, np.ndarray) else max(1.0, abs(y))
@@ -154,8 +188,22 @@ class Affine(HoloMap):
             raise SingularDerivative("constant affine map has no inverse")
         return (y - self.b) / self.alpha
 
-    def image_enclosure(self, disk: Disk) -> Disk:
-        return Disk(self.alpha * disk.center + self.b, abs(self.alpha) * disk.radius)
+    def inverse(self) -> "Affine":
+        if self.alpha == 0:
+            raise SingularDerivative("constant affine map has no inverse")
+        return Affine(1.0 / self.alpha, -self.b / self.alpha)
+
+    def enclosure_arrays(self, centers, radii):
+        return self.alpha * centers + self.b, abs(self.alpha) * radii
+
+    def taylor(self, point, order):
+        point = complex(point)
+        coeffs = np.zeros(order, dtype=np.complex128)
+        coeffs[0] = self.alpha
+        return self.alpha * point + self.b, coeffs
+
+    def meets_branch_cut(self, disk):
+        return False
 
 
 @dataclass(frozen=True)
@@ -195,20 +243,35 @@ class SqrtBranch(HoloMap):
             raise NotInImage("value not in the range of this square-root branch")
         return self._verify_roundtrip(y * y + self.c, y)
 
-    def cut_distance(self, disk: Disk) -> float:
-        """Distance from ``disk``'s center to the branch cut ray."""
+    def inverse(self) -> "_SqrtBranchInverse":
+        return _SqrtBranchInverse(self)
+
+    def enclosure_arrays(self, centers, radii):
+        v = centers - self.c
+        cut_dist = np.abs(v - np.minimum(v.real, 0.0))
+        if np.any(cut_dist <= radii):
+            raise DomainError("disk meets a square-root branch cut")
+        d = np.abs(v)
+        # max of |1/(2 sqrt(z-c))| over each disk
+        bound = 0.5 / np.sqrt(d - radii)
+        return self.sign * np.sqrt(v), bound * radii
+
+    def taylor(self, point, order):
+        u0 = complex(self(complex(point)))
+        if u0 == 0:
+            raise NonInvertible("expansion at the branch point")
+        coeffs = np.zeros(order, dtype=np.complex128)
+        c = u0
+        for k in range(1, order + 1):
+            c = c * ((1.5 - k) / k) / (u0 * u0)
+            coeffs[k - 1] = c
+        return u0, coeffs
+
+    def meets_branch_cut(self, disk):
+        # distance from the disk's center to the cut ray
         v = disk.center - self.c
         t = max(0.0, -v.real)
-        nearest = complex(-t, 0.0)
-        return abs(v - nearest)
-
-    def image_enclosure(self, disk: Disk) -> Disk:
-        if self.cut_distance(disk) <= disk.radius:
-            raise DomainError("disk meets the branch cut of a square-root branch")
-        d = abs(disk.center - self.c)
-        # max of |1/(2 sqrt(z-c))| over the disk
-        bound = 1.0 / (2.0 * math.sqrt(d - disk.radius))
-        return Disk(self(disk.center), bound * disk.radius)
+        return abs(v - complex(-t, 0.0)) <= disk.radius
 
 
 @dataclass(frozen=True)
@@ -242,48 +305,25 @@ class Composite(HoloMap):
             y = f.invert(y)
         return y
 
-    def image_enclosure(self, disk: Disk) -> Disk:
+    def inverse(self) -> "Composite":
+        return Composite(tuple(f.inverse() for f in reversed(self.factors)))
+
+    def enclosure_arrays(self, centers, radii):
         for f in reversed(self.factors):
-            disk = f.image_enclosure(disk)
-        return disk
+            centers, radii = f.enclosure_arrays(centers, radii)
+        return centers, radii
 
+    def taylor(self, point, order):
+        value = point
+        full = None
+        for factor in reversed(self.factors):
+            value, coeffs = factor.taylor(value, order)
+            layer = np.concatenate(([0.0], coeffs))
+            full = layer if full is None else _series.compose(layer, full, order)
+        return value, full[1:]
 
-@dataclass(frozen=True)
-class InverseOf(HoloMap):
-    """Inverse of another map on its image."""
-
-    inner: HoloMap
-
-    def __call__(self, z):
-        return self.inner.invert(z)
-
-    def deriv(self, z):
-        x = self.inner.invert(z)
-        d = self.inner.deriv(x)
-        if np.any(np.abs(d) < DERIV_FLOOR):
-            raise SingularDerivative("inner derivative too small to reciprocate")
-        return 1.0 / d
-
-    def invert(self, y):
-        return self.inner(y)
-
-    def image_enclosure(self, disk: Disk) -> Disk:
-        return inverse_map(self.inner).image_enclosure(disk)
-
-
-def inverse_map(m: HoloMap) -> HoloMap:
-    """Closed-form inverse of ``m`` within the variant family."""
-    if isinstance(m, Affine):
-        if m.alpha == 0:
-            raise SingularDerivative("constant affine map has no inverse")
-        return Affine(1.0 / m.alpha, -m.b / m.alpha)
-    if isinstance(m, SqrtBranch):
-        return _SqrtBranchInverse(m)
-    if isinstance(m, Composite):
-        return Composite(tuple(inverse_map(f) for f in reversed(m.factors)))
-    if isinstance(m, InverseOf):
-        return m.inner
-    raise TypeError(f"cannot invert map of type {type(m).__name__}")
+    def meets_branch_cut(self, disk):
+        return any(f.meets_branch_cut(disk) for f in self.factors)
 
 
 @dataclass(frozen=True)
@@ -301,9 +341,27 @@ class _SqrtBranchInverse(HoloMap):
     def invert(self, y):
         return self.branch(y)
 
-    def image_enclosure(self, disk: Disk) -> Disk:
-        c0, r = disk.center, disk.radius
-        return Disk(c0 * c0 + self.branch.c, 2.0 * abs(c0) * r + r * r)
+    def inverse(self) -> SqrtBranch:
+        return self.branch
+
+    def enclosure_arrays(self, centers, radii):
+        return centers * centers + self.branch.c, (2.0 * np.abs(centers) + radii) * radii
+
+    def taylor(self, point, order):
+        point = complex(point)
+        coeffs = np.zeros(order, dtype=np.complex128)
+        coeffs[0] = 2.0 * point
+        if order > 1:
+            coeffs[1] = 1.0
+        return complex(self(point)), coeffs
+
+    def meets_branch_cut(self, disk):
+        return False
+
+
+def inverse_map(m: HoloMap) -> HoloMap:
+    """Closed-form inverse of ``m`` within the variant family."""
+    return m.inverse()
 
 
 def compose_maps(factors) -> HoloMap:
@@ -325,21 +383,6 @@ def compose_maps(factors) -> HoloMap:
     if len(flat) == 1:
         return flat[0]
     return Composite(tuple(flat))
-
-
-def _collect_sqrt_branches(m: HoloMap) -> list[SqrtBranch]:
-    if isinstance(m, SqrtBranch):
-        return [m]
-    if isinstance(m, Composite):
-        out = []
-        for f in m.factors:
-            out.extend(_collect_sqrt_branches(f))
-        return out
-    if isinstance(m, InverseOf):
-        return _collect_sqrt_branches(m.inner)
-    if isinstance(m, _SqrtBranchInverse):
-        return []
-    return []
 
 
 @dataclass(frozen=True)
@@ -364,11 +407,8 @@ class IfsSystem:
             raise ValueError("label count must match map count")
         boundary = self.domain.boundary(BOUNDARY_SAMPLES)
         for k, g in enumerate(self.maps):
-            for branch in _collect_sqrt_branches(g):
-                if branch.cut_distance(self.domain) <= self.domain.radius:
-                    raise DomainError(
-                        f"map {k}: square-root branch cut meets the domain disk"
-                    )
+            if g.meets_branch_cut(self.domain):
+                raise DomainError(f"map {k}: square-root branch cut meets the domain disk")
             image = g(boundary)
             margin = self.domain.radius - float(np.max(np.abs(image - self.domain.center)))
             if margin <= CONTAINMENT_MARGIN:

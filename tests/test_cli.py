@@ -268,6 +268,24 @@ def test_config_negative_radius(tmp_path, capsys):
     assert "radius" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "base,field,literal",
+    [
+        (THIRDS, "alpha_re", "NaN"),
+        (THIRDS, "b_im", "1" + "0" * 400),
+        (JULIA6, "c_re", "Infinity"),
+    ],
+)
+def test_config_non_finite_number_named(tmp_path, capsys, base, field, literal):
+    path = tmp_path / "bad.json"
+    payload = json.loads(json.dumps(base))
+    payload["maps"][0][field] = "@"
+    path.write_text(json.dumps(payload).replace('"@"', literal), encoding="utf-8")
+    assert cli.main(["attractor", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert f"maps[0].{field}" in err and "finite" in err
+
+
 def test_unknown_subcommand_exits_two(capsys):
     assert cli.main(["frobnicate"]) == 2
     capsys.readouterr()

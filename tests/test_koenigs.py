@@ -17,7 +17,7 @@ from holoifs.koenigs import (
     koenigs,
     series_of_map,
 )
-from holoifs.maps import InverseOf, compose_word
+from holoifs.maps import compose_word, inverse_map
 from holoifs.systems import cantor_thirds, sqrt_julia
 
 RNG = np.random.default_rng(20260826)
@@ -142,11 +142,19 @@ def test_series_of_composite_matches_cauchy():
 
 def test_series_of_inverse_map():
     system = sqrt_julia(-6.0)
-    inv = InverseOf(system.maps[0])
+    inv = inverse_map(system.maps[0])
     germ = series_of_map(inv, 3.0, order=5)
     expected = np.zeros(5)
     expected[0], expected[1] = 6.0, 1.0
     assert np.allclose(germ.coefficients, expected, atol=1e-12)
+
+    # a composite with square-root factors inverts to the reverted series
+    word = Word((0, 1), 2)
+    beta = fixed_point(system, word).point
+    gw = compose_word(system, word)
+    germ = series_of_map(inverse_map(gw), beta, order=8)
+    expected = series_of_map(gw, beta, order=8).inverse().coefficients
+    assert np.allclose(germ.coefficients, expected, rtol=1e-9, atol=1e-12)
 
 
 def test_series_needs_fixed_point():

@@ -9,7 +9,6 @@ from holoifs.maps import (
     Composite,
     Disk,
     IfsSystem,
-    InverseOf,
     SqrtBranch,
     Word,
     compose_maps,
@@ -59,15 +58,6 @@ def test_composite_order_is_outermost_first():
     assert comp(0.0) == pytest.approx(2 / 9)
 
 
-def test_inverse_of_wrapper():
-    f = Affine(1 / 3, 2 / 3)
-    inv = InverseOf(f)
-    z = 0.3 + 0.2j
-    assert inv(f(z)) == pytest.approx(z, abs=1e-14)
-    assert inv.deriv(f(z)) == pytest.approx(3.0)
-    assert inv.invert(z) == pytest.approx(f(z))
-
-
 @pytest.mark.parametrize(
     "m,disk",
     [
@@ -75,8 +65,8 @@ def test_inverse_of_wrapper():
         (SqrtBranch(-6.0, +1), Disk(0.0, 4.0)),
         (SqrtBranch(-6.0, -1), Disk(1.0 + 0.5j, 3.0)),
         (Composite((Affine(0.5, 0.1), SqrtBranch(-6.0, +1))), Disk(0.0, 4.0)),
-        (InverseOf(SqrtBranch(-6.0, +1)), Disk(2.5, 0.5)),
-        (InverseOf(Affine(0.4, 0.3)), Disk(0.3, 0.05)),
+        (inverse_map(SqrtBranch(-6.0, +1)), Disk(2.5, 0.5)),
+        (inverse_map(Affine(0.4, 0.3)), Disk(0.3, 0.05)),
     ],
 )
 def test_roundtrip_invert_after_eval(m, disk):
@@ -92,7 +82,7 @@ def test_roundtrip_invert_after_eval(m, disk):
         Affine(0.3 + 0.2j, -0.1),
         SqrtBranch(-6.0, +1),
         Composite((Affine(0.5, 0.0), SqrtBranch(-6.0, -1), Affine(0.25, 1.0))),
-        InverseOf(SqrtBranch(-6.0, +1)),
+        inverse_map(SqrtBranch(-6.0, +1)),
     ],
 )
 def test_chain_rule_against_finite_differences(m):
@@ -168,7 +158,13 @@ def test_inverse_map_closed_forms():
     f = Affine(1 / 3, 2 / 3)
     finv = inverse_map(f)
     assert isinstance(finv, Affine)
-    assert finv(f(0.1 + 0.2j)) == pytest.approx(0.1 + 0.2j, abs=1e-15)
+    z = 0.1 + 0.2j
+    assert finv(f(z)) == pytest.approx(z, abs=1e-15)
+    assert finv.deriv(f(z)) == pytest.approx(3.0)
+    assert finv.invert(z) == pytest.approx(f(z))
+
+    g = SqrtBranch(-6.0, +1)
+    assert inverse_map(inverse_map(g)) == g
 
     comp = Composite((Affine(0.5, 0.1), SqrtBranch(-6.0, +1)))
     cinv = inverse_map(comp)
@@ -198,7 +194,7 @@ def test_image_enclosure_contains_sampled_images():
         (Affine(0.4 - 0.2j, 0.3), Disk(0.5, 2.0)),
         (SqrtBranch(-6.0, +1), Disk(0.0, 4.0)),
         (Composite((SqrtBranch(-6.0, -1), Affine(0.5, 1.0))), Disk(0.0, 4.0)),
-        (InverseOf(SqrtBranch(-6.0, +1)), Disk(2.5, 0.7)),
+        (inverse_map(SqrtBranch(-6.0, +1)), Disk(2.5, 0.7)),
     ]
     for m, disk in cases:
         enc = m.image_enclosure(disk)
