@@ -254,16 +254,19 @@ def _pseudo_hyperbolic_min(u: np.ndarray, v: np.ndarray, chunk: int = 512) -> fl
     return best
 
 
-def rho_radius(system: IfsSystem, net: AttractorNet) -> tuple[float, float]:
+def rho_radius(
+    system: IfsSystem, net: AttractorNet, cert: SeparationCertificate | None = None
+) -> tuple[float, float]:
     """Hyperbolic separation radius and its Euclidean inradius floor.
 
     Returns ``(rho_h, rho_g)`` where ``rho_h`` is the minimal hyperbolic
     distance (in the domain disk) between distinct first-level images of the
     net, and ``rho_g`` the smallest Euclidean radius such that the hyperbolic
     ``rho_h``-ball around any net point contains the round ball of that
-    radius.  Requires a valid strong-separation certificate.
+    radius.  Requires a valid strong-separation certificate; ``cert`` is
+    computed when not supplied.
     """
-    cert = certify_ssc(system, net)
+    cert = cert if cert is not None else certify_ssc(system, net)
     if not cert.valid:
         raise SeparationFailure(
             f"strong separation not certified (margin {cert.margin:.3e})"

@@ -42,7 +42,7 @@ from .errors import (
 )
 from .koenigs import ORDER, PowerSeriesGerm, composition_residual, functional_roots
 from .maps import Affine, Disk, HoloMap, IfsSystem, SqrtBranch, Word
-from .symmetry import Budgets, build_symmetry, shared_attractor, verify_symmetry
+from .symmetry import Budgets, SystemNet, build_symmetry, shared_attractor, verify_symmetry
 
 REPORT_HEADER = "# holoifs shared-attractor report v1"
 
@@ -172,6 +172,17 @@ def _parse_word(text: str, alphabet: int, what: str) -> Word:
             f"{what}: indices must lie in 0..{alphabet - 1}, got {indices}"
         )
     return Word(indices, alphabet)
+
+
+def _finite_positive(text: str) -> float:
+    """argparse type for ``--epsilon``: a finite number above zero."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(f"expected a finite positive number, got {text!r}")
+    return value
 
 
 def _parse_disks(text: str) -> tuple[Disk, ...]:
@@ -395,12 +406,12 @@ def cmd_roots(args) -> int:
 def cmd_symmetry(args) -> int:
     system_g, label_g = load_system(args.config_g)
     system_f, label_f = load_system(args.config_f)
-    net_g = compute_net(system_g, args.epsilon, point_cap=args.point_cap)
-    net_f = compute_net(system_f, args.epsilon, point_cap=args.point_cap)
+    g = SystemNet(system_g, compute_net(system_g, args.epsilon, point_cap=args.point_cap))
+    f = SystemNet(system_f, compute_net(system_f, args.epsilon, point_cap=args.point_cap))
     point = _parse_complex(args.point, "--point")
     word = _parse_word(args.word, len(system_g.maps), "--word")
-    germ = build_symmetry(system_g, system_f, (net_g, net_f), point, word)
-    verify = verify_symmetry(germ, (net_g, net_f))
+    germ = build_symmetry(g, f, point, word)
+    verify = verify_symmetry(germ, g, f)
     print(f"system_g = {label_g}")
     print(f"system_f = {label_f}")
     print(f"base = {_fmt_complex(complex(germ.base))}")
@@ -426,7 +437,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_net_flags(p):
-        p.add_argument("--epsilon", type=float, default=1e-3, help="net resolution")
+        p.add_argument(
+            "--epsilon", type=_finite_positive, default=1e-3, help="net resolution (finite, > 0)"
+        )
         p.add_argument(
             "--point-cap",
             type=int,

@@ -67,6 +67,11 @@ class MultiplierSpectrum:
     def multipliers(self) -> np.ndarray:
         return np.array([e.multiplier for e in self.entries], dtype=np.complex128)
 
+    def truncated(self, max_len: int) -> MultiplierSpectrum:
+        """The entries of words up to ``max_len`` letters."""
+        entries = tuple(e for e in self.entries if len(e.word) <= max_len)
+        return MultiplierSpectrum(entries, min(max_len, self.max_word_length))
+
     def contains_multiplier(self, value: complex, tol: float = SPECTRUM_DEDUP_TOL) -> bool:
         if not self.entries:
             return False
@@ -236,7 +241,6 @@ def _orbit_steps(dyn: _InverseDynamics, x: complex, max_iter: int, tol: float) -
 
 def prep_points(
     system: IfsSystem,
-    net: AttractorNet,
     max_word: int,
     max_prefix: int,
     word_cap: int = WORD_CAP,

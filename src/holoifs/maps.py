@@ -392,7 +392,9 @@ class IfsSystem:
     Construction verifies, by sampling the boundary circle, that each map
     sends the closed domain disk strictly inside the open disk.  For maps
     containing square-root branches the branch cut must avoid the domain,
-    which also guarantees injectivity of each member on the disk.
+    which also guarantees injectivity of each member on the disk.  A map
+    whose derivative vanishes at the domain centre is rejected, since it is
+    not injective there (a constant map, for one).
     """
 
     maps: tuple[HoloMap, ...]
@@ -409,6 +411,8 @@ class IfsSystem:
         for k, g in enumerate(self.maps):
             if g.meets_branch_cut(self.domain):
                 raise DomainError(f"map {k}: square-root branch cut meets the domain disk")
+            if abs(complex(g.deriv(self.domain.center))) < DERIV_FLOOR:
+                raise DomainError(f"map {k}: derivative vanishes at the domain centre")
             image = g(boundary)
             margin = self.domain.radius - float(np.max(np.abs(image - self.domain.center)))
             if margin <= CONTAINMENT_MARGIN:

@@ -14,20 +14,22 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
+from functools import cached_property
+from itertools import islice, product
 
 import numpy as np
 from scipy.spatial import cKDTree
 
 from .attractor import (
     AttractorNet,
+    SeparationCertificate,
     box_restriction,
     certify_ssc,
     compute_net,
     hausdorff,
     rho_radius,
 )
-from .dynamics import _InverseDynamics, _orbit_steps, fixed_point, spectrum
+from .dynamics import _InverseDynamics, _orbit_steps, fixed_point, prep_points, spectrum
 from .errors import (
     AddressFailure,
     AmbiguousBranch,
@@ -143,54 +145,50 @@ class Budgets:
     point_cap: int = 10**7
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class SharedAttractorReport:
     hausdorff: float
     ssc_both: bool
-    prep_forward: tuple[int, int]
-    prep_backward: tuple[int, int]
-    spectrum_matches: tuple[tuple[complex, int | None], ...]
-    functional_equations: tuple[FunctionalEquation, ...]
+    prep_forward: tuple[int, int] = (0, 0)
+    prep_backward: tuple[int, int] = (0, 0)
+    spectrum_matches: tuple[tuple[complex, int | None], ...] = ()
+    functional_equations: tuple[FunctionalEquation, ...] = ()
     verdict: str
     notes: tuple[str, ...] = ()
 
 
-class _PairCache:
-    """Identity-keyed memo for per-(system, net) derived structures."""
+@dataclass(frozen=True, eq=False)
+class SystemNet:
+    """One system with its net, and the structures derived from the pair.
 
-    def __init__(self, cap: int = 64):
-        self._cap = cap
-        self._entries: dict = {}
+    Each derived member is computed once, on first use, and freed with the
+    object.  The members call the module-level functions by their global
+    names, so a wrapper installed on a module attribute sees every call.
+    """
 
-    def get(self, name, objs, builder):
-        key = (name,) + tuple(id(o) for o in objs)
-        hit = self._entries.get(key)
-        if hit is not None and all(a is b for a, b in zip(hit[0], objs)):
-            return hit[1]
-        value = builder()
-        if len(self._entries) >= self._cap:
-            self._entries.clear()
-        self._entries[key] = (tuple(objs), value)
-        return value
+    system: IfsSystem
+    net: AttractorNet
 
+    @cached_property
+    def cert(self) -> SeparationCertificate:
+        return certify_ssc(self.system, self.net)
 
-_CACHE = _PairCache()
+    @cached_property
+    def dyn(self) -> _InverseDynamics:
+        return _InverseDynamics(self.system, self.net, self.cert)
 
+    @cached_property
+    def rho(self) -> float:
+        """Euclidean inradius floor of the hyperbolic separation radius."""
+        return rho_radius(self.system, self.net, self.cert)[1]
 
-def _dyn(system: IfsSystem, net: AttractorNet) -> _InverseDynamics:
-    return _CACHE.get("dyn", (system, net), lambda: _InverseDynamics(system, net))
+    @cached_property
+    def s_floor(self) -> float:
+        return s_floor(self.system, self.net)
 
-
-def _rho(system: IfsSystem, net: AttractorNet) -> float:
-    return _CACHE.get("rho", (system, net), lambda: rho_radius(system, net)[1])
-
-
-def _tree(net: AttractorNet) -> cKDTree:
-    return _CACHE.get(
-        "tree",
-        (net,),
-        lambda: cKDTree(np.column_stack((net.points.real, net.points.imag))),
-    )
+    @cached_property
+    def tree(self) -> cKDTree:
+        return cKDTree(self.net.xy)
 
 
 def s_floor(systemF: IfsSystem, netF: AttractorNet) -> float:
@@ -227,70 +225,57 @@ def min_depth(
             return depth
 
 
-def address(systemF: IfsSystem, netF: AttractorNet, x: complex, k: int) -> Word:
-    """First ``k`` letters of the target address of ``x`` via inverse steps."""
-    dyn = _dyn(systemF, netF)
-    letters = []
-    b = complex(x)
-    for _ in range(k):
+def _address_walk(F: SystemNet, x: complex):
+    """Yield ``(letter, preimage)`` along the target address of ``x``, unbounded."""
+    x = b = complex(x)
+    n = 0
+    while True:
         try:
-            b, j = dyn.step(b)
+            b, j = F.dyn.step(b)
         except (OutsideAttractor, AmbiguousBranch) as exc:
             raise AddressFailure(
-                f"address walk failed after {len(letters)} letters at {b}"
+                f"address walk from {x} failed after {n} letters at {b}"
             ) from exc
-        letters.append(j)
-    return Word(tuple(letters), len(systemF.maps))
+        n += 1
+        yield j, b
 
 
-def build_symmetry(
-    systemG: IfsSystem,
-    systemF: IfsSystem,
-    nets: tuple[AttractorNet, AttractorNet],
-    a: complex,
-    w: Word,
-) -> SymmetryGerm:
+def address(F: SystemNet, x: complex, k: int) -> Word:
+    """First ``k`` letters of the target address of ``x`` via inverse steps."""
+    letters = tuple(j for j, _ in islice(_address_walk(F, x), k))
+    return Word(letters, len(F.system.maps))
+
+
+def build_symmetry(G: SystemNet, F: SystemNet, a: complex, w: Word) -> SymmetryGerm:
     """Germ ``H = f_{V_m}^{-1} ∘ g_w`` at ``a`` with certified bounds.
 
     ``m`` is the largest address depth whose accumulated derivative still
     dominates ``|g_w'(a)|``; this pins ``|H'(a)|`` into ``[s_F, 1]``.  The
     image sandwich around ``H(a)`` is checked on boundary samples.
     """
-    netG, netF = nets
     a = complex(a)
-    gw = compose_word(systemG, w)
+    gw = compose_word(G.system, w)
     lam = complex(gw.deriv(a))
-    rho = min(_rho(systemG, netG), _rho(systemF, netF))
+    rho = min(G.rho, F.rho)
     r = RADIUS_FRACTION * rho
-    sF = s_floor(systemF, netF)
-    dynF = _dyn(systemF, netF)
+    sF = F.s_floor
 
-    b = complex(gw(a))
     D = 1.0 + 0.0j
     letters: list[int] = []
-    m_sel = 0
-    V: tuple[int, ...] = ()
-    for _ in range(WALK_CAP):
-        try:
-            b, j = dynF.step(b)
-        except (OutsideAttractor, AmbiguousBranch) as exc:
-            raise AddressFailure(
-                f"target address of {gw(a)} failed after {len(letters)} letters"
-            ) from exc
-        letters.append(j)
-        D = D * complex(systemF.maps[j].deriv(b))
-        if abs(D) >= abs(lam):
-            m_sel, V = len(letters), tuple(letters)
-        else:
+    for j, b in islice(_address_walk(F, gw(a)), WALK_CAP):
+        D = D * complex(F.system.maps[j].deriv(b))
+        if abs(D) < abs(lam):
             break
+        letters.append(j)
     else:
         raise BudgetExceeded("address walk never crossed the derivative threshold")
-    if m_sel == 0:
+    if not letters:
         raise CriterionEmpty(
             f"first address derivative {abs(D):.3e} already below |g_w'(a)| = {abs(lam):.3e}"
         )
+    V = Word(tuple(letters), len(F.system.maps))
 
-    f_V = compose_word(systemF, Word(V, len(systemF.maps)))
+    f_V = compose_word(F.system, V)
     H = compose_maps((inverse_map(f_V), gw))
     dH = complex(H.deriv(a))
     if not (sF - DERIV_SLACK <= abs(dH) <= 1.0 + DERIV_SLACK):
@@ -305,14 +290,13 @@ def build_symmetry(
         raise GermBoundsError("image boundary escapes the outer sandwich disk")
     if float(np.min(dist)) < sF * rho / 25.0 - 1e-12:
         raise GermBoundsError("image boundary enters the inner sandwich disk")
-    return SymmetryGerm(
-        base=a, radius=r, word_g=w, word_f=Word(V, len(systemF.maps)), map=H
-    )
+    return SymmetryGerm(base=a, radius=r, word_g=w, word_f=V, map=H)
 
 
 def verify_symmetry(
     germ: SymmetryGerm,
-    nets: tuple[AttractorNet, AttractorNet],
+    G: SystemNet,
+    F: SystemNet,
     n_samples: int = 200,
     tol: float = 1e-9,
 ) -> SymmetryResidualReport:
@@ -322,7 +306,7 @@ def verify_symmetry(
     source net error; the backward direction inverts the germ on the inner
     quarter ball, where surjectivity is guaranteed.
     """
-    netG, netF = nets
+    netG, netF = G.net, F.net
     a, r, H = germ.base, germ.radius, germ.map
     dH = abs(germ.derivative)
 
@@ -334,7 +318,7 @@ def verify_symmetry(
     forward_fail = 0
     if len(sel):
         images = np.atleast_1d(H(netG.points[sel]))
-        d, _ = _tree(netF).query(np.column_stack((images.real, images.imag)), k=1)
+        d, _ = F.tree.query(np.column_stack((images.real, images.imag)), k=1)
         forward_res = float(np.max(d))
         forward_fail = int(np.count_nonzero(d > forward_tol))
 
@@ -347,14 +331,13 @@ def verify_symmetry(
     backward_res = 0.0
     backward_fail = 0
     H_inv = inverse_map(H)
-    treeG = _tree(netG)
     for y in netF.points[selb]:
         try:
             x = complex(H_inv(complex(y)))
         except (NotInImage, DomainError, ValueError):
             backward_fail += 1
             continue
-        d, _ = treeG.query([[x.real, x.imag]], k=1)
+        d, _ = G.tree.query([[x.real, x.imag]], k=1)
         backward_res = max(backward_res, float(d[0]))
         if float(d[0]) > backward_tol:
             backward_fail += 1
@@ -387,13 +370,7 @@ def _identity_germ(base: complex, radius: float, mG: int, mF: int) -> SymmetryGe
     )
 
 
-def detect_coincidence(
-    systemG: IfsSystem,
-    systemF: IfsSystem,
-    nets: tuple[AttractorNet, AttractorNet],
-    w: Word,
-    K_max: int = 16,
-) -> ConjugacyRelation:
+def detect_coincidence(G: SystemNet, F: SystemNet, w: Word, K_max: int = 16) -> ConjugacyRelation:
     """Conjugacy relation from two coinciding germs of iterated words.
 
     Builds the germ of ``w^k`` at the fixed point of ``g_w`` for
@@ -404,18 +381,17 @@ def detect_coincidence(
     """
     if len(w) < 1:
         raise ValueError("coincidence detection needs a non-empty word")
-    netG, netF = nets
-    mG, mF = len(systemG.maps), len(systemF.maps)
-    beta = fixed_point(systemG, w).point
-    rho = min(_rho(systemG, netG), _rho(systemF, netF))
+    mG, mF = len(G.system.maps), len(F.system.maps)
+    beta = fixed_point(G.system, w).point
+    rho = min(G.rho, F.rho)
     r = RADIUS_FRACTION * rho
-    sF = s_floor(systemF, netF)
+    sF = F.s_floor
 
     germs: list[SymmetryGerm | None] = [_identity_germ(beta, r, mG, mF)]
     for k in range(1, K_max + 1):
         wk = Word(w.indices * k, mG)
         try:
-            germs.append(build_symmetry(systemG, systemF, nets, beta, wk))
+            germs.append(build_symmetry(G, F, beta, wk))
         except (CriterionEmpty, AddressFailure, GermBoundsError):
             germs.append(None)
 
@@ -439,9 +415,9 @@ def detect_coincidence(
                 )
             vtilde = Word(vq.indices[len(v):], mF)
             l = q - p
-            f_v = compose_word(systemF, v)
-            rel = compose_maps((f_v, compose_word(systemF, vtilde), inverse_map(f_v)))
-            gwl = compose_word(systemG, Word(w.indices * l, mG))
+            f_v = compose_word(F.system, v)
+            rel = compose_maps((f_v, compose_word(F.system, vtilde), inverse_map(f_v)))
+            gwl = compose_word(G.system, Word(w.indices * l, mG))
             theta = 2.0 * np.pi * np.arange(GERM_SAMPLES) / GERM_SAMPLES
             z = beta + (r * sF / 2.0) * np.exp(1j * theta)
             z = np.concatenate((z, [beta]))
@@ -480,23 +456,9 @@ def spectrum_compat(specG, specF, l_max: int, tol: float = 1e-9):
     return out
 
 
-def _all_fixed_points(system: IfsSystem, max_word: int, dedup: float = 1e-10):
-    pts: list[complex] = []
-    keys = set()
-    m = len(system.maps)
-    for length in range(1, max_word + 1):
-        for idx in product(range(m), repeat=length):
-            p = fixed_point(system, Word(idx, m)).point
-            key = (round(p.real / dedup), round(p.imag / dedup))
-            if key not in keys:
-                keys.add(key)
-                pts.append(p)
-    return pts
-
-
 def _prep_check(source: IfsSystem, target_dyn: _InverseDynamics, budgets: Budgets):
     passes = fails = 0
-    for p in _all_fixed_points(source, budgets.prep_max_word):
+    for p in prep_points(source, budgets.prep_max_word, 0):
         rep = _orbit_steps(target_dyn, p, budgets.prep_orbit_cap, 1e-9)
         if rep.is_preperiodic:
             passes += 1
@@ -513,18 +475,15 @@ def _subsample(points: np.ndarray, cap: int) -> np.ndarray:
 
 
 def _functional_sweep(
-    systemG: IfsSystem,
-    systemF: IfsSystem,
-    netG: AttractorNet,
-    netF: AttractorNet,
-    budgets: Budgets,
+    G: SystemNet, F: SystemNet, budgets: Budgets
 ) -> tuple[FunctionalEquation, ...]:
-    sF = s_floor(systemF, netF)
-    M = min_depth(systemG, netG, sF) + 1
-    rho = min(_rho(systemG, netG), _rho(systemF, netF))
+    sF = F.s_floor
+    M = min_depth(G.system, G.net, sF) + 1
+    rho = min(G.rho, F.rho)
     r = RADIUS_FRACTION * rho
-    disks = box_restriction(systemG, netG, eps_target=r, point_cap=budgets.point_cap)
-    mG = len(systemG.maps)
+    disks = box_restriction(G.system, G.net, eps_target=r, point_cap=budgets.point_cap)
+    netG = G.net
+    mG = len(G.system.maps)
     entries: list[FunctionalEquation] = []
 
     for d_idx, disk in enumerate(disks):
@@ -542,7 +501,7 @@ def _functional_sweep(
         for t in product(range(mG), repeat=M):
             tw = Word(t, mG)
             try:
-                germ = build_symmetry(systemG, systemF, (netG, netF), anchor, tw)
+                germ = build_symmetry(G, F, anchor, tw)
             except (CriterionEmpty, AddressFailure, GermBoundsError, SeparationFailure) as exc:
                 entries.append(
                     FunctionalEquation(d_idx, tw, None, None, None,
@@ -559,14 +518,14 @@ def _functional_sweep(
                 rep = germ
             t_k, u_k = rep.word_g, rep.word_f
             try:
-                y = compose_word(systemG, t_k)(samples)
+                y = compose_word(G.system, t_k)(samples)
                 lhs = compose_maps(
-                    (compose_word(systemF, germ.word_f),
-                     inverse_map(compose_word(systemF, u_k)))
+                    (compose_word(F.system, germ.word_f),
+                     inverse_map(compose_word(F.system, u_k)))
                 )
                 rhs = compose_maps(
-                    (compose_word(systemG, tw),
-                     inverse_map(compose_word(systemG, t_k)))
+                    (compose_word(G.system, tw),
+                     inverse_map(compose_word(G.system, t_k)))
                 )
                 residual = float(np.max(np.abs(lhs(y) - rhs(y))))
                 note = ""
@@ -601,64 +560,49 @@ def shared_attractor(
     functional-equation sweep.  Anything less is Inconclusive.
     """
     budgets = budgets if budgets is not None else Budgets()
-    netG = compute_net(systemG, epsilon, budgets.point_cap)
-    netF = compute_net(systemF, epsilon, budgets.point_cap)
-    h = hausdorff(netG.points, netF.points)
-    eps_sum = netG.epsilon + netF.epsilon
-    certG = certify_ssc(systemG, netG)
-    certF = certify_ssc(systemF, netF)
-    ssc_both = bool(certG.valid and certF.valid)
+    G = SystemNet(systemG, compute_net(systemG, epsilon, budgets.point_cap))
+    F = SystemNet(systemF, compute_net(systemF, epsilon, budgets.point_cap))
+    h = hausdorff(G.net.points, F.net.points)
+    eps_sum = G.net.epsilon + F.net.epsilon
+    ssc_both = bool(G.cert.valid and F.cert.valid)
 
     if h > eps_sum:
         return SharedAttractorReport(
             hausdorff=h,
             ssc_both=ssc_both,
-            prep_forward=(0, 0),
-            prep_backward=(0, 0),
-            spectrum_matches=(),
-            functional_equations=(),
             verdict="NotShared",
-            notes=(
-                f"net distance {h:.6e} exceeds combined net error {eps_sum:.6e}",
-            ),
+            notes=(f"net distance {h:.6e} exceeds combined net error {eps_sum:.6e}",),
         )
     if not ssc_both:
         return SharedAttractorReport(
             hausdorff=h,
             ssc_both=False,
-            prep_forward=(0, 0),
-            prep_backward=(0, 0),
-            spectrum_matches=(),
-            functional_equations=(),
             verdict="Inconclusive",
             notes=("separation certificate invalid; evidence unavailable",),
         )
 
     notes: list[str] = []
     try:
-        dynG = _dyn(systemG, netG)
-        dynF = _dyn(systemF, netF)
-        prep_forward = _prep_check(systemG, dynF, budgets)
-        prep_backward = _prep_check(systemF, dynG, budgets)
+        dynG, dynF = G.dyn, F.dyn
+        prep_forward = _prep_check(G.system, dynF, budgets)
+        prep_backward = _prep_check(F.system, dynG, budgets)
 
-        specG_src = spectrum(systemG, budgets.spectrum_source_len)
-        specG_tgt = spectrum(systemG, budgets.spectrum_target_len)
-        specF_src = spectrum(systemF, budgets.spectrum_source_len)
-        specF_tgt = spectrum(systemF, budgets.spectrum_target_len)
+        # one enumeration per system; deduplication keeps the first entry in
+        # increasing word length, so truncating equals a shorter enumeration
+        src, tgt = budgets.spectrum_source_len, budgets.spectrum_target_len
+        specG = spectrum(G.system, max(src, tgt))
+        specF = spectrum(F.system, max(src, tgt))
+        l_max, tol = budgets.spectrum_l_max, budgets.spectrum_tol
         matches = tuple(
-            spectrum_compat(specG_src, specF_tgt, budgets.spectrum_l_max, budgets.spectrum_tol)
-            + spectrum_compat(specF_src, specG_tgt, budgets.spectrum_l_max, budgets.spectrum_tol)
+            spectrum_compat(specG.truncated(src), specF.truncated(tgt), l_max, tol)
+            + spectrum_compat(specF.truncated(src), specG.truncated(tgt), l_max, tol)
         )
 
-        equations = _functional_sweep(systemG, systemF, netG, netF, budgets)
+        equations = _functional_sweep(G, F, budgets)
     except (SeparationFailure, DegenerateDerivative) as exc:
         return SharedAttractorReport(
             hausdorff=h,
             ssc_both=ssc_both,
-            prep_forward=(0, 0),
-            prep_backward=(0, 0),
-            spectrum_matches=(),
-            functional_equations=(),
             verdict="Inconclusive",
             notes=(f"{type(exc).__name__}: {exc}",),
         )

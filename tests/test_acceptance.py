@@ -24,6 +24,7 @@ from holoifs.geometry import kappa, koebe_bounds, poincare_domain, hyp_dist_slit
 from holoifs.koenigs import ORDER, PowerSeriesGerm, functional_roots, koenigs
 from holoifs.maps import Affine
 from holoifs.symmetry import (
+    SystemNet,
     build_symmetry,
     detect_coincidence,
     s_floor,
@@ -61,6 +62,16 @@ def thirds_net():
 @pytest.fixture(scope="module")
 def reflected_net():
     return compute_net(cantor_thirds_reflected(), EPS)
+
+
+@pytest.fixture(scope="module")
+def thirds_sn(thirds_net):
+    return SystemNet(cantor_thirds(), thirds_net)
+
+
+@pytest.fixture(scope="module")
+def reflected_sn(reflected_net):
+    return SystemNet(cantor_thirds_reflected(), reflected_net)
 
 
 def _cantor_distance(x: float) -> float:
@@ -128,21 +139,15 @@ def test_04_shared_attractor_negative():
         assert report.hausdorff >= 1 / 6 - 2e-3
 
 
-def test_05_symmetry_germ_reflection(thirds_net, reflected_net):
+def test_05_symmetry_germ_reflection(thirds_sn, reflected_sn):
     with _criterion("criterion 5"):
-        germ = build_symmetry(
-            cantor_thirds_reflected(),
-            cantor_thirds(),
-            (reflected_net, thirds_net),
-            0.0,
-            Word((1,), 2),
-        )
+        germ = build_symmetry(reflected_sn, thirds_sn, 0.0, Word((1,), 2))
         rng = np.random.default_rng(905)
         angles = 2 * np.pi * rng.random(100)
         radii = germ.radius * np.sqrt(rng.random(100))
         z = radii * np.exp(1j * angles)
         assert np.max(np.abs(germ.map(z) - (1 - z))) <= 1e-9
-        s_f = s_floor(cantor_thirds(), thirds_net)
+        s_f = s_floor(thirds_sn.system, thirds_sn.net)
         d = abs(germ.derivative)
         assert abs(d - 1.0) <= 1e-9
         assert s_f - 1e-9 <= d <= 1.0 + 1e-9
@@ -155,14 +160,9 @@ def test_05_symmetry_germ_reflection(thirds_net, reflected_net):
         assert np.min(dist) >= s_f * rho / 25.0 - 1e-12
 
 
-def test_06_conjugacy_extraction(thirds_net, reflected_net):
+def test_06_conjugacy_extraction(thirds_sn, reflected_sn):
     with _criterion("criterion 6"):
-        rel = detect_coincidence(
-            cantor_thirds_reflected(),
-            cantor_thirds(),
-            (reflected_net, thirds_net),
-            Word((1,), 2),
-        )
+        rel = detect_coincidence(reflected_sn, thirds_sn, Word((1,), 2))
         assert rel.exponent_l == 2
         assert rel.residual <= 1e-12
         law = (-1 / 3) ** 2

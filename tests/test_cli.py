@@ -268,6 +268,23 @@ def test_config_negative_radius(tmp_path, capsys):
     assert "radius" in capsys.readouterr().err
 
 
+def test_config_constant_map_rejected(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    payload = json.loads(json.dumps(THIRDS))
+    payload["maps"][0]["alpha_re"] = 0
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    assert cli.main(["check", str(path), "--osc-disks", "0.5,0,0.6"]) == 2
+    assert "derivative vanishes" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["attractor", "shared"])
+@pytest.mark.parametrize("value", ["0", "-1e-3", "nan", "inf"])
+def test_epsilon_must_be_finite_positive(configs, capsys, command, value):
+    systems = [configs["thirds"]] * (1 if command == "attractor" else 2)
+    assert cli.main([command, *systems, f"--epsilon={value}"]) == 2
+    assert "--epsilon" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "base,field,literal",
     [
@@ -379,6 +396,12 @@ def test_shared_verdict_not_shared(configs, capsys):
 def test_shared_verdict_inconclusive(configs, capsys):
     assert cli.main(["shared", configs["halves"], configs["halves"]]) == 4
     assert "verdict = Inconclusive" in capsys.readouterr().out
+
+
+def test_shared_prep_budget_exit(configs, capsys):
+    args = ["shared", configs["thirds"], configs["thirds"], "--prep-max-word", "30"]
+    assert cli.main(args) == 3
+    assert "budget" in capsys.readouterr().err
 
 
 def test_shared_report_deterministic(configs, tmp_path):

@@ -262,8 +262,7 @@ def test_orbit_deterministic():
 
 def test_prep_points_small_budget_exact():
     system = cantor_thirds()
-    net = compute_net(system, 1e-3)
-    pts = prep_points(system, net, max_word=1, max_prefix=1)
+    pts = prep_points(system, max_word=1, max_prefix=1)
     expected = np.array([0.0, 1 / 3, 2 / 3, 1.0])
     assert pts.shape == expected.shape
     assert np.allclose(np.sort(pts.real), expected, atol=1e-12)
@@ -272,9 +271,8 @@ def test_prep_points_small_budget_exact():
 
 def test_prep_points_dedup_and_growth():
     system = cantor_thirds()
-    net = compute_net(system, 1e-3)
-    small = prep_points(system, net, max_word=2, max_prefix=2)
-    large = prep_points(system, net, max_word=3, max_prefix=3)
+    small = prep_points(system, max_word=2, max_prefix=2)
+    large = prep_points(system, max_word=3, max_prefix=3)
     assert len(large) > len(small)
     # every small point reappears in the larger enumeration
     for p in small:
@@ -284,7 +282,7 @@ def test_prep_points_dedup_and_growth():
 def test_prep_points_all_near_attractor():
     system = cantor_thirds_reflected()
     net = compute_net(system, 1e-3)
-    pts = prep_points(system, net, max_word=3, max_prefix=2)
+    pts = prep_points(system, max_word=3, max_prefix=2)
     from scipy.spatial import cKDTree
 
     tree = cKDTree(np.column_stack((net.points.real, net.points.imag)))
@@ -294,6 +292,5 @@ def test_prep_points_all_near_attractor():
 
 def test_prep_points_budget():
     system = cantor_thirds()
-    net = compute_net(system, 1e-3)
     with pytest.raises(BudgetExceeded):
-        prep_points(system, net, max_word=2, max_prefix=2, word_cap=3)
+        prep_points(system, max_word=2, max_prefix=2, word_cap=3)

@@ -180,6 +180,18 @@ def test_system_construction_rejects_non_contraction():
         IfsSystem((SqrtBranch(-6.0, +1), SqrtBranch(-6.0, -1)), Disk(0.0, 7.0))
 
 
+def test_system_construction_rejects_vanishing_derivative():
+    # constant maps, composites holding one, and y**2 + c centred at 0
+    # sit inside the domain but are not injective at its centre
+    for m, disk in [
+        (Affine(0, 0.1), Disk(0.0, 1.0)),
+        (compose_maps((Affine(0.1, 0), SqrtBranch(-6.0, +1), Affine(0, 0.5))), Disk(0.0, 1.0)),
+        (inverse_map(SqrtBranch(0.0, +1)), Disk(0.0, 0.5)),
+    ]:
+        with pytest.raises(DomainError, match="derivative vanishes"):
+            IfsSystem((m,), disk)
+
+
 def test_system_boundary_margin_positive():
     j6 = sqrt_julia(-6.0)
     boundary = j6.domain.boundary(256)

@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
+import holoifs.attractor
+import holoifs.dynamics
+import holoifs.symmetry
 from holoifs import (
     AddressFailure,
     BudgetExceeded,
@@ -16,10 +21,11 @@ from holoifs import (
     Word,
 )
 from holoifs.attractor import certify_strong_osc, compute_net
-from holoifs.dynamics import spectrum
+from holoifs.dynamics import prep_points, spectrum
 from holoifs.maps import Affine, compose_word
 from holoifs.symmetry import (
     SymmetryGerm,
+    SystemNet,
     address,
     build_symmetry,
     detect_coincidence,
@@ -39,22 +45,23 @@ from holoifs.systems import (
 EPS = 1e-3
 
 
+def system_net(system, epsilon=EPS):
+    return SystemNet(system, compute_net(system, epsilon))
+
+
 @pytest.fixture(scope="module")
 def thirds():
-    system = cantor_thirds()
-    return system, compute_net(system, EPS)
+    return system_net(cantor_thirds())
 
 
 @pytest.fixture(scope="module")
 def reflected():
-    system = cantor_thirds_reflected()
-    return system, compute_net(system, EPS)
+    return system_net(cantor_thirds_reflected())
 
 
 @pytest.fixture(scope="module")
 def julia6():
-    system = sqrt_julia(-6.0)
-    return system, compute_net(system, 2e-3)
+    return system_net(sqrt_julia(-6.0), 2e-3)
 
 
 def shifted_system():
@@ -66,12 +73,12 @@ def shifted_system():
 
 
 def test_s_floor_constant_derivative(thirds, reflected):
-    assert s_floor(*thirds) == pytest.approx(1 / 3, abs=1e-15)
-    assert s_floor(*reflected) == pytest.approx(1 / 3, abs=1e-15)
+    assert s_floor(thirds.system, thirds.net) == pytest.approx(1 / 3, abs=1e-15)
+    assert s_floor(reflected.system, reflected.net) == pytest.approx(1 / 3, abs=1e-15)
 
 
 def test_s_floor_julia(julia6):
-    system, net = julia6
+    system, net = julia6.system, julia6.net
     value = s_floor(system, net)
     # attractor reaches z = 3 where |f'| = 1/(2*sqrt(9)) = 1/6
     assert value == pytest.approx(1 / 6, abs=1e-3)
@@ -80,17 +87,14 @@ def test_s_floor_julia(julia6):
 
 
 def test_min_depth_examples(thirds, reflected):
-    systemG, netG = thirds
-    assert min_depth(systemG, netG, 1 / 3) == 1
-    assert min_depth(systemG, netG, 1 / 9) == 2
-    systemR, netR = reflected
-    assert min_depth(systemR, netR, 1 / 3) == 1
+    assert min_depth(thirds.system, thirds.net, 1 / 3) == 1
+    assert min_depth(thirds.system, thirds.net, 1 / 9) == 2
+    assert min_depth(reflected.system, reflected.net, 1 / 3) == 1
 
 
 def test_min_depth_budget(thirds):
-    system, net = thirds
     with pytest.raises(BudgetExceeded):
-        min_depth(system, net, 1e-9, word_cap=8)
+        min_depth(thirds.system, thirds.net, 1e-9, word_cap=8)
 
 
 # ---------------------------------------------------------------------------
@@ -98,16 +102,15 @@ def test_min_depth_budget(thirds):
 
 
 def test_address_examples(thirds):
-    system, net = thirds
-    assert address(system, net, 2 / 3, 3).indices == (1, 0, 0)
-    assert address(system, net, 0.25, 4).indices == (0, 1, 0, 1)
-    assert address(system, net, 1.0, 2).indices == (1, 1)
+    assert address(thirds, 2 / 3, 3).indices == (1, 0, 0)
+    assert address(thirds, 0.25, 4).indices == (0, 1, 0, 1)
+    assert address(thirds, 1.0, 2).indices == (1, 1)
 
 
 def test_address_satisfies_word_evaluation(thirds):
-    system, net = thirds
+    system = thirds.system
     x = 2 / 9
-    word = address(system, net, x, 5)
+    word = address(thirds, x, 5)
     # walking back down the word must reproduce x
     b = complex(x)
     for letter in word.indices:
@@ -116,9 +119,8 @@ def test_address_satisfies_word_evaluation(thirds):
 
 
 def test_address_failure_off_attractor(thirds):
-    system, net = thirds
     with pytest.raises(AddressFailure):
-        address(system, net, 0.5, 2)
+        address(thirds, 0.5, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -126,9 +128,7 @@ def test_address_failure_off_attractor(thirds):
 
 
 def test_germ_reflection_is_one_minus_z(thirds, reflected):
-    systemF, netF = thirds
-    systemG, netG = reflected
-    germ = build_symmetry(systemG, systemF, (netG, netF), 0.0, Word((1,), 2))
+    germ = build_symmetry(reflected, thirds, 0.0, Word((1,), 2))
     assert germ.word_f.indices == (1,)
     assert abs(germ.derivative - (-1.0)) < 1e-12
     rng = np.random.default_rng(20260826)
@@ -137,16 +137,14 @@ def test_germ_reflection_is_one_minus_z(thirds, reflected):
 
 
 def test_germ_same_system_identity(thirds):
-    system, net = thirds
-    germ = build_symmetry(system, system, (net, net), 0.0, Word((0,), 2))
+    germ = build_symmetry(thirds, thirds, 0.0, Word((0,), 2))
     assert germ.word_f.indices == (0,)
     z = np.linspace(-germ.radius, germ.radius, 33)
     assert np.max(np.abs(germ.map(z) - z)) < 1e-12
 
 
 def test_germ_depth_two_identity(thirds):
-    system, net = thirds
-    germ = build_symmetry(system, system, (net, net), 0.0, Word((0, 1), 2))
+    germ = build_symmetry(thirds, thirds, 0.0, Word((0, 1), 2))
     assert germ.word_f.indices == (0, 1)
     z = np.linspace(-germ.radius, germ.radius, 33)
     assert np.max(np.abs(germ.map(z) - z)) < 1e-12
@@ -160,9 +158,9 @@ def test_germ_derivative_window_and_sandwich(thirds, reflected, julia6):
         (julia6, julia6, 3.0, (0,)),
         (julia6, julia6, -2.0, (1,)),
     ]
-    for (sysG, netG), (sysF, netF), a, w in pairs:
-        germ = build_symmetry(sysG, sysF, (netG, netF), a, Word(w, len(sysG.maps)))
-        sF = s_floor(sysF, netF)
+    for G, F, a, w in pairs:
+        germ = build_symmetry(G, F, a, Word(w, len(G.system.maps)))
+        sF = s_floor(F.system, F.net)
         assert sF - 1e-9 <= abs(germ.derivative) <= 1.0 + 1e-9
         rho = germ.radius / (3.0 - np.sqrt(8.0))
         theta = 2 * np.pi * np.arange(64) / 64
@@ -173,10 +171,9 @@ def test_germ_derivative_window_and_sandwich(thirds, reflected, julia6):
 
 
 def test_germ_word_length_grows_with_source_word(thirds):
-    system, net = thirds
     lengths = []
     for k in range(1, 6):
-        germ = build_symmetry(system, system, (net, net), 0.0, Word((0,) * k, 2))
+        germ = build_symmetry(thirds, thirds, 0.0, Word((0,) * k, 2))
         lengths.append(len(germ.word_f))
     assert lengths == sorted(lengths)
     assert lengths[-1] > lengths[0]
@@ -184,19 +181,14 @@ def test_germ_word_length_grows_with_source_word(thirds):
 
 def test_germ_criterion_empty_for_weak_source_contraction(thirds):
     weak = IfsSystem((Affine(0.4, 0.0), Affine(0.4, 0.6)), Disk(0.5 + 0j, 2.0))
-    net_weak = compute_net(weak, EPS)
     squared = iterate_system(cantor_thirds(), 2)
-    net_sq = compute_net(squared, EPS)
     with pytest.raises(CriterionEmpty):
-        build_symmetry(weak, squared, (net_weak, net_sq), 0.0, Word((0,), 2))
+        build_symmetry(system_net(weak), system_net(squared), 0.0, Word((0,), 2))
 
 
 def test_germ_address_failure_across_distinct_attractors(thirds):
-    system, net = thirds
-    other = shifted_system()
-    net_other = compute_net(other, EPS)
     with pytest.raises(AddressFailure):
-        build_symmetry(system, other, (net, net_other), 1.0, Word((1,), 2))
+        build_symmetry(thirds, system_net(shifted_system()), 1.0, Word((1,), 2))
 
 
 # ---------------------------------------------------------------------------
@@ -204,10 +196,8 @@ def test_germ_address_failure_across_distinct_attractors(thirds):
 
 
 def test_verify_reflection_germ(thirds, reflected):
-    systemF, netF = thirds
-    systemG, netG = reflected
-    germ = build_symmetry(systemG, systemF, (netG, netF), 0.0, Word((1,), 2))
-    report = verify_symmetry(germ, (netG, netF))
+    germ = build_symmetry(reflected, thirds, 0.0, Word((1,), 2))
+    report = verify_symmetry(germ, reflected, thirds)
     assert report.passed
     assert report.forward_residual <= 2 * EPS
     assert report.backward_residual <= 2 * EPS
@@ -215,18 +205,15 @@ def test_verify_reflection_germ(thirds, reflected):
 
 
 def test_verify_identity_germ_zero_residual(thirds):
-    system, net = thirds
-    germ = build_symmetry(system, system, (net, net), 0.0, Word((0,), 2))
-    report = verify_symmetry(germ, (net, net))
+    germ = build_symmetry(thirds, thirds, 0.0, Word((0,), 2))
+    report = verify_symmetry(germ, thirds, thirds)
     assert report.passed
     assert report.forward_residual == 0.0
     assert report.backward_residual == 0.0
 
 
 def test_verify_corrupted_germ_fails(thirds, reflected):
-    systemF, netF = thirds
-    systemG, netG = reflected
-    reference = build_symmetry(systemG, systemF, (netG, netF), 0.0, Word((1,), 2))
+    reference = build_symmetry(reflected, thirds, 0.0, Word((1,), 2))
     corrupted = SymmetryGerm(
         base=reference.base,
         radius=reference.radius,
@@ -234,7 +221,7 @@ def test_verify_corrupted_germ_fails(thirds, reflected):
         word_f=reference.word_f,
         map=Affine(-1.0, 1.05),
     )
-    report = verify_symmetry(corrupted, (netG, netF))
+    report = verify_symmetry(corrupted, reflected, thirds)
     assert not report.passed
     assert report.forward_residual >= 0.05 - 2 * EPS
     assert report.forward_failures > 0
@@ -245,9 +232,7 @@ def test_verify_corrupted_germ_fails(thirds, reflected):
 
 
 def test_coincidence_reflected_word_one(thirds, reflected):
-    systemF, netF = thirds
-    systemG, netG = reflected
-    rel = detect_coincidence(systemG, systemF, (netG, netF), Word((1,), 2))
+    rel = detect_coincidence(reflected, thirds, Word((1,), 2))
     assert rel.exponent_l == 2
     assert rel.outer.indices == ()
     assert rel.inner.indices == (1, 0)
@@ -256,8 +241,7 @@ def test_coincidence_reflected_word_one(thirds, reflected):
 
 
 def test_coincidence_same_system_single_letter(thirds):
-    system, net = thirds
-    rel = detect_coincidence(system, system, (net, net), Word((0,), 2))
+    rel = detect_coincidence(thirds, thirds, Word((0,), 2))
     assert rel.exponent_l == 1
     assert rel.outer.indices == ()
     assert rel.inner.indices == (0,)
@@ -265,25 +249,22 @@ def test_coincidence_same_system_single_letter(thirds):
 
 
 def test_coincidence_same_system_two_letters(thirds):
-    system, net = thirds
-    rel = detect_coincidence(system, system, (net, net), Word((0, 1), 2))
+    rel = detect_coincidence(thirds, thirds, Word((0, 1), 2))
     assert rel.exponent_l == 1
     assert rel.inner.indices == (0, 1)
     assert rel.residual <= 1e-12
 
 
 def test_coincidence_sqrt_system(julia6):
-    system, net = julia6
-    rel = detect_coincidence(system, system, (net, net), Word((0,), 2))
+    rel = detect_coincidence(julia6, julia6, Word((0,), 2))
     assert rel.exponent_l == 1
     assert rel.inner.indices == (0,)
     assert rel.residual <= 1e-9
 
 
 def test_coincidence_multiplier_law(thirds, reflected):
-    systemF, netF = thirds
-    systemG, netG = reflected
-    rel = detect_coincidence(systemG, systemF, (netG, netF), Word((1,), 2))
+    systemF, systemG = thirds.system, reflected.system
+    rel = detect_coincidence(reflected, thirds, Word((1,), 2))
     gwl = compose_word(systemG, Word(rel.source.indices * rel.exponent_l, 2))
     lam_l = complex(gwl.deriv(rel.anchor))
     f_outer = compose_word(systemF, rel.outer)
@@ -294,10 +275,8 @@ def test_coincidence_multiplier_law(thirds, reflected):
 
 
 def test_coincidence_budget_exhaustion(thirds, reflected):
-    systemF, netF = thirds
-    systemG, netG = reflected
     with pytest.raises(NoCoincidence):
-        detect_coincidence(systemG, systemF, (netG, netF), Word((1,), 2), K_max=1)
+        detect_coincidence(reflected, thirds, Word((1,), 2), K_max=1)
 
 
 # ---------------------------------------------------------------------------
@@ -420,15 +399,34 @@ def test_functional_equation_entries_structure():
 def test_prep_points_of_reflected_land_on_cantor():
     # independent oracle: every fixed point of the reflected system lies on
     # the middle-thirds Cantor set
-    from holoifs.symmetry import _all_fixed_points
-
-    for p in _all_fixed_points(cantor_thirds_reflected(), 4):
+    for p in prep_points(cantor_thirds_reflected(), 4, 0):
         assert abs(p.imag) < 1e-12
         assert _cantor_distance(p.real) < 1e-12
 
 
+def test_shared_attractor_derives_each_structure_once(monkeypatch):
+    calls = Counter()
+
+    def count(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    for module in (holoifs.symmetry, holoifs.attractor, holoifs.dynamics):
+        count(module, "certify_ssc")
+    for name in ("rho_radius", "s_floor", "spectrum"):
+        count(holoifs.symmetry, name)
+    report = shared_attractor(cantor_thirds(), cantor_thirds_reflected(), EPS)
+    assert report.verdict == "Shared"
+    assert calls == {"certify_ssc": 2, "rho_radius": 2, "s_floor": 1, "spectrum": 2}
+
+
 def test_osc_composition_property(thirds):
-    system, net = thirds
+    system, net = thirds.system, thirds.net
     disks = (Disk(1 / 6 + 0j, 1 / 6 + 0.01), Disk(5 / 6 + 0j, 1 / 6 + 0.01))
     cert = certify_strong_osc(system, disks, net)
     assert cert.valid
