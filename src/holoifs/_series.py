@@ -55,21 +55,3 @@ def reversion(f: np.ndarray, order: int) -> np.ndarray:
         err = compose(f, g, n)[n]
         g[n] = -err / c1
     return g
-
-
-def evaluate(p: np.ndarray, z):
-    """Horner evaluation; ``z`` may be a complex scalar or array."""
-    if isinstance(z, np.ndarray):
-        acc = np.zeros(z.shape, dtype=np.complex128)
-    else:
-        acc = 0.0 + 0.0j
-    for c in p[::-1]:
-        acc = acc * z + c
-    return acc
-
-
-def derive(p: np.ndarray) -> np.ndarray:
-    """Coefficient array of the formal derivative."""
-    if len(p) == 1:
-        return np.zeros(1, dtype=np.complex128)
-    return p[1:] * np.arange(1, len(p), dtype=np.float64)

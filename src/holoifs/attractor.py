@@ -12,14 +12,13 @@ from __future__ import annotations
 
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.spatial import cKDTree
 
-from ._threads import thread_cap
 from .errors import BudgetExceeded, SeparationFailure
+from .geometry import hyp_ball_inradius, pseudo_hyperbolic
 from .maps import Disk, IfsSystem
 
 #: default cap on the number of cylinder disks per refinement level
@@ -92,12 +91,7 @@ class SeparationCertificate:
 
 def _refine_level(system: IfsSystem, centers: np.ndarray, radii: np.ndarray):
     """One Hutchinson refinement step, merged in map-index order."""
-    workers = min(thread_cap(), len(system.maps))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(lambda g: g.enclosure_arrays(centers, radii), system.maps))
-    else:
-        parts = [g.enclosure_arrays(centers, radii) for g in system.maps]
+    parts = [g.enclosure_arrays(centers, radii) for g in system.maps]
     return (
         np.concatenate([p[0] for p in parts]),
         np.concatenate([p[1] for p in parts]),
@@ -150,7 +144,7 @@ def _as_points(obj) -> np.ndarray:
 def _nearest_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Distance from each point of ``a`` to its nearest point of ``b``."""
     tree = cKDTree(np.column_stack((b.real, b.imag)))
-    d, _ = tree.query(np.column_stack((a.real, a.imag)), k=1, workers=thread_cap())
+    d, _ = tree.query(np.column_stack((a.real, a.imag)), k=1)
     return d
 
 
@@ -244,16 +238,6 @@ def certify_strong_osc(
     )
 
 
-def _pseudo_hyperbolic_min(u: np.ndarray, v: np.ndarray, chunk: int = 512) -> float:
-    """Min pseudo-hyperbolic unit-disk distance between two point sets."""
-    best = math.inf
-    for start in range(0, len(u), chunk):
-        block = u[start : start + chunk][:, None]
-        p = np.abs((block - v[None, :]) / (1.0 - np.conj(block) * v[None, :]))
-        best = min(best, float(np.min(p)))
-    return best
-
-
 def rho_radius(
     system: IfsSystem, net: AttractorNet, cert: SeparationCertificate | None = None
 ) -> tuple[float, float]:
@@ -274,14 +258,15 @@ def rho_radius(
     c, radius = system.domain.center, system.domain.radius
     images = [(g(net.points) - c) / radius for g in system.maps]
     best = math.inf
+    chunk = 512  # rows per block bound the pairwise array's memory
     for i in range(len(images)):
         for j in range(i + 1, len(images)):
-            best = min(best, _pseudo_hyperbolic_min(images[i], images[j]))
+            u, v = images[i], images[j][None, :]
+            for start in range(0, len(u), chunk):
+                block = u[start : start + chunk][:, None]
+                best = min(best, float(np.min(pseudo_hyperbolic(block, v))))
     rho_h = math.atanh(best)
-    t = math.tanh(rho_h)
-    w = np.abs(net.points - c) / radius
-    inradius = t * (1.0 - w * w) / (1.0 + t * w)
-    rho_g = radius * float(np.min(inradius))
+    rho_g = float(np.min(hyp_ball_inradius(system.domain, net.points, rho_h)))
     return rho_h, rho_g
 
 

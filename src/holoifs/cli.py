@@ -175,13 +175,24 @@ def _parse_word(text: str, alphabet: int, what: str) -> Word:
 
 
 def _finite_positive(text: str) -> float:
-    """argparse type for ``--epsilon``: a finite number above zero."""
+    """argparse type for resolutions and tolerances: a finite number above zero."""
     try:
         value = float(text)
     except ValueError:
         value = math.nan
     if not (math.isfinite(value) and value > 0.0):
         raise argparse.ArgumentTypeError(f"expected a finite positive number, got {text!r}")
+    return value
+
+
+def _positive_int(text: str) -> int:
+    """argparse type for counts, lengths and budgets: an integer above zero."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
     return value
 
 
@@ -384,8 +395,6 @@ def cmd_roots(args) -> int:
                 coeffs.append(complex(chunk.strip()))
             except ValueError as exc:
                 raise ConfigError(f"--coeffs[{k}]: {exc}") from exc
-    if args.l < 1:
-        raise ConfigError(f"--l: must be a positive integer, got {args.l}")
     # pad with exact zeros so the full working order is available to the
     # conjugation series; the input polynomial is represented exactly
     coeffs.extend([0j] * max(0, ORDER - len(coeffs)))
@@ -442,7 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument(
             "--point-cap",
-            type=int,
+            type=_positive_int,
             default=10**7,
             help="budget on refinement points per level",
         )
@@ -452,7 +461,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_net_flags(p)
     p.add_argument("--out-csv", help="write the net as 're,im' CSV lines")
     p.add_argument("--out-pgm", help="write a binary PGM raster of the net")
-    p.add_argument("--pixels", type=int, default=512, help="raster width in pixels")
+    p.add_argument("--pixels", type=_positive_int, default=512, help="raster width in pixels")
     p.set_defaults(func=cmd_attractor)
 
     p = sub.add_parser("check", help="certify separation of the system pieces")
@@ -467,7 +476,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("spectrum", help="print the multiplier spectrum")
     p.add_argument("config", help="system config file (JSON)")
-    p.add_argument("--max-len", type=int, default=3, help="maximum word length")
+    p.add_argument("--max-len", type=_positive_int, default=3, help="maximum word length")
     p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("shared", help="decide whether two systems share an attractor")
@@ -475,17 +484,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("config_f", help="second system config file")
     add_net_flags(p)
     p.add_argument("--report", help="also write the report to this file")
-    p.add_argument("--prep-max-word", type=int, default=Budgets.prep_max_word)
+    p.add_argument("--prep-max-word", type=_positive_int, default=Budgets.prep_max_word)
     p.add_argument(
-        "--spectrum-source-len", type=int, default=Budgets.spectrum_source_len
+        "--spectrum-source-len", type=_positive_int, default=Budgets.spectrum_source_len
     )
     p.add_argument(
-        "--spectrum-target-len", type=int, default=Budgets.spectrum_target_len
+        "--spectrum-target-len", type=_positive_int, default=Budgets.spectrum_target_len
     )
-    p.add_argument("--l-max", type=int, default=Budgets.spectrum_l_max)
-    p.add_argument("--spectrum-tol", type=float, default=Budgets.spectrum_tol)
-    p.add_argument("--func-tol", type=float, default=Budgets.func_eq_tol)
-    p.add_argument("--eq-samples", type=int, default=Budgets.eq_samples)
+    p.add_argument("--l-max", type=_positive_int, default=Budgets.spectrum_l_max)
+    p.add_argument("--spectrum-tol", type=_finite_positive, default=Budgets.spectrum_tol)
+    p.add_argument("--func-tol", type=_finite_positive, default=Budgets.func_eq_tol)
+    p.add_argument("--eq-samples", type=_positive_int, default=Budgets.eq_samples)
     p.set_defaults(func=cmd_shared)
 
     p = sub.add_parser("roots", help="functional roots g^l = R of a series germ")
@@ -495,7 +504,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="",
         help="comma-separated coefficients of R from degree 2 upward",
     )
-    p.add_argument("--l", type=int, required=True, help="root order")
+    p.add_argument("--l", type=_positive_int, required=True, help="root order")
     p.set_defaults(func=cmd_roots)
 
     p = sub.add_parser("symmetry", help="build and verify a local symmetry germ")

@@ -118,16 +118,35 @@ def fixed_point(system: IfsSystem, word: Word) -> PeriodicPoint:
     return PeriodicPoint(word, complex(p), mult)
 
 
-def _rotation_representatives(m: int, length: int):
-    """Lexicographically minimal representatives of cyclic rotation classes."""
-    from itertools import product
+def _necklaces(m: int, length: int):
+    """Lexicographically minimal rotations of the words of ``length`` letters.
 
-    seen = set()
-    for w in product(range(m), repeat=length):
-        canon = min(w[i:] + w[:i] for i in range(length))
-        if canon not in seen:
-            seen.add(canon)
-            yield canon
+    Fredricksen-Kessler-Maiorana: extend each prenecklace periodically and
+    keep those whose period divides ``length``; yields in increasing order.
+    """
+    w = [-1]
+    while w:
+        w[-1] += 1
+        k = len(w)
+        if length % k == 0:
+            yield tuple(w * (length // k))
+        while len(w) < length:
+            w.append(w[-k])
+        while w and w[-1] == m - 1:
+            w.pop()
+
+
+def periodic_points(system: IfsSystem, max_len: int):
+    """One attracting periodic point per necklace of 1..``max_len`` letters.
+
+    Every word is a rotation of exactly one necklace, and rotations share
+    the orbit and the multiplier, so the orbits of the yielded points list
+    the fixed points of all words.
+    """
+    m = len(system.maps)
+    for length in range(1, max_len + 1):
+        for w in _necklaces(m, length):
+            yield fixed_point(system, Word(w, m))
 
 
 def spectrum(system: IfsSystem, max_len: int, word_cap: int = WORD_CAP) -> MultiplierSpectrum:
@@ -143,18 +162,16 @@ def spectrum(system: IfsSystem, max_len: int, word_cap: int = WORD_CAP) -> Multi
         raise BudgetExceeded(f"{total} words exceed the cap {word_cap}")
     entries: list[PeriodicPoint] = []
     keys = set()
-    for length in range(1, max_len + 1):
-        for w in _rotation_representatives(m, length):
-            pp = fixed_point(system, Word(w, m))
-            key = (
-                round(pp.point.real / SPECTRUM_DEDUP_TOL),
-                round(pp.point.imag / SPECTRUM_DEDUP_TOL),
-                round(pp.multiplier.real / SPECTRUM_DEDUP_TOL),
-                round(pp.multiplier.imag / SPECTRUM_DEDUP_TOL),
-            )
-            if key not in keys:
-                keys.add(key)
-                entries.append(pp)
+    for pp in periodic_points(system, max_len):
+        key = (
+            round(pp.point.real / SPECTRUM_DEDUP_TOL),
+            round(pp.point.imag / SPECTRUM_DEDUP_TOL),
+            round(pp.multiplier.real / SPECTRUM_DEDUP_TOL),
+            round(pp.multiplier.imag / SPECTRUM_DEDUP_TOL),
+        )
+        if key not in keys:
+            keys.add(key)
+            entries.append(pp)
     return MultiplierSpectrum(tuple(entries), max_len)
 
 
@@ -258,11 +275,8 @@ def prep_points(
     if n_words * n_prefix > word_cap:
         raise BudgetExceeded("preperiodic enumeration exceeds the word cap")
 
-    periodic = []
-    for length in range(1, max_word + 1):
-        for w in product(range(m), repeat=length):
-            periodic.append(fixed_point(system, Word(w, m)).point)
-    base = np.array(periodic, dtype=np.complex128)
+    orbits = [x for pp in periodic_points(system, max_word) for x in pp.orbit(system)]
+    base = np.array(orbits, dtype=np.complex128)
 
     chunks = [base]
     for length in range(1, max_prefix + 1):

@@ -33,11 +33,17 @@ def _to_unit(disk: Disk, z: complex) -> complex:
     return w
 
 
+def pseudo_hyperbolic(w1, w2):
+    """Pseudo-hyperbolic distance ``tanh(d)`` between points of the unit disk.
+
+    Takes complex scalars or broadcastable arrays.
+    """
+    return abs((w1 - w2) / (1.0 - w1.conjugate() * w2))
+
+
 def hyp_dist_disk(disk: Disk, z1: complex, z2: complex) -> float:
     """Hyperbolic distance between two points of a round disk."""
-    w1, w2 = _to_unit(disk, z1), _to_unit(disk, z2)
-    p = abs((w1 - w2) / (1.0 - w1.conjugate() * w2))
-    return math.atanh(p)
+    return math.atanh(pseudo_hyperbolic(_to_unit(disk, z1), _to_unit(disk, z2)))
 
 
 def hyp_ball_disk(disk: Disk, center: complex, rho: float) -> Disk:
@@ -50,6 +56,18 @@ def hyp_ball_disk(disk: Disk, center: complex, rho: float) -> Disk:
     euclid_center = w0 * (1.0 - t * t) / denom
     euclid_radius = t * (1.0 - abs(w0) ** 2) / denom
     return Disk(disk.center + disk.radius * euclid_center, disk.radius * euclid_radius)
+
+
+def hyp_ball_inradius(disk: Disk, points, rho: float):
+    """Radius of the largest round disk about each point inside its ``rho``-ball.
+
+    The hyperbolic ball about ``z`` is a Euclidean disk (see
+    :func:`hyp_ball_disk`); the returned radius is the distance from ``z``
+    to its boundary.  Takes a complex scalar or an array of points.
+    """
+    t = math.tanh(rho)
+    w = np.abs(points - disk.center) / disk.radius
+    return disk.radius * (t * (1.0 - w * w) / (1.0 + t * w))
 
 
 @dataclass(frozen=True)
@@ -155,8 +173,7 @@ def hyp_dist_slit(interval: tuple[float, float], z: complex, tol: float = SLIT_T
     w = _slit_to_unit(interval, z)
 
     def pseudo(s: float) -> float:
-        p = 1j * s
-        return abs((w - p) / (1.0 + 1j * s * w))
+        return pseudo_hyperbolic(1j * s, w)
 
     s_best = _golden_min(pseudo, -1.0 + 1e-12, 1.0 - 1e-12, tol)
     return math.atanh(min(pseudo(s_best), 1.0 - 1e-16))
@@ -187,6 +204,15 @@ def koebe_bounds(radius: float, t: float, deriv0: complex) -> tuple[float, float
         raise ValueError("radius must be positive")
     scale = radius * abs(deriv0)
     return (0.25 * t * scale, t / (1.0 - t) ** 2 * scale)
+
+
+def koebe_distortion(t: float) -> tuple[float, float]:
+    """Bounds on ``|phi'(z)/phi'(0)|`` for univalent ``phi`` on the unit disk, ``|z| <= t``.
+
+    Returns ``(shrink, expand)``; the Koebe function attains both at ``z = -t``
+    and ``z = t``.
+    """
+    return (1.0 - t) / (1.0 + t) ** 3, (1.0 + t) / (1.0 - t) ** 3
 
 
 def distortion_ratio_bound(s: float) -> float:

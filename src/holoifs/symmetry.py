@@ -44,6 +44,7 @@ from .errors import (
     PrefixViolation,
     SeparationFailure,
 )
+from .geometry import koebe_distortion
 from .maps import Affine, HoloMap, IfsSystem, Word, compose_maps, compose_word, inverse_map
 
 #: germ radius as a fraction of the univalence radius rho
@@ -51,8 +52,7 @@ RADIUS_FRACTION = 3.0 - math.sqrt(8.0)
 
 #: Koebe distortion bounds at relative radius RADIUS_FRACTION: on the germ
 #: ball, |H'| / |H'(a)| lies in [_SHRINK, _EXPAND]
-_EXPAND = (1.0 + RADIUS_FRACTION) / (1.0 - RADIUS_FRACTION) ** 3
-_SHRINK = (1.0 - RADIUS_FRACTION) / (1.0 + RADIUS_FRACTION) ** 3
+_SHRINK, _EXPAND = koebe_distortion(RADIUS_FRACTION)
 
 DERIV_SLACK = 1e-9
 GERM_EQUALITY_TOL = 1e-9

@@ -17,6 +17,7 @@ from holoifs.attractor import (
     _refine_level,
 )
 from holoifs.errors import BudgetExceeded, SeparationFailure
+from holoifs.geometry import hyp_ball_inradius
 from holoifs.maps import Affine, Disk, IfsSystem
 from holoifs.systems import cantor_thirds, cantor_thirds_reflected, sqrt_julia
 
@@ -181,6 +182,12 @@ def test_rho_radius_against_direct_minimization(thirds):
     # the reported value is the minimum over all net points
     assert rho_g <= min(inradius_at(a) for a in sample) + 1e-6
     assert 0.0 < rho_g < 1 / 3
+
+
+def test_rho_radius_floor_is_the_least_inradius(thirds):
+    net = compute_net(thirds, 0.01)
+    rho_h, rho_g = rho_radius(thirds, net)
+    assert rho_g == float(np.min(hyp_ball_inradius(thirds.domain, net.points, rho_h)))
 
 
 def test_rho_radius_requires_separation():

@@ -129,15 +129,6 @@ def test_attractor_outputs_deterministic(configs, tmp_path):
     assert pa.read_bytes() == pb.read_bytes()
 
 
-def test_attractor_thread_env_does_not_change_output(configs, tmp_path, monkeypatch):
-    a = tmp_path / "a.csv"
-    b = tmp_path / "b.csv"
-    assert cli.main(["attractor", configs["thirds"], "--out-csv", str(a)]) == 0
-    monkeypatch.setenv("HOLOIFS_THREADS", "4")
-    assert cli.main(["attractor", configs["thirds"], "--out-csv", str(b)]) == 0
-    assert a.read_bytes() == b.read_bytes()
-
-
 def test_attractor_csv_round_trip(configs, tmp_path):
     out = tmp_path / "net.csv"
     eps = 1e-3
@@ -283,6 +274,41 @@ def test_epsilon_must_be_finite_positive(configs, capsys, command, value):
     systems = [configs["thirds"]] * (1 if command == "attractor" else 2)
     assert cli.main([command, *systems, f"--epsilon={value}"]) == 2
     assert "--epsilon" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flag,value",
+    [("--spectrum-tol", "0"), ("--spectrum-tol", "nan"), ("--spectrum-tol", "-1"),
+     ("--func-tol", "nan"), ("--func-tol", "inf")],
+)
+def test_tolerance_must_be_finite_positive(configs, capsys, flag, value):
+    assert cli.main(["shared", configs["thirds"], configs["thirds"], f"{flag}={value}"]) == 2
+    assert flag in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command,flag,value",
+    [
+        ("shared", "--eq-samples", "0"),
+        ("shared", "--prep-max-word", "0"),
+        ("shared", "--l-max", "0"),
+        ("shared", "--spectrum-source-len", "0"),
+        ("shared", "--spectrum-target-len", "-1"),
+        ("shared", "--point-cap", "0"),
+        ("spectrum", "--max-len", "-2"),
+        ("attractor", "--pixels", "0"),
+        ("attractor", "--pixels", "-5"),
+        ("attractor", "--point-cap", "1.5"),
+        ("roots", "--l", "0"),
+    ],
+)
+def test_count_must_be_positive_integer(configs, capsys, command, flag, value):
+    if command == "roots":
+        args = ["roots", "--lambda", "0.5"]
+    else:
+        args = [command, *[configs["thirds"]] * (2 if command == "shared" else 1)]
+    assert cli.main([*args, f"{flag}={value}"]) == 2
+    assert flag in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -17,14 +18,17 @@ from holoifs import (
 )
 from holoifs.attractor import compute_net
 from holoifs.dynamics import (
+    PREP_DEDUP_TOL,
+    _necklaces,
     fixed_point,
     inverse_step,
     orbit,
+    periodic_points,
     prep_points,
     spectrum,
 )
-from holoifs.maps import Affine
-from holoifs.systems import cantor_thirds, cantor_thirds_reflected, sqrt_julia
+from holoifs.maps import Affine, compose_word
+from holoifs.systems import cantor_thirds, cantor_thirds_reflected, iterate_system, sqrt_julia
 
 RNG = np.random.default_rng(20260826)
 
@@ -158,6 +162,81 @@ def test_spectrum_contains_multiplier():
 def test_spectrum_budget():
     with pytest.raises(BudgetExceeded):
         spectrum(cantor_thirds(), 30, word_cap=1000)
+
+
+# ---------------------------------------------------------------------------
+# necklace enumeration
+
+
+def _first_seen_min_rotations(m, length):
+    """Oracle: minimal rotation of every word, in first-seen product order."""
+    seen = {}
+    for w in itertools.product(range(m), repeat=length):
+        seen.setdefault(min(w[i:] + w[:i] for i in range(length)), None)
+    return list(seen)
+
+
+def _totient(d):
+    return sum(1 for k in range(1, d + 1) if math.gcd(k, d) == 1)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_necklaces_match_minimal_rotations(m):
+    for length in range(1, 8):
+        necklaces = list(_necklaces(m, length))
+        assert necklaces == _first_seen_min_rotations(m, length)
+        # (1/n) sum over the divisors d of n of phi(d) m^(n/d)
+        divisors = [d for d in range(1, length + 1) if length % d == 0]
+        assert len(necklaces) * length == sum(_totient(d) * m ** (length // d) for d in divisors)
+
+
+def test_periodic_points_one_per_necklace():
+    system = cantor_thirds_reflected()
+    words = [pp.word.indices for pp in periodic_points(system, 4)]
+    assert words == [w for n in range(1, 5) for w in _first_seen_min_rotations(2, n)]
+
+
+def _three_map_system():
+    return IfsSystem(
+        (Affine(0.3, 0.0), Affine(0.3, 0.7), Affine(0.3j, 0.35 + 0.6j)),
+        Disk(0.5 + 0.3j, 2.0),
+    )
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        cantor_thirds,
+        lambda: sqrt_julia(-6.0),
+        lambda: iterate_system(sqrt_julia(-6.0), 2),
+        _three_map_system,
+    ],
+    ids=["thirds", "julia6", "julia6-squared", "three-map"],
+)
+@pytest.mark.parametrize("max_prefix", [0, 1])
+def test_prep_points_match_per_word_fixed_points(make, max_prefix):
+    system = make()
+    m = len(system.maps)
+    max_word = 4 if m == 2 else 2
+    base = [
+        fixed_point(system, Word(w, m)).point
+        for n in range(1, max_word + 1)
+        for w in itertools.product(range(m), repeat=n)
+    ]
+    brute = list(base)
+    for n in range(1, max_prefix + 1):
+        for w in itertools.product(range(m), repeat=n):
+            gw = compose_word(system, Word(w, m))
+            brute += [complex(gw(p)) for p in base]
+    brute = np.array(brute)
+    keys = np.round(brute.real / PREP_DEDUP_TOL) + 1j * np.round(brute.imag / PREP_DEDUP_TOL)
+    _, first = np.unique(keys, return_index=True)
+    brute = brute[first]
+
+    pts = prep_points(system, max_word, max_prefix)
+    assert len(pts) == len(brute)
+    assert np.max(np.min(np.abs(pts[:, None] - brute[None, :]), axis=1)) <= 1e-12
+    assert np.max(np.min(np.abs(brute[:, None] - pts[None, :]), axis=1)) <= 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -12,11 +12,14 @@ from holoifs.geometry import (
     check_sull_containment,
     distortion_ratio_bound,
     hyp_ball_disk,
+    hyp_ball_inradius,
     hyp_dist_disk,
     hyp_dist_slit,
     kappa,
     koebe_bounds,
+    koebe_distortion,
     poincare_domain,
+    pseudo_hyperbolic,
 )
 from holoifs.maps import Affine, Disk
 
@@ -67,6 +70,34 @@ def test_hyp_ball_at_disk_center():
     ball = hyp_ball_disk(Disk(0.0, 1.0), 0.0, math.atanh(0.5))
     assert ball.center == pytest.approx(0.0, abs=1e-15)
     assert ball.radius == pytest.approx(0.5, abs=1e-12)
+
+
+def test_hyp_ball_inradius_touches_the_ball():
+    rng = np.random.default_rng(20261018)
+    disk = Disk(0.3 - 0.2j, 1.7)
+    zs = disk.center + disk.radius * 0.95 * np.sqrt(rng.random(40)) * np.exp(
+        2j * np.pi * rng.random(40)
+    )
+    rhos = rng.uniform(0.05, 3.0, 40)
+    for z, rho in zip(zs, rhos):
+        ball = hyp_ball_disk(disk, complex(z), float(rho))
+        r = hyp_ball_inradius(disk, complex(z), float(rho))
+        assert abs(complex(z) - ball.center) + r == pytest.approx(ball.radius, abs=1e-12)
+    # the array form agrees with the scalar one
+    arr = hyp_ball_inradius(disk, zs, 0.7)
+    assert arr == pytest.approx([hyp_ball_inradius(disk, complex(z), 0.7) for z in zs], abs=0)
+
+
+def test_pseudo_hyperbolic_arrays_match_scalars():
+    w1 = np.array([0.1 + 0.2j, -0.5j, 0.7])
+    w2 = np.array([-0.3 + 0.1j, 0.4 + 0.4j, 0.69])
+    arr = pseudo_hyperbolic(w1, w2)
+    scalars = [pseudo_hyperbolic(complex(a), complex(b)) for a, b in zip(w1, w2)]
+    assert list(arr) == pytest.approx(scalars, abs=1e-15)
+    disk = Disk(0.0, 1.0)
+    assert math.atanh(arr[0]) == pytest.approx(
+        hyp_dist_disk(disk, complex(w1[0]), complex(w2[0])), rel=1e-14
+    )
 
 
 def test_poincare_domain_circle_geometry():
@@ -164,6 +195,22 @@ def test_koebe_bounds_on_koebe_function():
         assert float(np.min(values)) >= inner - 1e-12
         assert float(np.max(values)) <= outer + 1e-12
         assert float(np.max(values)) == pytest.approx(outer, rel=1e-9)
+
+
+def test_koebe_distortion_attained_by_koebe_function():
+    # |k'(z)| for k(z) = z/(1-z)^2, by central differences, at z = -t and z = t
+    def koebe_deriv(z, h=1e-6):
+        k = lambda x: x / (1 - x) ** 2
+        return abs((k(z + h) - k(z - h)) / (2 * h))
+
+    for t in (0.1, 0.3, 3.0 - math.sqrt(8.0)):
+        shrink, expand = koebe_distortion(t)
+        assert koebe_deriv(-t) == pytest.approx(shrink, rel=1e-8)
+        assert koebe_deriv(t) == pytest.approx(expand, rel=1e-8)
+        zs = t * np.exp(2j * np.pi * np.arange(360) / 360)
+        values = np.abs((1 + zs) / (1 - zs) ** 3)
+        assert shrink - 1e-12 <= float(np.min(values))
+        assert float(np.max(values)) <= expand + 1e-12
 
 
 def test_koebe_bounds_scaling():
