@@ -13,16 +13,23 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 from scipy.spatial import cKDTree
 
 from .errors import BudgetExceeded, SeparationFailure
-from .geometry import hyp_ball_inradius, pseudo_hyperbolic
+from .geometry import hyp_ball_inradius, pseudo_hyperbolic, pseudo_hyperbolic_ball
 from .maps import Disk, IfsSystem
 
 #: default cap on the number of cylinder disks per refinement level
 POINT_CAP = 10**7
+
+#: relative and absolute (unit-disk) widening of the KD query disks in
+#: :func:`rho_radius`; rounding in the distance, the disk formula and the KD
+#: distance test moves a ball boundary by far less, so the minimising pair
+#: is never dropped
+BALL_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -55,7 +62,7 @@ class AttractorNet:
     @property
     def xy(self) -> np.ndarray:
         """Points as an ``(n, 2)`` real array, for spatial indexing."""
-        return np.column_stack((self.points.real, self.points.imag))
+        return _xy(self.points)
 
     def diameter(self, directions: int = 512) -> float:
         """Diameter of the point set.
@@ -141,10 +148,14 @@ def _as_points(obj) -> np.ndarray:
     return np.asarray(obj, dtype=np.complex128)
 
 
+def _xy(points: np.ndarray) -> np.ndarray:
+    """Complex points as an ``(n, 2)`` real array, for spatial indexing."""
+    return np.column_stack((points.real, points.imag))
+
+
 def _nearest_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Distance from each point of ``a`` to its nearest point of ``b``."""
-    tree = cKDTree(np.column_stack((b.real, b.imag)))
-    d, _ = tree.query(np.column_stack((a.real, a.imag)), k=1)
+    d, _ = cKDTree(_xy(b)).query(_xy(a), k=1)
     return d
 
 
@@ -248,7 +259,19 @@ def rho_radius(
     net, and ``rho_g`` the smallest Euclidean radius such that the hyperbolic
     ``rho_h``-ball around any net point contains the round ball of that
     radius.  Requires a valid strong-separation certificate; ``cert`` is
-    computed when not supplied.
+    computed when not supplied.  Every image point must lie inside the
+    domain disk, else :class:`SeparationFailure` names the first that does not.
+
+    The minimum is exact, without an all-pairs scan.  For each pair of
+    images, the pseudo-hyperbolic distances from the points ``u`` of one to
+    their Euclidean nearest neighbours in the other, and the minimum of the
+    earlier pairs, bound the minimum by some ``t``.  The pseudo-hyperbolic
+    ``t``-ball about ``u`` is a Euclidean disk (:func:`pseudo_hyperbolic_ball`),
+    so a KD fixed-radius query over those disks, widened by ``BALL_SLACK``
+    against rounding, gathers every pair at distance at most ``t``: the
+    minimising pair is among them, and the distance is evaluated on those
+    pairs only.  A disk that lies nearer ``u`` than ``u``'s nearest neighbour
+    holds none of them and is not queried.
     """
     cert = cert if cert is not None else certify_ssc(system, net)
     if not cert.valid:
@@ -257,14 +280,28 @@ def rho_radius(
         )
     c, radius = system.domain.center, system.domain.radius
     images = [(g(net.points) - c) / radius for g in system.maps]
+    for k, w in enumerate(images):
+        outside = np.flatnonzero(np.abs(w) >= 1.0)
+        if outside.size:
+            z = complex(system.maps[k](net.points[outside[0]]))
+            raise SeparationFailure(f"image point {z} of map {k} is not inside the domain disk")
+    xys = [_xy(w) for w in images]
+    trees = [cKDTree(xy) for xy in xys]
     best = math.inf
-    chunk = 512  # rows per block bound the pairwise array's memory
-    for i in range(len(images)):
+    for i, u in enumerate(images):
         for j in range(i + 1, len(images)):
-            u, v = images[i], images[j][None, :]
-            for start in range(0, len(u), chunk):
-                block = u[start : start + chunk][:, None]
-                best = min(best, float(np.min(pseudo_hyperbolic(block, v))))
+            v, tree = images[j], trees[j]
+            dist, nearest = tree.query(xys[i], k=1)
+            best = min(best, float(np.min(pseudo_hyperbolic(u, v[nearest]))))
+            centers, radii = pseudo_hyperbolic_ball(u, best)
+            radii = radii * (1.0 + BALL_SLACK) + BALL_SLACK
+            reach = np.flatnonzero(dist <= np.abs(centers - u) + radii)
+            near = tree.query_ball_point(_xy(centers[reach]), radii[reach])
+            counts = np.fromiter(map(len, near), dtype=np.intp, count=len(near))
+            rows = np.repeat(reach, counts)
+            cols = np.fromiter(chain.from_iterable(near), dtype=np.intp, count=len(rows))
+            if rows.size:
+                best = min(best, float(np.min(pseudo_hyperbolic(u[rows], v[cols]))))
     rho_h = math.atanh(best)
     rho_g = float(np.min(hyp_ball_inradius(system.domain, net.points, rho_h)))
     return rho_h, rho_g

@@ -46,15 +46,23 @@ def hyp_dist_disk(disk: Disk, z1: complex, z2: complex) -> float:
     return math.atanh(pseudo_hyperbolic(_to_unit(disk, z1), _to_unit(disk, z2)))
 
 
+def pseudo_hyperbolic_ball(w, t):
+    """Euclidean ``(centre, radius)`` of the pseudo-hyperbolic ``t``-ball about ``w``.
+
+    The ball ``{v : pseudo_hyperbolic(w, v) <= t}`` of the unit disk is a
+    round disk (exact Moebius transport), for ``|w| < 1`` and ``0 <= t < 1``.
+    Takes a complex scalar or an array of points.
+    """
+    denom = 1.0 - t * t * abs(w) ** 2
+    return w * (1.0 - t * t) / denom, t * (1.0 - abs(w) ** 2) / denom
+
+
 def hyp_ball_disk(disk: Disk, center: complex, rho: float) -> Disk:
     """The hyperbolic ball as a Euclidean disk (exact Moebius transport)."""
     if rho <= 0:
         raise ValueError("hyperbolic radius must be positive")
     w0 = _to_unit(disk, center)
-    t = math.tanh(rho)
-    denom = 1.0 - t * t * abs(w0) ** 2
-    euclid_center = w0 * (1.0 - t * t) / denom
-    euclid_radius = t * (1.0 - abs(w0) ** 2) / denom
+    euclid_center, euclid_radius = pseudo_hyperbolic_ball(w0, math.tanh(rho))
     return Disk(disk.center + disk.radius * euclid_center, disk.radius * euclid_radius)
 
 

@@ -13,7 +13,8 @@ three-valued verdict on whether the systems share their attractor.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, fields
 from functools import cached_property
 from itertools import islice, product
 
@@ -143,6 +144,16 @@ class Budgets:
     func_eq_tol: float = 1e-9
     eq_samples: int = 64
     point_cap: int = 10**7
+
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            number = isinstance(value, numbers.Real) and not isinstance(value, bool)
+            if f.type == "int":
+                if not (number and isinstance(value, numbers.Integral) and value > 0):
+                    raise ValueError(f"Budgets.{f.name} must be a positive integer, got {value!r}")
+            elif not (number and math.isfinite(value) and value > 0):
+                raise ValueError(f"Budgets.{f.name} must be finite and positive, got {value!r}")
 
 
 @dataclass(frozen=True, kw_only=True)

@@ -1,11 +1,18 @@
 """Attractor nets, separation certificates, covering geometry."""
 
+import cmath
 import math
+import re
+from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import holoifs.attractor
 from holoifs.attractor import (
+    AttractorNet,
     box_restriction,
     cardinality_bound,
     certify_ssc,
@@ -17,9 +24,9 @@ from holoifs.attractor import (
     _refine_level,
 )
 from holoifs.errors import BudgetExceeded, SeparationFailure
-from holoifs.geometry import hyp_ball_inradius
+from holoifs.geometry import hyp_ball_inradius, pseudo_hyperbolic
 from holoifs.maps import Affine, Disk, IfsSystem
-from holoifs.systems import cantor_thirds, cantor_thirds_reflected, sqrt_julia
+from holoifs.systems import cantor_thirds, cantor_thirds_reflected, iterate_system, sqrt_julia
 
 EPS = 1e-3
 
@@ -195,6 +202,109 @@ def test_rho_radius_requires_separation():
     net = compute_net(halves, EPS)
     with pytest.raises(SeparationFailure):
         rho_radius(halves, net)
+
+
+def _all_pairs_rho(system, net):
+    """Oracle: ``rho_radius`` by the all-pairs scan it replaced, block by block."""
+    c, radius = system.domain.center, system.domain.radius
+    images = [(g(net.points) - c) / radius for g in system.maps]
+    best = math.inf
+    for i in range(len(images)):
+        for j in range(i + 1, len(images)):
+            u, v = images[i], images[j][None, :]
+            for start in range(0, len(u), 512):
+                block = u[start : start + 512][:, None]
+                best = min(best, float(np.min(pseudo_hyperbolic(block, v))))
+    rho_h = math.atanh(best)
+    return rho_h, float(np.min(hyp_ball_inradius(system.domain, net.points, rho_h)))
+
+
+@pytest.mark.parametrize(
+    "system",
+    [
+        cantor_thirds(),
+        cantor_thirds_reflected(),
+        sqrt_julia(-6.0),
+        iterate_system(sqrt_julia(-6.0), 2),
+        iterate_system(cantor_thirds(), 3),
+        IfsSystem((Affine(0.3 + 0.3j, 0.0), Affine(0.3 + 0.3j, 0.7)), Disk(0.35, 1.0)),
+    ],
+    ids=["thirds", "reflected", "julia", "julia-squared", "thirds-cubed", "complex-similarity"],
+)
+def test_rho_radius_equals_all_pairs_minimum(system):
+    net = compute_net(system, EPS)
+    assert rho_radius(system, net) == _all_pairs_rho(system, net)
+
+
+def test_rho_radius_exact_when_domain_hugs_attractor():
+    # the fixed points 0, 1 and 0.5+0.2i lie on the circle |z - (0.5-0.525i)| = 0.725
+    maps = tuple(Affine(1 / 3, 2 / 3 * p) for p in (0.0, 1.0, 0.5 + 0.2j))
+    system = IfsSystem(maps, Disk(0.5 - 0.525j, 0.725 * (1.0 + 1e-4)))
+    net = compute_net(system, 1e-2)
+    c, radius = system.domain.center, system.domain.radius
+    images = [(g(net.points) - c) / radius for g in system.maps]
+    assert max(float(np.max(np.abs(w))) for w in images) > 0.999
+    # no Euclidean nearest-neighbour pair attains the least hyperbolic distance
+    nn_bound = min(
+        float(np.min(pseudo_hyperbolic(u, v[np.argmin(np.abs(u[:, None] - v), axis=1)])))
+        for u, v in combinations(images, 2)
+    )
+    rho_h, rho_g = rho_radius(system, net)
+    assert math.tanh(rho_h) < nn_bound - 1e-3
+    assert (rho_h, rho_g) == _all_pairs_rho(system, net)
+
+
+def test_rho_radius_skips_pairs_without_candidates(monkeypatch):
+    system = iterate_system(cantor_thirds(), 3)
+    net = compute_net(system, EPS)
+    calls = []
+
+    def spy(w1, w2):
+        calls.append(np.size(w2))
+        return pseudo_hyperbolic(w1, w2)
+
+    monkeypatch.setattr(holoifs.attractor, "pseudo_hyperbolic", spy)
+    rho_radius(system, net)
+    pairs = 8 * 7 // 2
+    # one nearest-neighbour evaluation per image pair; candidate evaluations
+    # only for the pairs whose balls hold a point, which is not all of them
+    assert calls.count(len(net)) >= pairs
+    assert pairs < len(calls) < 2 * pairs
+
+
+@pytest.mark.parametrize("outlier", [7.5, 10.0 + 1.0j], ids=["on-circle", "outside"])
+def test_rho_radius_rejects_images_outside_the_domain(outlier):
+    thirds = cantor_thirds()  # domain B(1/2, 2); z/3 sends 7.5 to the circle
+    net = compute_net(thirds, 1e-2)
+    bad = AttractorNet(np.append(net.points, outlier), net.epsilon, net.depth)
+    cert = certify_ssc(thirds, bad)
+    assert cert.valid
+    named = f"image point {thirds.maps[0](complex(outlier))} of map 0 is not inside"
+    with pytest.raises(SeparationFailure, match=re.escape(named)):
+        rho_radius(thirds, bad, cert)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_rho_radius_matches_all_pairs_on_random_affine_systems(data):
+    maps = []
+    for _ in range(data.draw(st.integers(2, 3), label="maps")):
+        ratio = data.draw(st.floats(0.1, 0.4))
+        angle = data.draw(st.floats(0.0, 2 * math.pi))
+        shift = complex(data.draw(st.floats(-1.0, 1.0)), data.draw(st.floats(-1.0, 1.0)))
+        maps.append(Affine(ratio * cmath.exp(1j * angle), shift))
+    # the least disk about 0 that every map sends into itself, widened by a
+    # drawn factor: small factors put image points near the unit circle
+    least = max(abs(g.b) / (1.0 - abs(g.alpha)) for g in maps)
+    hug = data.draw(st.floats(1e-4, 1.0), label="hug")
+    system = IfsSystem(tuple(maps), Disk(0.0, least * (1.0 + hug) + 1e-3))
+    # distinct fixed points keep the net from collapsing to one point
+    fixed = [g.b / (1.0 - g.alpha) for g in maps]
+    assume(min(abs(p - q) for p, q in combinations(fixed, 2)) > 0.1 * system.domain.radius)
+    net = compute_net(system, 0.02 * system.domain.radius)
+    cert = certify_ssc(system, net)
+    assume(cert.valid)
+    assert rho_radius(system, net, cert) == _all_pairs_rho(system, net)
 
 
 def test_box_restriction_component_counts(thirds, thirds_net):

@@ -20,6 +20,7 @@ from holoifs.geometry import (
     koebe_distortion,
     poincare_domain,
     pseudo_hyperbolic,
+    pseudo_hyperbolic_ball,
 )
 from holoifs.maps import Affine, Disk
 
@@ -86,6 +87,19 @@ def test_hyp_ball_inradius_touches_the_ball():
     # the array form agrees with the scalar one
     arr = hyp_ball_inradius(disk, zs, 0.7)
     assert arr == pytest.approx([hyp_ball_inradius(disk, complex(z), 0.7) for z in zs], abs=0)
+
+
+def test_pseudo_hyperbolic_ball_matches_scalar_ball_and_its_boundary_is_at_t():
+    rng = np.random.default_rng(20261019)
+    w = 0.98 * np.sqrt(rng.random(50)) * np.exp(2j * np.pi * rng.random(50))
+    rho = 0.4
+    t = math.tanh(rho)
+    centers, radii = pseudo_hyperbolic_ball(w, t)
+    for wk, ck, rk in zip(w, centers, radii):
+        ball = hyp_ball_disk(Disk(0.0, 1.0), complex(wk), rho)
+        assert (complex(ck), float(rk)) == pytest.approx((ball.center, ball.radius), abs=1e-15)
+        boundary = ck + rk * np.exp(2j * np.pi * np.arange(64) / 64)
+        assert np.max(np.abs(pseudo_hyperbolic(wk, boundary) - t)) <= 1e-12
 
 
 def test_pseudo_hyperbolic_arrays_match_scalars():

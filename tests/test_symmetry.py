@@ -24,6 +24,7 @@ from holoifs.attractor import certify_strong_osc, compute_net
 from holoifs.dynamics import prep_points, spectrum
 from holoifs.maps import Affine, compose_word
 from holoifs.symmetry import (
+    Budgets,
     SymmetryGerm,
     SystemNet,
     address,
@@ -402,6 +403,37 @@ def test_prep_points_of_reflected_land_on_cantor():
     for p in prep_points(cantor_thirds_reflected(), 4, 0):
         assert abs(p.imag) < 1e-12
         assert _cantor_distance(p.real) < 1e-12
+
+
+def test_shared_thirds_vs_reflected_at_fine_resolution():
+    # 25,000-point nets: needs the sub-quadratic separation radius
+    report = shared_attractor(cantor_thirds(), cantor_thirds_reflected(), 1e-6)
+    assert report.verdict == "Shared"
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("spectrum_tol", 0.0),
+        ("spectrum_tol", float("inf")),
+        ("func_eq_tol", float("nan")),
+        ("func_eq_tol", -1e-9),
+        ("eq_samples", 0),
+        ("point_cap", -1),
+        ("prep_max_word", -3),
+        ("prep_orbit_cap", 2.5),
+        ("spectrum_l_max", True),
+        ("spectrum_source_len", "4"),
+    ],
+)
+def test_budgets_reject_invalid_limits(field, value):
+    with pytest.raises(ValueError, match=f"Budgets.{field} must be"):
+        Budgets(**{field: value})
+
+
+def test_budgets_accept_numpy_scalars():
+    budgets = Budgets(eq_samples=np.int64(8), spectrum_tol=np.float64(1e-6), func_eq_tol=1)
+    assert budgets.eq_samples == 8
 
 
 def test_shared_attractor_derives_each_structure_once(monkeypatch):
