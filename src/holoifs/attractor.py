@@ -47,8 +47,8 @@ class AttractorNet:
             raise ValueError("a net must contain at least one point")
         if not np.all(np.isfinite(pts.real) & np.isfinite(pts.imag)):
             raise ValueError("net points must be finite")
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
+        if not (math.isfinite(self.epsilon) and self.epsilon > 0):
+            raise ValueError(f"epsilon must be finite and positive, got {self.epsilon!r}")
         if pts.size < 2:
             warnings.warn("net has fewer than 2 points; the attractor is degenerate")
 
@@ -125,8 +125,8 @@ def compute_net(system: IfsSystem, epsilon: float, point_cap: int = POINT_CAP) -
     ``epsilon/4``, then removes duplicates on a grid of cell ``epsilon/4``.
     The combined covering error stays below ``epsilon``.
     """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    if not (math.isfinite(epsilon) and epsilon > 0):
+        raise ValueError(f"epsilon must be finite and positive, got {epsilon!r}")
     target = epsilon / 4.0
     centers = np.array([system.domain.center], dtype=np.complex128)
     radii = np.array([system.domain.radius], dtype=np.float64)
@@ -330,8 +330,8 @@ def box_restriction(
     are pairwise disjoint.  This is the sampled stand-in for a box-like
     restriction neighborhood.
     """
-    if eps_target <= 0:
-        raise ValueError("eps_target must be positive")
+    if not (math.isfinite(eps_target) and eps_target > 0):
+        raise ValueError(f"eps_target must be finite and positive, got {eps_target!r}")
     eps = net.epsilon
     base = _bounding_disk(net.points, eps)
     centers = np.array([base.center], dtype=np.complex128)

@@ -19,12 +19,14 @@ Subcommands
     Build and verify a local symmetry germ between two systems.
 
 Exit codes: 0 pass/Shared, 1 fail/NotShared, 2 configuration error,
-3 budget exceeded, 4 inconclusive.
+3 budget exceeded, 4 inconclusive.  Any other library error exits 1, except
+under ``shared``, where it leaves the verdict open and exits 4.
 """
 
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import math
 import sys
@@ -32,7 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .attractor import certify_ssc, certify_strong_osc, compute_net
+from .attractor import POINT_CAP, certify_ssc, certify_strong_osc, compute_net
 from .dynamics import spectrum
 from .errors import (
     BudgetExceeded,
@@ -149,14 +151,19 @@ def load_system(path: str) -> tuple[IfsSystem, str]:
 
 def _parse_complex(text: str, what: str) -> complex:
     parts = text.split(",")
+    value = None
     try:
         if len(parts) == 1:
-            return complex(parts[0].strip())
-        if len(parts) == 2:
-            return complex(float(parts[0]), float(parts[1]))
+            value = complex(parts[0].strip())
+        elif len(parts) == 2:
+            value = complex(float(parts[0]), float(parts[1]))
     except ValueError:
         pass
-    raise ConfigError(f"{what}: expected 're' or 're,im', got {text!r}")
+    if value is None:
+        raise ConfigError(f"{what}: expected 're' or 're,im', got {text!r}")
+    if not cmath.isfinite(value):
+        raise ConfigError(f"{what}: expected a finite number, got {text!r}")
+    return value
 
 
 def _parse_word(text: str, alphabet: int, what: str) -> Word:
@@ -208,6 +215,8 @@ def _parse_disks(text: str) -> tuple[Disk, ...]:
             cx, cy, r = (float(p) for p in parts)
         except ValueError as exc:
             raise ConfigError(f"--osc-disks[{k}]: {exc}") from exc
+        if not all(math.isfinite(v) for v in (cx, cy, r)):
+            raise ConfigError(f"--osc-disks[{k}]: expected finite numbers, got {chunk!r}")
         if r <= 0:
             raise ConfigError(f"--osc-disks[{k}]: radius must be positive")
         disks.append(Disk(complex(cx, cy), r))
@@ -391,10 +400,7 @@ def cmd_roots(args) -> int:
     coeffs = [lam]
     if args.coeffs.strip():
         for k, chunk in enumerate(args.coeffs.split(",")):
-            try:
-                coeffs.append(complex(chunk.strip()))
-            except ValueError as exc:
-                raise ConfigError(f"--coeffs[{k}]: {exc}") from exc
+            coeffs.append(_parse_complex(chunk, f"--coeffs[{k}]"))
     # pad with exact zeros so the full working order is available to the
     # conjugation series; the input polynomial is represented exactly
     coeffs.extend([0j] * max(0, ORDER - len(coeffs)))
@@ -452,7 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--point-cap",
             type=_positive_int,
-            default=10**7,
+            default=POINT_CAP,
             help="budget on refinement points per level",
         )
 
@@ -534,7 +540,8 @@ def main(argv=None) -> int:
         return 3
     except HoloifsError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        # an error is no evidence that two attractors differ
+        return 4 if args.func is cmd_shared else 1
 
 
 if __name__ == "__main__":

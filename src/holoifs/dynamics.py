@@ -2,12 +2,16 @@
 
 The inverse map of a strongly separated system is single-valued on the
 attractor: a point close to one first-level image belongs to that branch.
-Orbits under the inverse map detect (pre)periodicity numerically.
+:class:`InverseDynamics` is that map for one system and its net.  Its
+``walk`` yields the target address of a point, which every symmetry germ is
+built on, and its ``orbit`` detects (pre)periodicity numerically, which the
+preperiodic cross-check reads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice, product
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -175,8 +179,12 @@ def spectrum(system: IfsSystem, max_len: int, word_cap: int = WORD_CAP) -> Multi
     return MultiplierSpectrum(tuple(entries), max_len)
 
 
-class _InverseDynamics:
-    """Branch lookup structure for the inverse map of a separated system."""
+class InverseDynamics:
+    """The inverse map of a strongly separated system, read off its net.
+
+    Branch ``i`` claims the points within ``claim_radius`` of the net's image
+    under map ``i``.  The certificate and the KD trees are built once.
+    """
 
     def __init__(self, system: IfsSystem, net: AttractorNet, cert: SeparationCertificate | None = None):
         self.system = system
@@ -200,6 +208,7 @@ class _InverseDynamics:
             self._trees.append(cKDTree(np.column_stack((img.real, img.imag))))
 
     def step(self, x: complex) -> tuple[complex, int]:
+        """One step of the inverse map: the claimed preimage and its branch index."""
         x = complex(x)
         claims = []
         for i, tree in enumerate(self._trees):
@@ -213,47 +222,33 @@ class _InverseDynamics:
         branch = claims[0]
         return complex(self.system.maps[branch].invert(x)), branch
 
+    def walk(self, x: complex):
+        """Yield ``(branch, preimage)`` along the inverse orbit of ``x``, unbounded.
 
-def inverse_step(
-    system: IfsSystem,
-    net: AttractorNet,
-    x: complex,
-    cert: SeparationCertificate | None = None,
-) -> tuple[complex, int]:
-    """One step of the inverse map: the claimed preimage and its branch index."""
-    return _InverseDynamics(system, net, cert).step(x)
+        Ends by raising :class:`OutsideAttractor` or :class:`AmbiguousBranch`.
+        """
+        while True:
+            x, branch = self.step(x)
+            yield branch, x
 
+    def orbit(self, x: complex, max_iter: int = 200, tol: float = 1e-9) -> OrbitReport:
+        """Walk at most ``max_iter`` steps and report the first detected cycle.
 
-def orbit(
-    system: IfsSystem,
-    net: AttractorNet,
-    x: complex,
-    max_iter: int = 200,
-    tol: float = 1e-9,
-    cert: SeparationCertificate | None = None,
-) -> OrbitReport:
-    """Iterate the inverse map and report the first detected cycle.
-
-    ``preperiod`` is the first index whose point recurs and ``period`` the
-    distance to its recurrence.  Leaving the attractor ends the orbit with
-    no periodicity claim.
-    """
-    return _orbit_steps(_InverseDynamics(system, net, cert), x, max_iter, tol)
-
-
-def _orbit_steps(dyn: _InverseDynamics, x: complex, max_iter: int, tol: float) -> OrbitReport:
-    pts = [complex(x)]
-    for _ in range(max_iter):
+        ``preperiod`` is the first index whose point recurs and ``period`` the
+        distance to its recurrence.  Leaving the attractor ends the orbit with
+        no periodicity claim; an ambiguous branch propagates.
+        """
+        pts = [complex(x)]
         try:
-            nxt, _ = dyn.step(pts[-1])
+            for _, y in islice(self.walk(x), max_iter):
+                pts.append(y)
+                q = len(pts) - 1
+                for p in range(q):
+                    if abs(pts[p] - pts[q]) <= tol:
+                        return OrbitReport(tuple(pts), p, q - p)
         except OutsideAttractor:
-            return OrbitReport(tuple(pts), None, None)
-        pts.append(nxt)
-        q = len(pts) - 1
-        for p in range(q):
-            if abs(pts[p] - pts[q]) <= tol:
-                return OrbitReport(tuple(pts), p, q - p)
-    return OrbitReport(tuple(pts), None, None)
+            pass
+        return OrbitReport(tuple(pts), None, None)
 
 
 def prep_points(
@@ -267,8 +262,6 @@ def prep_points(
     Enumerates the fixed points of every word up to ``max_word`` and applies
     every word map up to ``max_prefix`` (including the identity) to them.
     """
-    from itertools import product
-
     m = len(system.maps)
     n_words = sum(m**k for k in range(1, max_word + 1))
     n_prefix = sum(m**k for k in range(0, max_prefix + 1))

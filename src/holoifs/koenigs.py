@@ -176,7 +176,7 @@ def functional_roots(germ: PowerSeriesGerm, l: int) -> tuple[PowerSeriesGerm, ..
 
     The root multipliers are the l-th roots of the germ multiplier, listed
     principal first and then counterclockwise.  Each candidate is verified
-    by composing it back; residuals above ``ROOT_RESIDUAL_TOL`` abort.
+    by composing it back; a residual above ``ROOT_RESIDUAL_TOL``, or NaN, aborts.
     """
     if l < 1:
         raise ValueError("root order must be at least 1")
@@ -192,7 +192,7 @@ def functional_roots(germ: PowerSeriesGerm, l: int) -> tuple[PowerSeriesGerm, ..
         nu = base_mod * cmath.exp(1j * (base_arg + 2.0 * math.pi * r) / l)
         g = psi.scaled(nu).compose(psi_inv)
         res = composition_residual(g, l, germ)
-        if res > ROOT_RESIDUAL_TOL:
+        if not res <= ROOT_RESIDUAL_TOL:  # a NaN residual fails too
             raise NoConvergence(
                 f"root candidate {r} fails verification (residual {res:.3e})"
             )

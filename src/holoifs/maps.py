@@ -61,10 +61,6 @@ class Disk:
     def diameter(self) -> float:
         return 2.0 * self.radius
 
-    def contains(self, z, margin: float = 0.0):
-        """Whether ``z`` lies inside the disk, shrunk by ``margin``."""
-        return abs(z - self.center) < self.radius - margin
-
     def boundary(self, n: int = BOUNDARY_SAMPLES) -> np.ndarray:
         """``n`` equispaced points on the boundary circle."""
         angles = 2.0 * np.pi * np.arange(n) / n
@@ -423,9 +419,6 @@ class IfsSystem:
 
     def __len__(self) -> int:
         return len(self.maps)
-
-    def word(self, indices) -> Word:
-        return Word(tuple(indices), len(self.maps))
 
 
 def compose_word(system: IfsSystem, word: Word) -> HoloMap:

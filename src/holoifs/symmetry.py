@@ -22,6 +22,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .attractor import (
+    POINT_CAP,
     AttractorNet,
     SeparationCertificate,
     box_restriction,
@@ -30,7 +31,7 @@ from .attractor import (
     hausdorff,
     rho_radius,
 )
-from .dynamics import _InverseDynamics, _orbit_steps, fixed_point, prep_points, spectrum
+from .dynamics import InverseDynamics, fixed_point, prep_points, spectrum
 from .errors import (
     AddressFailure,
     AmbiguousBranch,
@@ -46,7 +47,17 @@ from .errors import (
     SeparationFailure,
 )
 from .geometry import koebe_distortion
-from .maps import Affine, HoloMap, IfsSystem, Word, compose_maps, compose_word, inverse_map
+from .maps import (
+    DERIV_FLOOR,
+    Affine,
+    Disk,
+    HoloMap,
+    IfsSystem,
+    Word,
+    compose_maps,
+    compose_word,
+    inverse_map,
+)
 
 #: germ radius as a fraction of the univalence radius rho
 RADIUS_FRACTION = 3.0 - math.sqrt(8.0)
@@ -60,7 +71,6 @@ GERM_EQUALITY_TOL = 1e-9
 GERM_SAMPLES = 32
 BOUNDARY_SAMPLES = 64
 WALK_CAP = 512
-DERIV_FLOOR = 1e-300
 
 
 @dataclass(frozen=True)
@@ -143,7 +153,7 @@ class Budgets:
     spectrum_tol: float = 1e-9
     func_eq_tol: float = 1e-9
     eq_samples: int = 64
-    point_cap: int = 10**7
+    point_cap: int = POINT_CAP
 
     def __post_init__(self):
         for f in fields(self):
@@ -185,8 +195,8 @@ class SystemNet:
         return certify_ssc(self.system, self.net)
 
     @cached_property
-    def dyn(self) -> _InverseDynamics:
-        return _InverseDynamics(self.system, self.net, self.cert)
+    def dyn(self) -> InverseDynamics:
+        return InverseDynamics(self.system, self.net, self.cert)
 
     @cached_property
     def rho(self) -> float:
@@ -240,15 +250,11 @@ def _address_walk(F: SystemNet, x: complex):
     """Yield ``(letter, preimage)`` along the target address of ``x``, unbounded."""
     x = b = complex(x)
     n = 0
-    while True:
-        try:
-            b, j = F.dyn.step(b)
-        except (OutsideAttractor, AmbiguousBranch) as exc:
-            raise AddressFailure(
-                f"address walk from {x} failed after {n} letters at {b}"
-            ) from exc
-        n += 1
-        yield j, b
+    try:
+        for n, (j, b) in enumerate(F.dyn.walk(x), 1):
+            yield j, b
+    except (OutsideAttractor, AmbiguousBranch) as exc:
+        raise AddressFailure(f"address walk from {x} failed after {n} letters at {b}") from exc
 
 
 def address(F: SystemNet, x: complex, k: int) -> Word:
@@ -294,9 +300,7 @@ def build_symmetry(G: SystemNet, F: SystemNet, a: complex, w: Word) -> SymmetryG
             f"|H'(a)| = {abs(dH):.6e} outside [{sF:.6e}, 1]"
         )
     Ha = complex(H(a))
-    theta = 2.0 * np.pi * np.arange(BOUNDARY_SAMPLES) / BOUNDARY_SAMPLES
-    ring = a + r * np.exp(1j * theta)
-    dist = np.abs(H(ring) - Ha)
+    dist = np.abs(H(Disk(a, r).boundary(BOUNDARY_SAMPLES)) - Ha)
     if float(np.max(dist)) > rho + 1e-12:
         raise GermBoundsError("image boundary escapes the outer sandwich disk")
     if float(np.min(dist)) < sF * rho / 25.0 - 1e-12:
@@ -365,9 +369,7 @@ def verify_symmetry(
 
 
 def _germs_equal(g1: SymmetryGerm, g2: SymmetryGerm, tol: float = GERM_EQUALITY_TOL) -> bool:
-    radius = 0.5 * min(g1.radius, g2.radius)
-    theta = 2.0 * np.pi * np.arange(GERM_SAMPLES) / GERM_SAMPLES
-    z = g1.base + radius * np.exp(1j * theta)
+    z = Disk(g1.base, 0.5 * min(g1.radius, g2.radius)).boundary(GERM_SAMPLES)
     return float(np.max(np.abs(g1.map(z) - g2.map(z)))) <= tol
 
 
@@ -400,9 +402,8 @@ def detect_coincidence(G: SystemNet, F: SystemNet, w: Word, K_max: int = 16) -> 
 
     germs: list[SymmetryGerm | None] = [_identity_germ(beta, r, mG, mF)]
     for k in range(1, K_max + 1):
-        wk = Word(w.indices * k, mG)
         try:
-            germs.append(build_symmetry(G, F, beta, wk))
+            germs.append(build_symmetry(G, F, beta, w * k))
         except (CriterionEmpty, AddressFailure, GermBoundsError):
             germs.append(None)
 
@@ -428,10 +429,8 @@ def detect_coincidence(G: SystemNet, F: SystemNet, w: Word, K_max: int = 16) -> 
             l = q - p
             f_v = compose_word(F.system, v)
             rel = compose_maps((f_v, compose_word(F.system, vtilde), inverse_map(f_v)))
-            gwl = compose_word(G.system, Word(w.indices * l, mG))
-            theta = 2.0 * np.pi * np.arange(GERM_SAMPLES) / GERM_SAMPLES
-            z = beta + (r * sF / 2.0) * np.exp(1j * theta)
-            z = np.concatenate((z, [beta]))
+            gwl = compose_word(G.system, w * l)
+            z = np.concatenate((Disk(beta, r * sF / 2.0).boundary(GERM_SAMPLES), [beta]))
             residual = float(np.max(np.abs(gwl(z) - rel(z))))
             return ConjugacyRelation(
                 exponent_l=l,
@@ -467,10 +466,10 @@ def spectrum_compat(specG, specF, l_max: int, tol: float = 1e-9):
     return out
 
 
-def _prep_check(source: IfsSystem, target_dyn: _InverseDynamics, budgets: Budgets):
+def _prep_check(source: IfsSystem, target_dyn: InverseDynamics, budgets: Budgets):
     passes = fails = 0
     for p in prep_points(source, budgets.prep_max_word, 0):
-        rep = _orbit_steps(target_dyn, p, budgets.prep_orbit_cap, 1e-9)
+        rep = target_dyn.orbit(p, budgets.prep_orbit_cap, 1e-9)
         if rep.is_preperiodic:
             passes += 1
         else:

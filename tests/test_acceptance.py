@@ -19,7 +19,7 @@ from holoifs.attractor import (
     compute_net,
     hutchinson_defect,
 )
-from holoifs.dynamics import fixed_point, orbit, spectrum
+from holoifs.dynamics import InverseDynamics, fixed_point, spectrum
 from holoifs.geometry import kappa, koebe_bounds, poincare_domain, hyp_dist_slit
 from holoifs.koenigs import ORDER, PowerSeriesGerm, functional_roots, koenigs
 from holoifs.maps import Affine
@@ -182,7 +182,8 @@ def test_07_preperiodicity_of_periodic_points(thirds_net):
         reflected = cantor_thirds_reflected()
         beta = fixed_point(reflected, Word((1,), 2)).point
         assert abs(beta - 0.75) <= 1e-12
-        report = orbit(thirds, thirds_net, beta, max_iter=64, tol=1e-9)
+        dyn = InverseDynamics(thirds, thirds_net)
+        report = dyn.orbit(beta, max_iter=64, tol=1e-9)
         assert report.is_preperiodic
         assert report.preperiod == 0 and report.period == 2
         from itertools import product
@@ -190,7 +191,7 @@ def test_07_preperiodicity_of_periodic_points(thirds_net):
         for length in range(1, 6):
             for idx in product(range(2), repeat=length):
                 b = fixed_point(reflected, Word(idx, 2)).point
-                rep = orbit(thirds, thirds_net, b, max_iter=70, tol=1e-9)
+                rep = dyn.orbit(b, max_iter=70, tol=1e-9)
                 assert rep.is_preperiodic
                 assert rep.preperiod + rep.period <= 64
 

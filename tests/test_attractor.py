@@ -307,6 +307,16 @@ def test_rho_radius_matches_all_pairs_on_random_affine_systems(data):
     assert rho_radius(system, net, cert) == _all_pairs_rho(system, net)
 
 
+@pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf, 0.0])
+def test_non_finite_resolutions_rejected(thirds, thirds_net, eps):
+    with pytest.raises(ValueError, match="finite and positive"):
+        compute_net(thirds, eps)
+    with pytest.raises(ValueError, match="finite and positive"):
+        AttractorNet(thirds_net.points, eps, thirds_net.depth)
+    with pytest.raises(ValueError, match="finite and positive"):
+        box_restriction(thirds, thirds_net, eps_target=eps)
+
+
 def test_box_restriction_component_counts(thirds, thirds_net):
     disks = box_restriction(thirds, thirds_net, 0.4)
     assert len(disks) == 2

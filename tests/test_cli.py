@@ -45,6 +45,15 @@ HALVES = {
     "domain": {"center_re": 0.5, "center_im": 0, "radius": 2.0},
 }
 
+#: the net refinement of this system meets a square-root branch cut
+JULIA55 = {
+    "maps": [
+        {"kind": "sqrt_branch", "c_re": -5.5, "c_im": 0, "sign": 1},
+        {"kind": "sqrt_branch", "c_re": -5.5, "c_im": 0, "sign": -1},
+    ],
+    "domain": {"center_re": 0, "center_im": 0, "radius": 5},
+}
+
 JULIA6 = {
     "label": "julia-minus-six",
     "maps": [
@@ -64,6 +73,7 @@ def configs(tmp_path):
         ("shifted", SHIFTED),
         ("halves", HALVES),
         ("julia6", JULIA6),
+        ("julia55", JULIA55),
     ):
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(payload), encoding="utf-8")
@@ -361,6 +371,21 @@ def test_check_osc_disks_malformed(configs, capsys):
     assert "osc-disks" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "disks, named",
+    [
+        ("0.5,0,nan", "--osc-disks[0]"),
+        ("0.5,0,inf", "--osc-disks[0]"),
+        ("nan,0,1", "--osc-disks[0]"),
+        ("0.5,0,1;0.5,inf,1", "--osc-disks[1]"),
+    ],
+)
+def test_check_osc_disks_non_finite(configs, capsys, disks, named):
+    assert cli.main(["check", configs["thirds"], "--osc-disks", disks]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {named}: expected finite numbers")
+
+
 # ---------------------------------------------------------------------------
 # spectrum command
 
@@ -424,6 +449,14 @@ def test_shared_verdict_inconclusive(configs, capsys):
     assert "verdict = Inconclusive" in capsys.readouterr().out
 
 
+def test_shared_error_is_inconclusive(configs, capsys):
+    # a failed computation is no evidence against a shared attractor
+    assert cli.main(["shared", configs["julia55"], configs["julia55"]]) == 4
+    captured = capsys.readouterr()
+    assert captured.err == "error: disk meets a square-root branch cut\n"
+    assert captured.out == ""
+
+
 def test_shared_prep_budget_exit(configs, capsys):
     args = ["shared", configs["thirds"], configs["thirds"], "--prep-max-word", "30"]
     assert cli.main(args) == 3
@@ -477,6 +510,23 @@ def test_roots_bad_coefficient(capsys):
     assert "coeffs" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "coeffs, named", [("inf", "--coeffs[0]"), ("1,nan", "--coeffs[1]"), ("1,-inf", "--coeffs[1]")]
+)
+def test_roots_non_finite_coefficient(capsys, coeffs, named):
+    assert cli.main(["roots", "--lambda", "0.5", "--coeffs", coeffs, "--l", "2"]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {named}: expected a finite number")
+
+
+def test_roots_nan_residual_fails(capsys):
+    args = ["roots", "--lambda", "0.5", "--coeffs", "1e308,1e308", "--l", "2"]
+    with np.errstate(all="ignore"):
+        assert cli.main(args) == 1
+    captured = capsys.readouterr()
+    assert "residual nan" in captured.err
+    assert "root_0 =" not in captured.out
+
+
 # ---------------------------------------------------------------------------
 # symmetry command
 
@@ -517,6 +567,13 @@ def test_symmetry_word_out_of_range(configs, capsys):
     )
     assert code == 2
     assert "indices" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("point", ["nan", "inf", "0.5,nan"])
+def test_symmetry_point_non_finite(configs, capsys, point):
+    args = ["symmetry", configs["thirds"], configs["thirds"], "--point", point, "--word", "0"]
+    assert cli.main(args) == 2
+    assert capsys.readouterr().err.startswith("error: --point: expected a finite number")
 
 
 def test_symmetry_point_off_attractor(configs, capsys):

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from holoifs import (
+    AmbiguousBranch,
     BudgetExceeded,
     Disk,
     IfsSystem,
@@ -19,15 +20,15 @@ from holoifs import (
 from holoifs.attractor import compute_net
 from holoifs.dynamics import (
     PREP_DEDUP_TOL,
+    InverseDynamics,
     _necklaces,
     fixed_point,
-    inverse_step,
-    orbit,
     periodic_points,
     prep_points,
     spectrum,
 )
 from holoifs.maps import Affine, compose_word
+from holoifs.symmetry import Budgets, SystemNet, address
 from holoifs.systems import cantor_thirds, cantor_thirds_reflected, iterate_system, sqrt_julia
 
 RNG = np.random.default_rng(20260826)
@@ -246,10 +247,10 @@ def test_prep_points_match_per_word_fixed_points(make, max_prefix):
 def test_inverse_step_picks_the_right_branch():
     system = cantor_thirds()
     net = compute_net(system, 1e-3)
-    y, branch = inverse_step(system, net, 2 / 3)
+    y, branch = InverseDynamics(system, net).step(2 / 3)
     assert branch == 1
     assert abs(y - 0.0) < 1e-12
-    y, branch = inverse_step(system, net, 0.2)
+    y, branch = InverseDynamics(system, net).step(0.2)
     assert branch == 0
     assert abs(y - 0.6) < 1e-12
 
@@ -258,9 +259,9 @@ def test_inverse_step_rejects_gap_and_far_points():
     system = cantor_thirds()
     net = compute_net(system, 1e-3)
     with pytest.raises(OutsideAttractor):
-        inverse_step(system, net, 0.5)
+        InverseDynamics(system, net).step(0.5)
     with pytest.raises(OutsideAttractor):
-        inverse_step(system, net, 5.0 + 5.0j)
+        InverseDynamics(system, net).step(5.0 + 5.0j)
 
 
 def test_inverse_step_needs_separation():
@@ -269,13 +270,13 @@ def test_inverse_step_needs_separation():
     )
     net = compute_net(halves, 1e-3)
     with pytest.raises(SeparationFailure):
-        inverse_step(halves, net, 0.3)
+        InverseDynamics(halves, net).step(0.3)
 
 
 def test_orbit_period_two():
     system = cantor_thirds()
     net = compute_net(system, 1e-3)
-    rep = orbit(system, net, 0.75)
+    rep = InverseDynamics(system, net).orbit(0.75)
     assert rep.preperiod == 0
     assert rep.period == 2
     assert abs(rep.points[0] - 0.75) < 1e-12
@@ -286,7 +287,7 @@ def test_orbit_period_two():
 def test_orbit_strictly_preperiodic():
     system = cantor_thirds()
     net = compute_net(system, 1e-3)
-    rep = orbit(system, net, 2 / 3)
+    rep = InverseDynamics(system, net).orbit(2 / 3)
     assert rep.preperiod == 1
     assert rep.period == 1
     assert abs(rep.points[1] - 0.0) < 1e-12
@@ -295,7 +296,7 @@ def test_orbit_strictly_preperiodic():
 def test_orbit_terminates_outside():
     system = cantor_thirds()
     net = compute_net(system, 1e-3)
-    rep = orbit(system, net, 0.5)
+    rep = InverseDynamics(system, net).orbit(0.5)
     assert rep.points == (0.5,)
     assert rep.period is None and rep.preperiod is None
     assert not rep.is_preperiodic
@@ -304,7 +305,7 @@ def test_orbit_terminates_outside():
 def test_orbit_budget_truncation_reports_nothing():
     system = cantor_thirds()
     net = compute_net(system, 1e-3)
-    rep = orbit(system, net, 0.75, max_iter=1)
+    rep = InverseDynamics(system, net).orbit(0.75, max_iter=1)
     assert rep.period is None
     assert len(rep.points) == 2
 
@@ -312,7 +313,7 @@ def test_orbit_budget_truncation_reports_nothing():
 def test_orbit_escapes_after_one_step():
     system = sqrt_julia(-6.0)
     net = compute_net(system, 2e-3)
-    rep = orbit(system, net, 1.0)
+    rep = InverseDynamics(system, net).orbit(1.0)
     assert rep.period is None
     assert len(rep.points) == 2
     assert abs(rep.points[1] - (-5.0)) < 1e-9
@@ -322,7 +323,7 @@ def test_orbit_fixed_points_of_sqrt_system():
     system = sqrt_julia(-6.0)
     net = compute_net(system, 2e-3)
     for x in (3.0, -2.0):
-        rep = orbit(system, net, x)
+        rep = InverseDynamics(system, net).orbit(x)
         assert rep.preperiod == 0
         assert rep.period == 1
 
@@ -330,9 +331,64 @@ def test_orbit_fixed_points_of_sqrt_system():
 def test_orbit_deterministic():
     system = cantor_thirds_reflected()
     net = compute_net(system, 1e-3)
-    a = orbit(system, net, 0.3)
-    b = orbit(system, net, 0.3)
+    a = InverseDynamics(system, net).orbit(0.3)
+    b = InverseDynamics(system, net).orbit(0.3)
     assert a == b
+
+
+def test_orbit_with_no_steps_holds_only_the_start():
+    system = cantor_thirds()
+    rep = InverseDynamics(system, compute_net(system, 1e-3)).orbit(0.75, max_iter=0)
+    assert rep.points == (0.75,)
+    assert rep.period is None and rep.preperiod is None
+
+
+def test_orbit_propagates_ambiguous_branches():
+    system = cantor_thirds()
+    dyn = InverseDynamics(system, compute_net(system, 1e-3))
+    dyn.claim_radius = 1.0  # both image nets now claim every point of [0, 1]
+    with pytest.raises(AmbiguousBranch):
+        dyn.orbit(0.75)
+
+
+@pytest.mark.parametrize(
+    "system, epsilon", [(cantor_thirds(), 1e-3), (sqrt_julia(-6.0), 2e-3)]
+)
+def test_one_inverse_dynamics_serves_every_orbit(system, epsilon):
+    net = compute_net(system, epsilon)
+    shared = InverseDynamics(system, net)
+    points = prep_points(system, Budgets().prep_max_word, 0)
+    reused = [shared.orbit(p, 64, 1e-9) for p in points]
+    fresh = [InverseDynamics(system, net).orbit(p, 64, 1e-9) for p in points]
+    assert reused == fresh
+    assert all(rep.is_preperiodic for rep in reused)
+
+
+@pytest.mark.parametrize("system", [cantor_thirds(), sqrt_julia(-6.0)])
+def test_walk_follows_the_address(system):
+    net = compute_net(system, 2e-3)
+    dyn = InverseDynamics(system, net)
+    for pp in periodic_points(system, 3):
+        steps = list(itertools.islice(dyn.walk(pp.point), 20))
+        letters = tuple(j for j, _ in steps)
+        assert letters == address(SystemNet(system, net), pp.point, 20).indices
+        # each preimage maps back onto the point before it
+        prev = pp.point
+        for j, b in steps:
+            assert abs(complex(system.maps[j](b)) - prev) < 1e-9
+            prev = b
+
+
+def test_walk_raises_off_the_attractor():
+    thirds = cantor_thirds()
+    with pytest.raises(OutsideAttractor):
+        next(InverseDynamics(thirds, compute_net(thirds, 1e-3)).walk(0.5))
+    julia = sqrt_julia(-6.0)
+    walk = InverseDynamics(julia, compute_net(julia, 2e-3)).walk(1.0)
+    _, y = next(walk)
+    assert abs(y - (-5.0)) < 1e-9
+    with pytest.raises(OutsideAttractor):
+        next(walk)
 
 
 # ---------------------------------------------------------------------------

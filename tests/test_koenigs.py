@@ -8,9 +8,10 @@ import math
 import numpy as np
 import pytest
 
-from holoifs import InvalidMultiplier, NonInvertible, NotAFixedPoint, Word
+from holoifs import InvalidMultiplier, NoConvergence, NonInvertible, NotAFixedPoint, Word
 from holoifs.dynamics import fixed_point
 from holoifs.koenigs import (
+    ORDER,
     PowerSeriesGerm,
     composition_residual,
     functional_roots,
@@ -280,6 +281,14 @@ def test_residual_detects_wrong_root():
     bad = np.array(g.coefficients, copy=True)
     bad[1] += 0.05
     assert composition_residual(PowerSeriesGerm(bad), 2, germ) > 1e-8
+
+
+def test_roots_reject_nan_residual():
+    # finite coefficients whose conjugation overflows: the residual is NaN
+    coeffs = np.zeros(ORDER, dtype=np.complex128)
+    coeffs[:3] = (0.5, 1e308, 1e308)
+    with np.errstate(all="ignore"), pytest.raises(NoConvergence, match="residual nan"):
+        functional_roots(PowerSeriesGerm(coeffs), 2)
 
 
 def test_roots_reject_bad_multiplier():

@@ -436,6 +436,12 @@ def test_budgets_accept_numpy_scalars():
     assert budgets.eq_samples == 8
 
 
+@pytest.mark.parametrize("eps", [np.nan, np.inf])
+def test_shared_attractor_rejects_non_finite_resolution(eps):
+    with pytest.raises(ValueError, match="finite and positive"):
+        shared_attractor(cantor_thirds(), cantor_thirds_reflected(), eps)
+
+
 def test_shared_attractor_derives_each_structure_once(monkeypatch):
     calls = Counter()
 
