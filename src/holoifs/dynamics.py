@@ -6,12 +6,18 @@ attractor: a point close to one first-level image belongs to that branch.
 ``walk`` yields the target address of a point, which every symmetry germ is
 built on, and its ``orbit`` detects (pre)periodicity numerically, which the
 preperiodic cross-check reads.
+
+Periodic points are solved one word length at a time: the necklaces of that
+length form one letter array, iterated as a whole, and each row stops by its
+own tolerance test.  Affine words take the closed form.  On real values the
+array arithmetic rounds as scalar arithmetic does; on complex values numpy's
+products and quotients may differ from CPython's in the last bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice, product
+from itertools import chain, islice, product
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -24,7 +30,7 @@ from .errors import (
     OutsideAttractor,
     SeparationFailure,
 )
-from .maps import Affine, IfsSystem, Word, compose_word
+from .maps import Affine, Composite, HoloMap, IfsSystem, Word, compose_word
 
 #: fixed-point iteration tolerance and cap
 FIXED_POINT_TOL = 1e-14
@@ -95,31 +101,134 @@ class OrbitReport:
         return self.period is not None
 
 
+def _factors(g: HoloMap) -> tuple[HoloMap, ...]:
+    """The factors ``g`` contributes to a word map, as :func:`compose_maps` flattens."""
+    return g.factors if isinstance(g, Composite) else (g,)
+
+
+def _apply_words(maps, letters: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """``g_w(z)`` for each row ``w`` of ``letters``, innermost letter first."""
+    z = z.copy()
+    for col in letters.T[::-1]:
+        for a, g in enumerate(maps):
+            rows = col == a
+            if rows.any():
+                z[rows] = g(z[rows])
+    return z
+
+
+def _multipliers(maps, letters: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """``g_w'(z)`` for each row ``w``: the chain rule over the flattened factors.
+
+    The products run in the order of ``Composite.deriv``, innermost factor
+    first.
+    """
+    z = z.copy()
+    total = np.ones(len(z), dtype=np.complex128)
+    for col in letters.T[::-1]:
+        for a, g in enumerate(maps):
+            rows = np.flatnonzero(col == a)
+            if not len(rows):
+                continue
+            zr, tr = z[rows], total[rows]
+            for f in reversed(_factors(g)):
+                tr = tr * f.deriv(zr)
+                zr = f(zr)
+            z[rows], total[rows] = zr, tr
+    return total
+
+
+def _modulus(z: np.ndarray) -> np.ndarray:
+    # np.hypot rounds as the built-in abs() of a complex scalar does
+    return np.hypot(z.real, z.imag)
+
+
+def _solve_level(system: IfsSystem, letters: np.ndarray):
+    """Fixed points, multipliers and failure codes of ``g_w`` for the rows ``w`` of ``letters``.
+
+    All rows are solved at once.  A word whose factors are all affine takes
+    the closed form; the others iterate ``p <- g_w(p)`` from the domain
+    centre, each row until its own step drops below ``FIXED_POINT_TOL``.
+    A row's code names the first check it fails (see :func:`_level_points`);
+    0 passes.
+    """
+    n = len(letters)
+    m = len(system.maps)
+    points = np.empty(n, dtype=np.complex128)
+    mults = np.empty(n, dtype=np.complex128)
+    fail = np.zeros(n, dtype=np.int8)
+
+    affine_letter = np.array(
+        [all(isinstance(f, Affine) for f in _factors(g)) for g in system.maps]
+    )
+    affine = affine_letter[letters].all(axis=1)
+    for i in np.flatnonzero(affine):
+        gw = compose_word(system, Word(letters[i].tolist(), m))
+        if abs(gw.alpha) >= 1.0:
+            fail[i] = 1
+            continue
+        p = gw.b / (1.0 - gw.alpha)
+        points[i], mults[i] = p, gw.alpha
+        if abs(complex(gw(p)) - p) > PERIODIC_RESIDUAL_TOL:
+            fail[i] = 3
+
+    rest = np.flatnonzero(~affine)
+    words = letters[rest]
+    p = np.full(len(rest), complex(system.domain.center), dtype=np.complex128)
+    active = np.arange(len(rest))
+    for _ in range(FIXED_POINT_MAX_ITER):
+        if not len(active):
+            break
+        pa = p[active]
+        q = _apply_words(system.maps, words[active], pa)
+        p[active] = q
+        settled = _modulus(q - pa) <= FIXED_POINT_TOL * np.maximum(1.0, _modulus(pa))
+        active = active[~settled]
+    fail[rest[active]] = 2
+    ok = np.flatnonzero(fail[rest] == 0)
+    bad = _modulus(_apply_words(system.maps, words[ok], p[ok]) - p[ok]) > PERIODIC_RESIDUAL_TOL
+    fail[rest[ok[bad]]] = 3
+    ok = ok[~bad]
+    lam = _multipliers(system.maps, words[ok], p[ok])
+    fail[rest[ok[_modulus(lam) >= 1.0]]] = 4
+    points[rest], mults[rest[ok]] = p, lam
+    return points, mults, fail
+
+
+def _level_points(system: IfsSystem, letters: np.ndarray):
+    """Yield the periodic point of each row of ``letters``, in row order.
+
+    The first row that fails a check (contraction, convergence, residual,
+    attraction) raises :class:`NoConvergence` instead.
+    """
+    reasons = (
+        "",
+        "word map is not a contraction",
+        f"no fixed point after {FIXED_POINT_MAX_ITER} iterations",
+        "fixed-point residual above tolerance",
+        "fixed point is not attracting",
+    )
+    points, mults, fail = _solve_level(system, letters)
+    m = len(system.maps)
+    for i in range(len(letters)):
+        if fail[i]:
+            raise NoConvergence(reasons[fail[i]])
+        yield PeriodicPoint(Word(letters[i].tolist(), m), complex(points[i]), complex(mults[i]))
+
+
 def fixed_point(system: IfsSystem, word: Word) -> PeriodicPoint:
-    """Attracting fixed point of ``g_w``, exact for affine words."""
+    """Attracting fixed point of ``g_w``, exact for affine words.
+
+    The one-row case of the level solver behind :func:`periodic_points`.
+    """
     if len(word) == 0:
         raise ValueError("the empty word fixes every point")
-    gw = compose_word(system, word)
-    if isinstance(gw, Affine):
-        if abs(gw.alpha) >= 1.0:
-            raise NoConvergence("word map is not a contraction")
-        p = gw.b / (1.0 - gw.alpha)
-    else:
-        p = complex(system.domain.center)
-        for _ in range(FIXED_POINT_MAX_ITER):
-            q = complex(gw(p))
-            if abs(q - p) <= FIXED_POINT_TOL * max(1.0, abs(p)):
-                p = q
-                break
-            p = q
-        else:
-            raise NoConvergence(f"no fixed point after {FIXED_POINT_MAX_ITER} iterations")
-    if abs(complex(gw(p)) - p) > PERIODIC_RESIDUAL_TOL:
-        raise NoConvergence("fixed-point residual above tolerance")
-    mult = complex(gw.deriv(p))
-    if abs(mult) >= 1.0:
-        raise NoConvergence("fixed point is not attracting")
-    return PeriodicPoint(word, complex(p), mult)
+    if word.alphabet_size != len(system.maps):
+        raise IndexError(
+            f"word alphabet size {word.alphabet_size} does not match "
+            f"system with {len(system.maps)} maps"
+        )
+    return next(_level_points(system, np.array([word.indices])))
 
 
 def _necklaces(m: int, length: int):
@@ -145,12 +254,35 @@ def periodic_points(system: IfsSystem, max_len: int):
 
     Every word is a rotation of exactly one necklace, and rotations share
     the orbit and the multiplier, so the orbits of the yielded points list
-    the fixed points of all words.
+    the fixed points of all words.  Each length is solved as one array.
     """
     m = len(system.maps)
+    dtype = np.min_scalar_type(m - 1)
     for length in range(1, max_len + 1):
-        for w in _necklaces(m, length):
-            yield fixed_point(system, Word(w, m))
+        letters = np.fromiter(chain.from_iterable(_necklaces(m, length)), dtype=dtype)
+        yield from _level_points(system, letters.reshape(-1, length))
+
+
+def check_word_budget(
+    system: IfsSystem,
+    max_len: int = 0,
+    max_word: int = 0,
+    max_prefix: int = 0,
+    word_cap: int = WORD_CAP,
+) -> None:
+    """Raise :class:`BudgetExceeded` before any work that would pass ``word_cap``.
+
+    ``max_len`` is the word length of :func:`spectrum`; ``max_word`` and
+    ``max_prefix`` are those of :func:`prep_points`.  A zero skips that test.
+    """
+    m = len(system.maps)
+    total = sum(m**k for k in range(1, max_len + 1))
+    if total > word_cap:
+        raise BudgetExceeded(f"{total} words exceed the cap {word_cap}")
+    n_words = sum(m**k for k in range(1, max_word + 1))
+    n_prefix = sum(m**k for k in range(0, max_prefix + 1))
+    if n_words * n_prefix > word_cap:
+        raise BudgetExceeded("preperiodic enumeration exceeds the word cap")
 
 
 def spectrum(system: IfsSystem, max_len: int, word_cap: int = WORD_CAP) -> MultiplierSpectrum:
@@ -160,10 +292,7 @@ def spectrum(system: IfsSystem, max_len: int, word_cap: int = WORD_CAP) -> Multi
     multiplier); entries agreeing in both point and multiplier within
     ``SPECTRUM_DEDUP_TOL`` are merged.
     """
-    m = len(system.maps)
-    total = sum(m**k for k in range(1, max_len + 1))
-    if total > word_cap:
-        raise BudgetExceeded(f"{total} words exceed the cap {word_cap}")
+    check_word_budget(system, max_len=max_len, word_cap=word_cap)
     entries: list[PeriodicPoint] = []
     keys = set()
     for pp in periodic_points(system, max_len):
@@ -262,12 +391,8 @@ def prep_points(
     Enumerates the fixed points of every word up to ``max_word`` and applies
     every word map up to ``max_prefix`` (including the identity) to them.
     """
+    check_word_budget(system, max_word=max_word, max_prefix=max_prefix, word_cap=word_cap)
     m = len(system.maps)
-    n_words = sum(m**k for k in range(1, max_word + 1))
-    n_prefix = sum(m**k for k in range(0, max_prefix + 1))
-    if n_words * n_prefix > word_cap:
-        raise BudgetExceeded("preperiodic enumeration exceeds the word cap")
-
     orbits = [x for pp in periodic_points(system, max_word) for x in pp.orbit(system)]
     base = np.array(orbits, dtype=np.complex128)
 

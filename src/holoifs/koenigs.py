@@ -137,7 +137,8 @@ def koenigs(germ: PowerSeriesGerm) -> PowerSeriesGerm:
 
     Returns ``psi`` with ``germ(psi(w)) = psi(multiplier * w)`` and
     ``psi'(0) = 1``, solving coefficient by coefficient; the divisor
-    ``lambda^n - lambda`` never vanishes for ``0 < |lambda| < 1``.
+    ``lambda^n - lambda`` never vanishes for ``0 < |lambda| < 1``.  A
+    coefficient that overflows raises :class:`NoConvergence` naming its degree.
     """
     lam = germ.multiplier
     if not 0.0 < abs(lam) < 1.0:
@@ -151,11 +152,15 @@ def koenigs(germ: PowerSeriesGerm) -> PowerSeriesGerm:
     r = germ._full()
     psi = np.zeros(n + 1, dtype=np.complex128)
     psi[1] = 1.0
-    for deg in range(2, n + 1):
-        # psi[deg] is still zero here, so the composition collects exactly
-        # the lower-order contributions C with lam*b + C = lam^deg * b
-        c = _series.compose(r, psi, deg)[deg]
-        psi[deg] = c / (lam**deg - lam)
+    # an overflow shows as a non-finite coefficient, which ends the solve
+    with np.errstate(over="ignore", invalid="ignore"):
+        for deg in range(2, n + 1):
+            # psi[deg] is still zero here, so the composition collects exactly
+            # the lower-order contributions C with lam*b + C = lam^deg * b
+            c = _series.compose(r, psi, deg)[deg]
+            psi[deg] = c / (lam**deg - lam)
+            if not np.isfinite(psi[deg]):
+                raise NoConvergence(f"Koenigs coefficient of degree {deg} is not finite")
     return PowerSeriesGerm(psi[1:])
 
 

@@ -31,7 +31,7 @@ from .attractor import (
     hausdorff,
     rho_radius,
 )
-from .dynamics import InverseDynamics, fixed_point, prep_points, spectrum
+from .dynamics import InverseDynamics, check_word_budget, fixed_point, prep_points, spectrum
 from .errors import (
     AddressFailure,
     AmbiguousBranch,
@@ -594,12 +594,18 @@ def shared_attractor(
     notes: list[str] = []
     try:
         dynG, dynF = G.dyn, F.dyn
+        # the word budgets fail before any orbit walk, in the order the
+        # stages below would meet them
+        src, tgt = budgets.spectrum_source_len, budgets.spectrum_target_len
+        for system in (G.system, F.system):
+            check_word_budget(system, max_word=budgets.prep_max_word)
+        for system in (G.system, F.system):
+            check_word_budget(system, max_len=max(src, tgt))
         prep_forward = _prep_check(G.system, dynF, budgets)
         prep_backward = _prep_check(F.system, dynG, budgets)
 
         # one enumeration per system; deduplication keeps the first entry in
         # increasing word length, so truncating equals a shorter enumeration
-        src, tgt = budgets.spectrum_source_len, budgets.spectrum_target_len
         specG = spectrum(G.system, max(src, tgt))
         specF = spectrum(F.system, max(src, tgt))
         l_max, tol = budgets.spectrum_l_max, budgets.spectrum_tol

@@ -8,11 +8,13 @@ import math
 import numpy as np
 import pytest
 
+import holoifs.dynamics
 from holoifs import (
     AmbiguousBranch,
     BudgetExceeded,
     Disk,
     IfsSystem,
+    NoConvergence,
     OutsideAttractor,
     SeparationFailure,
     Word,
@@ -21,13 +23,15 @@ from holoifs.attractor import compute_net
 from holoifs.dynamics import (
     PREP_DEDUP_TOL,
     InverseDynamics,
+    PeriodicPoint,
     _necklaces,
+    check_word_budget,
     fixed_point,
     periodic_points,
     prep_points,
     spectrum,
 )
-from holoifs.maps import Affine, compose_word
+from holoifs.maps import Affine, SqrtBranch, compose_word
 from holoifs.symmetry import Budgets, SystemNet, address
 from holoifs.systems import cantor_thirds, cantor_thirds_reflected, iterate_system, sqrt_julia
 
@@ -107,6 +111,153 @@ def test_multiplier_is_rotation_invariant():
     c = fixed_point(system, Word((1, 0, 1), 2))
     assert abs(a.multiplier - b.multiplier) < 1e-13
     assert abs(b.multiplier - c.multiplier) < 1e-13
+
+
+def test_fixed_point_rejects_a_foreign_alphabet():
+    with pytest.raises(IndexError, match="word alphabet size 3 does not match"):
+        fixed_point(cantor_thirds(), Word((0,), 3))
+
+
+# ---------------------------------------------------------------------------
+# the array solver against the scalar loop it replaced
+
+
+def _scalar_fixed_point(system, word):
+    """The scalar fixed-point loop that the level solver replaced, as the oracle."""
+    dyn = holoifs.dynamics
+    if len(word) == 0:
+        raise ValueError("the empty word fixes every point")
+    gw = compose_word(system, word)
+    if isinstance(gw, Affine):
+        if abs(gw.alpha) >= 1.0:
+            raise NoConvergence("word map is not a contraction")
+        p = gw.b / (1.0 - gw.alpha)
+    else:
+        p = complex(system.domain.center)
+        for _ in range(dyn.FIXED_POINT_MAX_ITER):
+            q = complex(gw(p))
+            if abs(q - p) <= dyn.FIXED_POINT_TOL * max(1.0, abs(p)):
+                p = q
+                break
+            p = q
+        else:
+            raise NoConvergence(f"no fixed point after {dyn.FIXED_POINT_MAX_ITER} iterations")
+    if abs(complex(gw(p)) - p) > dyn.PERIODIC_RESIDUAL_TOL:
+        raise NoConvergence("fixed-point residual above tolerance")
+    mult = complex(gw.deriv(p))
+    if abs(mult) >= 1.0:
+        raise NoConvergence("fixed point is not attracting")
+    return PeriodicPoint(word, complex(p), mult)
+
+
+def _scalar_periodic_points(system, max_len):
+    m = len(system.maps)
+    return [
+        _scalar_fixed_point(system, Word(w, m))
+        for n in range(1, max_len + 1)
+        for w in _necklaces(m, n)
+    ]
+
+
+def _complex_similarity():
+    return IfsSystem(
+        (Affine(0.4 + 0.2j, 0.0), Affine(0.3 - 0.25j, 0.6 + 0.3j)), Disk(0.5, 2.0)
+    )
+
+
+def _real_mixed():
+    return IfsSystem((SqrtBranch(-6.0, 1), Affine(0.2, -1.0)), Disk(0.0, 5.0))
+
+
+def _complex_mixed():
+    return IfsSystem(
+        (SqrtBranch(-6.0 + 0.5j, 1), Affine(0.2 + 0.1j, -1.0 + 0.3j)), Disk(0.0, 5.0)
+    )
+
+
+@pytest.mark.parametrize(
+    "make, max_len",
+    [
+        (cantor_thirds, 10),
+        (cantor_thirds_reflected, 10),
+        (lambda: iterate_system(cantor_thirds(), 3), 5),
+        (_complex_similarity, 7),
+        (lambda: sqrt_julia(-6.0), 10),
+        (lambda: sqrt_julia(-6.7), 10),
+        (lambda: iterate_system(sqrt_julia(-6.0), 2), 8),
+        (_real_mixed, 10),
+    ],
+    ids=["thirds", "reflected", "thirds-cubed", "complex-similarity", "julia6",
+         "julia6.7", "julia6-squared", "real-mixed"],
+)
+def test_periodic_points_equal_the_scalar_oracle(make, max_len):
+    # affine words take the same closed form, and real values round the
+    # same in arrays as in scalars, so every word, point and multiplier is ==
+    system = make()
+    assert list(periodic_points(system, max_len)) == _scalar_periodic_points(system, max_len)
+
+
+@pytest.mark.parametrize(
+    "make, max_len",
+    [
+        (lambda: sqrt_julia(-6.0 + 0.5j), 10),
+        (lambda: iterate_system(sqrt_julia(-6.0 + 0.5j), 2), 6),
+        (_complex_mixed, 10),
+    ],
+    ids=["julia-complex", "julia-complex-squared", "complex-mixed"],
+)
+def test_periodic_points_match_the_oracle_on_complex_values(make, max_len):
+    # numpy's complex products and quotients may differ from CPython's in
+    # the last bit
+    system = make()
+    mine = list(periodic_points(system, max_len))
+    oracle = _scalar_periodic_points(system, max_len)
+    assert [pp.word for pp in mine] == [pp.word for pp in oracle]
+    for pp, want in zip(mine, oracle):
+        assert abs(pp.point - want.point) <= 1e-14 * abs(want.point)
+        assert abs(pp.multiplier - want.multiplier) <= 1e-14 * abs(want.multiplier)
+
+
+@pytest.mark.parametrize(
+    "make, words",
+    [
+        (cantor_thirds_reflected, [(0,), (1,), (1, 1, 0), (1, 0, 1, 1)]),
+        (lambda: sqrt_julia(-6.0), [(0,), (1,), (0, 1), (1, 1, 0, 0)]),
+        (lambda: iterate_system(sqrt_julia(-6.0), 2), [(3,), (0, 2), (2, 0), (1, 3, 3)]),
+        (_real_mixed, [(0,), (1,), (0, 1), (1, 0, 0)]),
+    ],
+    ids=["reflected", "julia6", "julia6-squared", "real-mixed"],
+)
+def test_fixed_point_equals_the_scalar_oracle(make, words):
+    system = make()
+    for w in words:
+        word = Word(w, len(system.maps))
+        assert fixed_point(system, word) == _scalar_fixed_point(system, word)
+
+
+def test_periodic_points_fail_in_the_oracle_order(monkeypatch):
+    # letter 0 is affine and takes the closed form; letter 1 needs iteration
+    system = IfsSystem((Affine(0.2, -1.0), SqrtBranch(-6.0, 1)), Disk(0.0, 5.0))
+    monkeypatch.setattr(holoifs.dynamics, "FIXED_POINT_MAX_ITER", 1)
+    message = "^no fixed point after 1 iterations$"
+    with pytest.raises(NoConvergence, match=message):
+        _scalar_fixed_point(system, Word((1,), 2))
+    points = periodic_points(system, 3)
+    assert next(points) == _scalar_fixed_point(system, Word((0,), 2))
+    with pytest.raises(NoConvergence, match=message):
+        next(points)
+    with pytest.raises(NoConvergence, match=message):
+        fixed_point(system, Word((0, 1), 2))
+
+
+def test_word_budget_counts_spectrum_and_prep_words():
+    thirds = cantor_thirds()
+    check_word_budget(thirds, max_len=3, word_cap=14)  # 2 + 4 + 8 words
+    with pytest.raises(BudgetExceeded, match="^14 words exceed the cap 13$"):
+        check_word_budget(thirds, max_len=3, word_cap=13)
+    check_word_budget(thirds, max_word=2, max_prefix=1, word_cap=18)  # 6 * 3 words
+    with pytest.raises(BudgetExceeded, match="^preperiodic enumeration exceeds the word cap$"):
+        check_word_budget(thirds, max_word=2, max_prefix=1, word_cap=17)
 
 
 # ---------------------------------------------------------------------------

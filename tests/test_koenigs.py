@@ -226,6 +226,13 @@ def test_koenigs_multiplier_validation():
         koenigs(PowerSeriesGerm(np.concatenate(([0.95, 0.1], np.zeros(4)))))
 
 
+def test_koenigs_names_the_degree_that_overflows():
+    # psi_2 = -4e200 is finite; psi_3 collects about 1e200 * psi_2 and overflows
+    germ = PowerSeriesGerm(np.concatenate(([0.5, 1e200], np.zeros(4))))
+    with pytest.raises(NoConvergence, match="^Koenigs coefficient of degree 3 is not finite$"):
+        koenigs(germ)
+
+
 # ---------------------------------------------------------------------------
 # functional roots
 
@@ -284,10 +291,10 @@ def test_residual_detects_wrong_root():
 
 
 def test_roots_reject_nan_residual():
-    # finite coefficients whose conjugation overflows: the residual is NaN
+    # finite coefficients whose Koenigs series overflows at degree 2
     coeffs = np.zeros(ORDER, dtype=np.complex128)
     coeffs[:3] = (0.5, 1e308, 1e308)
-    with np.errstate(all="ignore"), pytest.raises(NoConvergence, match="residual nan"):
+    with pytest.raises(NoConvergence, match="Koenigs coefficient of degree 2 is not finite"):
         functional_roots(PowerSeriesGerm(coeffs), 2)
 
 

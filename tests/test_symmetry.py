@@ -463,6 +463,19 @@ def test_shared_attractor_derives_each_structure_once(monkeypatch):
     assert calls == {"certify_ssc": 2, "rho_radius": 2, "s_floor": 1, "spectrum": 2}
 
 
+def test_word_budgets_fail_before_the_prep_check(monkeypatch):
+    # T = {z/5, z/5 + 2/5, z/5 + 4/5}: the spectrum of its 9-map square to
+    # length 8 needs 9 + 81 + ... + 9**8 words
+    T = IfsSystem((Affine(0.2, 0.0), Affine(0.2, 0.4), Affine(0.2, 0.8)), Disk(0.5, 2.0))
+
+    def prep_check(*args):
+        raise AssertionError("the prep check ran before the word budgets")
+
+    monkeypatch.setattr(holoifs.symmetry, "_prep_check", prep_check)
+    with pytest.raises(BudgetExceeded, match="^48427560 words exceed the cap 10000000$"):
+        shared_attractor(T, iterate_system(T, 2), 1e-3)
+
+
 def test_osc_composition_property(thirds):
     system, net = thirds.system, thirds.net
     disks = (Disk(1 / 6 + 0j, 1 / 6 + 0.01), Disk(5 / 6 + 0j, 1 / 6 + 0.01))
