@@ -25,6 +25,10 @@ from .maps import Disk, IfsSystem
 #: default cap on the number of cylinder disks per refinement level
 POINT_CAP = 10**7
 
+#: the largest level :func:`compute_net` builds whole; deeper levels are
+#: walked in blocks of that many cylinders
+NET_BLOCK = 2**15
+
 #: relative and absolute (unit-disk) widening of the KD query disks in
 #: :func:`rho_radius`; rounding in the distance, the disk formula and the KD
 #: distance test moves a ball boundary by far less, so the minimising pair
@@ -106,7 +110,12 @@ def _refine_level(system: IfsSystem, centers: np.ndarray, radii: np.ndarray):
 
 
 def _grid_dedup(points: np.ndarray, cell: float) -> np.ndarray:
-    """Keep the first point in each square grid cell, then sort."""
+    """Keep the first point in each square grid cell, then sort.
+
+    Only first occurrences survive, so any subsequence of ``points`` that
+    keeps every first occurrence, in order, gives the same result, such as
+    the run starts of :func:`_run_starts`.
+    """
     keys = np.stack(
         (np.floor(points.real / cell).astype(np.int64),
          np.floor(points.imag / cell).astype(np.int64)),
@@ -118,28 +127,118 @@ def _grid_dedup(points: np.ndarray, cell: float) -> np.ndarray:
     return kept[order]
 
 
+def _run_starts(points: np.ndarray, cell: float) -> np.ndarray:
+    """Row 0 and every row whose grid cell differs from the previous row's.
+
+    A row in its predecessor's cell is not the first in its cell.  Cells are
+    compared as floats, before :func:`_grid_dedup`'s integer cast: rows with
+    equal floats have equal keys, so this keeps a superset of the integer
+    run starts.
+    """
+    # run starts are taken before the level is known to be the last; only
+    # the last level's overflow of the grid is reported, by _grid_dedup
+    with np.errstate(all="ignore"):
+        kr = np.floor(points.real / cell)
+        ki = np.floor(points.imag / cell)
+    starts = np.ones(len(points), dtype=bool)
+    starts[1:] = (kr[1:] != kr[:-1]) | (ki[1:] != ki[:-1])
+    return points[starts]
+
+
+def _check_budget(cylinders: int, point_cap: int, depth: int) -> None:
+    """Raise unless the ``cylinders`` of level ``depth + 1`` fit in ``point_cap``."""
+    if cylinders > point_cap:
+        raise BudgetExceeded(
+            f"net refinement needs more than {point_cap} cylinders at depth {depth + 1}"
+        )
+
+
 def compute_net(system: IfsSystem, epsilon: float, point_cap: int = POINT_CAP) -> AttractorNet:
     """Uniform-depth epsilon-net of the attractor of ``system``.
 
     Refines cylinder enclosures until every cylinder disk has radius at most
     ``epsilon/4``, then removes duplicates on a grid of cell ``epsilon/4``.
-    The combined covering error stays below ``epsilon``.
+    The combined covering error stays below ``epsilon``.  The depth is the
+    first level whose largest radius is at most ``epsilon/4``; a level of
+    more than ``point_cap`` cylinders raises :class:`BudgetExceeded`.
+
+    Levels are built whole while they hold at most ``NET_BLOCK`` cylinders.
+    Deeper levels are walked depth first in blocks of the last such level
+    (:func:`_blocks`), and only the run starts of the last level's blocks are
+    kept (:func:`_depth_first_net`), so memory stays near one block per
+    level.  Depth, points and their order are those of whole levels, and
+    ``point_cap`` still limits the cylinders of each level.
     """
     if not (math.isfinite(epsilon) and epsilon > 0):
         raise ValueError(f"epsilon must be finite and positive, got {epsilon!r}")
     target = epsilon / 4.0
+    m = len(system.maps)
     centers = np.array([system.domain.center], dtype=np.complex128)
     radii = np.array([system.domain.radius], dtype=np.float64)
     depth = 0
     while float(np.max(radii)) > target:
-        if len(centers) * len(system.maps) > point_cap:
-            raise BudgetExceeded(
-                f"net refinement needs more than {point_cap} cylinders at depth {depth + 1}"
-            )
+        _check_budget(len(centers) * m, point_cap, depth)
+        if len(centers) * m > NET_BLOCK:
+            return _depth_first_net(system, epsilon, point_cap, centers, radii, depth)
         centers, radii = _refine_level(system, centers, radii)
         depth += 1
     points = _grid_dedup(centers, target)
     return AttractorNet(points, epsilon, depth)
+
+
+def _blocks(maps, centers: np.ndarray, radii: np.ndarray, depth: int):
+    """Yield ``(place, centers, radii)`` for the blocks ``depth`` levels down.
+
+    Block ``(a_1 .. a_j)`` is ``E_a1(..(E_aj(base)))``.  Its place in the
+    whole level is the base-``m`` number ``a_1 .. a_j``, outer letter most
+    significant as in :func:`_refine_level`, so the map applied ``s``-th
+    has place value ``m**s``.  Depth first: one block per level is alive.
+    """
+    if depth == 0:
+        yield 0, centers, radii
+        return
+    m = len(maps)
+    for a, g in enumerate(maps):
+        for place, c, r in _blocks(maps, *g.enclosure_arrays(centers, radii), depth - 1):
+            yield a + m * place, c, r
+
+
+def _depth_first_net(system, epsilon, point_cap, centers, radii, base_depth) -> AttractorNet:
+    """:func:`compute_net` below a base level whose largest radius exceeds ``epsilon/4``.
+
+    No level is computed that the whole-level loop would not reach.  The
+    radii along a greedy chain, the largest child of the largest cylinder,
+    bound each level's maximum from below, so the level after one whose
+    bound exceeds ``epsilon/4`` is sure to be reached.  The blocks are
+    walked that deep; the largest radius of that level decides whether it
+    is the last, and else its largest cylinder starts the next chain and
+    the walk is repeated deeper.  Of the last level only each block's run
+    starts are kept: in level order they hold every first occurrence of a
+    grid cell, so :func:`_grid_dedup` of them is that of the whole level.
+    """
+    target = epsilon / 4.0
+    maps = system.maps
+    m, n = len(maps), len(centers)
+    top = int(np.argmax(radii))
+    c, r = centers[top : top + 1], radii[top : top + 1]
+    depth = 0
+    while True:
+        while float(r[0]) > target and n * m ** (depth + 1) <= point_cap:
+            children = [g.enclosure_arrays(c, r) for g in maps]
+            c, r = children[int(np.argmax([rr[0] for _, rr in children]))]
+            depth += 1
+        pieces = [None] * m**depth
+        level_max = -np.inf
+        for place, bc, br in _blocks(maps, centers, radii, depth):
+            pieces[place] = _run_starts(bc, target)
+            i = int(np.argmax(br))  # a NaN radius, if any, as np.max finds it
+            level_max = np.maximum(level_max, br[i])
+            if br[i] == level_max:
+                c, r = bc[i : i + 1], br[i : i + 1]
+        if not level_max > target:
+            points = _grid_dedup(np.concatenate(pieces), target)
+            return AttractorNet(points, epsilon, base_depth + depth)
+        _check_budget(n * m ** (depth + 1), point_cap, base_depth + depth)
 
 
 def _as_points(obj) -> np.ndarray:

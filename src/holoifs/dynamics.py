@@ -210,10 +210,10 @@ def _level_points(system: IfsSystem, letters: np.ndarray):
     )
     points, mults, fail = _solve_level(system, letters)
     m = len(system.maps)
-    for i in range(len(letters)):
+    for i, word in enumerate(letters.tolist()):
         if fail[i]:
             raise NoConvergence(reasons[fail[i]])
-        yield PeriodicPoint(Word(letters[i].tolist(), m), complex(points[i]), complex(mults[i]))
+        yield PeriodicPoint(Word(word, m), complex(points[i]), complex(mults[i]))
 
 
 def fixed_point(system: IfsSystem, word: Word) -> PeriodicPoint:

@@ -79,12 +79,13 @@ class Word:
     alphabet_size: int
 
     def __post_init__(self):
-        object.__setattr__(self, "indices", tuple(int(i) for i in self.indices))
+        indices = tuple(map(int, self.indices))
+        object.__setattr__(self, "indices", indices)
         if self.alphabet_size < 1:
             raise ValueError("alphabet size must be at least 1")
-        for i in self.indices:
-            if not 0 <= i < self.alphabet_size:
-                raise IndexError(f"letter {i} outside alphabet of size {self.alphabet_size}")
+        if indices and (min(indices) < 0 or max(indices) >= self.alphabet_size):
+            bad = next(i for i in indices if not 0 <= i < self.alphabet_size)
+            raise IndexError(f"letter {bad} outside alphabet of size {self.alphabet_size}")
 
     def __len__(self) -> int:
         return len(self.indices)

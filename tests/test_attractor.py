@@ -3,6 +3,7 @@
 import cmath
 import math
 import re
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 import holoifs.attractor
 from holoifs.attractor import (
+    POINT_CAP,
     AttractorNet,
     box_restriction,
     cardinality_bound,
@@ -21,11 +23,12 @@ from holoifs.attractor import (
     hausdorff,
     hutchinson_defect,
     rho_radius,
+    _grid_dedup,
     _refine_level,
 )
-from holoifs.errors import BudgetExceeded, SeparationFailure
+from holoifs.errors import BudgetExceeded, DomainError, SeparationFailure
 from holoifs.geometry import hyp_ball_inradius, pseudo_hyperbolic
-from holoifs.maps import Affine, Disk, IfsSystem
+from holoifs.maps import Affine, Disk, IfsSystem, SqrtBranch
 from holoifs.systems import cantor_thirds, cantor_thirds_reflected, iterate_system, sqrt_julia
 
 EPS = 1e-3
@@ -397,3 +400,119 @@ def test_shifted_system_net_is_scaled_cantor():
         for z in map(complex, net.points)
     )
     assert worst <= EPS
+
+
+def _level_by_level_net(system, epsilon, point_cap=POINT_CAP):
+    """Oracle: ``compute_net`` as it was before the depth-first walk, whole levels at a time."""
+    target = epsilon / 4.0
+    centers = np.array([system.domain.center], dtype=np.complex128)
+    radii = np.array([system.domain.radius], dtype=np.float64)
+    depth = 0
+    while float(np.max(radii)) > target:
+        if len(centers) * len(system.maps) > point_cap:
+            raise BudgetExceeded(
+                f"net refinement needs more than {point_cap} cylinders at depth {depth + 1}"
+            )
+        centers, radii = _refine_level(system, centers, radii)
+        depth += 1
+    points = _grid_dedup(centers, target)
+    return AttractorNet(points, epsilon, depth)
+
+
+def _net_outcome(build, system, epsilon, point_cap):
+    """``(depth, point bytes)`` of a net, or the type and text of its error."""
+    try:
+        net = build(system, epsilon, point_cap)
+    except (BudgetExceeded, DomainError) as exc:
+        return type(exc), str(exc)
+    return net.depth, net.points.tobytes()
+
+
+def _assert_matches_level_by_level(system, epsilon, point_cap=POINT_CAP, block=8):
+    """Depth-first ``compute_net`` with ``block``-cylinder levels equals the oracle.
+
+    Returns whether the depth-first walk ran.
+    """
+    expected = _net_outcome(_level_by_level_net, system, epsilon, point_cap)
+    walks = []
+
+    def spy(*args):
+        walks.append(args)
+        return depth_first(*args)
+
+    depth_first = holoifs.attractor._depth_first_net
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(holoifs.attractor, "NET_BLOCK", block)
+        mp.setattr(holoifs.attractor, "_depth_first_net", spy)
+        assert _net_outcome(compute_net, system, epsilon, point_cap) == expected
+    return bool(walks)
+
+
+@pytest.mark.parametrize("eps", [1e-2, 1e-3, 1e-4])
+@pytest.mark.parametrize(
+    "system",
+    [
+        sqrt_julia(-6.0),
+        sqrt_julia(-6.0 + 0.5j),
+        sqrt_julia(-6.7),
+        iterate_system(sqrt_julia(-6.0), 2),
+        cantor_thirds_reflected(),
+    ],
+    ids=["julia", "julia-complex", "julia-6.7", "julia-squared", "reflected"],
+)
+def test_depth_first_net_matches_level_by_level(system, eps):
+    # the non-affine systems also restart the walk when a level's largest
+    # radius exceeds the greedy chain's bound
+    assert _assert_matches_level_by_level(system, eps)
+
+
+@pytest.mark.parametrize("system", [cantor_thirds(), sqrt_julia(-6.0)], ids=["thirds", "julia"])
+def test_depth_first_budget_matches_level_by_level(system):
+    assert _assert_matches_level_by_level(system, 1e-6, point_cap=100)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(holoifs.attractor, "NET_BLOCK", 8)
+        with pytest.raises(BudgetExceeded, match="more than 100 cylinders at depth 7"):
+            compute_net(system, 1e-6, point_cap=100)
+
+
+@pytest.mark.parametrize("block", [1, 8])
+@pytest.mark.parametrize("c", [-5.5, -5.65])
+@pytest.mark.parametrize("eps", [1e-3, 15.0])
+def test_depth_first_branch_cut_matches_level_by_level(c, eps, block):
+    # level 2 (c = -5.5) or 4 (c = -5.65) meets the cut; at eps = 15 the
+    # net stops at depth 1 and the cut is never reached
+    system = IfsSystem((SqrtBranch(c, 1), SqrtBranch(c, -1)), Disk(0.0, 5.0))
+    _assert_matches_level_by_level(system, eps, block=block)
+    if eps < 1.0:
+        with pytest.raises(DomainError, match="square-root branch cut"):
+            _level_by_level_net(system, eps)
+
+
+@pytest.mark.filterwarnings("ignore:net has fewer than 2 points")
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_depth_first_net_matches_level_by_level_on_random_affine_systems(data):
+    maps = []
+    for _ in range(data.draw(st.integers(2, 4), label="maps")):
+        ratio = data.draw(st.floats(0.05, 0.5))
+        angle = data.draw(st.floats(0.0, 2 * math.pi))
+        shift = complex(data.draw(st.floats(-1.0, 1.0)), data.draw(st.floats(-1.0, 1.0)))
+        maps.append(Affine(ratio * cmath.exp(1j * angle), shift))
+    least = max(abs(g.b) / (1.0 - abs(g.alpha)) for g in maps)
+    system = IfsSystem(tuple(maps), Disk(0.0, least + 0.1))
+    eps = data.draw(st.floats(1e-3, 0.5), label="eps") * system.domain.radius
+    # the cap turns the largest draws into BudgetExceeded, on both sides
+    _assert_matches_level_by_level(system, eps, point_cap=2**14)
+
+
+def test_nonuniform_net_memory():
+    system = IfsSystem((Affine(0.5, 0.0), Affine(0.05, 0.95)), Disk(0.5, 2.0))
+    tracemalloc.start()
+    try:
+        net = compute_net(system, 1e-6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # whole levels held all 2**23 depth-23 cylinders: a 672 MB peak
+    assert (net.depth, len(net)) == (23, 1864)
+    assert peak < 32 * 2**20
