@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from itertools import chain
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import BudgetExceeded, SeparationFailure
 from .geometry import hyp_ball_inradius, pseudo_hyperbolic, pseudo_hyperbolic_ball
@@ -252,9 +251,20 @@ def _xy(points: np.ndarray) -> np.ndarray:
     return np.column_stack((points.real, points.imag))
 
 
+def kd_tree(xy: np.ndarray):
+    """A ``scipy.spatial.cKDTree`` over the rows of ``xy``.
+
+    scipy is imported on the first call, so commands that build no tree
+    never load ``scipy.spatial``.
+    """
+    from scipy.spatial import cKDTree
+
+    return cKDTree(xy)
+
+
 def _nearest_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Distance from each point of ``a`` to its nearest point of ``b``."""
-    d, _ = cKDTree(_xy(b)).query(_xy(a), k=1)
+    d, _ = kd_tree(_xy(b)).query(_xy(a), k=1)
     return d
 
 
@@ -385,7 +395,7 @@ def rho_radius(
             z = complex(system.maps[k](net.points[outside[0]]))
             raise SeparationFailure(f"image point {z} of map {k} is not inside the domain disk")
     xys = [_xy(w) for w in images]
-    trees = [cKDTree(xy) for xy in xys]
+    trees = [kd_tree(xy) for xy in xys]
     best = math.inf
     for i, u in enumerate(images):
         for j in range(i + 1, len(images)):

@@ -3,9 +3,15 @@
 The inverse map of a strongly separated system is single-valued on the
 attractor: a point close to one first-level image belongs to that branch.
 :class:`InverseDynamics` is that map for one system and its net.  Its
-``walk`` yields the target address of a point, which every symmetry germ is
-built on, and its ``orbit`` detects (pre)periodicity numerically, which the
-preperiodic cross-check reads.
+``steps`` advance many points at once: each branch's KD tree is queried once
+with all of them, and each claimed point is inverted in scalar arithmetic,
+so a preimage is the same bits however many points share the step.
+``step`` and its unbounded ``walk`` are the one-point case, which the target
+address of a point is read from.  ``orbits`` walks many points as one array
+and detects (pre)periodicity numerically, which the preperiodic cross-check
+reads; ``orbit`` is its one-point case.  A point whose step fails never
+stops the others: its exception is kept, and raised or returned in input
+order.
 
 Periodic points are solved one word length at a time: the necklaces of that
 length form one letter array, iterated as a whole, and each row stops by its
@@ -17,15 +23,15 @@ products and quotients may differ from CPython's in the last bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, islice, product
+from itertools import chain, product
 
 import numpy as np
-from scipy.spatial import cKDTree
 
-from .attractor import AttractorNet, SeparationCertificate, certify_ssc
+from .attractor import AttractorNet, SeparationCertificate, certify_ssc, kd_tree
 from .errors import (
     AmbiguousBranch,
     BudgetExceeded,
+    HoloifsError,
     NoConvergence,
     OutsideAttractor,
     SeparationFailure,
@@ -308,6 +314,27 @@ def spectrum(system: IfsSystem, max_len: int, word_cap: int = WORD_CAP) -> Multi
     return MultiplierSpectrum(tuple(entries), max_len)
 
 
+def _nearest(tree, xy: np.ndarray):
+    """Distance from each row of ``xy`` to its nearest tree point, and the rows it fails on.
+
+    A query with a non-finite row raises; the rows are then queried one at a
+    time, so each failing row keeps the ``ValueError`` a one-point query
+    raises, and its distance is infinite.
+    """
+    try:
+        return tree.query(xy, k=1)[0], {}
+    except ValueError:
+        pass
+    d = np.full(len(xy), np.inf)
+    failures = {}
+    for k in range(len(xy)):
+        try:
+            d[k] = tree.query(xy[k:k + 1], k=1)[0][0]
+        except ValueError as exc:
+            failures[k] = exc
+    return d, failures
+
+
 class InverseDynamics:
     """The inverse map of a strongly separated system, read off its net.
 
@@ -334,22 +361,56 @@ class InverseDynamics:
         self._trees = []
         for g in system.maps:
             img = g(net.points)
-            self._trees.append(cKDTree(np.column_stack((img.real, img.imag))))
+            self._trees.append(kd_tree(np.column_stack((img.real, img.imag))))
+
+    def steps(self, xs: np.ndarray):
+        """One step of the inverse map for every point of ``xs``.
+
+        Each branch's tree is queried once with every point, with the strict
+        ``d < claim_radius`` test of :meth:`step`.  Returns ``(branch,
+        preimage, failures)``: ``failures`` maps each row that no branch or
+        more than one branch claims, or whose branch cannot invert it, to the
+        exception :meth:`step` raises for that point, and such a row has
+        branch -1.
+        """
+        xs = np.asarray(xs, dtype=np.complex128)
+        n = len(xs)
+        xy = np.column_stack((xs.real, xs.imag))
+        claimed = np.empty((len(self._trees), n), dtype=bool)
+        failures: dict = {}
+        for i, tree in enumerate(self._trees):
+            d, bad = _nearest(tree, xy)
+            claimed[i] = d < self.claim_radius
+            for k, exc in bad.items():
+                failures.setdefault(k, exc)
+        count = claimed.sum(axis=0)
+        branch = np.where(count == 1, claimed.argmax(axis=0), -1)
+        for k in np.flatnonzero(count != 1).tolist():
+            if k not in failures:
+                x = complex(xs[k])
+                if count[k]:
+                    claims = np.flatnonzero(claimed[:, k]).tolist()
+                    failures[k] = AmbiguousBranch(f"branches {claims} all claim {x}")
+                else:
+                    failures[k] = OutsideAttractor(f"no branch claims {x}")
+        branch[list(failures)] = -1
+        preimage = np.empty(n, dtype=np.complex128)
+        maps = self.system.maps
+        for k, i in enumerate(branch.tolist()):
+            if i >= 0:
+                try:
+                    preimage[k] = maps[i].invert(complex(xs[k]))
+                except HoloifsError as exc:
+                    failures[k] = exc
+                    branch[k] = -1
+        return branch, preimage, failures
 
     def step(self, x: complex) -> tuple[complex, int]:
         """One step of the inverse map: the claimed preimage and its branch index."""
-        x = complex(x)
-        claims = []
-        for i, tree in enumerate(self._trees):
-            d, _ = tree.query([[x.real, x.imag]], k=1)
-            if float(d[0]) < self.claim_radius:
-                claims.append(i)
-        if not claims:
-            raise OutsideAttractor(f"no branch claims {x}")
-        if len(claims) > 1:
-            raise AmbiguousBranch(f"branches {claims} all claim {x}")
-        branch = claims[0]
-        return complex(self.system.maps[branch].invert(x)), branch
+        branch, preimage, failures = self.steps(np.array([complex(x)]))
+        if failures:
+            raise failures[0]
+        return complex(preimage[0]), int(branch[0])
 
     def walk(self, x: complex):
         """Yield ``(branch, preimage)`` along the inverse orbit of ``x``, unbounded.
@@ -360,6 +421,52 @@ class InverseDynamics:
             x, branch = self.step(x)
             yield branch, x
 
+    def orbits(self, xs, max_iter: int = 200, tol: float = 1e-9) -> list[OrbitReport]:
+        """:meth:`orbit` of every point of ``xs``, walked together as one array.
+
+        Every row keeps its points in one table, which grows with the
+        longest walk rather than with ``max_iter``; each new column is tested
+        against the row's earlier points.  A row that leaves the attractor
+        ends with no periodicity claim.  If any row's walk raises (an
+        ambiguous branch, or a point its branch cannot invert), the first
+        such row's exception is raised once every row has stopped.
+        """
+        xs = np.asarray(xs, dtype=np.complex128).reshape(-1)
+        n = len(xs)
+        table = np.empty((n, min(max_iter, 16) + 1), dtype=np.complex128)
+        table[:, 0] = xs
+        length = np.ones(n, dtype=np.intp)
+        preperiod = np.full(n, -1, dtype=np.intp)
+        errors = {}
+        active = np.arange(n)
+        for q in range(1, max_iter + 1):
+            if not len(active):
+                break
+            if q == table.shape[1]:
+                table = np.concatenate((table, np.empty_like(table)), axis=1)
+            branch, ys, failures = self.steps(table[active, q - 1])
+            for k, exc in failures.items():
+                if not isinstance(exc, OutsideAttractor):
+                    errors[int(active[k])] = exc
+            moved = branch >= 0
+            active, ys = active[moved], ys[moved]
+            table[active, q] = ys
+            length[active] = q + 1
+            hit = _modulus(table[active, :q] - ys[:, None]) <= tol
+            closed = hit.any(axis=1)
+            preperiod[active[closed]] = hit[closed].argmax(axis=1)
+            active = active[~closed]
+        if errors:
+            raise errors[min(errors)]
+        reports = []
+        for row, size, p in zip(table, length.tolist(), preperiod.tolist()):
+            points = tuple(row[:size].tolist())
+            if p < 0:
+                reports.append(OrbitReport(points, None, None))
+            else:
+                reports.append(OrbitReport(points, p, size - 1 - p))
+        return reports
+
     def orbit(self, x: complex, max_iter: int = 200, tol: float = 1e-9) -> OrbitReport:
         """Walk at most ``max_iter`` steps and report the first detected cycle.
 
@@ -367,17 +474,7 @@ class InverseDynamics:
         distance to its recurrence.  Leaving the attractor ends the orbit with
         no periodicity claim; an ambiguous branch propagates.
         """
-        pts = [complex(x)]
-        try:
-            for _, y in islice(self.walk(x), max_iter):
-                pts.append(y)
-                q = len(pts) - 1
-                for p in range(q):
-                    if abs(pts[p] - pts[q]) <= tol:
-                        return OrbitReport(tuple(pts), p, q - p)
-        except OutsideAttractor:
-            pass
-        return OrbitReport(tuple(pts), None, None)
+        return self.orbits([x], max_iter, tol)[0]
 
 
 def prep_points(

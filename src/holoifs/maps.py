@@ -41,6 +41,11 @@ def _is_finite_complex(z: complex) -> bool:
     return math.isfinite(z.real) and math.isfinite(z.imag)
 
 
+def _any(mask) -> bool:
+    """``np.any`` of a mask, without numpy's cost on a scalar one."""
+    return bool(mask.any()) if isinstance(mask, np.ndarray) else bool(mask)
+
+
 @dataclass(frozen=True)
 class Disk:
     """Open round disk ``{z : |z - center| < radius}``."""
@@ -154,7 +159,7 @@ class HoloMap:
     def _verify_roundtrip(self, x, y):
         scale = np.maximum(1.0, np.abs(y)) if isinstance(y, np.ndarray) else max(1.0, abs(y))
         err = np.abs(self(x) - y) if isinstance(y, np.ndarray) else abs(self(x) - y)
-        if np.any(err > INVERT_RTOL * scale):
+        if _any(err > INVERT_RTOL * scale):
             raise NotInImage("inversion round-trip failed beyond tolerance")
         return x
 
@@ -227,7 +232,7 @@ class SqrtBranch(HoloMap):
 
     def deriv(self, z):
         root = _sqrt(z - self.c)
-        if np.any(np.abs(root) < DERIV_FLOOR):
+        if _any(abs(root) < DERIV_FLOOR):
             raise SingularDerivative("derivative of sqrt branch blows up at the branch point")
         return self.sign / (2.0 * root)
 
@@ -235,8 +240,7 @@ class SqrtBranch(HoloMap):
         # the selected branch only produces values with Re(sign*y) >= 0
         w = self.sign * y
         scale = np.maximum(1.0, np.abs(w)) if isinstance(w, np.ndarray) else max(1.0, abs(w))
-        bad = np.real(w) < -INVERT_RTOL * scale
-        if np.any(bad):
+        if _any(w.real < -INVERT_RTOL * scale):
             raise NotInImage("value not in the range of this square-root branch")
         return self._verify_roundtrip(y * y + self.c, y)
 

@@ -19,7 +19,6 @@ from functools import cached_property
 from itertools import islice, product
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .attractor import (
     POINT_CAP,
@@ -29,6 +28,7 @@ from .attractor import (
     certify_ssc,
     compute_net,
     hausdorff,
+    kd_tree,
     rho_radius,
 )
 from .dynamics import InverseDynamics, check_word_budget, fixed_point, prep_points, spectrum
@@ -40,6 +40,7 @@ from .errors import (
     DegenerateDerivative,
     DomainError,
     GermBoundsError,
+    HoloifsError,
     NoCoincidence,
     NotInImage,
     OutsideAttractor,
@@ -208,8 +209,9 @@ class SystemNet:
         return s_floor(self.system, self.net)
 
     @cached_property
-    def tree(self) -> cKDTree:
-        return cKDTree(self.net.xy)
+    def tree(self):
+        """KD tree over the net points."""
+        return kd_tree(self.net.xy)
 
 
 def s_floor(systemF: IfsSystem, netF: AttractorNet) -> float:
@@ -246,6 +248,13 @@ def min_depth(
             return depth
 
 
+def _address_failure(x: complex, n: int, b: complex, cause: Exception) -> AddressFailure:
+    """The failure of an address walk from ``x`` that read ``n`` letters and stopped at ``b``."""
+    failure = AddressFailure(f"address walk from {x} failed after {n} letters at {b}")
+    failure.__cause__ = cause
+    return failure
+
+
 def _address_walk(F: SystemNet, x: complex):
     """Yield ``(letter, preimage)`` along the target address of ``x``, unbounded."""
     x = b = complex(x)
@@ -254,7 +263,7 @@ def _address_walk(F: SystemNet, x: complex):
         for n, (j, b) in enumerate(F.dyn.walk(x), 1):
             yield j, b
     except (OutsideAttractor, AmbiguousBranch) as exc:
-        raise AddressFailure(f"address walk from {x} failed after {n} letters at {b}") from exc
+        raise _address_failure(x, n, b, exc) from exc
 
 
 def address(F: SystemNet, x: complex, k: int) -> Word:
@@ -263,36 +272,99 @@ def address(F: SystemNet, x: complex, k: int) -> Word:
     return Word(letters, len(F.system.maps))
 
 
-def build_symmetry(G: SystemNet, F: SystemNet, a: complex, w: Word) -> SymmetryGerm:
-    """Germ ``H = f_{V_m}^{-1} ∘ g_w`` at ``a`` with certified bounds.
+def _address_prefixes(F: SystemNet, starts: list, lams: list) -> list:
+    """The address words of :func:`build_symmetry`, for many start points at once.
 
-    ``m`` is the largest address depth whose accumulated derivative still
-    dominates ``|g_w'(a)|``; this pins ``|H'(a)|`` into ``[s_F, 1]``.  The
-    image sandwich around ``H(a)`` is checked on boundary samples.
+    Row ``r`` walks the target address of ``starts[r]``, multiplying the
+    derivatives of the letters it reads, and keeps the letters read before
+    the product's modulus first drops below ``lams[r]``.  Every unfinished
+    row takes one inverse step per round.  Returns, per row, the letters or
+    the exception that ends the walk.
+    """
+    out: list = [[] for _ in starts]
+    D = [1.0 + 0.0j] * len(starts)
+    here = np.array(starts, dtype=np.complex128)
+    active = list(range(len(starts)))
+    for n in range(WALK_CAP):
+        if not active:
+            break
+        branch, preimage, failures = F.dyn.steps(here[active])
+        going = []
+        for k, (r, j) in enumerate(zip(active, branch.tolist())):
+            if k in failures:
+                exc = failures[k]
+                if isinstance(exc, (OutsideAttractor, AmbiguousBranch)):
+                    exc = _address_failure(starts[r], n, complex(here[r]), exc)
+                out[r] = exc
+                continue
+            b = complex(preimage[k])
+            try:
+                D[r] = D[r] * complex(F.system.maps[j].deriv(b))
+            except HoloifsError as exc:
+                out[r] = exc
+                continue
+            if abs(D[r]) < lams[r]:
+                if not out[r]:
+                    out[r] = CriterionEmpty(
+                        f"first address derivative {abs(D[r]):.3e} already below "
+                        f"|g_w'(a)| = {lams[r]:.3e}"
+                    )
+                continue
+            out[r].append(j)
+            here[r] = b
+            going.append(r)
+        active = going
+    for r in active:
+        out[r] = BudgetExceeded("address walk never crossed the derivative threshold")
+    return out
+
+
+def build_symmetries(G: SystemNet, F: SystemNet, a: complex, words) -> list:
+    """:func:`build_symmetry` at one base point for each of ``words``.
+
+    The target addresses of all ``g_w(a)`` are walked together, one inverse
+    step of every unfinished word at a time.  Returns, per word in order, its
+    germ or the exception :func:`build_symmetry` raises for it; nothing is
+    raised, so a caller that raises the first exception it reads fails as a
+    word-by-word loop would.
     """
     a = complex(a)
-    gw = compose_word(G.system, w)
-    lam = complex(gw.deriv(a))
-    rho = min(G.rho, F.rho)
+    words = list(words)
+    out: list = [None] * len(words)
+    starts, lams, walked = [], [], []
+    for i, w in enumerate(words):
+        # an exception is the word's outcome: returned, and raised by the
+        # caller that reads it
+        try:
+            gw = compose_word(G.system, w)
+            lam = complex(gw.deriv(a))
+            rho = min(G.rho, F.rho)
+            sF = F.s_floor
+            starts.append(complex(gw(a)))
+        except Exception as exc:
+            out[i] = exc
+            continue
+        lams.append(abs(lam))
+        walked.append((i, gw, rho, sF))
+    prefixes = _address_prefixes(F, starts, lams)
+    mF = len(F.system.maps)
+    for (i, gw, rho, sF), letters in zip(walked, prefixes):
+        if isinstance(letters, Exception):
+            out[i] = letters
+            continue
+        try:
+            out[i] = _germ(F.system, a, words[i], gw, Word(tuple(letters), mF), rho, sF)
+        except Exception as exc:
+            out[i] = exc
+    return out
+
+
+def _germ(
+    systemF: IfsSystem, a: complex, w: Word, gw: HoloMap, V: Word, rho: float, sF: float
+) -> SymmetryGerm:
+    """The germ ``f_V^{-1} ∘ g_w`` at ``a``, once its bounds are checked."""
     r = RADIUS_FRACTION * rho
-    sF = F.s_floor
-
-    D = 1.0 + 0.0j
-    letters: list[int] = []
-    for j, b in islice(_address_walk(F, gw(a)), WALK_CAP):
-        D = D * complex(F.system.maps[j].deriv(b))
-        if abs(D) < abs(lam):
-            break
-        letters.append(j)
-    else:
-        raise BudgetExceeded("address walk never crossed the derivative threshold")
-    if not letters:
-        raise CriterionEmpty(
-            f"first address derivative {abs(D):.3e} already below |g_w'(a)| = {abs(lam):.3e}"
-        )
-    V = Word(tuple(letters), len(F.system.maps))
-
-    f_V = compose_word(F.system, V)
+    f_V = compose_word(systemF, V)
     H = compose_maps((inverse_map(f_V), gw))
     dH = complex(H.deriv(a))
     if not (sF - DERIV_SLACK <= abs(dH) <= 1.0 + DERIV_SLACK):
@@ -306,6 +378,20 @@ def build_symmetry(G: SystemNet, F: SystemNet, a: complex, w: Word) -> SymmetryG
     if float(np.min(dist)) < sF * rho / 25.0 - 1e-12:
         raise GermBoundsError("image boundary enters the inner sandwich disk")
     return SymmetryGerm(base=a, radius=r, word_g=w, word_f=V, map=H)
+
+
+def build_symmetry(G: SystemNet, F: SystemNet, a: complex, w: Word) -> SymmetryGerm:
+    """Germ ``H = f_{V_m}^{-1} ∘ g_w`` at ``a`` with certified bounds.
+
+    ``m`` is the largest address depth whose accumulated derivative still
+    dominates ``|g_w'(a)|``; this pins ``|H'(a)|`` into ``[s_F, 1]``.  The
+    image sandwich around ``H(a)`` is checked on boundary samples.  The
+    one-word case of :func:`build_symmetries`.
+    """
+    germ = build_symmetries(G, F, a, [w])[0]
+    if isinstance(germ, Exception):
+        raise germ
+    return germ
 
 
 def verify_symmetry(
@@ -346,16 +432,17 @@ def verify_symmetry(
     backward_res = 0.0
     backward_fail = 0
     H_inv = inverse_map(H)
+    preimages = []
     for y in netF.points[selb]:
         try:
-            x = complex(H_inv(complex(y)))
+            preimages.append(complex(H_inv(complex(y))))
         except (NotInImage, DomainError, ValueError):
             backward_fail += 1
-            continue
-        d, _ = G.tree.query([[x.real, x.imag]], k=1)
-        backward_res = max(backward_res, float(d[0]))
-        if float(d[0]) > backward_tol:
-            backward_fail += 1
+    if preimages:
+        x = np.array(preimages)
+        d, _ = G.tree.query(np.column_stack((x.real, x.imag)), k=1)
+        backward_res = float(np.max(d))
+        backward_fail += int(np.count_nonzero(d > backward_tol))
     return SymmetryResidualReport(
         forward_residual=forward_res,
         backward_residual=backward_res,
@@ -401,11 +488,12 @@ def detect_coincidence(G: SystemNet, F: SystemNet, w: Word, K_max: int = 16) -> 
     sF = F.s_floor
 
     germs: list[SymmetryGerm | None] = [_identity_germ(beta, r, mG, mF)]
-    for k in range(1, K_max + 1):
-        try:
-            germs.append(build_symmetry(G, F, beta, w * k))
-        except (CriterionEmpty, AddressFailure, GermBoundsError):
-            germs.append(None)
+    for germ in build_symmetries(G, F, beta, [w * k for k in range(1, K_max + 1)]):
+        if isinstance(germ, (CriterionEmpty, AddressFailure, GermBoundsError)):
+            germ = None
+        elif isinstance(germ, Exception):
+            raise germ
+        germs.append(germ)
 
     for q in range(1, K_max + 1):
         gq = germs[q]
@@ -467,14 +555,10 @@ def spectrum_compat(specG, specF, l_max: int, tol: float = 1e-9):
 
 
 def _prep_check(source: IfsSystem, target_dyn: InverseDynamics, budgets: Budgets):
-    passes = fails = 0
-    for p in prep_points(source, budgets.prep_max_word, 0):
-        rep = target_dyn.orbit(p, budgets.prep_orbit_cap, 1e-9)
-        if rep.is_preperiodic:
-            passes += 1
-        else:
-            fails += 1
-    return passes, fails
+    points = prep_points(source, budgets.prep_max_word, 0)
+    reports = target_dyn.orbits(points, budgets.prep_orbit_cap, 1e-9)
+    passes = sum(rep.is_preperiodic for rep in reports)
+    return passes, len(reports) - passes
 
 
 def _subsample(points: np.ndarray, cap: int) -> np.ndarray:
@@ -508,16 +592,16 @@ def _functional_sweep(
         anchor = complex(netG.points[inside[np.argmin(dist[inside])]])
         samples = _subsample(netG.points[inside], budgets.eq_samples)
         classes: list[SymmetryGerm] = []
-        for t in product(range(mG), repeat=M):
-            tw = Word(t, mG)
-            try:
-                germ = build_symmetry(G, F, anchor, tw)
-            except (CriterionEmpty, AddressFailure, GermBoundsError, SeparationFailure) as exc:
+        words = [Word(t, mG) for t in product(range(mG), repeat=M)]
+        for tw, germ in zip(words, build_symmetries(G, F, anchor, words)):
+            if isinstance(germ, (CriterionEmpty, AddressFailure, GermBoundsError, SeparationFailure)):
                 entries.append(
                     FunctionalEquation(d_idx, tw, None, None, None,
-                                       math.inf, False, type(exc).__name__)
+                                       math.inf, False, type(germ).__name__)
                 )
                 continue
+            if isinstance(germ, Exception):
+                raise germ
             rep = None
             for cand in classes:
                 if _germs_equal(germ, cand):

@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -200,6 +204,34 @@ def test_attractor_pgm_format(configs, tmp_path):
     assert np.all(img[-1] == 255)
     assert np.all(img[:, 0] == 255)
     assert np.all(img[:, -1] == 255)
+
+
+def _fresh_modules(args):
+    """Exit code of ``cli.main(args)`` in a fresh interpreter, and the modules it loaded."""
+    script = (
+        "import json, sys\n"
+        "from holoifs import cli\n"
+        f"code = cli.main({args!r})\n"
+        "print(json.dumps([code, sorted(sys.modules)]))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parent.parent))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, check=True)
+    code, modules = json.loads(proc.stdout.splitlines()[-1])
+    return code, set(modules)
+
+
+def test_attractor_command_never_loads_scipy_spatial(configs, tmp_path):
+    # this test process has loaded scipy already, so the check runs in a new one
+    code, modules = _fresh_modules([
+        "attractor", configs["julia6"], "--epsilon", "1e-3",
+        "--out-csv", str(tmp_path / "net.csv"), "--out-pgm", str(tmp_path / "net.pgm"),
+    ])
+    assert code == 0
+    assert "numpy" in modules and "scipy.spatial" not in modules
+    # the first KD tree loads it
+    code, modules = _fresh_modules(["check", configs["thirds"], "--epsilon", "1e-2"])
+    assert code == 0 and "scipy.spatial" in modules
 
 
 def test_attractor_budget_exit(configs, capsys):

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
 import holoifs.dynamics
 from holoifs import (
@@ -15,14 +19,16 @@ from holoifs import (
     Disk,
     IfsSystem,
     NoConvergence,
+    NotInImage,
     OutsideAttractor,
     SeparationFailure,
     Word,
 )
-from holoifs.attractor import compute_net
+from holoifs.attractor import certify_ssc, compute_net
 from holoifs.dynamics import (
     PREP_DEDUP_TOL,
     InverseDynamics,
+    OrbitReport,
     PeriodicPoint,
     _necklaces,
     check_word_budget,
@@ -540,6 +546,214 @@ def test_walk_raises_off_the_attractor():
     assert abs(y - (-5.0)) < 1e-9
     with pytest.raises(OutsideAttractor):
         next(walk)
+
+
+# ---------------------------------------------------------------------------
+# the batched inverse walk against the scalar loop it replaced
+
+
+class _ScalarInverse:
+    """The one-point step and orbit loop that the batched walk replaced, as the oracle.
+
+    It builds its own KD trees and queries them one point at a time.
+    """
+
+    def __init__(self, dyn):
+        self.maps = dyn.system.maps
+        self.claim_radius = dyn.claim_radius
+        images = [g(dyn.net.points) for g in self.maps]
+        self.trees = [cKDTree(np.column_stack((z.real, z.imag))) for z in images]
+
+    def step(self, x):
+        x = complex(x)
+        claims = []
+        for i, tree in enumerate(self.trees):
+            d, _ = tree.query([[x.real, x.imag]], k=1)
+            if float(d[0]) < self.claim_radius:
+                claims.append(i)
+        if not claims:
+            raise OutsideAttractor(f"no branch claims {x}")
+        if len(claims) > 1:
+            raise AmbiguousBranch(f"branches {claims} all claim {x}")
+        return complex(self.maps[claims[0]].invert(x)), claims[0]
+
+    def orbit(self, x, max_iter=200, tol=1e-9):
+        pts = [complex(x)]
+        try:
+            for _ in range(max_iter):
+                pts.append(self.step(pts[-1])[0])
+                q = len(pts) - 1
+                for p in range(q):
+                    if abs(pts[p] - pts[q]) <= tol:
+                        return OrbitReport(tuple(pts), p, q - p)
+        except OutsideAttractor:
+            pass
+        return OrbitReport(tuple(pts), None, None)
+
+
+def _walk_points(system, net, max_word):
+    """Prep points, their first images, points off the attractor and net points."""
+    points = prep_points(system, max_word, 1)
+    spread = net.points[:: max(1, len(net.points) // 40)]
+    c, r = system.domain.center, system.domain.radius
+    off = c + r * np.array([0.0, 0.3, 0.55j, -0.7 + 0.1j, 2.0])
+    return np.concatenate((points, spread, off))
+
+
+WALKED = [
+    (cantor_thirds, 1e-3, 4),
+    (cantor_thirds_reflected, 1e-3, 4),
+    (lambda: sqrt_julia(-6.0), 1e-3, 4),
+    (lambda: iterate_system(sqrt_julia(-6.0), 2), 1e-3, 2),
+    (lambda: sqrt_julia(-6.7), 1e-3, 4),
+    (lambda: iterate_system(cantor_thirds(), 3), 1e-3, 2),
+    (lambda: sqrt_julia(-6.0 + 0.5j), 1e-3, 4),
+]
+WALKED_IDS = ["thirds", "reflected", "julia6", "julia6-squared", "julia6.7",
+              "thirds-cubed", "julia-complex"]
+
+
+@pytest.mark.parametrize("make, epsilon, max_word", WALKED, ids=WALKED_IDS)
+def test_orbits_equal_the_scalar_orbit_loop(make, epsilon, max_word):
+    # every preimage is inverted in scalar arithmetic, so the points are ==
+    # on complex values too, not only within rounding
+    system = make()
+    dyn = InverseDynamics(system, compute_net(system, epsilon))
+    oracle = _ScalarInverse(dyn)
+    points = _walk_points(system, dyn.net, max_word)
+    want = [oracle.orbit(p, 64, 1e-9) for p in points]
+    assert dyn.orbits(points, 64, 1e-9) == want
+    assert [dyn.orbit(p, 64, 1e-9) for p in points] == want
+    # the sample holds cycles, preperiodic points and escapes
+    assert {rep.period is None for rep in want} == {True, False}
+    assert any(rep.preperiod for rep in want)
+    # an exact recurrence test, and one loose enough that several earlier
+    # points match: the first match gives the preperiod.  Without a match,
+    # rounding drives some orbits off the attractor, and the first row whose
+    # walk raises (not in the image of its branch) raises for the batch
+    for tol in (0.0, 0.3 * system.domain.radius):
+        want = []
+        for p in points:
+            try:
+                want.append(oracle.orbit(p, 16, tol))
+            except NotInImage as exc:
+                with pytest.raises(NotInImage) as raised:
+                    dyn.orbits(points, 16, tol)
+                assert str(raised.value) == str(exc)
+                break
+        else:
+            assert dyn.orbits(points, 16, tol) == want
+
+
+@pytest.mark.parametrize("make, epsilon, max_word", WALKED, ids=WALKED_IDS)
+def test_steps_equal_the_scalar_step(make, epsilon, max_word):
+    system = make()
+    dyn = InverseDynamics(system, compute_net(system, epsilon))
+    oracle = _ScalarInverse(dyn)
+    points = _walk_points(system, dyn.net, max_word)
+    branch, preimage, failures = dyn.steps(points)
+    for k, x in enumerate(points):
+        try:
+            y, i = oracle.step(x)
+        except OutsideAttractor as exc:
+            assert type(failures[k]) is OutsideAttractor and str(failures[k]) == str(exc)
+            assert branch[k] == -1
+            continue
+        assert k not in failures
+        assert (complex(preimage[k]), int(branch[k])) == (y, i) == dyn.step(x)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_orbits_equal_the_scalar_loop_on_random_affine_systems(data):
+    maps = []
+    for _ in range(data.draw(st.integers(2, 3), label="maps")):
+        ratio = data.draw(st.floats(0.1, 0.3))
+        angle = data.draw(st.floats(0.0, 2 * math.pi))
+        shift = complex(data.draw(st.floats(-1.0, 1.0)), data.draw(st.floats(-1.0, 1.0)))
+        maps.append(Affine(ratio * cmath.exp(1j * angle), shift))
+    least = max(abs(g.b) / (1.0 - abs(g.alpha)) for g in maps)
+    system = IfsSystem(tuple(maps), Disk(0.0, 1.5 * least + 1e-3))
+    # distinct fixed points keep the net from collapsing to one point
+    fixed = [g.b / (1.0 - g.alpha) for g in maps]
+    assume(min(abs(p - q) for p, q in itertools.combinations(fixed, 2)) > 0.1 * least)
+    net = compute_net(system, 0.005 * system.domain.radius)
+    cert = certify_ssc(system, net)
+    assume(cert.valid and cert.pairwise_distance / 2.0 - net.epsilon > 2.0 * net.epsilon)
+    dyn = InverseDynamics(system, net, cert)
+    oracle = _ScalarInverse(dyn)
+    points = _walk_points(system, net, 3)
+    assert dyn.orbits(points, 32, 1e-9) == [oracle.orbit(p, 32, 1e-9) for p in points]
+
+
+def test_orbits_raise_the_first_ambiguous_row():
+    system = cantor_thirds()
+    dyn = InverseDynamics(system, compute_net(system, 1e-3))
+    dyn.claim_radius = 1.0  # both image nets now claim every point of [0, 1]
+    oracle = _ScalarInverse(dyn)
+    # the first row leaves the attractor, which is no error; the second is
+    # ambiguous, and so is the third
+    points = [5.0 + 5.0j, 0.75, 0.25]
+    assert oracle.orbit(points[0]).points == (5.0 + 5.0j,)
+    with pytest.raises(AmbiguousBranch) as want:
+        oracle.orbit(points[1])
+    assert str(want.value) == "branches [0, 1] all claim (0.75+0j)"
+    with pytest.raises(AmbiguousBranch) as got:
+        dyn.orbits(points)
+    assert str(got.value) == str(want.value)
+    with pytest.raises(AmbiguousBranch, match=r"^branches \[0, 1\] all claim \(0\.75\+0j\)$"):
+        dyn.step(0.75)
+
+
+def test_a_row_its_branch_cannot_invert_fails_alone(monkeypatch):
+    system = sqrt_julia(-6.0)
+    dyn = InverseDynamics(system, compute_net(system, 1e-3))
+    points = prep_points(system, 2, 0)
+    planted = complex(points[1])
+    invert = SqrtBranch.invert
+
+    def refuse(self, y):
+        if y == planted:
+            raise NotInImage("planted refusal")
+        return invert(self, y)
+
+    monkeypatch.setattr(SqrtBranch, "invert", refuse)
+    branch, preimage, failures = dyn.steps(points)
+    assert list(failures) == [1] and str(failures[1]) == "planted refusal"
+    assert branch[1] == -1 and (branch[[0, 2]] >= 0).all()
+    with pytest.raises(NotInImage, match="^planted refusal$"):
+        dyn.orbits(points, 64, 1e-9)
+    with pytest.raises(NotInImage, match="^planted refusal$"):
+        dyn.step(planted)
+    reports = dyn.orbits(points[[0, 2, 3]], 64, 1e-9)
+    assert all(rep.is_preperiodic for rep in reports)
+
+
+def test_steps_keep_the_query_error_of_a_non_finite_row():
+    system = cantor_thirds()
+    dyn = InverseDynamics(system, compute_net(system, 1e-3))
+    with pytest.raises(ValueError) as want:
+        _ScalarInverse(dyn).step(complex(math.nan, 0.0))
+    branch, _, failures = dyn.steps(np.array([0.75, complex(math.nan, 0.0), 0.25]))
+    assert list(failures) == [1] and str(failures[1]) == str(want.value)
+    assert branch.tolist() == [1, -1, 0]
+
+
+def test_orbits_memory_follows_the_walk_not_the_cap():
+    # a table of max_iter + 1 columns per point could not be allocated
+    system = sqrt_julia(-6.0)
+    dyn = InverseDynamics(system, compute_net(system, 1e-3))
+    points = prep_points(system, 4, 1)
+    assert dyn.orbits(points, 10**18, 1e-9) == dyn.orbits(points, 64, 1e-9)
+
+
+def test_orbits_of_no_points():
+    system = cantor_thirds()
+    dyn = InverseDynamics(system, compute_net(system, 1e-3))
+    assert dyn.orbits(np.array([], dtype=np.complex128)) == []
+    assert dyn.orbits([0.75, 0.25], max_iter=0) == [
+        OrbitReport((0.75,), None, None), OrbitReport((0.25,), None, None)
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 from collections import Counter
 
 import numpy as np
@@ -13,21 +14,31 @@ import holoifs.dynamics
 import holoifs.symmetry
 from holoifs import (
     AddressFailure,
+    AmbiguousBranch,
     BudgetExceeded,
     CriterionEmpty,
     Disk,
+    DomainError,
+    GermBoundsError,
     IfsSystem,
     NoCoincidence,
+    NotInImage,
+    OutsideAttractor,
     Word,
 )
 from holoifs.attractor import certify_strong_osc, compute_net
 from holoifs.dynamics import prep_points, spectrum
-from holoifs.maps import Affine, compose_word
+from holoifs.maps import Affine, compose_maps, compose_word, inverse_map
 from holoifs.symmetry import (
+    BOUNDARY_SAMPLES,
+    DERIV_SLACK,
+    RADIUS_FRACTION,
     Budgets,
     SymmetryGerm,
     SystemNet,
+    SymmetryResidualReport,
     address,
+    build_symmetries,
     build_symmetry,
     detect_coincidence,
     min_depth,
@@ -193,7 +204,224 @@ def test_germ_address_failure_across_distinct_attractors(thirds):
 
 
 # ---------------------------------------------------------------------------
+# the batched germ construction against the one-word code it replaced
+
+
+def _scalar_address_walk(F, x):
+    """The one-point address walk the batch replaced: its own trees, one query per point."""
+    images = [g(F.net.points) for g in F.system.maps]
+    trees = [cKDTree(np.column_stack((z.real, z.imag))) for z in images]
+    x = b = complex(x)
+    n = 0
+    try:
+        while True:
+            claims = [i for i, t in enumerate(trees)
+                      if float(t.query([[b.real, b.imag]], k=1)[0][0]) < F.dyn.claim_radius]
+            if not claims:
+                raise OutsideAttractor(f"no branch claims {b}")
+            if len(claims) > 1:
+                raise AmbiguousBranch(f"branches {claims} all claim {b}")
+            b = complex(F.system.maps[claims[0]].invert(b))
+            n += 1
+            yield claims[0], b
+    except (OutsideAttractor, AmbiguousBranch) as exc:
+        raise AddressFailure(f"address walk from {x} failed after {n} letters at {b}") from exc
+
+
+def _scalar_build_symmetry(G, F, a, w):
+    """The one-word germ construction the batch replaced, as the oracle."""
+    a = complex(a)
+    gw = compose_word(G.system, w)
+    lam = complex(gw.deriv(a))
+    rho = min(G.rho, F.rho)
+    r = RADIUS_FRACTION * rho
+    sF = F.s_floor
+    D = 1.0 + 0.0j
+    letters = []
+    for j, b in itertools.islice(_scalar_address_walk(F, gw(a)), holoifs.symmetry.WALK_CAP):
+        D = D * complex(F.system.maps[j].deriv(b))
+        if abs(D) < abs(lam):
+            break
+        letters.append(j)
+    else:
+        raise BudgetExceeded("address walk never crossed the derivative threshold")
+    if not letters:
+        raise CriterionEmpty(
+            f"first address derivative {abs(D):.3e} already below |g_w'(a)| = {abs(lam):.3e}"
+        )
+    V = Word(tuple(letters), len(F.system.maps))
+    H = compose_maps((inverse_map(compose_word(F.system, V)), gw))
+    dH = complex(H.deriv(a))
+    if not (sF - DERIV_SLACK <= abs(dH) <= 1.0 + DERIV_SLACK):
+        raise GermBoundsError(f"|H'(a)| = {abs(dH):.6e} outside [{sF:.6e}, 1]")
+    Ha = complex(H(a))
+    dist = np.abs(H(Disk(a, r).boundary(BOUNDARY_SAMPLES)) - Ha)
+    if float(np.max(dist)) > rho + 1e-12:
+        raise GermBoundsError("image boundary escapes the outer sandwich disk")
+    if float(np.min(dist)) < sF * rho / 25.0 - 1e-12:
+        raise GermBoundsError("image boundary enters the inner sandwich disk")
+    return SymmetryGerm(base=a, radius=r, word_g=w, word_f=V, map=H)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as exc:  # compared by type and text
+        return exc
+
+
+def _same_outcome(got, want):
+    if isinstance(want, Exception):
+        return type(got) is type(want) and str(got) == str(want)
+    return got == want
+
+
+def _all_words(m, max_len):
+    return [Word(t, m) for n in range(1, max_len + 1) for t in itertools.product(range(m), repeat=n)]
+
+
+@pytest.fixture(scope="module")
+def julia_pairs():
+    julia = sqrt_julia(-6.0)
+    complex_c = sqrt_julia(-6.0 + 0.5j)
+    return {
+        "julia6": system_net(julia),
+        "julia6-squared": system_net(iterate_system(julia, 2)),
+        "julia6.7": system_net(sqrt_julia(-6.7)),
+        "julia-complex": system_net(complex_c),
+        "julia-complex-squared": system_net(iterate_system(complex_c, 2)),
+        "thirds-cubed": system_net(iterate_system(cantor_thirds(), 3)),
+    }
+
+
+@pytest.mark.parametrize(
+    "g, f, max_len",
+    [
+        ("thirds", "thirds", 3),
+        ("reflected", "thirds", 3),
+        ("thirds", "reflected", 3),
+        ("thirds", "shifted", 3),
+        ("julia6", "julia6-squared", 4),
+        ("julia6-squared", "julia6", 2),
+        ("julia6.7", "julia6.7", 3),
+        ("thirds-cubed", "thirds", 1),
+        ("thirds", "thirds-cubed", 3),
+        ("julia-complex", "julia-complex", 3),
+        ("julia-complex", "julia-complex-squared", 4),
+    ],
+)
+def test_build_symmetries_equal_the_one_word_code(thirds, reflected, julia_pairs, g, f, max_len):
+    # every preimage and derivative product is scalar arithmetic, so germs,
+    # address words and exception texts are == on complex values too
+    nets = dict(julia_pairs, thirds=thirds, reflected=reflected,
+                shifted=system_net(shifted_system()))
+    G, F = nets[g], nets[f]
+    words = _all_words(len(G.system.maps), max_len)
+    for a in prep_points(G.system, 2, 0)[:4]:
+        want = [_outcome(_scalar_build_symmetry, G, F, a, w) for w in words]
+        got = build_symmetries(G, F, a, words)
+        assert len(got) == len(want)
+        assert all(_same_outcome(x, y) for x, y in zip(got, want))
+        for w, outcome in zip(words[:6], want):
+            assert _same_outcome(_outcome(build_symmetry, G, F, a, w), outcome)
+
+
+def test_build_symmetries_stop_at_the_walk_cap(thirds, reflected, monkeypatch):
+    monkeypatch.setattr(holoifs.symmetry, "WALK_CAP", 2)
+    words = _all_words(2, 3)
+    want = [_outcome(_scalar_build_symmetry, reflected, thirds, 0.0, w) for w in words]
+    assert {type(x).__name__ for x in want} == {"SymmetryGerm", "BudgetExceeded"}
+    got = build_symmetries(reflected, thirds, 0.0, words)
+    assert all(_same_outcome(x, y) for x, y in zip(got, want))
+
+
+def test_address_failure_partway_through_the_words_of_a_disk(thirds):
+    # the shifted attractor lies in [0, 3/4]: the images of 3/4 under words
+    # that start with letter 1 leave it
+    shifted = system_net(shifted_system())
+    words = _all_words(2, 3)
+    want = [_outcome(_scalar_build_symmetry, thirds, shifted, 0.75, w) for w in words]
+    names = [type(x).__name__ for x in want]
+    first = names.index("AddressFailure")
+    assert 0 < first < len(words) - 1 and "SymmetryGerm" in names[first + 1:]
+    got = build_symmetries(thirds, shifted, 0.75, words)
+    assert all(_same_outcome(x, y) for x, y in zip(got, want))
+    assert isinstance(got[first].__cause__, OutsideAttractor)
+    # a word-by-word loop that raises the first rejection raises that one
+    with pytest.raises(AddressFailure) as raised:
+        build_symmetry(thirds, shifted, 0.75, words[first])
+    assert str(raised.value) == str(want[first])
+
+
+def test_build_symmetries_keeps_a_word_whose_walk_cannot_invert(thirds, monkeypatch):
+    # a NotInImage from the inverse step is no address failure: the one-word
+    # code raises it unwrapped, and the batch returns it for that word only
+    words = [Word((0,), 2), Word((1,), 2), Word((0, 0), 2)]
+    start = complex(compose_word(thirds.system, words[1])(0.0))
+    invert = Affine.invert
+
+    def refuse(self, y):
+        if y == start:
+            raise NotInImage("planted refusal")
+        return invert(self, y)
+
+    monkeypatch.setattr(Affine, "invert", refuse)
+    got = build_symmetries(thirds, thirds, 0.0, words)
+    assert isinstance(got[0], SymmetryGerm) and isinstance(got[2], SymmetryGerm)
+    assert type(got[1]) is NotInImage and str(got[1]) == "planted refusal"
+    with pytest.raises(NotInImage, match="^planted refusal$"):
+        build_symmetry(thirds, thirds, 0.0, words[1])
+    assert build_symmetries(thirds, thirds, 0.0, []) == []
+
+
+# ---------------------------------------------------------------------------
 # symmetry verification
+
+
+def _scalar_verify(germ, G, F, n_samples=200, tol=1e-9):
+    """``verify_symmetry`` with its backward loop of one KD query per point, as the oracle."""
+    report = verify_symmetry(germ, G, F, n_samples, tol)
+    a, r, H = germ.base, germ.radius, germ.map
+    inner = abs(germ.derivative) * r / 4.0
+    dist_im = np.abs(F.net.points - complex(H(a)))
+    selb = np.nonzero(dist_im <= inner)[0]
+    selb = selb[np.argsort(dist_im[selb], kind="stable")][:n_samples]
+    tree = cKDTree(G.net.xy)
+    res, fail = 0.0, 0
+    H_inv = inverse_map(H)
+    for y in F.net.points[selb]:
+        try:
+            x = complex(H_inv(complex(y)))
+        except (NotInImage, DomainError, ValueError):
+            fail += 1
+            continue
+        d, _ = tree.query([[x.real, x.imag]], k=1)
+        res = max(res, float(d[0]))
+        if float(d[0]) > report.backward_tolerance:
+            fail += 1
+    return res, fail, len(selb)
+
+
+def test_verify_symmetry_backward_equals_the_per_point_loop(thirds, reflected, julia_pairs):
+    julia6, squared = julia_pairs["julia6"], julia_pairs["julia6-squared"]
+    reference = build_symmetry(reflected, thirds, 0.0, Word((1,), 2))
+    corrupted = SymmetryGerm(reference.base, reference.radius, reference.word_g,
+                             reference.word_f, Affine(1j, 1.0))
+    cases = [
+        (reference, reflected, thirds),
+        (corrupted, reflected, thirds),
+        (build_symmetry(thirds, thirds, 0.0, Word((0,), 2)), thirds, thirds),
+        (build_symmetry(julia6, squared, 3.0, Word((0, 0, 1), 2)), julia6, squared),
+        (build_symmetry(squared, julia6, -2.0, Word((3,), 4)), squared, julia6),
+    ]
+    for germ, G, F in cases:
+        report = verify_symmetry(germ, G, F)
+        assert isinstance(report, SymmetryResidualReport)
+        res, fail, count = _scalar_verify(germ, G, F)
+        assert (report.backward_residual, report.backward_failures, report.backward_count) == (
+            res, fail, count)
+        assert count > 0
+    assert verify_symmetry(corrupted, reflected, thirds).backward_failures > 0
 
 
 def test_verify_reflection_germ(thirds, reflected):
