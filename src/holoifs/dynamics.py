@@ -6,12 +6,14 @@ attractor: a point close to one first-level image belongs to that branch.
 ``steps`` advance many points at once: each branch's KD tree is queried once
 with all of them, and each claimed point is inverted in scalar arithmetic,
 so a preimage is the same bits however many points share the step.
-``step`` and its unbounded ``walk`` are the one-point case, which the target
-address of a point is read from.  ``orbits`` walks many points as one array
-and detects (pre)periodicity numerically, which the preperiodic cross-check
-reads; ``orbit`` is its one-point case.  A point whose step fails never
-stops the others: its exception is kept, and raised or returned in input
-order.
+``step`` is the one-point case.  ``steps`` is the one inverse walker: the
+target addresses of :mod:`holoifs.symmetry` are read from it, and ``orbits``
+walks many points as one array and detects (pre)periodicity numerically,
+which the preperiodic cross-check reads; ``orbit`` is its one-point case.
+A step fails when the point is off the attractor (no branch claims it, or its
+branch cannot invert it), ambiguous (several branches claim it) or not
+finite.  A point whose step fails never stops the others: its exception is
+kept, and raised or returned in input order.
 
 Periodic points are solved one word length at a time: the necklaces of that
 length form one letter array, iterated as a whole, and each row stops by its
@@ -33,6 +35,7 @@ from .errors import (
     BudgetExceeded,
     HoloifsError,
     NoConvergence,
+    NotInImage,
     OutsideAttractor,
     SeparationFailure,
 )
@@ -314,27 +317,6 @@ def spectrum(system: IfsSystem, max_len: int, word_cap: int = WORD_CAP) -> Multi
     return MultiplierSpectrum(tuple(entries), max_len)
 
 
-def _nearest(tree, xy: np.ndarray):
-    """Distance from each row of ``xy`` to its nearest tree point, and the rows it fails on.
-
-    A query with a non-finite row raises; the rows are then queried one at a
-    time, so each failing row keeps the ``ValueError`` a one-point query
-    raises, and its distance is infinite.
-    """
-    try:
-        return tree.query(xy, k=1)[0], {}
-    except ValueError:
-        pass
-    d = np.full(len(xy), np.inf)
-    failures = {}
-    for k in range(len(xy)):
-        try:
-            d[k] = tree.query(xy[k:k + 1], k=1)[0][0]
-        except ValueError as exc:
-            failures[k] = exc
-    return d, failures
-
-
 class InverseDynamics:
     """The inverse map of a strongly separated system, read off its net.
 
@@ -366,40 +348,45 @@ class InverseDynamics:
     def steps(self, xs: np.ndarray):
         """One step of the inverse map for every point of ``xs``.
 
-        Each branch's tree is queried once with every point, with the strict
-        ``d < claim_radius`` test of :meth:`step`.  Returns ``(branch,
-        preimage, failures)``: ``failures`` maps each row that no branch or
-        more than one branch claims, or whose branch cannot invert it, to the
+        Each branch's tree is queried once with every finite point, with the
+        strict ``d < claim_radius`` test of :meth:`step`.  Returns ``(branch,
+        preimage, failures)``: ``failures`` maps each row that fails to the
         exception :meth:`step` raises for that point, and such a row has
-        branch -1.
+        branch -1.  A row fails with :class:`OutsideAttractor` when no branch
+        claims it or its branch cannot invert it, with
+        :class:`AmbiguousBranch` when several branches claim it, and with
+        ``ValueError`` when it is not finite.
         """
         xs = np.asarray(xs, dtype=np.complex128)
         n = len(xs)
-        xy = np.column_stack((xs.real, xs.imag))
-        claimed = np.empty((len(self._trees), n), dtype=bool)
-        failures: dict = {}
+        finite = np.isfinite(xs)
+        xy = np.column_stack((xs.real[finite], xs.imag[finite]))
+        claimed = np.zeros((len(self._trees), n), dtype=bool)
         for i, tree in enumerate(self._trees):
-            d, bad = _nearest(tree, xy)
-            claimed[i] = d < self.claim_radius
-            for k, exc in bad.items():
-                failures.setdefault(k, exc)
+            claimed[i, finite] = tree.query(xy, k=1)[0] < self.claim_radius
         count = claimed.sum(axis=0)
         branch = np.where(count == 1, claimed.argmax(axis=0), -1)
+        failures: dict = {}
         for k in np.flatnonzero(count != 1).tolist():
-            if k not in failures:
-                x = complex(xs[k])
-                if count[k]:
-                    claims = np.flatnonzero(claimed[:, k]).tolist()
-                    failures[k] = AmbiguousBranch(f"branches {claims} all claim {x}")
-                else:
-                    failures[k] = OutsideAttractor(f"no branch claims {x}")
-        branch[list(failures)] = -1
+            x = complex(xs[k])
+            if not finite[k]:
+                failures[k] = ValueError(f"point {x} is not finite")
+            elif count[k]:
+                claims = np.flatnonzero(claimed[:, k]).tolist()
+                failures[k] = AmbiguousBranch(f"branches {claims} all claim {x}")
+            else:
+                failures[k] = OutsideAttractor(f"no branch claims {x}")
         preimage = np.empty(n, dtype=np.complex128)
         maps = self.system.maps
         for k, i in enumerate(branch.tolist()):
             if i >= 0:
+                x = complex(xs[k])
                 try:
-                    preimage[k] = maps[i].invert(complex(xs[k]))
+                    preimage[k] = maps[i].invert(x)
+                except NotInImage as exc:
+                    failures[k] = OutsideAttractor(f"branch {i} cannot invert {x}")
+                    failures[k].__cause__ = exc
+                    branch[k] = -1
                 except HoloifsError as exc:
                     failures[k] = exc
                     branch[k] = -1
@@ -412,15 +399,6 @@ class InverseDynamics:
             raise failures[0]
         return complex(preimage[0]), int(branch[0])
 
-    def walk(self, x: complex):
-        """Yield ``(branch, preimage)`` along the inverse orbit of ``x``, unbounded.
-
-        Ends by raising :class:`OutsideAttractor` or :class:`AmbiguousBranch`.
-        """
-        while True:
-            x, branch = self.step(x)
-            yield branch, x
-
     def orbits(self, xs, max_iter: int = 200, tol: float = 1e-9) -> list[OrbitReport]:
         """:meth:`orbit` of every point of ``xs``, walked together as one array.
 
@@ -428,8 +406,8 @@ class InverseDynamics:
         longest walk rather than with ``max_iter``; each new column is tested
         against the row's earlier points.  A row that leaves the attractor
         ends with no periodicity claim.  If any row's walk raises (an
-        ambiguous branch, or a point its branch cannot invert), the first
-        such row's exception is raised once every row has stopped.
+        ambiguous branch or a point that is not finite), the first such
+        row's exception is raised once every row has stopped.
         """
         xs = np.asarray(xs, dtype=np.complex128).reshape(-1)
         n = len(xs)

@@ -16,7 +16,7 @@ import math
 import numbers
 from dataclasses import dataclass, fields
 from functools import cached_property
-from itertools import islice, product
+from itertools import product
 
 import numpy as np
 
@@ -72,6 +72,9 @@ GERM_EQUALITY_TOL = 1e-9
 GERM_SAMPLES = 32
 BOUNDARY_SAMPLES = 64
 WALK_CAP = 512
+
+#: outcomes of a germ construction that reject the germ rather than the run
+GERM_REJECTIONS = (CriterionEmpty, AddressFailure, GermBoundsError)
 
 
 @dataclass(frozen=True)
@@ -248,44 +251,36 @@ def min_depth(
             return depth
 
 
-def _address_failure(x: complex, n: int, b: complex, cause: Exception) -> AddressFailure:
-    """The failure of an address walk from ``x`` that read ``n`` letters and stopped at ``b``."""
-    failure = AddressFailure(f"address walk from {x} failed after {n} letters at {b}")
-    failure.__cause__ = cause
-    return failure
-
-
-def _address_walk(F: SystemNet, x: complex):
-    """Yield ``(letter, preimage)`` along the target address of ``x``, unbounded."""
-    x = b = complex(x)
-    n = 0
-    try:
-        for n, (j, b) in enumerate(F.dyn.walk(x), 1):
-            yield j, b
-    except (OutsideAttractor, AmbiguousBranch) as exc:
-        raise _address_failure(x, n, b, exc) from exc
-
-
 def address(F: SystemNet, x: complex, k: int) -> Word:
-    """First ``k`` letters of the target address of ``x`` via inverse steps."""
-    letters = tuple(j for j, _ in islice(_address_walk(F, x), k))
-    return Word(letters, len(F.system.maps))
+    """First ``k`` letters of the target address of ``x``.
+
+    The one-row case of the germ address walk, with a derivative threshold of
+    zero, which never stops the walk before ``k`` letters.
+    """
+    if not (isinstance(k, numbers.Integral) and k >= 0):
+        raise ValueError(f"address length must be a non-negative integer, got {k!r}")
+    letters = _address_prefixes(F, [complex(x)], [0.0], k)[0]
+    if isinstance(letters, Exception):
+        raise letters
+    return Word(tuple(letters), len(F.system.maps))
 
 
-def _address_prefixes(F: SystemNet, starts: list, lams: list) -> list:
-    """The address words of :func:`build_symmetry`, for many start points at once.
+def _address_prefixes(F: SystemNet, starts: list, lams: list, cap: int) -> list:
+    """The address words of :func:`build_symmetries`, for many start points at once.
 
     Row ``r`` walks the target address of ``starts[r]``, multiplying the
     derivatives of the letters it reads, and keeps the letters read before
-    the product's modulus first drops below ``lams[r]``.  Every unfinished
-    row takes one inverse step per round.  Returns, per row, the letters or
-    the exception that ends the walk.
+    the product's modulus first drops below ``lams[r]`` or before it holds
+    ``cap`` letters.  Every unfinished row takes one inverse step of
+    :meth:`InverseDynamics.steps` per round.  Returns, per row, the letters
+    or the exception that ends the walk; a walk off the attractor or into an
+    ambiguous branch ends in :class:`AddressFailure`.
     """
     out: list = [[] for _ in starts]
     D = [1.0 + 0.0j] * len(starts)
     here = np.array(starts, dtype=np.complex128)
     active = list(range(len(starts)))
-    for n in range(WALK_CAP):
+    for n in range(cap):
         if not active:
             break
         branch, preimage, failures = F.dyn.steps(here[active])
@@ -294,7 +289,11 @@ def _address_prefixes(F: SystemNet, starts: list, lams: list) -> list:
             if k in failures:
                 exc = failures[k]
                 if isinstance(exc, (OutsideAttractor, AmbiguousBranch)):
-                    exc = _address_failure(starts[r], n, complex(here[r]), exc)
+                    exc = AddressFailure(
+                        f"address walk from {starts[r]} failed after {n} letters "
+                        f"at {complex(here[r])}"
+                    )
+                    exc.__cause__ = failures[k]
                 out[r] = exc
                 continue
             b = complex(preimage[k])
@@ -314,8 +313,6 @@ def _address_prefixes(F: SystemNet, starts: list, lams: list) -> list:
             here[r] = b
             going.append(r)
         active = going
-    for r in active:
-        out[r] = BudgetExceeded("address walk never crossed the derivative threshold")
     return out
 
 
@@ -346,11 +343,15 @@ def build_symmetries(G: SystemNet, F: SystemNet, a: complex, words) -> list:
             continue
         lams.append(abs(lam))
         walked.append((i, gw, rho, sF))
-    prefixes = _address_prefixes(F, starts, lams)
+    prefixes = _address_prefixes(F, starts, lams, WALK_CAP)
     mF = len(F.system.maps)
     for (i, gw, rho, sF), letters in zip(walked, prefixes):
         if isinstance(letters, Exception):
             out[i] = letters
+            continue
+        if len(letters) == WALK_CAP:
+            # a walk stopped by the threshold holds fewer letters than the cap
+            out[i] = BudgetExceeded("address walk never crossed the derivative threshold")
             continue
         try:
             out[i] = _germ(F.system, a, words[i], gw, Word(tuple(letters), mF), rho, sF)
@@ -489,7 +490,7 @@ def detect_coincidence(G: SystemNet, F: SystemNet, w: Word, K_max: int = 16) -> 
 
     germs: list[SymmetryGerm | None] = [_identity_germ(beta, r, mG, mF)]
     for germ in build_symmetries(G, F, beta, [w * k for k in range(1, K_max + 1)]):
-        if isinstance(germ, (CriterionEmpty, AddressFailure, GermBoundsError)):
+        if isinstance(germ, GERM_REJECTIONS):
             germ = None
         elif isinstance(germ, Exception):
             raise germ
@@ -594,7 +595,7 @@ def _functional_sweep(
         classes: list[SymmetryGerm] = []
         words = [Word(t, mG) for t in product(range(mG), repeat=M)]
         for tw, germ in zip(words, build_symmetries(G, F, anchor, words)):
-            if isinstance(germ, (CriterionEmpty, AddressFailure, GermBoundsError, SeparationFailure)):
+            if isinstance(germ, GERM_REJECTIONS):
                 entries.append(
                     FunctionalEquation(d_idx, tw, None, None, None,
                                        math.inf, False, type(germ).__name__)

@@ -521,12 +521,21 @@ def test_one_inverse_dynamics_serves_every_orbit(system, epsilon):
     assert all(rep.is_preperiodic for rep in reused)
 
 
+def _walk(dyn, x, n):
+    """The first ``n`` ``(branch, preimage)`` pairs of the inverse orbit of ``x``."""
+    steps = []
+    for _ in range(n):
+        x, branch = dyn.step(x)
+        steps.append((branch, x))
+    return steps
+
+
 @pytest.mark.parametrize("system", [cantor_thirds(), sqrt_julia(-6.0)])
 def test_walk_follows_the_address(system):
     net = compute_net(system, 2e-3)
     dyn = InverseDynamics(system, net)
     for pp in periodic_points(system, 3):
-        steps = list(itertools.islice(dyn.walk(pp.point), 20))
+        steps = _walk(dyn, pp.point, 20)
         letters = tuple(j for j, _ in steps)
         assert letters == address(SystemNet(system, net), pp.point, 20).indices
         # each preimage maps back onto the point before it
@@ -539,13 +548,13 @@ def test_walk_follows_the_address(system):
 def test_walk_raises_off_the_attractor():
     thirds = cantor_thirds()
     with pytest.raises(OutsideAttractor):
-        next(InverseDynamics(thirds, compute_net(thirds, 1e-3)).walk(0.5))
+        InverseDynamics(thirds, compute_net(thirds, 1e-3)).step(0.5)
     julia = sqrt_julia(-6.0)
-    walk = InverseDynamics(julia, compute_net(julia, 2e-3)).walk(1.0)
-    _, y = next(walk)
+    dyn = InverseDynamics(julia, compute_net(julia, 2e-3))
+    y, _ = dyn.step(1.0)
     assert abs(y - (-5.0)) < 1e-9
     with pytest.raises(OutsideAttractor):
-        next(walk)
+        dyn.step(y)
 
 
 # ---------------------------------------------------------------------------
@@ -575,7 +584,10 @@ class _ScalarInverse:
             raise OutsideAttractor(f"no branch claims {x}")
         if len(claims) > 1:
             raise AmbiguousBranch(f"branches {claims} all claim {x}")
-        return complex(self.maps[claims[0]].invert(x)), claims[0]
+        try:
+            return complex(self.maps[claims[0]].invert(x)), claims[0]
+        except NotInImage as exc:
+            raise OutsideAttractor(f"branch {claims[0]} cannot invert {x}") from exc
 
     def orbit(self, x, max_iter=200, tol=1e-9):
         pts = [complex(x)]
@@ -629,20 +641,10 @@ def test_orbits_equal_the_scalar_orbit_loop(make, epsilon, max_word):
     assert any(rep.preperiod for rep in want)
     # an exact recurrence test, and one loose enough that several earlier
     # points match: the first match gives the preperiod.  Without a match,
-    # rounding drives some orbits off the attractor, and the first row whose
-    # walk raises (not in the image of its branch) raises for the batch
+    # rounding drives some orbits off the attractor, where a branch may
+    # claim a point it cannot invert: such an orbit ends with no period
     for tol in (0.0, 0.3 * system.domain.radius):
-        want = []
-        for p in points:
-            try:
-                want.append(oracle.orbit(p, 16, tol))
-            except NotInImage as exc:
-                with pytest.raises(NotInImage) as raised:
-                    dyn.orbits(points, 16, tol)
-                assert str(raised.value) == str(exc)
-                break
-        else:
-            assert dyn.orbits(points, 16, tol) == want
+        assert dyn.orbits(points, 16, tol) == [oracle.orbit(p, 16, tol) for p in points]
 
 
 @pytest.mark.parametrize("make, epsilon, max_word", WALKED, ids=WALKED_IDS)
@@ -706,10 +708,13 @@ def test_orbits_raise_the_first_ambiguous_row():
 
 
 def test_a_row_its_branch_cannot_invert_fails_alone(monkeypatch):
+    # a claimed point that its branch cannot invert is off the attractor:
+    # its orbit ends with no period, and the other rows still move
     system = sqrt_julia(-6.0)
     dyn = InverseDynamics(system, compute_net(system, 1e-3))
     points = prep_points(system, 2, 0)
     planted = complex(points[1])
+    _, i = dyn.step(planted)
     invert = SqrtBranch.invert
 
     def refuse(self, y):
@@ -719,24 +724,64 @@ def test_a_row_its_branch_cannot_invert_fails_alone(monkeypatch):
 
     monkeypatch.setattr(SqrtBranch, "invert", refuse)
     branch, preimage, failures = dyn.steps(points)
-    assert list(failures) == [1] and str(failures[1]) == "planted refusal"
+    assert list(failures) == [1] and type(failures[1]) is OutsideAttractor
+    assert str(failures[1]) == f"branch {i} cannot invert {planted}"
+    assert type(failures[1].__cause__) is NotInImage
+    assert str(failures[1].__cause__) == "planted refusal"
     assert branch[1] == -1 and (branch[[0, 2]] >= 0).all()
-    with pytest.raises(NotInImage, match="^planted refusal$"):
-        dyn.orbits(points, 64, 1e-9)
-    with pytest.raises(NotInImage, match="^planted refusal$"):
+    reports = dyn.orbits(points, 64, 1e-9)
+    assert reports == [_ScalarInverse(dyn).orbit(p, 64, 1e-9) for p in points]
+    assert reports[1] == OrbitReport((planted,), None, None)
+    with pytest.raises(OutsideAttractor, match=f"^branch {i} cannot invert ") as raised:
         dyn.step(planted)
+    assert str(raised.value.__cause__) == "planted refusal"
     reports = dyn.orbits(points[[0, 2, 3]], 64, 1e-9)
     assert all(rep.is_preperiodic for rep in reports)
 
 
-def test_steps_keep_the_query_error_of_a_non_finite_row():
+def test_steps_fail_a_non_finite_row_alone():
     system = cantor_thirds()
     dyn = InverseDynamics(system, compute_net(system, 1e-3))
-    with pytest.raises(ValueError) as want:
-        _ScalarInverse(dyn).step(complex(math.nan, 0.0))
     branch, _, failures = dyn.steps(np.array([0.75, complex(math.nan, 0.0), 0.25]))
-    assert list(failures) == [1] and str(failures[1]) == str(want.value)
+    assert list(failures) == [1] and type(failures[1]) is ValueError
+    assert str(failures[1]) == "point (nan+0j) is not finite"
     assert branch.tolist() == [1, -1, 0]
+    with pytest.raises(ValueError, match=r"^point \(inf\+0j\) is not finite$"):
+        dyn.step(math.inf)
+    with pytest.raises(ValueError, match=r"^point \(nan\+0j\) is not finite$"):
+        dyn.orbits([0.75, math.nan])
+
+
+class _CountingTree:
+    """A KD tree that records the number of rows of each query."""
+
+    def __init__(self, tree, rows):
+        self.tree, self.rows = tree, rows
+
+    def query(self, xy, k):
+        self.rows.append(len(xy))
+        return self.tree.query(xy, k=k)
+
+
+def test_steps_of_empty_and_all_non_finite_batches(monkeypatch):
+    rows = []
+    kd_tree = holoifs.dynamics.kd_tree
+    monkeypatch.setattr(holoifs.dynamics, "kd_tree", lambda xy: _CountingTree(kd_tree(xy), rows))
+    system = cantor_thirds()
+    dyn = InverseDynamics(system, compute_net(system, 1e-3))
+    branch, preimage, failures = dyn.steps(np.array([], dtype=np.complex128))
+    assert failures == {} and len(branch) == len(preimage) == 0
+    xs = np.array([math.nan, complex(0.5, math.inf), -math.inf])
+    branch, _, failures = dyn.steps(xs)
+    assert not any(rows)
+    assert branch.tolist() == [-1, -1, -1] and list(failures) == [0, 1, 2]
+    assert all(type(exc) is ValueError for exc in failures.values())
+    assert [str(exc) for exc in failures.values()] == [
+        f"point {complex(x)} is not finite" for x in xs
+    ]
+    # the spy sees the queries of a finite batch: one per branch, every row
+    dyn.steps(np.array([0.75, math.nan, 0.25]))
+    assert rows[-2:] == [2, 2]
 
 
 def test_orbits_memory_follows_the_walk_not_the_cap():

@@ -221,7 +221,10 @@ def _scalar_address_walk(F, x):
                 raise OutsideAttractor(f"no branch claims {b}")
             if len(claims) > 1:
                 raise AmbiguousBranch(f"branches {claims} all claim {b}")
-            b = complex(F.system.maps[claims[0]].invert(b))
+            try:
+                b = complex(F.system.maps[claims[0]].invert(b))
+            except NotInImage as exc:
+                raise OutsideAttractor(f"branch {claims[0]} cannot invert {b}") from exc
             n += 1
             yield claims[0], b
     except (OutsideAttractor, AmbiguousBranch) as exc:
@@ -326,6 +329,37 @@ def test_build_symmetries_equal_the_one_word_code(thirds, reflected, julia_pairs
             assert _same_outcome(_outcome(build_symmetry, G, F, a, w), outcome)
 
 
+@pytest.mark.parametrize(
+    "name",
+    ["thirds", "reflected", "julia6", "julia6-squared", "julia6.7", "thirds-cubed",
+     "julia-complex"],
+)
+def test_address_equals_the_scalar_address_walk(thirds, reflected, julia_pairs, name):
+    F = dict(julia_pairs, thirds=thirds, reflected=reflected)[name]
+    m = len(F.system.maps)
+    c, r = F.system.domain.center, F.system.domain.radius
+    off = c + r * np.array([0.0, 0.3, 0.55j, -0.7 + 0.1j, 2.0])
+    points = np.concatenate((prep_points(F.system, 2, 0)[:12], off))
+    names = set()
+    for x in points:
+        try:
+            want = Word(tuple(j for j, _ in itertools.islice(_scalar_address_walk(F, x), 12)), m)
+        except AddressFailure as exc:
+            want = exc
+        got = _outcome(address, F, x, 12)
+        assert _same_outcome(got, want)
+        if isinstance(want, Exception):
+            assert type(got.__cause__) is type(want.__cause__)
+        names.add(type(want).__name__)
+        assert address(F, x, 0) == Word((), m)
+    assert names == {"Word", "AddressFailure"}
+
+
+def test_address_rejects_a_negative_length(thirds):
+    with pytest.raises(ValueError, match="non-negative integer"):
+        address(thirds, 0.25, -1)
+
+
 def test_build_symmetries_stop_at_the_walk_cap(thirds, reflected, monkeypatch):
     monkeypatch.setattr(holoifs.symmetry, "WALK_CAP", 2)
     words = _all_words(2, 3)
@@ -354,8 +388,8 @@ def test_address_failure_partway_through_the_words_of_a_disk(thirds):
 
 
 def test_build_symmetries_keeps_a_word_whose_walk_cannot_invert(thirds, monkeypatch):
-    # a NotInImage from the inverse step is no address failure: the one-word
-    # code raises it unwrapped, and the batch returns it for that word only
+    # a point its branch cannot invert is off the attractor, so the walk ends
+    # in an address failure, for that word only
     words = [Word((0,), 2), Word((1,), 2), Word((0, 0), 2)]
     start = complex(compose_word(thirds.system, words[1])(0.0))
     invert = Affine.invert
@@ -368,9 +402,14 @@ def test_build_symmetries_keeps_a_word_whose_walk_cannot_invert(thirds, monkeypa
     monkeypatch.setattr(Affine, "invert", refuse)
     got = build_symmetries(thirds, thirds, 0.0, words)
     assert isinstance(got[0], SymmetryGerm) and isinstance(got[2], SymmetryGerm)
-    assert type(got[1]) is NotInImage and str(got[1]) == "planted refusal"
-    with pytest.raises(NotInImage, match="^planted refusal$"):
+    assert type(got[1]) is AddressFailure
+    assert str(got[1]) == f"address walk from {start} failed after 0 letters at {start}"
+    assert type(got[1].__cause__) is OutsideAttractor
+    assert str(got[1].__cause__) == f"branch 1 cannot invert {start}"
+    assert str(got[1].__cause__.__cause__) == "planted refusal"
+    with pytest.raises(AddressFailure) as raised:
         build_symmetry(thirds, thirds, 0.0, words[1])
+    assert str(raised.value.__cause__.__cause__) == "planted refusal"
     assert build_symmetries(thirds, thirds, 0.0, []) == []
 
 
