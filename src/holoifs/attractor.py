@@ -28,10 +28,10 @@ POINT_CAP = 10**7
 #: walked in blocks of that many cylinders
 NET_BLOCK = 2**15
 
-#: relative and absolute (unit-disk) widening of the KD query disks in
-#: :func:`rho_radius`; rounding in the distance, the disk formula and the KD
-#: distance test moves a ball boundary by far less, so the minimising pair
-#: is never dropped
+#: relative and absolute (unit-disk, times ``1 + |c|/R``) widening of the KD
+#: query disks in :func:`rho_radius`; rounding in the distance, the disk
+#: formula, the map to ``B(c, R)`` and the KD distance test moves a ball
+#: boundary by far less, so the minimising pair is never dropped
 BALL_SLACK = 1e-9
 
 
@@ -86,6 +86,8 @@ class SeparationCertificate:
 
     ``margin`` discounts the net resolution: a positive margin certifies the
     condition for the true attractor, a non-positive margin is inconclusive.
+    An SSC certificate carries the images ``g_i(net)`` and one KD tree over
+    each, the only index of those points; a StrongOSC certificate has neither.
     """
 
     kind: str
@@ -93,10 +95,19 @@ class SeparationCertificate:
     margin: float
     osc_set: tuple[Disk, ...] | None = None
     checks: dict = field(default_factory=dict)
+    images: tuple[np.ndarray, ...] = field(default=(), repr=False, compare=False)
+    trees: tuple = field(default=(), repr=False, compare=False)
 
     @property
     def valid(self) -> bool:
         return self.margin > 0.0
+
+    def require_trees(self, failure: str) -> None:
+        """Raise :class:`SeparationFailure` unless the certificate is valid and has image trees."""
+        if not self.valid:
+            raise SeparationFailure(f"{failure} (margin {self.margin:.3e})")
+        if not self.trees:
+            raise SeparationFailure(f"a {self.kind} certificate carries no image trees")
 
 
 def _refine_level(system: IfsSystem, centers: np.ndarray, radii: np.ndarray):
@@ -108,6 +119,14 @@ def _refine_level(system: IfsSystem, centers: np.ndarray, radii: np.ndarray):
     )
 
 
+def first_per_key(points: np.ndarray, kr: np.ndarray, ki: np.ndarray) -> np.ndarray:
+    """The first point of each integer key pair ``(kr, ki)``, sorted by real then imaginary part."""
+    keys = np.stack((kr.astype(np.int64), ki.astype(np.int64)), axis=1)
+    _, first = np.unique(keys, axis=0, return_index=True)
+    kept = points[np.sort(first)]
+    return kept[np.lexsort((kept.imag, kept.real))]
+
+
 def _grid_dedup(points: np.ndarray, cell: float) -> np.ndarray:
     """Keep the first point in each square grid cell, then sort.
 
@@ -115,15 +134,7 @@ def _grid_dedup(points: np.ndarray, cell: float) -> np.ndarray:
     keeps every first occurrence, in order, gives the same result, such as
     the run starts of :func:`_run_starts`.
     """
-    keys = np.stack(
-        (np.floor(points.real / cell).astype(np.int64),
-         np.floor(points.imag / cell).astype(np.int64)),
-        axis=1,
-    )
-    _, first = np.unique(keys, axis=0, return_index=True)
-    kept = points[np.sort(first)]
-    order = np.lexsort((kept.imag, kept.real))
-    return kept[order]
+    return first_per_key(points, np.floor(points.real / cell), np.floor(points.imag / cell))
 
 
 def _run_starts(points: np.ndarray, cell: float) -> np.ndarray:
@@ -262,16 +273,11 @@ def kd_tree(xy: np.ndarray):
     return cKDTree(xy)
 
 
-def _nearest_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Distance from each point of ``a`` to its nearest point of ``b``."""
-    d, _ = kd_tree(_xy(b)).query(_xy(a), k=1)
-    return d
-
-
 def hausdorff(a, b) -> float:
     """Hausdorff distance between two finite point sets (or nets)."""
-    pa, pb = _as_points(a), _as_points(b)
-    return float(max(np.max(_nearest_distances(pa, pb)), np.max(_nearest_distances(pb, pa))))
+    xa, xb = _xy(_as_points(a)), _xy(_as_points(b))
+    d_ab, d_ba = kd_tree(xb).query(xa, k=1)[0], kd_tree(xa).query(xb, k=1)[0]
+    return float(max(np.max(d_ab), np.max(d_ba)))
 
 
 def hutchinson_defect(system: IfsSystem, net: AttractorNet) -> float:
@@ -285,13 +291,15 @@ def certify_ssc(system: IfsSystem, net: AttractorNet) -> SeparationCertificate:
 
     The margin subtracts twice the worst first-level Lipschitz constant times
     the net resolution, which bounds how far the sampled images can sit from
-    the true pieces of the attractor.
+    the true pieces of the attractor.  Each image ``g_i(net)`` is computed
+    once and indexed by one KD tree, and the certificate carries both.
     """
-    images = [g(net.points) for g in system.maps]
+    images = tuple(g(net.points) for g in system.maps)
+    trees = tuple(kd_tree(_xy(w)) for w in images)
     pairwise = math.inf
     for i in range(len(images)):
         for j in range(i + 1, len(images)):
-            pairwise = min(pairwise, float(np.min(_nearest_distances(images[i], images[j]))))
+            pairwise = min(pairwise, float(np.min(trees[j].query(_xy(images[i]), k=1)[0])))
     if not math.isfinite(pairwise):
         pairwise = 0.0  # single-map system: nothing to separate
     lip = max(float(np.max(np.abs(g.deriv(net.points)))) for g in system.maps)
@@ -301,6 +309,8 @@ def certify_ssc(system: IfsSystem, net: AttractorNet) -> SeparationCertificate:
         pairwise_distance=pairwise,
         margin=margin,
         checks={"lipschitz": lip, "epsilon": net.epsilon},
+        images=images,
+        trees=trees,
     )
 
 
@@ -367,45 +377,43 @@ def rho_radius(
     distance (in the domain disk) between distinct first-level images of the
     net, and ``rho_g`` the smallest Euclidean radius such that the hyperbolic
     ``rho_h``-ball around any net point contains the round ball of that
-    radius.  Requires a valid strong-separation certificate; ``cert`` is
-    computed when not supplied.  Every image point must lie inside the
-    domain disk, else :class:`SeparationFailure` names the first that does not.
+    radius.  Requires a valid SSC certificate of ``system`` and ``net`` (one
+    without image trees raises); it is computed when not supplied.  Every image
+    point must lie inside the domain disk, else :class:`SeparationFailure`
+    names the first that does not.
 
     The minimum is exact, without an all-pairs scan.  For each pair of
     images, the pseudo-hyperbolic distances from the points ``u`` of one to
     their Euclidean nearest neighbours in the other, and the minimum of the
     earlier pairs, bound the minimum by some ``t``.  The pseudo-hyperbolic
     ``t``-ball about ``u`` is a Euclidean disk (:func:`pseudo_hyperbolic_ball`),
-    so a KD fixed-radius query over those disks, widened by ``BALL_SLACK``
-    against rounding, gathers every pair at distance at most ``t``: the
-    minimising pair is among them, and the distance is evaluated on those
-    pairs only.  A disk that lies nearer ``u`` than ``u``'s nearest neighbour
-    holds none of them and is not queried.
+    so a fixed-radius query of the certificate's tree over those disks,
+    widened by ``BALL_SLACK`` against rounding, gathers every pair at distance
+    at most ``t``: the minimising pair is among them, and the distance is
+    evaluated on those pairs only.  A disk that lies nearer ``u`` than ``u``'s
+    nearest neighbour holds none of them and is not queried.  The trees index
+    the images in the domain ``B(c, R)``, so their distances are divided by
+    ``R`` and each disk is mapped back by ``z -> c + R*z``.
     """
     cert = cert if cert is not None else certify_ssc(system, net)
-    if not cert.valid:
-        raise SeparationFailure(
-            f"strong separation not certified (margin {cert.margin:.3e})"
-        )
+    cert.require_trees("strong separation not certified")
     c, radius = system.domain.center, system.domain.radius
-    images = [(g(net.points) - c) / radius for g in system.maps]
+    images = [(w - c) / radius for w in cert.images]
     for k, w in enumerate(images):
         outside = np.flatnonzero(np.abs(w) >= 1.0)
         if outside.size:
             z = complex(system.maps[k](net.points[outside[0]]))
             raise SeparationFailure(f"image point {z} of map {k} is not inside the domain disk")
-    xys = [_xy(w) for w in images]
-    trees = [kd_tree(xy) for xy in xys]
     best = math.inf
     for i, u in enumerate(images):
         for j in range(i + 1, len(images)):
-            v, tree = images[j], trees[j]
-            dist, nearest = tree.query(xys[i], k=1)
+            v, tree = images[j], cert.trees[j]
+            dist, nearest = tree.query(_xy(cert.images[i]), k=1)
             best = min(best, float(np.min(pseudo_hyperbolic(u, v[nearest]))))
             centers, radii = pseudo_hyperbolic_ball(u, best)
-            radii = radii * (1.0 + BALL_SLACK) + BALL_SLACK
-            reach = np.flatnonzero(dist <= np.abs(centers - u) + radii)
-            near = tree.query_ball_point(_xy(centers[reach]), radii[reach])
+            radii = radii * (1.0 + BALL_SLACK) + BALL_SLACK * (1.0 + abs(c) / radius)
+            reach = np.flatnonzero(dist / radius <= np.abs(centers - u) + radii)
+            near = tree.query_ball_point(_xy(c + radius * centers[reach]), radius * radii[reach])
             counts = np.fromiter(map(len, near), dtype=np.intp, count=len(near))
             rows = np.repeat(reach, counts)
             cols = np.fromiter(chain.from_iterable(near), dtype=np.intp, count=len(rows))

@@ -3,9 +3,10 @@
 The inverse map of a strongly separated system is single-valued on the
 attractor: a point close to one first-level image belongs to that branch.
 :class:`InverseDynamics` is that map for one system and its net.  Its
-``steps`` advance many points at once: each branch's KD tree is queried once
-with all of them, and each claimed point is inverted in scalar arithmetic,
-so a preimage is the same bits however many points share the step.
+``steps`` advance many points at once: each branch's KD tree, carried on the
+certificate, is queried once with all of them, and each claimed point is
+inverted in scalar arithmetic, so a preimage is the same bits however many
+points share the step.
 ``step`` is the one-point case.  ``steps`` is the one inverse walker: the
 target addresses of :mod:`holoifs.symmetry` are read from it, and ``orbits``
 walks many points as one array and detects (pre)periodicity numerically,
@@ -29,7 +30,7 @@ from itertools import chain, product
 
 import numpy as np
 
-from .attractor import AttractorNet, SeparationCertificate, certify_ssc, kd_tree
+from .attractor import AttractorNet, SeparationCertificate, certify_ssc, first_per_key
 from .errors import (
     AmbiguousBranch,
     BudgetExceeded,
@@ -321,17 +322,15 @@ class InverseDynamics:
     """The inverse map of a strongly separated system, read off its net.
 
     Branch ``i`` claims the points within ``claim_radius`` of the net's image
-    under map ``i``.  The certificate and the KD trees are built once.
+    under map ``i``.  The certificate is built once, and with it the KD trees
+    are built once, by :func:`certify_ssc`; a certificate without them raises.
     """
 
     def __init__(self, system: IfsSystem, net: AttractorNet, cert: SeparationCertificate | None = None):
         self.system = system
         self.net = net
         self.cert = cert if cert is not None else certify_ssc(system, net)
-        if not self.cert.valid:
-            raise SeparationFailure(
-                f"inverse dynamics need strong separation (margin {self.cert.margin:.3e})"
-            )
+        self.cert.require_trees("inverse dynamics need strong separation")
         # Shrinking by epsilon keeps attractor points claimed (they sit within
         # epsilon of their image net) while gap midpoints, whose true distance
         # is at least half the pairwise gap, stay strictly unclaimed despite
@@ -340,10 +339,6 @@ class InverseDynamics:
         self.claim_radius = self.cert.pairwise_distance / 2.0 - net.epsilon
         if self.claim_radius <= 2.0 * net.epsilon:
             raise SeparationFailure("net too coarse to resolve inverse branches")
-        self._trees = []
-        for g in system.maps:
-            img = g(net.points)
-            self._trees.append(kd_tree(np.column_stack((img.real, img.imag))))
 
     def steps(self, xs: np.ndarray):
         """One step of the inverse map for every point of ``xs``.
@@ -361,8 +356,8 @@ class InverseDynamics:
         n = len(xs)
         finite = np.isfinite(xs)
         xy = np.column_stack((xs.real[finite], xs.imag[finite]))
-        claimed = np.zeros((len(self._trees), n), dtype=bool)
-        for i, tree in enumerate(self._trees):
+        claimed = np.zeros((len(self.cert.trees), n), dtype=bool)
+        for i, tree in enumerate(self.cert.trees):
             claimed[i, finite] = tree.query(xy, k=1)[0] < self.claim_radius
         count = claimed.sum(axis=0)
         branch = np.where(count == 1, claimed.argmax(axis=0), -1)
@@ -478,11 +473,5 @@ def prep_points(
             chunks.append(gw(base))
     pts = np.concatenate(chunks)
 
-    keys = np.stack(
-        (np.round(pts.real / PREP_DEDUP_TOL).astype(np.int64),
-         np.round(pts.imag / PREP_DEDUP_TOL).astype(np.int64)),
-        axis=1,
-    )
-    _, first = np.unique(keys, axis=0, return_index=True)
-    kept = pts[np.sort(first)]
-    return kept[np.lexsort((kept.imag, kept.real))]
+    kr, ki = np.round(pts.real / PREP_DEDUP_TOL), np.round(pts.imag / PREP_DEDUP_TOL)
+    return first_per_key(pts, kr, ki)

@@ -187,8 +187,11 @@ class SystemNet:
     """One system with its net, and the structures derived from the pair.
 
     Each derived member is computed once, on first use, and freed with the
-    object.  The members call the module-level functions by their global
-    names, so a wrapper installed on a module attribute sees every call.
+    object.  ``cert`` carries the first-level images of the net and their KD
+    trees, built once by :func:`certify_ssc`; ``dyn`` and ``rho`` query those
+    trees and build none.  The members call the module-level functions by
+    their global names, so a wrapper installed on a module attribute sees
+    every call.
     """
 
     system: IfsSystem

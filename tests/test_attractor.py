@@ -300,7 +300,12 @@ def test_rho_radius_matches_all_pairs_on_random_affine_systems(data):
     # drawn factor: small factors put image points near the unit circle
     least = max(abs(g.b) / (1.0 - abs(g.alpha)) for g in maps)
     hug = data.draw(st.floats(1e-4, 1.0), label="hug")
-    system = IfsSystem(tuple(maps), Disk(0.0, least * (1.0 + hug) + 1e-3))
+    # conjugating by z -> z + t moves the domain far from the origin, where
+    # the image trees hold the points before their map to the unit disk
+    size = data.draw(st.sampled_from([0.0, 1.0, 1e3, 1e6, 1e8]), label="|t|")
+    t = size * cmath.exp(1j * data.draw(st.floats(0.0, 2 * math.pi), label="arg t"))
+    maps = [Affine(g.alpha, g.b + t - g.alpha * t) for g in maps]
+    system = IfsSystem(tuple(maps), Disk(t, least * (1.0 + hug) + 1e-3))
     # distinct fixed points keep the net from collapsing to one point
     fixed = [g.b / (1.0 - g.alpha) for g in maps]
     assume(min(abs(p - q) for p, q in combinations(fixed, 2)) > 0.1 * system.domain.radius)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import cmath
+import dataclasses
 import itertools
 import math
 
@@ -24,7 +25,7 @@ from holoifs import (
     SeparationFailure,
     Word,
 )
-from holoifs.attractor import certify_ssc, compute_net
+from holoifs.attractor import certify_ssc, certify_strong_osc, compute_net, rho_radius
 from holoifs.dynamics import (
     PREP_DEDUP_TOL,
     InverseDynamics,
@@ -430,6 +431,20 @@ def test_inverse_step_needs_separation():
         InverseDynamics(halves, net).step(0.3)
 
 
+def test_a_strong_osc_certificate_is_refused():
+    # a valid certificate, but it carries no image trees to query
+    system = cantor_thirds()
+    net = compute_net(system, 1e-3)
+    disks = (Disk(1 / 6, 1 / 6 + 0.01), Disk(5 / 6, 1 / 6 + 0.01))
+    cert = certify_strong_osc(system, disks, net)
+    assert cert.valid and cert.trees == cert.images == ()
+    refusal = "^a StrongOSC certificate carries no image trees$"
+    with pytest.raises(SeparationFailure, match=refusal):
+        InverseDynamics(system, net, cert)
+    with pytest.raises(SeparationFailure, match=refusal):
+        rho_radius(system, net, cert)
+
+
 def test_orbit_period_two():
     system = cantor_thirds()
     net = compute_net(system, 1e-3)
@@ -763,12 +778,13 @@ class _CountingTree:
         return self.tree.query(xy, k=k)
 
 
-def test_steps_of_empty_and_all_non_finite_batches(monkeypatch):
+def test_steps_of_empty_and_all_non_finite_batches():
     rows = []
-    kd_tree = holoifs.dynamics.kd_tree
-    monkeypatch.setattr(holoifs.dynamics, "kd_tree", lambda xy: _CountingTree(kd_tree(xy), rows))
     system = cantor_thirds()
-    dyn = InverseDynamics(system, compute_net(system, 1e-3))
+    net = compute_net(system, 1e-3)
+    cert = certify_ssc(system, net)
+    spied = dataclasses.replace(cert, trees=tuple(_CountingTree(t, rows) for t in cert.trees))
+    dyn = InverseDynamics(system, net, spied)
     branch, preimage, failures = dyn.steps(np.array([], dtype=np.complex128))
     assert failures == {} and len(branch) == len(preimage) == 0
     xs = np.array([math.nan, complex(0.5, math.inf), -math.inf])

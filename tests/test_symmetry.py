@@ -730,6 +730,30 @@ def test_shared_attractor_derives_each_structure_once(monkeypatch):
     assert calls == {"certify_ssc": 2, "rho_radius": 2, "s_floor": 1, "spectrum": 2}
 
 
+@pytest.mark.parametrize(
+    "pair, trees",
+    [
+        ((cantor_thirds(), cantor_thirds_reflected()), 6),
+        ((sqrt_julia(-6.0), iterate_system(sqrt_julia(-6.0), 2)), 8),
+    ],
+    ids=["thirds-reflected", "julia-square"],
+)
+def test_shared_attractor_indexes_each_map_image_once(monkeypatch, pair, trees):
+    # two trees for the net distance, then one per map image, built by
+    # certify_ssc and queried by the inverse map and rho_radius alike
+    built = []
+    kd_tree = holoifs.attractor.kd_tree
+
+    def spy(xy):
+        built.append(len(xy))
+        return kd_tree(xy)
+
+    for module in (holoifs.attractor, holoifs.symmetry):
+        monkeypatch.setattr(module, "kd_tree", spy)
+    assert shared_attractor(*pair, EPS).verdict == "Shared"
+    assert len(built) == trees
+
+
 def test_word_budgets_fail_before_the_prep_check(monkeypatch):
     # T = {z/5, z/5 + 2/5, z/5 + 4/5}: the spectrum of its 9-map square to
     # length 8 needs 9 + 81 + ... + 9**8 words
