@@ -86,8 +86,8 @@ class SeparationCertificate:
 
     ``margin`` discounts the net resolution: a positive margin certifies the
     condition for the true attractor, a non-positive margin is inconclusive.
-    An SSC certificate carries the images ``g_i(net)`` and one KD tree over
-    each, the only index of those points; a StrongOSC certificate has neither.
+    An SSC certificate carries its ``net``, the images ``g_i(net)`` and one KD
+    tree over each, the only index of those points; a StrongOSC one has none.
     """
 
     kind: str
@@ -97,17 +97,20 @@ class SeparationCertificate:
     checks: dict = field(default_factory=dict)
     images: tuple[np.ndarray, ...] = field(default=(), repr=False, compare=False)
     trees: tuple = field(default=(), repr=False, compare=False)
+    net: AttractorNet | None = field(default=None, repr=False, compare=False)
 
     @property
     def valid(self) -> bool:
         return self.margin > 0.0
 
-    def require_trees(self, failure: str) -> None:
-        """Raise :class:`SeparationFailure` unless the certificate is valid and has image trees."""
+    def require_trees(self, net: AttractorNet, failure: str) -> None:
+        """Raise unless the certificate is valid, has image trees and was made from ``net``."""
         if not self.valid:
             raise SeparationFailure(f"{failure} (margin {self.margin:.3e})")
         if not self.trees:
             raise SeparationFailure(f"a {self.kind} certificate carries no image trees")
+        if self.net is not net:
+            raise ValueError("the certificate was made from another net")
 
 
 def _refine_level(system: IfsSystem, centers: np.ndarray, radii: np.ndarray):
@@ -119,12 +122,14 @@ def _refine_level(system: IfsSystem, centers: np.ndarray, radii: np.ndarray):
     )
 
 
-def first_per_key(points: np.ndarray, kr: np.ndarray, ki: np.ndarray) -> np.ndarray:
-    """The first point of each integer key pair ``(kr, ki)``, sorted by real then imaginary part."""
-    keys = np.stack((kr.astype(np.int64), ki.astype(np.int64)), axis=1)
-    _, first = np.unique(keys, axis=0, return_index=True)
-    kept = points[np.sort(first)]
-    return kept[np.lexsort((kept.imag, kept.real))]
+def first_per_key(*keys: np.ndarray) -> np.ndarray:
+    """The rows, in order, that hold the first occurrence of each tuple of float keys.
+
+    Adding 0.0 makes -0.0 equal 0.0, and integral floats compare as Python's
+    integers do at every magnitude, where an int64 cast fails beyond 2**63.
+    """
+    _, first = np.unique(np.stack(keys, axis=1) + 0.0, axis=0, return_index=True)
+    return np.sort(first)
 
 
 def _grid_dedup(points: np.ndarray, cell: float) -> np.ndarray:
@@ -134,16 +139,15 @@ def _grid_dedup(points: np.ndarray, cell: float) -> np.ndarray:
     keeps every first occurrence, in order, gives the same result, such as
     the run starts of :func:`_run_starts`.
     """
-    return first_per_key(points, np.floor(points.real / cell), np.floor(points.imag / cell))
+    kept = points[first_per_key(np.floor(points.real / cell), np.floor(points.imag / cell))]
+    return np.sort_complex(kept)
 
 
 def _run_starts(points: np.ndarray, cell: float) -> np.ndarray:
     """Row 0 and every row whose grid cell differs from the previous row's.
 
     A row in its predecessor's cell is not the first in its cell.  Cells are
-    compared as floats, before :func:`_grid_dedup`'s integer cast: rows with
-    equal floats have equal keys, so this keeps a superset of the integer
-    run starts.
+    compared by the float keys of :func:`_grid_dedup`.
     """
     # run starts are taken before the level is known to be the last; only
     # the last level's overflow of the grid is reported, by _grid_dedup
@@ -311,6 +315,7 @@ def certify_ssc(system: IfsSystem, net: AttractorNet) -> SeparationCertificate:
         checks={"lipschitz": lip, "epsilon": net.epsilon},
         images=images,
         trees=trees,
+        net=net,
     )
 
 
@@ -377,10 +382,10 @@ def rho_radius(
     distance (in the domain disk) between distinct first-level images of the
     net, and ``rho_g`` the smallest Euclidean radius such that the hyperbolic
     ``rho_h``-ball around any net point contains the round ball of that
-    radius.  Requires a valid SSC certificate of ``system`` and ``net`` (one
-    without image trees raises); it is computed when not supplied.  Every image
-    point must lie inside the domain disk, else :class:`SeparationFailure`
-    names the first that does not.
+    radius.  Requires a valid SSC certificate of ``system`` made from ``net``
+    (one without image trees or of another net raises); it is computed when
+    not supplied.  Every image point must lie inside the domain disk, else
+    :class:`SeparationFailure` names the first that does not.
 
     The minimum is exact, without an all-pairs scan.  For each pair of
     images, the pseudo-hyperbolic distances from the points ``u`` of one to
@@ -396,7 +401,7 @@ def rho_radius(
     ``R`` and each disk is mapped back by ``z -> c + R*z``.
     """
     cert = cert if cert is not None else certify_ssc(system, net)
-    cert.require_trees("strong separation not certified")
+    cert.require_trees(net, "strong separation not certified")
     c, radius = system.domain.center, system.domain.radius
     images = [(w - c) / radius for w in cert.images]
     for k, w in enumerate(images):

@@ -371,6 +371,8 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_shared(args) -> int:
+    if args.spectrum_tol < np.finfo(float).tiny:
+        raise ConfigError(f"--spectrum-tol: expected a normal float, got {args.spectrum_tol!r}")
     system_g, label_g = load_system(args.config_g)
     system_f, label_f = load_system(args.config_f)
     budgets = Budgets(

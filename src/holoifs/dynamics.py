@@ -25,6 +25,7 @@ products and quotients may differ from CPython's in the last bit.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import chain, product
 
@@ -77,25 +78,33 @@ class PeriodicPoint:
         return tuple(pts)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MultiplierSpectrum:
-    """Deduplicated periodic data up to a word length."""
+    """Deduplicated words, fixed points and multipliers, as arrays in increasing word length."""
 
-    entries: tuple[PeriodicPoint, ...]
+    words: tuple[tuple[int, ...], ...]
+    points: np.ndarray
+    lambdas: np.ndarray
+    alphabet_size: int
     max_word_length: int
 
+    @property
+    def entries(self) -> tuple[PeriodicPoint, ...]:
+        """The rows as :class:`PeriodicPoint` objects, built on each call."""
+        rows = zip(self.words, self.points.tolist(), self.lambdas.tolist())
+        return tuple(PeriodicPoint(Word(w, self.alphabet_size), p, lam) for w, p, lam in rows)
+
     def multipliers(self) -> np.ndarray:
-        return np.array([e.multiplier for e in self.entries], dtype=np.complex128)
+        return self.lambdas
 
     def truncated(self, max_len: int) -> MultiplierSpectrum:
-        """The entries of words up to ``max_len`` letters."""
-        entries = tuple(e for e in self.entries if len(e.word) <= max_len)
-        return MultiplierSpectrum(entries, min(max_len, self.max_word_length))
+        """The rows of words up to ``max_len`` letters, a prefix of the rows."""
+        n = bisect_right(self.words, max_len, key=len)
+        rows = (self.words[:n], self.points[:n], self.lambdas[:n], self.alphabet_size)
+        return MultiplierSpectrum(*rows, min(max_len, self.max_word_length))
 
     def contains_multiplier(self, value: complex, tol: float = SPECTRUM_DEDUP_TOL) -> bool:
-        if not self.entries:
-            return False
-        return bool(np.min(np.abs(self.multipliers() - value)) <= tol)
+        return bool(np.any(np.abs(self.lambdas - value) <= tol))
 
 
 @dataclass(frozen=True)
@@ -154,13 +163,13 @@ def _modulus(z: np.ndarray) -> np.ndarray:
 
 
 def _solve_level(system: IfsSystem, letters: np.ndarray):
-    """Fixed points, multipliers and failure codes of ``g_w`` for the rows ``w`` of ``letters``.
+    """Fixed points and multipliers of ``g_w`` for the rows ``w`` of ``letters``.
 
     All rows are solved at once.  A word whose factors are all affine takes
     the closed form; the others iterate ``p <- g_w(p)`` from the domain
     centre, each row until its own step drops below ``FIXED_POINT_TOL``.
-    A row's code names the first check it fails (see :func:`_level_points`);
-    0 passes.
+    Returns the points and multipliers of the rows before the first that fails a check
+    (contraction, convergence, residual, attraction), and its :class:`NoConvergence` or None.
     """
     n = len(letters)
     m = len(system.maps)
@@ -202,15 +211,6 @@ def _solve_level(system: IfsSystem, letters: np.ndarray):
     lam = _multipliers(system.maps, words[ok], p[ok])
     fail[rest[ok[_modulus(lam) >= 1.0]]] = 4
     points[rest], mults[rest[ok]] = p, lam
-    return points, mults, fail
-
-
-def _level_points(system: IfsSystem, letters: np.ndarray):
-    """Yield the periodic point of each row of ``letters``, in row order.
-
-    The first row that fails a check (contraction, convergence, residual,
-    attraction) raises :class:`NoConvergence` instead.
-    """
     reasons = (
         "",
         "word map is not a contraction",
@@ -218,12 +218,9 @@ def _level_points(system: IfsSystem, letters: np.ndarray):
         "fixed-point residual above tolerance",
         "fixed point is not attracting",
     )
-    points, mults, fail = _solve_level(system, letters)
-    m = len(system.maps)
-    for i, word in enumerate(letters.tolist()):
-        if fail[i]:
-            raise NoConvergence(reasons[fail[i]])
-        yield PeriodicPoint(Word(word, m), complex(points[i]), complex(mults[i]))
+    for i in np.flatnonzero(fail)[:1]:  # the first failing row, if any
+        return points[:i], mults[:i], NoConvergence(reasons[fail[i]])
+    return points, mults, None
 
 
 def fixed_point(system: IfsSystem, word: Word) -> PeriodicPoint:
@@ -238,7 +235,10 @@ def fixed_point(system: IfsSystem, word: Word) -> PeriodicPoint:
             f"word alphabet size {word.alphabet_size} does not match "
             f"system with {len(system.maps)} maps"
         )
-    return next(_level_points(system, np.array([word.indices])))
+    points, mults, error = _solve_level(system, np.array([word.indices]))
+    if error:
+        raise error
+    return PeriodicPoint(word, complex(points[0]), complex(mults[0]))
 
 
 def _necklaces(m: int, length: int):
@@ -259,6 +259,21 @@ def _necklaces(m: int, length: int):
             w.pop()
 
 
+def _levels(system: IfsSystem, max_len: int):
+    """Yield ``(letters, points, multipliers)`` of the necklaces of each length 1..``max_len``.
+
+    A length whose rows fail a check yields the rows before the first that fails, then raises.
+    """
+    m = len(system.maps)
+    for length in range(1, max_len + 1):
+        necklaces = chain.from_iterable(_necklaces(m, length))
+        letters = np.fromiter(necklaces, np.min_scalar_type(m - 1)).reshape(-1, length)
+        points, mults, error = _solve_level(system, letters)
+        yield letters[: len(points)], points, mults
+        if error:
+            raise error
+
+
 def periodic_points(system: IfsSystem, max_len: int):
     """One attracting periodic point per necklace of 1..``max_len`` letters.
 
@@ -267,10 +282,9 @@ def periodic_points(system: IfsSystem, max_len: int):
     the fixed points of all words.  Each length is solved as one array.
     """
     m = len(system.maps)
-    dtype = np.min_scalar_type(m - 1)
-    for length in range(1, max_len + 1):
-        letters = np.fromiter(chain.from_iterable(_necklaces(m, length)), dtype=dtype)
-        yield from _level_points(system, letters.reshape(-1, length))
+    for letters, points, mults in _levels(system, max_len):
+        for word, p, lam in zip(letters.tolist(), points.tolist(), mults.tolist()):
+            yield PeriodicPoint(Word(word, m), p, lam)
 
 
 def check_word_budget(
@@ -298,24 +312,21 @@ def check_word_budget(
 def spectrum(system: IfsSystem, max_len: int, word_cap: int = WORD_CAP) -> MultiplierSpectrum:
     """Periodic points and multipliers over all words up to ``max_len``.
 
-    One entry per cyclic rotation class (rotations share orbit and
-    multiplier); entries agreeing in both point and multiplier within
-    ``SPECTRUM_DEDUP_TOL`` are merged.
+    One row per necklace, solved as for :func:`periodic_points`: a failing
+    row raises before a later length is solved.  Of the rows whose point and
+    multiplier round alike at ``SPECTRUM_DEDUP_TOL``, the first is kept.
     """
     check_word_budget(system, max_len=max_len, word_cap=word_cap)
-    entries: list[PeriodicPoint] = []
-    keys = set()
-    for pp in periodic_points(system, max_len):
-        key = (
-            round(pp.point.real / SPECTRUM_DEDUP_TOL),
-            round(pp.point.imag / SPECTRUM_DEDUP_TOL),
-            round(pp.multiplier.real / SPECTRUM_DEDUP_TOL),
-            round(pp.multiplier.imag / SPECTRUM_DEDUP_TOL),
-        )
-        if key not in keys:
-            keys.add(key)
-            entries.append(pp)
-    return MultiplierSpectrum(tuple(entries), max_len)
+    words, points, lambdas = [], [np.empty(0, complex)], [np.empty(0, complex)]
+    for letters, p, lam in _levels(system, max_len):
+        words += map(tuple, letters.tolist())
+        points.append(p)
+        lambdas.append(lam)
+    points, lambdas = np.concatenate(points), np.concatenate(lambdas)
+    keys = (points.real, points.imag, lambdas.real, lambdas.imag)
+    rows = first_per_key(*(np.round(k / SPECTRUM_DEDUP_TOL) for k in keys))
+    kept = tuple(words[i] for i in rows.tolist())
+    return MultiplierSpectrum(kept, points[rows], lambdas[rows], len(system.maps), max_len)
 
 
 class InverseDynamics:
@@ -323,14 +334,14 @@ class InverseDynamics:
 
     Branch ``i`` claims the points within ``claim_radius`` of the net's image
     under map ``i``.  The certificate is built once, and with it the KD trees
-    are built once, by :func:`certify_ssc`; a certificate without them raises.
+    are built once, by :func:`certify_ssc`; one without them or of another net raises.
     """
 
     def __init__(self, system: IfsSystem, net: AttractorNet, cert: SeparationCertificate | None = None):
         self.system = system
         self.net = net
         self.cert = cert if cert is not None else certify_ssc(system, net)
-        self.cert.require_trees("inverse dynamics need strong separation")
+        self.cert.require_trees(net, "inverse dynamics need strong separation")
         # Shrinking by epsilon keeps attractor points claimed (they sit within
         # epsilon of their image net) while gap midpoints, whose true distance
         # is at least half the pairwise gap, stay strictly unclaimed despite
@@ -473,5 +484,5 @@ def prep_points(
             chunks.append(gw(base))
     pts = np.concatenate(chunks)
 
-    kr, ki = np.round(pts.real / PREP_DEDUP_TOL), np.round(pts.imag / PREP_DEDUP_TOL)
-    return first_per_key(pts, kr, ki)
+    keys = (np.round(pts.real / PREP_DEDUP_TOL), np.round(pts.imag / PREP_DEDUP_TOL))
+    return np.sort_complex(pts[first_per_key(*keys)])

@@ -27,6 +27,7 @@ from .attractor import (
     box_restriction,
     certify_ssc,
     compute_net,
+    first_per_key,
     hausdorff,
     kd_tree,
     rho_radius,
@@ -168,6 +169,8 @@ class Budgets:
                     raise ValueError(f"Budgets.{f.name} must be a positive integer, got {value!r}")
             elif not (number and math.isfinite(value) and value > 0):
                 raise ValueError(f"Budgets.{f.name} must be finite and positive, got {value!r}")
+        if (tol := self.spectrum_tol) < np.finfo(float).tiny:  # as spectrum_compat requires
+            raise ValueError(f"Budgets.spectrum_tol must be a normal float, got {tol!r}")
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -538,17 +541,16 @@ def detect_coincidence(G: SystemNet, F: SystemNet, w: Word, K_max: int = 16) -> 
 def spectrum_compat(specG, specF, l_max: int, tol: float = 1e-9):
     """Smallest power matching each source multiplier into the target spectrum.
 
-    Returns ``(value, l)`` pairs with ``l = None`` for unmatched entries;
-    source values are deduplicated and ordered by real then imaginary part.
+    Returns ``(value, l)`` pairs with ``l = None`` for unmatched entries; source
+    values are deduplicated on ``tol``-rounded keys and ordered by real then imaginary part.
     """
+    if not tol >= np.finfo(float).tiny:  # else a multiplier over tol may overflow
+        raise ValueError(f"the spectrum tolerance must be a normal float, got {tol!r}")
     targets = specF.multipliers()
-    seen = {}
-    for lam in specG.multipliers():
-        key = (round(lam.real / tol), round(lam.imag / tol))
-        if key not in seen:
-            seen[key] = complex(lam)
+    lams = specG.multipliers()
+    keys = (np.round(lams.real / tol), np.round(lams.imag / tol))
     out = []
-    for lam in sorted(seen.values(), key=lambda z: (z.real, z.imag)):
+    for lam in np.sort_complex(lams[first_per_key(*keys)]).tolist():
         found = None
         for l in range(1, l_max + 1):
             if len(targets) and float(np.min(np.abs(lam**l - targets))) <= tol:
@@ -692,8 +694,8 @@ def shared_attractor(
         prep_forward = _prep_check(G.system, dynF, budgets)
         prep_backward = _prep_check(F.system, dynG, budgets)
 
-        # one enumeration per system; deduplication keeps the first entry in
-        # increasing word length, so truncating equals a shorter enumeration
+        # one spectrum per system; its rows run in increasing word length and
+        # deduplication keeps the first, so truncated() equals a shorter spectrum
         specG = spectrum(G.system, max(src, tgt))
         specF = spectrum(F.system, max(src, tgt))
         l_max, tol = budgets.spectrum_l_max, budgets.spectrum_tol

@@ -20,6 +20,7 @@ from holoifs.attractor import (
     certify_ssc,
     certify_strong_osc,
     compute_net,
+    first_per_key,
     hausdorff,
     hutchinson_defect,
     rho_radius,
@@ -405,6 +406,24 @@ def test_shifted_system_net_is_scaled_cantor():
         for z in map(complex, net.points)
     )
     assert worst <= EPS
+
+
+def _first_rows_by_int_keys(*keys):
+    """The first row of each tuple of Python ``int`` keys, as the oracle of float keys."""
+    first = {}
+    for row, key in enumerate(zip(*(map(int, k.tolist()) for k in keys))):
+        first.setdefault(key, row)
+    return sorted(first.values())
+
+
+def test_first_per_key_compares_keys_as_integers_of_any_size():
+    # beyond 2**63 an int64 cast sends these keys to one value
+    big = np.array([2.0**63, 2.0**63 + 2048, 2.0**64, 2.0**63 + 2048, -(2.0**70), 1e300])
+    zeros = np.array([0.0, -0.0, 0.0, -0.0, 1.0, 2.0**63])
+    assert first_per_key(big).tolist() == [0, 1, 2, 4, 5]
+    assert first_per_key(zeros).tolist() == [0, 4, 5]
+    for keys in ((big,), (zeros,), (big, zeros), (zeros, -zeros), (-zeros, big, zeros)):
+        assert first_per_key(*keys).tolist() == _first_rows_by_int_keys(*keys)
 
 
 def _level_by_level_net(system, epsilon, point_cap=POINT_CAP):

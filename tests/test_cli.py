@@ -321,7 +321,7 @@ def test_epsilon_must_be_finite_positive(configs, capsys, command, value):
 @pytest.mark.parametrize(
     "flag,value",
     [("--spectrum-tol", "0"), ("--spectrum-tol", "nan"), ("--spectrum-tol", "-1"),
-     ("--func-tol", "nan"), ("--func-tol", "inf")],
+     ("--spectrum-tol", "1e-320"), ("--func-tol", "nan"), ("--func-tol", "inf")],
 )
 def test_tolerance_must_be_finite_positive(configs, capsys, flag, value):
     assert cli.main(["shared", configs["thirds"], configs["thirds"], f"{flag}={value}"]) == 2

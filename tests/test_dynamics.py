@@ -25,9 +25,16 @@ from holoifs import (
     SeparationFailure,
     Word,
 )
-from holoifs.attractor import certify_ssc, certify_strong_osc, compute_net, rho_radius
+from holoifs.attractor import (
+    AttractorNet,
+    certify_ssc,
+    certify_strong_osc,
+    compute_net,
+    rho_radius,
+)
 from holoifs.dynamics import (
     PREP_DEDUP_TOL,
+    SPECTRUM_DEDUP_TOL,
     InverseDynamics,
     OrbitReport,
     PeriodicPoint,
@@ -255,6 +262,10 @@ def test_periodic_points_fail_in_the_oracle_order(monkeypatch):
         next(points)
     with pytest.raises(NoConvergence, match=message):
         fixed_point(system, Word((0, 1), 2))
+    with pytest.raises(NoConvergence, match=message):
+        _round_key_spectrum(system, 3)
+    with pytest.raises(NoConvergence, match=message):
+        spectrum(system, 3)
 
 
 def test_word_budget_counts_spectrum_and_prep_words():
@@ -310,6 +321,52 @@ def test_spectrum_matches_brute_enumeration():
             brute.add(complex(round(lam.real, 9), round(lam.imag, 9)))
     mine = {complex(round(v.real, 9), round(v.imag, 9)) for v in spec.multipliers()}
     assert mine == brute
+
+
+def _round_key_spectrum(system, max_len):
+    """The ``round``-key loop that the array dedup of the spectrum replaced, as the oracle."""
+    entries, keys = [], set()
+    for pp in periodic_points(system, max_len):
+        key = (
+            round(pp.point.real / SPECTRUM_DEDUP_TOL),
+            round(pp.point.imag / SPECTRUM_DEDUP_TOL),
+            round(pp.multiplier.real / SPECTRUM_DEDUP_TOL),
+            round(pp.multiplier.imag / SPECTRUM_DEDUP_TOL),
+        )
+        if key not in keys:
+            keys.add(key)
+            entries.append(pp)
+    return entries
+
+
+@pytest.mark.parametrize(
+    "make, max_len",
+    [
+        (cantor_thirds, 10),
+        (cantor_thirds_reflected, 10),
+        (lambda: sqrt_julia(-6.0), 10),
+        (lambda: iterate_system(sqrt_julia(-6.0), 2), 8),
+        (lambda: iterate_system(sqrt_julia(-6.0 + 0.5j), 2), 6),
+        (_complex_mixed, 10),
+    ],
+    ids=["thirds", "reflected", "julia6", "julia6-squared", "julia-complex-squared",
+         "complex-mixed"],
+)
+def test_spectrum_equals_the_round_key_oracle(make, max_len):
+    system = make()
+    spec = spectrum(system, max_len)
+    oracle = _round_key_spectrum(system, max_len)
+    assert [Word(w, len(system.maps)) for w in spec.words] == [pp.word for pp in oracle]
+    assert spec.points.tolist() == [pp.point for pp in oracle]
+    assert spec.multipliers().tolist() == [pp.multiplier for pp in oracle]
+    assert spec.entries == tuple(oracle)
+    # shared_attractor reads the shorter spectra off the longest one
+    for k in range(max_len + 1):
+        cut, short = spec.truncated(k), spectrum(system, k)
+        assert cut.words == short.words
+        assert cut.points.tolist() == short.points.tolist()
+        assert cut.multipliers().tolist() == short.multipliers().tolist()
+        assert cut.max_word_length == short.max_word_length == k
 
 
 def test_spectrum_contains_multiplier():
@@ -429,6 +486,21 @@ def test_inverse_step_needs_separation():
     net = compute_net(halves, 1e-3)
     with pytest.raises(SeparationFailure):
         InverseDynamics(halves, net).step(0.3)
+
+
+def test_a_certificate_of_another_net_is_refused():
+    # b's certificate carries b's images and trees, and b's pairwise distance
+    system = cantor_thirds()
+    a, b = compute_net(system, 1e-2), compute_net(system, 1e-3)
+    cert = certify_ssc(system, b)
+    refusal = "^the certificate was made from another net$"
+    for net in (a, AttractorNet(b.points, b.epsilon, b.depth)):
+        with pytest.raises(ValueError, match=refusal):
+            rho_radius(system, net, cert)
+        with pytest.raises(ValueError, match=refusal):
+            InverseDynamics(system, net, cert)
+    assert rho_radius(system, b, cert) == rho_radius(system, b)
+    assert InverseDynamics(system, b, cert).claim_radius == InverseDynamics(system, b).claim_radius
 
 
 def test_a_strong_osc_certificate_is_refused():

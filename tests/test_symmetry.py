@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import sys
 from collections import Counter
 
 import numpy as np
@@ -27,7 +28,7 @@ from holoifs import (
     Word,
 )
 from holoifs.attractor import certify_strong_osc, compute_net
-from holoifs.dynamics import prep_points, spectrum
+from holoifs.dynamics import MultiplierSpectrum, prep_points, spectrum
 from holoifs.maps import Affine, compose_maps, compose_word, inverse_map
 from holoifs.symmetry import (
     BOUNDARY_SAMPLES,
@@ -578,6 +579,61 @@ def test_spectrum_compat_reports_unmatched():
     assert all(l is None for _, l in matches)
 
 
+def _dict_spectrum_compat(specG, specF, l_max, tol):
+    """The dict of ``round`` keys and ``sorted`` that the float keys replaced, as the oracle."""
+    targets = specF.multipliers()
+    seen = {}
+    for lam in specG.multipliers():
+        key = (round(lam.real / tol), round(lam.imag / tol))
+        if key not in seen:
+            seen[key] = complex(lam)
+    out = []
+    for lam in sorted(seen.values(), key=lambda z: (z.real, z.imag)):
+        found = None
+        for l in range(1, l_max + 1):
+            if len(targets) and float(np.min(np.abs(lam**l - targets))) <= tol:
+                found = l
+                break
+        out.append((lam, found))
+    return out
+
+
+def _signed_zero_spectrum():
+    # multipliers that differ only in the sign of a zero part, or by less
+    # than the tolerances, and repeats
+    lambdas = np.array(
+        [complex(0.25, -0.0), 0.25, complex(-0.0, 0.5), 0.5j, 0.3 + 1e-10j, 0.3, -0.0, 0.0, 0.25]
+    )
+    words = tuple((0,) * (k + 1) for k in range(len(lambdas)))
+    return MultiplierSpectrum(words, np.zeros(len(lambdas), complex), lambdas, 1, len(words))
+
+
+@pytest.mark.parametrize("tol", [1e-9, 1e-12, 1e-300])
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: (spectrum(cantor_thirds_reflected(), 4), spectrum(cantor_thirds(), 8)),
+        lambda: (spectrum(cantor_thirds(), 8), spectrum(cantor_thirds_reflected(), 4)),
+        lambda: (spectrum(sqrt_julia(-6.0), 8), spectrum(iterate_system(sqrt_julia(-6.0), 2), 4)),
+        lambda: (spectrum(sqrt_julia(-6.0 + 0.5j), 8), spectrum(sqrt_julia(-6.0 + 0.5j), 4)),
+        lambda: (_signed_zero_spectrum(), _signed_zero_spectrum()),
+    ],
+    ids=["reflected-thirds", "thirds-reflected", "julia6-squared", "julia-complex",
+         "signed-zeros"],
+)
+def test_spectrum_compat_equals_the_dict_oracle(make, tol):
+    specG, specF = make()
+    assert spectrum_compat(specG, specF, 8, tol) == _dict_spectrum_compat(specG, specF, 8, tol)
+
+
+@pytest.mark.parametrize("tol", [1e-320, 0.0, float("nan")])
+def test_spectrum_compat_rejects_a_tolerance_below_the_normal_floats(tol):
+    # 1/3 over 1e-320 overflows, so every multiplier would share one key
+    spec = spectrum(cantor_thirds(), 2)
+    with pytest.raises(ValueError, match="^the spectrum tolerance must be a normal float"):
+        spectrum_compat(spec, spec, 4, tol)
+
+
 # ---------------------------------------------------------------------------
 # shared attractor verdicts
 
@@ -683,6 +739,9 @@ def test_shared_thirds_vs_reflected_at_fine_resolution():
     [
         ("spectrum_tol", 0.0),
         ("spectrum_tol", float("inf")),
+        # |lambda| / 1e-320 overflows; the smallest normal float is the bound
+        ("spectrum_tol", 1e-320),
+        ("spectrum_tol", np.nextafter(sys.float_info.min, 0.0)),
         ("func_eq_tol", float("nan")),
         ("func_eq_tol", -1e-9),
         ("eq_samples", 0),
@@ -696,6 +755,12 @@ def test_shared_thirds_vs_reflected_at_fine_resolution():
 def test_budgets_reject_invalid_limits(field, value):
     with pytest.raises(ValueError, match=f"Budgets.{field} must be"):
         Budgets(**{field: value})
+
+
+def test_shared_attractor_takes_the_smallest_normal_spectrum_tolerance():
+    budgets = Budgets(spectrum_tol=sys.float_info.min)
+    report = shared_attractor(cantor_thirds(), cantor_thirds_reflected(), 1e-2, budgets)
+    assert report.spectrum_matches
 
 
 def test_budgets_accept_numpy_scalars():
