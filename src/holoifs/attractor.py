@@ -65,7 +65,7 @@ class AttractorNet:
     @property
     def xy(self) -> np.ndarray:
         """Points as an ``(n, 2)`` real array, for spatial indexing."""
-        return _xy(self.points)
+        return to_xy(self.points)
 
     def diameter(self, directions: int = 512) -> float:
         """Diameter of the point set.
@@ -261,7 +261,7 @@ def _as_points(obj) -> np.ndarray:
     return np.asarray(obj, dtype=np.complex128)
 
 
-def _xy(points: np.ndarray) -> np.ndarray:
+def to_xy(points: np.ndarray) -> np.ndarray:
     """Complex points as an ``(n, 2)`` real array, for spatial indexing."""
     return np.column_stack((points.real, points.imag))
 
@@ -279,7 +279,7 @@ def kd_tree(xy: np.ndarray):
 
 def hausdorff(a, b) -> float:
     """Hausdorff distance between two finite point sets (or nets)."""
-    xa, xb = _xy(_as_points(a)), _xy(_as_points(b))
+    xa, xb = to_xy(_as_points(a)), to_xy(_as_points(b))
     d_ab, d_ba = kd_tree(xb).query(xa, k=1)[0], kd_tree(xa).query(xb, k=1)[0]
     return float(max(np.max(d_ab), np.max(d_ba)))
 
@@ -299,11 +299,11 @@ def certify_ssc(system: IfsSystem, net: AttractorNet) -> SeparationCertificate:
     once and indexed by one KD tree, and the certificate carries both.
     """
     images = tuple(g(net.points) for g in system.maps)
-    trees = tuple(kd_tree(_xy(w)) for w in images)
+    trees = tuple(kd_tree(to_xy(w)) for w in images)
     pairwise = math.inf
     for i in range(len(images)):
         for j in range(i + 1, len(images)):
-            pairwise = min(pairwise, float(np.min(trees[j].query(_xy(images[i]), k=1)[0])))
+            pairwise = min(pairwise, float(np.min(trees[j].query(to_xy(images[i]), k=1)[0])))
     if not math.isfinite(pairwise):
         pairwise = 0.0  # single-map system: nothing to separate
     lip = max(float(np.max(np.abs(g.deriv(net.points)))) for g in system.maps)
@@ -332,22 +332,19 @@ def certify_strong_osc(
     if not disks:
         raise ValueError("need at least one candidate disk")
 
-    def union_margin(pts: np.ndarray) -> float:
+    def union_depth(pts: np.ndarray) -> np.ndarray:
+        """Per point, its largest depth ``radius - distance`` in one of the disks."""
         best = np.full(pts.shape, -math.inf)
         for d in disks:
             best = np.maximum(best, d.radius - np.abs(pts - d.center))
-        return float(np.min(best))
+        return best
 
-    inside = np.full(net.points.shape, -math.inf)
-    for d in disks:
-        inside = np.maximum(inside, d.radius - np.abs(net.points - d.center))
-    meets_margin = float(np.max(inside))
-
+    meets_margin = float(np.max(union_depth(net.points)))
     containment = math.inf
     for g in system.maps:
         for d in disks:
-            containment = min(containment, union_margin(g(d.boundary(samples))))
-            containment = min(containment, union_margin(np.array([g(d.center)])))
+            for pts in (g(d.boundary(samples)), np.array([g(d.center)])):
+                containment = min(containment, float(np.min(union_depth(pts))))
 
     enclosures = [[g.image_enclosure(d) for d in disks] for g in system.maps]
     gap = math.inf
@@ -413,12 +410,12 @@ def rho_radius(
     for i, u in enumerate(images):
         for j in range(i + 1, len(images)):
             v, tree = images[j], cert.trees[j]
-            dist, nearest = tree.query(_xy(cert.images[i]), k=1)
+            dist, nearest = tree.query(to_xy(cert.images[i]), k=1)
             best = min(best, float(np.min(pseudo_hyperbolic(u, v[nearest]))))
             centers, radii = pseudo_hyperbolic_ball(u, best)
             radii = radii * (1.0 + BALL_SLACK) + BALL_SLACK * (1.0 + abs(c) / radius)
             reach = np.flatnonzero(dist / radius <= np.abs(centers - u) + radii)
-            near = tree.query_ball_point(_xy(c + radius * centers[reach]), radius * radii[reach])
+            near = tree.query_ball_point(to_xy(c + radius * centers[reach]), radius * radii[reach])
             counts = np.fromiter(map(len, near), dtype=np.intp, count=len(near))
             rows = np.repeat(reach, counts)
             cols = np.fromiter(chain.from_iterable(near), dtype=np.intp, count=len(rows))

@@ -31,7 +31,7 @@ from itertools import chain, product
 
 import numpy as np
 
-from .attractor import AttractorNet, SeparationCertificate, certify_ssc, first_per_key
+from .attractor import AttractorNet, SeparationCertificate, certify_ssc, first_per_key, to_xy
 from .errors import (
     AmbiguousBranch,
     BudgetExceeded,
@@ -326,7 +326,10 @@ def spectrum(system: IfsSystem, max_len: int, word_cap: int = WORD_CAP) -> Multi
     keys = (points.real, points.imag, lambdas.real, lambdas.imag)
     rows = first_per_key(*(np.round(k / SPECTRUM_DEDUP_TOL) for k in keys))
     kept = tuple(words[i] for i in rows.tolist())
-    return MultiplierSpectrum(kept, points[rows], lambdas[rows], len(system.maps), max_len)
+    points, lambdas = points[rows], lambdas[rows]
+    # read-only, so no caller of multipliers() or truncated() writes into the rows
+    points.flags.writeable = lambdas.flags.writeable = False
+    return MultiplierSpectrum(kept, points, lambdas, len(system.maps), max_len)
 
 
 class InverseDynamics:
@@ -366,7 +369,7 @@ class InverseDynamics:
         xs = np.asarray(xs, dtype=np.complex128)
         n = len(xs)
         finite = np.isfinite(xs)
-        xy = np.column_stack((xs.real[finite], xs.imag[finite]))
+        xy = to_xy(xs[finite])
         claimed = np.zeros((len(self.cert.trees), n), dtype=bool)
         for i, tree in enumerate(self.cert.trees):
             claimed[i, finite] = tree.query(xy, k=1)[0] < self.claim_radius

@@ -59,6 +59,13 @@ class PowerSeriesGerm:
         return complex(self.coefficients[0])
 
     @property
+    def _growth(self) -> float:
+        """``max_k |c_k|^{1/k}``, the geometric growth of the coefficients."""
+        mags = np.abs(self.coefficients)
+        ks = np.arange(1, self.order + 1)
+        return float(np.max(mags ** (1.0 / ks))) if np.any(mags > 0) else 0.0
+
+    @property
     def sample_radius(self) -> float:
         """Radius where the truncation tail is provably negligible.
 
@@ -66,17 +73,11 @@ class PowerSeriesGerm:
         ``0.25 / g`` are dominated by ``0.25^k``, so the tail past the
         truncation order is below 1e-10.
         """
-        mags = np.abs(self.coefficients)
-        ks = np.arange(1, self.order + 1)
-        growth = float(np.max(mags ** (1.0 / ks))) if np.any(mags > 0) else 0.0
-        return _SAMPLE_RATIO / max(1.0, growth)
+        return _SAMPLE_RATIO / max(1.0, self._growth)
 
     def tail_bound(self, radius: float) -> float:
         """Crude geometric bound on the dropped tail at ``radius``."""
-        mags = np.abs(self.coefficients)
-        ks = np.arange(1, self.order + 1)
-        growth = float(np.max(mags ** (1.0 / ks))) if np.any(mags > 0) else 0.0
-        q = growth * radius
+        q = self._growth * radius
         if q >= 1.0:
             return math.inf
         return q ** (self.order + 1) / (1.0 - q)

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, fields
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import product
 
 import numpy as np
@@ -31,6 +31,7 @@ from .attractor import (
     hausdorff,
     kd_tree,
     rho_radius,
+    to_xy,
 )
 from .dynamics import InverseDynamics, check_word_budget, fixed_point, prep_points, spectrum
 from .errors import (
@@ -426,7 +427,7 @@ def verify_symmetry(
     forward_fail = 0
     if len(sel):
         images = np.atleast_1d(H(netG.points[sel]))
-        d, _ = F.tree.query(np.column_stack((images.real, images.imag)), k=1)
+        d, _ = F.tree.query(to_xy(images), k=1)
         forward_res = float(np.max(d))
         forward_fail = int(np.count_nonzero(d > forward_tol))
 
@@ -447,7 +448,7 @@ def verify_symmetry(
             backward_fail += 1
     if preimages:
         x = np.array(preimages)
-        d, _ = G.tree.query(np.column_stack((x.real, x.imag)), k=1)
+        d, _ = G.tree.query(to_xy(x), k=1)
         backward_res = float(np.max(d))
         backward_fail += int(np.count_nonzero(d > backward_tol))
     return SymmetryResidualReport(
@@ -462,19 +463,33 @@ def verify_symmetry(
     )
 
 
-def _germs_equal(g1: SymmetryGerm, g2: SymmetryGerm, tol: float = GERM_EQUALITY_TOL) -> bool:
-    z = Disk(g1.base, 0.5 * min(g1.radius, g2.radius)).boundary(GERM_SAMPLES)
-    return float(np.max(np.abs(g1.map(z) - g2.map(z)))) <= tol
+def _germ_classes(germs: list, base: complex, radius: float):
+    """Class representative of each germ of one scan, in order.
 
+    ``germs`` are built at ``base`` with ``radius``, ``None`` for a rejected
+    one.  Yields, per germ, the index of the first earlier representative it
+    equals within ``GERM_EQUALITY_TOL`` on the boundary samples of
+    ``Disk(base, radius / 2)``, its own index when it becomes one, or ``None``
+    for ``None``.  Each germ is evaluated once, at its first comparison and
+    before the representative, so a germ whose map raises on the samples
+    raises there, and a lone germ never.
+    """
+    z = Disk(base, 0.5 * radius).boundary(GERM_SAMPLES)
 
-def _identity_germ(base: complex, radius: float, mG: int, mF: int) -> SymmetryGerm:
-    return SymmetryGerm(
-        base=complex(base),
-        radius=radius,
-        word_g=Word((), mG),
-        word_f=Word((), mF),
-        map=Affine(1.0, 0.0),
-    )
+    @cache
+    def on_samples(i: int) -> np.ndarray:
+        return germs[i].map(z)
+
+    reps: list[int] = []
+    for i, germ in enumerate(germs):
+        rep = None if germ is None else next(
+            (j for j in reps
+             if float(np.max(np.abs(on_samples(i) - on_samples(j)))) <= GERM_EQUALITY_TOL),
+            i,
+        )
+        if rep == i:
+            reps.append(i)
+        yield rep
 
 
 def detect_coincidence(G: SystemNet, F: SystemNet, w: Word, K_max: int = 16) -> ConjugacyRelation:
@@ -482,7 +497,7 @@ def detect_coincidence(G: SystemNet, F: SystemNet, w: Word, K_max: int = 16) -> 
 
     Builds the germ of ``w^k`` at the fixed point of ``g_w`` for
     ``k = 0..K_max`` (``k = 0`` is the identity germ with empty words) and
-    scans pairs in increasing ``k``; the first coincidence ``H_p = H_q``
+    scans them in increasing ``k``; the first coincidence ``H_p = H_q``
     forces the address word of ``H_q`` to extend that of ``H_p``, yielding
     ``g_w^(q-p) = f_v ∘ f_vtilde ∘ f_v^{-1}``.
     """
@@ -490,11 +505,12 @@ def detect_coincidence(G: SystemNet, F: SystemNet, w: Word, K_max: int = 16) -> 
         raise ValueError("coincidence detection needs a non-empty word")
     mG, mF = len(G.system.maps), len(F.system.maps)
     beta = fixed_point(G.system, w).point
-    rho = min(G.rho, F.rho)
-    r = RADIUS_FRACTION * rho
+    r = RADIUS_FRACTION * min(G.rho, F.rho)
     sF = F.s_floor
 
-    germs: list[SymmetryGerm | None] = [_identity_germ(beta, r, mG, mF)]
+    germs: list[SymmetryGerm | None] = [
+        SymmetryGerm(beta, r, Word((), mG), Word((), mF), Affine(1.0, 0.0))
+    ]
     for germ in build_symmetries(G, F, beta, [w * k for k in range(1, K_max + 1)]):
         if isinstance(germ, GERM_REJECTIONS):
             germ = None
@@ -502,39 +518,25 @@ def detect_coincidence(G: SystemNet, F: SystemNet, w: Word, K_max: int = 16) -> 
             raise germ
         germs.append(germ)
 
-    for q in range(1, K_max + 1):
-        gq = germs[q]
-        if gq is None:
+    # up to the first coincidence every germ is a representative, so the
+    # first germ H_q with another class is the first pair H_p = H_q, p < q
+    for q, p in enumerate(_germ_classes(germs, beta, r)):
+        if p is None or p == q:
             continue
-        for p in range(q):
-            gp = germs[p]
-            if gp is None or not _germs_equal(gp, gq):
-                continue
-            v = gp.word_f
-            vq = gq.word_f
-            if vq.indices == v.indices:
-                raise PrefixViolation(
-                    "coinciding germs carry identical address words"
-                )
-            if not vq.starts_with(v):
-                raise PrefixViolation(
-                    f"address word {vq.indices} does not extend {v.indices}"
-                )
-            vtilde = Word(vq.indices[len(v):], mF)
-            l = q - p
-            f_v = compose_word(F.system, v)
-            rel = compose_maps((f_v, compose_word(F.system, vtilde), inverse_map(f_v)))
-            gwl = compose_word(G.system, w * l)
-            z = np.concatenate((Disk(beta, r * sF / 2.0).boundary(GERM_SAMPLES), [beta]))
-            residual = float(np.max(np.abs(gwl(z) - rel(z))))
-            return ConjugacyRelation(
-                exponent_l=l,
-                outer=v,
-                inner=vtilde,
-                source=w,
-                anchor=beta,
-                residual=residual,
-            )
+        v, vq = germs[p].word_f, germs[q].word_f
+        if vq.indices == v.indices:
+            raise PrefixViolation("coinciding germs carry identical address words")
+        if not vq.starts_with(v):
+            raise PrefixViolation(f"address word {vq.indices} does not extend {v.indices}")
+        vtilde = Word(vq.indices[len(v):], mF)
+        l = q - p
+        f_v = compose_word(F.system, v)
+        rel = compose_maps((f_v, compose_word(F.system, vtilde), inverse_map(f_v)))
+        gwl = compose_word(G.system, w * l)
+        z = np.concatenate((Disk(beta, r * sF / 2.0).boundary(GERM_SAMPLES), [beta]))
+        residual = float(np.max(np.abs(gwl(z) - rel(z))))
+        return ConjugacyRelation(exponent_l=l, outer=v, inner=vtilde, source=w,
+                                 anchor=beta, residual=residual)
     raise NoCoincidence(f"no coinciding germ pair within K_max = {K_max}")
 
 
@@ -597,9 +599,11 @@ def _functional_sweep(
             continue
         anchor = complex(netG.points[inside[np.argmin(dist[inside])]])
         samples = _subsample(netG.points[inside], budgets.eq_samples)
-        classes: list[SymmetryGerm] = []
         words = [Word(t, mG) for t in product(range(mG), repeat=M)]
-        for tw, germ in zip(words, build_symmetries(G, F, anchor, words)):
+        outcomes = build_symmetries(G, F, anchor, words)
+        germs = [None if isinstance(g, Exception) else g for g in outcomes]
+        # the scan is lazy, so each germ is compared as this loop reaches it
+        for tw, germ, c in zip(words, outcomes, _germ_classes(germs, anchor, r)):
             if isinstance(germ, GERM_REJECTIONS):
                 entries.append(
                     FunctionalEquation(d_idx, tw, None, None, None,
@@ -608,15 +612,7 @@ def _functional_sweep(
                 continue
             if isinstance(germ, Exception):
                 raise germ
-            rep = None
-            for cand in classes:
-                if _germs_equal(germ, cand):
-                    rep = cand
-                    break
-            if rep is None:
-                classes.append(germ)
-                rep = germ
-            t_k, u_k = rep.word_g, rep.word_f
+            t_k, u_k = germs[c].word_g, germs[c].word_f
             try:
                 y = compose_word(G.system, t_k)(samples)
                 lhs = compose_maps(

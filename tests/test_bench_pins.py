@@ -1,14 +1,21 @@
 """The benchmark's sha256-pinned reports hold on every test run.
 
 ``bench/workloads.py`` is loaded read-only, as ``test_bench_tracing.py``
-loads ``bench/tracing.py``.
+loads ``bench/tracing.py``.  The other ``shared`` reports that a refactor
+must keep byte-identical are pinned here too.
 """
 
+import hashlib
 import importlib.util
+import re
 import sys
 from pathlib import Path
 
 import pytest
+
+from holoifs.cli import shared_report_text
+from holoifs.symmetry import shared_attractor
+from holoifs.systems import cantor_thirds, cantor_thirds_reflected, iterate_system, sqrt_julia
 
 WORKLOADS = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
 
@@ -35,3 +42,62 @@ def test_seed_zero_report_matches_its_pin(workload, tmp_path):
         assert output.count(b"\n") == len(result) == 1864
     else:
         assert b"\nverdict = Shared\n" in output
+
+
+THIRDS = ("cantor-thirds", cantor_thirds)
+REFLECTED = ("cantor-thirds-reflected", cantor_thirds_reflected)
+
+
+def _report(g, f, epsilon):
+    (label_g, make_g), (label_f, make_f) = g, f
+    report = shared_attractor(make_g(), make_f(), epsilon)
+    return shared_report_text(report, epsilon, label_g, label_f).encode("utf-8")
+
+
+@pytest.mark.parametrize(
+    "g, f, epsilon, digest",
+    [
+        (THIRDS, REFLECTED, 1e-3,
+         "14bc3df02ae3c0f009c9edec0a37cc32e8eea4f75e1d9e3151e19e3444b414df"),
+        (REFLECTED, THIRDS, 1e-3,
+         "e5a98ae8f950e9c7fc6654da39b70bd9c4fb2a98a173e1d748a25f484e14d14c"),
+        # thirds vs reflected at 1e-5 is the cantor-fine pin
+        (REFLECTED, THIRDS, 1e-5,
+         "cd1599f8093b288ff58a2c664431f0337dc3810e2d4fe0bf18da460a6add215d"),
+    ],
+    ids=["thirds-reflected-1e-3", "reflected-thirds-1e-3", "reflected-thirds-1e-5"],
+)
+def test_cantor_reports_match_their_pins(g, f, epsilon, digest):
+    assert hashlib.sha256(_report(g, f, epsilon)).hexdigest() == digest
+
+
+def test_julia_self_report_matches_the_cli_pin():
+    # the benchmark's CLI call decides sqrt_julia(-6) against itself
+    pin = _load_workloads().PINNED["julia-square.cli"]
+    julia = ("sqrt-julia", lambda: sqrt_julia(-6.0))
+    assert hashlib.sha256(_report(julia, julia, 1e-3)).hexdigest() == pin
+
+
+def test_complex_julia_square_report_keeps_its_verdict_counts_and_words():
+    # on complex maps a multiplier or residual may move in numpy's last bit,
+    # so the floats are not pinned
+    c = -6.0 + 0.5j
+    text = _report(("sqrt-julia-complex", lambda: sqrt_julia(c)),
+                   ("sqrt-julia-complex^2", lambda: iterate_system(sqrt_julia(c), 2)),
+                   1e-3).decode("utf-8")
+    fields = dict(line.split(" = ", 1) for line in text.splitlines()[1:])
+    assert {k: fields[k] for k in (
+        "verdict", "ssc_both", "prep_forward_pass", "prep_forward_fail", "prep_backward_pass",
+        "prep_backward_fail", "spectrum_count", "equation_count",
+    )} == {
+        "verdict": "Shared", "ssc_both": "true", "prep_forward_pass": "22",
+        "prep_forward_fail": "0", "prep_backward_pass": "316", "prep_backward_fail": "0",
+        "spectrum_count": "74", "equation_count": "256",
+    }
+    words = "".join(
+        line + "\n" for line in text.splitlines()
+        if re.match(r"equation_\d+_(disk|word_g|word_f) = ", line)
+    )
+    assert words.count("\n") == 3 * 256
+    assert hashlib.sha256(words.encode("utf-8")).hexdigest() == (
+        "862a784594eda488f65aab38e515fa129a471156e2ae1f1e98b2537baf33ef3e")

@@ -375,6 +375,17 @@ def test_spectrum_contains_multiplier():
     assert not spec.contains_multiplier(-1 / 9)
 
 
+def test_spectrum_rows_cannot_be_written_through_its_arrays():
+    spec = spectrum(cantor_thirds_reflected(), 4)
+    before = spec.entries[0]
+    cut = spec.truncated(2)
+    for rows in (spec.multipliers(), spec.points, cut.multipliers(), cut.points):
+        with pytest.raises(ValueError, match="read-only"):
+            rows[0] = 5
+    assert spec.entries[0] == before
+    assert spec.entries[0].multiplier != 5
+
+
 def test_spectrum_budget():
     with pytest.raises(BudgetExceeded):
         spectrum(cantor_thirds(), 30, word_cap=1000)

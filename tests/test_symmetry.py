@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import sys
 from collections import Counter
@@ -25,16 +26,21 @@ from holoifs import (
     NoCoincidence,
     NotInImage,
     OutsideAttractor,
+    PrefixViolation,
     Word,
 )
 from holoifs.attractor import certify_strong_osc, compute_net
-from holoifs.dynamics import MultiplierSpectrum, prep_points, spectrum
+from holoifs.dynamics import MultiplierSpectrum, fixed_point, prep_points, spectrum
 from holoifs.maps import Affine, compose_maps, compose_word, inverse_map
 from holoifs.symmetry import (
     BOUNDARY_SAMPLES,
     DERIV_SLACK,
+    GERM_EQUALITY_TOL,
+    GERM_REJECTIONS,
+    GERM_SAMPLES,
     RADIUS_FRACTION,
     Budgets,
+    ConjugacyRelation,
     SymmetryGerm,
     SystemNet,
     SymmetryResidualReport,
@@ -546,6 +552,209 @@ def test_coincidence_multiplier_law(thirds, reflected):
 def test_coincidence_budget_exhaustion(thirds, reflected):
     with pytest.raises(NoCoincidence):
         detect_coincidence(reflected, thirds, Word((1,), 2), K_max=1)
+
+
+# ---------------------------------------------------------------------------
+# germ classes
+
+
+def _pairwise_germs_equal(g1, g2, tol=GERM_EQUALITY_TOL):
+    z = Disk(g1.base, 0.5 * min(g1.radius, g2.radius)).boundary(GERM_SAMPLES)
+    return float(np.max(np.abs(g1.map(z) - g2.map(z)))) <= tol
+
+
+def _pairwise_classes(germs):
+    """The sweep's class loop as first written: each germ evaluated on every comparison."""
+    classes, out = [], []
+    for germ in germs:
+        if germ is None:
+            out.append(None)
+            continue
+        rep = None
+        for cand in classes:
+            if _pairwise_germs_equal(germ, cand):
+                rep = cand
+                break
+        if rep is None:
+            classes.append(germ)
+            rep = germ
+        out.append(next(k for k, g in enumerate(germs) if g is rep))
+    return out
+
+
+def _pairwise_detect_coincidence(G, F, w, K_max=16):
+    """detect_coincidence as first written: every germ against every earlier germ."""
+    mG, mF = len(G.system.maps), len(F.system.maps)
+    beta = fixed_point(G.system, w).point
+    rho = min(G.rho, F.rho)
+    r = RADIUS_FRACTION * rho
+    sF = F.s_floor
+    germs = [SymmetryGerm(complex(beta), r, Word((), mG), Word((), mF), Affine(1.0, 0.0))]
+    for germ in build_symmetries(G, F, beta, [w * k for k in range(1, K_max + 1)]):
+        if isinstance(germ, GERM_REJECTIONS):
+            germ = None
+        elif isinstance(germ, Exception):
+            raise germ
+        germs.append(germ)
+    for q in range(1, K_max + 1):
+        gq = germs[q]
+        if gq is None:
+            continue
+        for p in range(q):
+            gp = germs[p]
+            if gp is None or not _pairwise_germs_equal(gp, gq):
+                continue
+            v, vq = gp.word_f, gq.word_f
+            if vq.indices == v.indices:
+                raise PrefixViolation("coinciding germs carry identical address words")
+            if not vq.starts_with(v):
+                raise PrefixViolation(f"address word {vq.indices} does not extend {v.indices}")
+            vtilde = Word(vq.indices[len(v):], mF)
+            l = q - p
+            f_v = compose_word(F.system, v)
+            rel = compose_maps((f_v, compose_word(F.system, vtilde), inverse_map(f_v)))
+            gwl = compose_word(G.system, w * l)
+            z = np.concatenate((Disk(beta, r * sF / 2.0).boundary(GERM_SAMPLES), [beta]))
+            residual = float(np.max(np.abs(gwl(z) - rel(z))))
+            return ConjugacyRelation(l, v, vtilde, w, beta, residual)
+    raise NoCoincidence(f"no coinciding germ pair within K_max = {K_max}")
+
+
+def _record_germ_scans(monkeypatch):
+    """Patch the germ scan to record, per call, its germs, base, radius and yields."""
+    scans = []
+    scan = holoifs.symmetry._germ_classes
+
+    def recording(germs, base, radius):
+        got = []
+        scans.append((germs, base, radius, got))
+        for c in scan(germs, base, radius):
+            got.append(c)
+            yield c
+
+    monkeypatch.setattr(holoifs.symmetry, "_germ_classes", recording)
+    return scans
+
+
+GERM_SCAN_PAIRS = {
+    "thirds-reflected": lambda: (cantor_thirds(), cantor_thirds_reflected()),
+    "julia6-squared": lambda: (sqrt_julia(-6.0), iterate_system(sqrt_julia(-6.0), 2)),
+    "julia6-self": lambda: (sqrt_julia(-6.0), sqrt_julia(-6.0)),
+    "julia-complex-squared": lambda: (
+        sqrt_julia(-6.0 + 0.5j), iterate_system(sqrt_julia(-6.0 + 0.5j), 2)),
+}
+
+
+@pytest.mark.parametrize("pair", list(GERM_SCAN_PAIRS))
+def test_germ_classes_equal_the_pairwise_loops(monkeypatch, pair):
+    g, f = GERM_SCAN_PAIRS[pair]()
+    scans = _record_germ_scans(monkeypatch)
+    assert shared_attractor(g, f, EPS).verdict == "Shared"
+    G, F = system_net(g), system_net(f)
+    for w in _all_words(len(g.maps), 2):
+        want = _outcome(_pairwise_detect_coincidence, G, F, w)
+        assert _same_outcome(_outcome(detect_coincidence, G, F, w), want)
+    merged = 0
+    for germs, base, radius, got in scans:
+        # every germ of one scan shares the scan's base and radius
+        assert all(x.base == base and x.radius == radius for x in germs if x is not None)
+        # detect_coincidence stops reading at the first coincidence
+        assert got == _pairwise_classes(germs)[:len(got)]
+        merged += sum(c not in (None, i) for i, c in enumerate(got))
+    # one scan per word of detect_coincidence, and at least one disk of the sweep
+    assert len(scans) > len(_all_words(len(g.maps), 2)) and merged > 0
+
+
+def test_germ_maps_are_evaluated_once_per_germ(monkeypatch):
+    counts = Counter()
+
+    class Counted:
+        def __init__(self, inner):
+            self.inner = inner
+
+        def __call__(self, z):
+            counts[self] += 1
+            return self.inner(z)
+
+    build = holoifs.symmetry.build_symmetries
+
+    def counting(*args):
+        return [dataclasses.replace(x, map=Counted(x.map)) if isinstance(x, SymmetryGerm) else x
+                for x in build(*args)]
+
+    monkeypatch.setattr(holoifs.symmetry, "build_symmetries", counting)
+    scans = _record_germ_scans(monkeypatch)
+    julia = sqrt_julia(-6.0)
+    report = shared_attractor(julia, iterate_system(julia, 2), EPS)
+    assert len(report.functional_equations) == 256
+    assert max(counts.values()) == 1
+    assert sum(counts.values()) <= 256
+    # the pairwise loop evaluates both germs on every comparison
+    counts.clear()
+    for germs, *_ in scans:
+        _pairwise_classes(germs)
+    assert sum(counts.values()) == 1000
+
+
+class _Planted(Exception):
+    pass
+
+
+def _raising(label):
+    def planted(z):
+        raise _Planted(label)
+
+    return planted
+
+
+def _scan_germ(map_):
+    return SymmetryGerm(0.25 + 0j, 0.01, Word((0,), 2), Word((0,), 2), map_)
+
+
+def test_germ_scan_evaluates_a_germ_at_its_first_comparison():
+    scan = holoifs.symmetry._germ_classes
+    ok = _scan_germ(Affine(1.0, 0.0))
+    # a lone germ is never evaluated
+    assert list(scan([None, _scan_germ(_raising("lone")), None], 0.25, 0.01)) == [None, 1, None]
+    # a germ is not evaluated when it becomes the first representative ...
+    classes = scan([_scan_germ(_raising("first")), ok], 0.25, 0.01)
+    assert next(classes) == 0
+    # ... but at its first comparison, after the new germ
+    with pytest.raises(_Planted, match="first"):
+        next(classes)
+    classes = scan([ok, _scan_germ(_raising("second")), ok], 0.25, 0.01)
+    assert next(classes) == 0
+    with pytest.raises(_Planted, match="second"):
+        next(classes)
+    with pytest.raises(_Planted, match="new"):
+        list(scan([_scan_germ(_raising("rep")), _scan_germ(_raising("new"))], 0.25, 0.01))
+    # the pairwise loop raises the same way
+    with pytest.raises(_Planted, match="new"):
+        _pairwise_classes([_scan_germ(_raising("rep")), _scan_germ(_raising("new"))])
+    assert list(scan([ok, _scan_germ(Affine(1.0, 1e-10)), _scan_germ(Affine(1.0, 1e-8))],
+                     0.25, 0.01)) == [0, 0, 2]
+
+
+@pytest.mark.parametrize("lone", [False, True])
+def test_functional_sweep_evaluates_a_planted_germ_only_when_compared(monkeypatch, lone):
+    build = holoifs.symmetry.build_symmetries
+
+    def planting(*args):
+        out = build(*args)
+        first = next(k for k, x in enumerate(out) if isinstance(x, SymmetryGerm))
+        if lone:  # every other germ of the disk rejected
+            out = [x if k == first else CriterionEmpty("planted") for k, x in enumerate(out)]
+        out[first] = dataclasses.replace(out[first], map=_raising("planted"))
+        return out
+
+    monkeypatch.setattr(holoifs.symmetry, "build_symmetries", planting)
+    if not lone:
+        with pytest.raises(_Planted):
+            shared_attractor(cantor_thirds(), cantor_thirds_reflected(), EPS)
+        return
+    report = shared_attractor(cantor_thirds(), cantor_thirds_reflected(), EPS)
+    assert report.verdict == "Inconclusive"
+    assert {e.note for e in report.functional_equations} == {"", "CriterionEmpty"}
 
 
 # ---------------------------------------------------------------------------
