@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from itertools import chain
 
 import numpy as np
 
@@ -28,11 +27,22 @@ POINT_CAP = 10**7
 #: walked in blocks of that many cylinders
 NET_BLOCK = 2**15
 
-#: relative and absolute (unit-disk, times ``1 + |c|/R``) widening of the KD
-#: query disks in :func:`rho_radius`; rounding in the distance, the disk
-#: formula, the map to ``B(c, R)`` and the KD distance test moves a ball
-#: boundary by far less, so the minimising pair is never dropped
+#: relative and absolute (unit-disk, times ``1 + |c|/R``) widening of the ball
+#: queries in :func:`rho_radius`; rounding in the distance, the disk formula,
+#: the map to ``B(c, R)`` and the index's distance test moves a ball boundary
+#: by far less, so the minimising pair is never dropped
 BALL_SLACK = 1e-9
+
+#: most points in a leaf of a :class:`PointIndex`
+LEAF_SIZE = 8
+
+#: a :class:`PointIndex` query scans at most about this many (row, point)
+#: pairs per row block: small batches stop higher in the tree
+SCAN_PAIRS = 4096
+
+#: rows answered together by :meth:`PointIndex.nearest`, which bounds its
+#: working memory
+QUERY_ROWS = 2**16
 
 
 @dataclass(frozen=True)
@@ -86,8 +96,10 @@ class SeparationCertificate:
 
     ``margin`` discounts the net resolution: a positive margin certifies the
     condition for the true attractor, a non-positive margin is inconclusive.
-    An SSC certificate carries its ``net``, the images ``g_i(net)`` and one KD
-    tree over each, the only index of those points; a StrongOSC one has none.
+    An SSC certificate carries its ``net``, the images ``g_i(net)``, one
+    :class:`PointIndex` over each (the only index of those points) and, for
+    each pair ``i < j``, the ``nearest`` distances and indices of image ``i``'s
+    points in image ``j``; a StrongOSC one has none of them.
     """
 
     kind: str
@@ -97,6 +109,7 @@ class SeparationCertificate:
     checks: dict = field(default_factory=dict)
     images: tuple[np.ndarray, ...] = field(default=(), repr=False, compare=False)
     trees: tuple = field(default=(), repr=False, compare=False)
+    nearest: dict = field(default_factory=dict, repr=False, compare=False)
     net: AttractorNet | None = field(default=None, repr=False, compare=False)
 
     @property
@@ -266,21 +279,259 @@ def to_xy(points: np.ndarray) -> np.ndarray:
     return np.column_stack((points.real, points.imag))
 
 
-def kd_tree(xy: np.ndarray):
-    """A ``scipy.spatial.cKDTree`` over the rows of ``xy``.
+class PointIndex:
+    """Median-split k-d tree over the rows of an ``(n, 2)`` array, queried a batch at a time.
 
-    scipy is imported on the first call, so commands that build no tree
-    never load ``scipy.spatial``.
+    The tree is complete: level ``l`` has ``2**l`` nodes of ``width >> l``
+    slots each, node ``k`` holding slots ``k*(width >> l)`` onward of
+    ``order``, and every node is split at its median into its two halves,
+    the children ``2k`` and ``2k + 1``.  The last node slots are pads, at
+    ``+inf`` so that they sort last and are never the nearest point.  A node
+    is split along the longer side of its cell (the box cut out by the
+    splits above it); every other level sorts each node along that side
+    once, so its children split the same way.  Each node keeps its tight
+    bounding box.
+
+    Distances are ``sqrt(dx*dx + dy*dy)`` in float arithmetic, and ties are
+    equal distances.  Every pruning test compares a distance bound computed
+    by the same float expression, and rounding is monotone, so a pruned node
+    holds no point that the test on its own distance would keep: answers are
+    exact, not approximate.
     """
-    from scipy.spatial import cKDTree
 
-    return cKDTree(xy)
+    def __init__(self, xy: np.ndarray):
+        xy = np.asarray(xy, dtype=np.float64)
+        if xy.ndim != 2 or xy.shape[1] != 2:
+            raise ValueError(f"index points must be an (n, 2) array, got shape {xy.shape}")
+        n = len(xy)
+        if n == 0:
+            raise ValueError("an index needs at least one point")
+        if not np.isfinite(xy).all():
+            raise ValueError("index points must be finite")
+        depth = 0
+        while -(-n >> depth) > LEAF_SIZE:
+            depth += 1
+        width = -(-n >> depth) << depth
+        self.n, self.depth = n, depth
+        # x then y, each padded to `width` slots
+        coords = np.full(2 * width, np.inf)
+        coords[:n], coords[width : width + n] = xy[:, 0], xy[:, 1]
+        lo = np.array([[coords[:n].min()], [coords[width : width + n].min()]])
+        hi = np.array([[coords[:n].max()], [coords[width : width + n].max()]])
+        slots = np.arange(width)[None, :]
+        self.splits = []  # per level: (axis, left child's high, right child's low) by node
+        # a cell made only of pads has infinite sides; its axis does not matter
+        with np.errstate(invalid="ignore"):
+            for level in range(depth):
+                nodes, size = slots.shape
+                if level % 2 == 0:
+                    axis = (hi[1] - lo[1] > hi[0] - lo[0]).astype(np.intp)
+                    keys = np.take(coords, slots + width * axis[:, None])
+                    perm = np.argsort(keys, axis=1, kind="stable")
+                    perm += (np.arange(nodes) * size)[:, None]
+                    slots, keys = np.take(slots, perm), np.take(keys, perm)
+                else:
+                    axis = axis.repeat(2)
+                    keys = keys.reshape(nodes, size)
+                half = size // 2
+                split = np.empty((3, nodes))
+                split[0], split[1], split[2] = axis, keys[:, half - 1], keys[:, half]
+                self.splits.append(split)
+                lo, hi = lo.repeat(2, axis=1), hi.repeat(2, axis=1)
+                k = np.arange(nodes)
+                hi[axis, 2 * k] = split[1]
+                lo[axis, 2 * k + 1] = split[2]
+                slots = slots.reshape(2 * nodes, half)
+        slots = slots.ravel()
+        self.order = np.minimum(slots, n)  # pads read as index n
+        self.px, self.py = coords[slots], coords[slots + width]
+        # boxes as rows (x_lo, y_lo, -x_hi, -y_hi), leaves up; pads widen none
+        sides = np.empty((4, width))
+        sides[0], sides[1] = self.px, self.py
+        np.negative(sides[:2], out=sides[2:])
+        sides[2:, slots >= n] = np.inf
+        sides = sides.reshape(4, 1 << depth, -1)
+        box = sides[:, :, 0].copy()
+        for j in range(1, sides.shape[2]):
+            np.minimum(box, sides[:, :, j], out=box)
+        self.boxes = [box]
+        for _ in range(depth):
+            self.boxes.insert(0, np.minimum(self.boxes[0][:, 0::2], self.boxes[0][:, 1::2]))
+        self.width = [width >> level for level in range(depth + 1)]
+        # small batches test every box of this level at once
+        self.small = 0
+        while self.small < depth and self.width[self.small] > 2 << self.small:
+            self.small += 1
+
+    def nearest(self, xy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Distance to, and index of, the nearest point for each row of ``xy``.
+
+        Ties go to the lowest index.  Raises ``ValueError`` on a row that is
+        not finite.
+        """
+        q4 = self._queries(xy)
+        if q4.shape[1] <= QUERY_ROWS:
+            return self._nearest(q4)
+        parts = [self._nearest(q4[:, k : k + QUERY_ROWS])
+                 for k in range(0, q4.shape[1], QUERY_ROWS)]
+        return np.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts])
+
+    def within(self, xy: np.ndarray, r) -> tuple[np.ndarray, np.ndarray]:
+        """Every pair ``(row, index)`` whose distance is at most ``r`` (per row, or one for all).
+
+        Each pair comes once, in no set order.  Raises ``ValueError`` on a
+        row that is not finite.
+        """
+        q4 = self._queries(xy)
+        nq = q4.shape[1]
+        r = np.broadcast_to(np.asarray(r, dtype=np.float64), (nq,))
+        stop = self._stop(nq)
+        rows, nodes = np.arange(nq), np.zeros(nq, dtype=np.intp)
+        for level in range(stop + 1):
+            near = self._near(self._gaps(q4, rows, nodes, level))
+            rows, nodes = self._expand(rows, nodes, near <= r.take(rows), level < stop)
+        dist, pos = self._scan(q4, rows, nodes, stop)
+        index = self.order.take(pos)
+        hit = (dist <= r.take(rows)) & (index < self.n)
+        return np.broadcast_to(rows, hit.shape)[hit], index[hit]
+
+    @staticmethod
+    def _queries(xy) -> np.ndarray:
+        """Rows of ``xy`` as the columns of ``(x, y, -x, -y)``."""
+        xy = np.asarray(xy, dtype=np.float64).reshape(-1, 2)
+        q4 = np.empty((4, len(xy)))
+        q4[:2] = xy.T
+        if not np.isfinite(q4[:2]).all():
+            raise ValueError("query points must be finite")
+        np.negative(q4[:2], out=q4[2:])
+        return q4
+
+    def _stop(self, nq: int) -> int:
+        """The level whose nodes ``nq`` rows scan: the highest within ``SCAN_PAIRS``, else the leaves."""
+        level = 0
+        while level < self.depth and nq * self.width[level] > SCAN_PAIRS:
+            level += 1
+        return level
+
+    def _gaps(self, q4, rows, nodes, level) -> np.ndarray:
+        """Box minus query, per side: ``(x_lo - x, y_lo - y, x - x_hi, y - y_hi)``."""
+        return self.boxes[level].take(nodes, axis=1) - q4.take(rows, axis=1)
+
+    @staticmethod
+    def _near(gaps: np.ndarray) -> np.ndarray:
+        """Distance from the query to its box: zero inside; no box point is nearer."""
+        near = np.maximum(gaps[:2], gaps[2:])
+        np.maximum(near, 0.0, out=near)
+        near *= near
+        return np.sqrt(near[0] + near[1])
+
+    @staticmethod
+    def _far(gaps: np.ndarray) -> np.ndarray:
+        """Distance from the query to its box's farthest corner: no box point is farther."""
+        far = np.minimum(gaps[:2], gaps[2:])
+        far *= far
+        return np.sqrt(far[0] + far[1])
+
+    @staticmethod
+    def _expand(rows, nodes, keep, deeper: bool):
+        """The kept pairs, with each node replaced by its two children when ``deeper``."""
+        rows, nodes = rows[keep], nodes[keep]
+        if deeper:
+            rows, nodes = rows.repeat(2), (2 * nodes[:, None] + (0, 1)).ravel()
+        return rows, nodes
+
+    def _scan(self, q4, rows, nodes, level):
+        """Distances and slots, ``(node width, pairs)``, of each pair's node points."""
+        size = self.width[level]
+        pos = nodes * size + np.arange(size)[:, None]
+        dx = self.px.take(pos) - q4[0].take(rows)
+        dy = self.py.take(pos) - q4[1].take(rows)
+        return np.sqrt(dx * dx + dy * dy), pos
+
+    def _best(self, q4, rows, nodes, level):
+        """Per row, the least distance over its pairs' points and its lowest index.
+
+        Rows without pairs read ``inf`` and ``n``.
+        """
+        nq = q4.shape[1]
+        dist, pos = self._scan(q4, rows, nodes, level)
+        best = np.full(nq, np.inf)
+        np.minimum.at(best, rows, dist.min(axis=0))
+        low = np.where(dist == best.take(rows), self.order.take(pos), self.n).min(axis=0)
+        index = np.full(nq, self.n)
+        np.minimum.at(index, rows, low)
+        return best, index
+
+    def _nearest(self, q4):
+        nq = q4.shape[1]
+        if nq << self.small <= SCAN_PAIRS:
+            # every box of the small level at once; a box nearer than the
+            # row's least farthest-corner distance is scanned
+            gaps = self.boxes[self.small][:, None, :] - q4[:, :, None]
+            keep = self._near(gaps) <= self._far(gaps).min(axis=1)[:, None]
+            return self._best(q4, *np.nonzero(keep), self.small)
+        # descend each row to its home node, on the side of the nearer child
+        stop = self._stop(nq)
+        node = np.zeros(nq, dtype=np.intp)
+        plane2 = np.full(nq, np.inf)
+        for level in range(stop):
+            axis, left_high, right_low = self.splits[level].take(node, axis=1)
+            c = np.where(axis, q4[1], q4[0])
+            dl, dr = c - left_high, right_low - c
+            right = dl > dr
+            across = np.where(right, dl, dr)  # to the other child's side of the split
+            np.minimum(plane2, across * across, out=plane2)
+            node = 2 * node + right
+        dist, pos = self._scan(q4, np.arange(nq), node, stop)
+        best = dist.min(axis=0)
+        index = np.where(dist == best, self.order.take(pos), self.n).min(axis=0)
+        # a row nearer its home point than every split on its path is done;
+        # the others walk down from the first level whose other child's box
+        # may hold a point as near
+        rows = np.flatnonzero(~(best < np.sqrt(plane2)))
+        if rows.size:
+            fail = np.empty((stop, rows.size), dtype=bool)
+            for level in range(stop):
+                other = (node[rows] >> (stop - level - 1)) ^ 1
+                fail[level] = self._near(self._gaps(q4, rows, other, level + 1)) <= best[rows]
+            walk = fail.any(axis=0)
+            rows, first = rows[walk], fail.argmax(axis=0)[walk]
+        if rows.size:
+            pairs = self._walk(q4, rows, node[rows] >> (stop - first), first, stop, best)
+            walked, walked_index = self._best(q4, *pairs, stop)
+            best[rows], index[rows] = walked[rows], walked_index[rows]
+        return best, index
+
+    def _walk(self, q4, rows, nodes, first, stop, bound):
+        """The pairs at level ``stop`` under the given ones that may hold a row's nearest point.
+
+        Pair ``(rows[k], nodes[k])`` enters at level ``first[k]``.  A node is
+        pruned when its box is farther than the row's bound, which starts at
+        ``bound`` and falls to the farthest corner of any box the row meets.
+        The kept pairs cover every point as near as the row's nearest.
+        """
+        bound = bound.copy()
+        at_rows, at_nodes = rows[:0], nodes[:0]
+        for level in range(int(first.min()), stop + 1):
+            enter = first == level
+            at_rows = np.concatenate((at_rows, rows[enter]))
+            at_nodes = np.concatenate((at_nodes, nodes[enter]))
+            gaps = self._gaps(q4, at_rows, at_nodes, level)
+            np.minimum.at(bound, at_rows, self._far(gaps))
+            keep = self._near(gaps) <= bound.take(at_rows)
+            at_rows, at_nodes = self._expand(at_rows, at_nodes, keep, level < stop)
+        return at_rows, at_nodes
+
+
+def kd_tree(xy: np.ndarray) -> PointIndex:
+    """The :class:`PointIndex` over the rows of ``xy``: every point index of the package."""
+    return PointIndex(xy)
 
 
 def hausdorff(a, b) -> float:
     """Hausdorff distance between two finite point sets (or nets)."""
     xa, xb = to_xy(_as_points(a)), to_xy(_as_points(b))
-    d_ab, d_ba = kd_tree(xb).query(xa, k=1)[0], kd_tree(xa).query(xb, k=1)[0]
+    d_ab, d_ba = kd_tree(xb).nearest(xa)[0], kd_tree(xa).nearest(xb)[0]
     return float(max(np.max(d_ab), np.max(d_ba)))
 
 
@@ -296,14 +547,16 @@ def certify_ssc(system: IfsSystem, net: AttractorNet) -> SeparationCertificate:
     The margin subtracts twice the worst first-level Lipschitz constant times
     the net resolution, which bounds how far the sampled images can sit from
     the true pieces of the attractor.  Each image ``g_i(net)`` is computed
-    once and indexed by one KD tree, and the certificate carries both.
+    once and indexed by one :class:`PointIndex`; the certificate carries
+    both, and each pair's nearest-point query, which :func:`rho_radius` reads.
     """
     images = tuple(g(net.points) for g in system.maps)
     trees = tuple(kd_tree(to_xy(w)) for w in images)
-    pairwise = math.inf
+    nearest = {}
     for i in range(len(images)):
         for j in range(i + 1, len(images)):
-            pairwise = min(pairwise, float(np.min(trees[j].query(to_xy(images[i]), k=1)[0])))
+            nearest[i, j] = trees[j].nearest(to_xy(images[i]))
+    pairwise = min((float(np.min(d)) for d, _ in nearest.values()), default=math.inf)
     if not math.isfinite(pairwise):
         pairwise = 0.0  # single-map system: nothing to separate
     lip = max(float(np.max(np.abs(g.deriv(net.points)))) for g in system.maps)
@@ -315,6 +568,7 @@ def certify_ssc(system: IfsSystem, net: AttractorNet) -> SeparationCertificate:
         checks={"lipschitz": lip, "epsilon": net.epsilon},
         images=images,
         trees=trees,
+        nearest=nearest,
         net=net,
     )
 
@@ -386,16 +640,17 @@ def rho_radius(
 
     The minimum is exact, without an all-pairs scan.  For each pair of
     images, the pseudo-hyperbolic distances from the points ``u`` of one to
-    their Euclidean nearest neighbours in the other, and the minimum of the
-    earlier pairs, bound the minimum by some ``t``.  The pseudo-hyperbolic
-    ``t``-ball about ``u`` is a Euclidean disk (:func:`pseudo_hyperbolic_ball`),
-    so a fixed-radius query of the certificate's tree over those disks,
-    widened by ``BALL_SLACK`` against rounding, gathers every pair at distance
-    at most ``t``: the minimising pair is among them, and the distance is
-    evaluated on those pairs only.  A disk that lies nearer ``u`` than ``u``'s
-    nearest neighbour holds none of them and is not queried.  The trees index
-    the images in the domain ``B(c, R)``, so their distances are divided by
-    ``R`` and each disk is mapped back by ``z -> c + R*z``.
+    their Euclidean nearest neighbours in the other (the certificate's
+    ``nearest``), and the minimum of the earlier pairs, bound the minimum by
+    some ``t``.  The pseudo-hyperbolic ``t``-ball about ``u`` is a Euclidean
+    disk (:func:`pseudo_hyperbolic_ball`), so a ball query of the
+    certificate's index over those disks, widened by ``BALL_SLACK`` against
+    rounding, gathers every pair at distance at most ``t``: the minimising
+    pair is among them, and the distance is evaluated on those pairs only.
+    A disk that lies nearer ``u`` than ``u``'s nearest neighbour holds none of
+    them and is not queried.  The indexes hold the images in the domain
+    ``B(c, R)``, so their distances are divided by ``R`` and each disk is
+    mapped back by ``z -> c + R*z``.
     """
     cert = cert if cert is not None else certify_ssc(system, net)
     cert.require_trees(net, "strong separation not certified")
@@ -409,18 +664,17 @@ def rho_radius(
     best = math.inf
     for i, u in enumerate(images):
         for j in range(i + 1, len(images)):
-            v, tree = images[j], cert.trees[j]
-            dist, nearest = tree.query(to_xy(cert.images[i]), k=1)
+            v = images[j]
+            dist, nearest = cert.nearest[i, j]
             best = min(best, float(np.min(pseudo_hyperbolic(u, v[nearest]))))
             centers, radii = pseudo_hyperbolic_ball(u, best)
             radii = radii * (1.0 + BALL_SLACK) + BALL_SLACK * (1.0 + abs(c) / radius)
             reach = np.flatnonzero(dist / radius <= np.abs(centers - u) + radii)
-            near = tree.query_ball_point(to_xy(c + radius * centers[reach]), radius * radii[reach])
-            counts = np.fromiter(map(len, near), dtype=np.intp, count=len(near))
-            rows = np.repeat(reach, counts)
-            cols = np.fromiter(chain.from_iterable(near), dtype=np.intp, count=len(rows))
+            rows, cols = cert.trees[j].within(
+                to_xy(c + radius * centers[reach]), radius * radii[reach]
+            )
             if rows.size:
-                best = min(best, float(np.min(pseudo_hyperbolic(u[rows], v[cols]))))
+                best = min(best, float(np.min(pseudo_hyperbolic(u[reach[rows]], v[cols]))))
     rho_h = math.atanh(best)
     rho_g = float(np.min(hyp_ball_inradius(system.domain, net.points, rho_h)))
     return rho_h, rho_g

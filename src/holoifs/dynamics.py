@@ -372,7 +372,7 @@ class InverseDynamics:
         xy = to_xy(xs[finite])
         claimed = np.zeros((len(self.cert.trees), n), dtype=bool)
         for i, tree in enumerate(self.cert.trees):
-            claimed[i, finite] = tree.query(xy, k=1)[0] < self.claim_radius
+            claimed[i, finite] = tree.nearest(xy)[0] < self.claim_radius
         count = claimed.sum(axis=0)
         branch = np.where(count == 1, claimed.argmax(axis=0), -1)
         failures: dict = {}

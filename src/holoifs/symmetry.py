@@ -427,7 +427,7 @@ def verify_symmetry(
     forward_fail = 0
     if len(sel):
         images = np.atleast_1d(H(netG.points[sel]))
-        d, _ = F.tree.query(to_xy(images), k=1)
+        d, _ = F.tree.nearest(to_xy(images))
         forward_res = float(np.max(d))
         forward_fail = int(np.count_nonzero(d > forward_tol))
 
@@ -448,7 +448,7 @@ def verify_symmetry(
             backward_fail += 1
     if preimages:
         x = np.array(preimages)
-        d, _ = G.tree.query(to_xy(x), k=1)
+        d, _ = G.tree.nearest(to_xy(x))
         backward_res = float(np.max(d))
         backward_fail += int(np.count_nonzero(d > backward_tol))
     return SymmetryResidualReport(
@@ -576,6 +576,36 @@ def _subsample(points: np.ndarray, cap: int) -> np.ndarray:
     return points[np.unique(idx)]
 
 
+class _Once:
+    """``fn`` of each key computed once: its value, or the exception it raised, again."""
+
+    def __init__(self, fn):
+        self.fn, self.seen = fn, {}
+
+    def __call__(self, key):
+        if key not in self.seen:
+            try:
+                self.seen[key] = (True, self.fn(key))
+            except Exception as exc:
+                self.seen[key] = (False, exc)
+        ok, value = self.seen[key]
+        if not ok:
+            raise value
+        return value
+
+
+def _after(outer: HoloMap, inner: HoloMap, z: np.ndarray, inner_z) -> np.ndarray:
+    """``compose_maps((outer, inner))(z)``, with ``inner(z)`` read from ``inner_z()``.
+
+    :func:`compose_maps` folds two affine maps into one, whose floats differ
+    from the chain's, so that pair is evaluated folded; any other pair is a
+    chain that applies ``inner``, then ``outer``.
+    """
+    if isinstance(outer, Affine) and isinstance(inner, Affine):
+        return compose_maps((outer, inner))(z)
+    return outer(inner_z())
+
+
 def _functional_sweep(
     G: SystemNet, F: SystemNet, budgets: Budgets
 ) -> tuple[FunctionalEquation, ...]:
@@ -587,6 +617,9 @@ def _functional_sweep(
     netG = G.net
     mG = len(G.system.maps)
     entries: list[FunctionalEquation] = []
+    # each word's map is composed once per sweep
+    g_word = cache(lambda w: compose_word(G.system, w))
+    f_word = cache(lambda w: compose_word(F.system, w))
 
     for d_idx, disk in enumerate(disks):
         dist = np.abs(netG.points - disk.center)
@@ -602,6 +635,13 @@ def _functional_sweep(
         words = [Word(t, mG) for t in product(range(mG), repeat=M)]
         outcomes = build_symmetries(G, F, anchor, words)
         germs = [None if isinstance(g, Exception) else g for g in outcomes]
+        # per class representative c = (t_k, u_k): y = g_{t_k}(samples) and its
+        # pull-backs f_{u_k}^{-1}(y) and g_{t_k}^{-1}(y), each computed when a
+        # germ of the class first reads it, so every germ meets a failure
+        # where its own evaluation would
+        y = _Once(lambda c: g_word(germs[c].word_g)(samples))
+        back_f = _Once(lambda c: inverse_map(f_word(germs[c].word_f))(y(c)))
+        back_g = _Once(lambda c: inverse_map(g_word(germs[c].word_g))(y(c)))
         # the scan is lazy, so each germ is compared as this loop reaches it
         for tw, germ, c in zip(words, outcomes, _germ_classes(germs, anchor, r)):
             if isinstance(germ, GERM_REJECTIONS):
@@ -614,16 +654,12 @@ def _functional_sweep(
                 raise germ
             t_k, u_k = germs[c].word_g, germs[c].word_f
             try:
-                y = compose_word(G.system, t_k)(samples)
-                lhs = compose_maps(
-                    (compose_word(F.system, germ.word_f),
-                     inverse_map(compose_word(F.system, u_k)))
-                )
-                rhs = compose_maps(
-                    (compose_word(G.system, tw),
-                     inverse_map(compose_word(G.system, t_k)))
-                )
-                residual = float(np.max(np.abs(lhs(y) - rhs(y))))
+                z = y(c)
+                fw, f_back = f_word(germ.word_f), inverse_map(f_word(u_k))
+                gw, g_back = g_word(tw), inverse_map(g_word(t_k))
+                lhs = _after(fw, f_back, z, lambda: back_f(c))
+                rhs = _after(gw, g_back, z, lambda: back_g(c))
+                residual = float(np.max(np.abs(lhs - rhs)))
                 note = ""
             except (NotInImage, DomainError, ValueError) as exc:
                 residual, note = math.inf, type(exc).__name__

@@ -221,17 +221,18 @@ def _fresh_modules(args):
     return code, set(modules)
 
 
-def test_attractor_command_never_loads_scipy_spatial(configs, tmp_path):
-    # this test process has loaded scipy already, so the check runs in a new one
-    code, modules = _fresh_modules([
-        "attractor", configs["julia6"], "--epsilon", "1e-3",
-        "--out-csv", str(tmp_path / "net.csv"), "--out-pgm", str(tmp_path / "net.pgm"),
-    ])
-    assert code == 0
-    assert "numpy" in modules and "scipy.spatial" not in modules
-    # the first KD tree loads it
-    code, modules = _fresh_modules(["check", configs["thirds"], "--epsilon", "1e-2"])
-    assert code == 0 and "scipy.spatial" in modules
+def test_no_command_loads_scipy(configs, tmp_path):
+    # this test process has loaded scipy already, so each command runs in a new one
+    for args in (
+        ["attractor", configs["julia6"], "--epsilon", "1e-3",
+         "--out-csv", str(tmp_path / "net.csv"), "--out-pgm", str(tmp_path / "net.pgm")],
+        ["check", configs["thirds"], "--epsilon", "1e-2"],
+        ["shared", configs["thirds"], configs["reflected"], "--epsilon", "1e-3"],
+    ):
+        code, modules = _fresh_modules(args)
+        assert code == 0, args
+        assert "numpy" in modules
+        assert not {m for m in modules if m == "scipy" or m.startswith("scipy.")}, args
 
 
 def test_attractor_budget_exit(configs, capsys):

@@ -851,14 +851,14 @@ def test_steps_fail_a_non_finite_row_alone():
 
 
 class _CountingTree:
-    """A KD tree that records the number of rows of each query."""
+    """A point index that records the number of rows of each nearest-point query."""
 
     def __init__(self, tree, rows):
         self.tree, self.rows = tree, rows
 
-    def query(self, xy, k):
+    def nearest(self, xy):
         self.rows.append(len(xy))
-        return self.tree.query(xy, k=k)
+        return self.tree.nearest(xy)
 
 
 def test_steps_of_empty_and_all_non_finite_batches():

@@ -757,6 +757,39 @@ def test_functional_sweep_evaluates_a_planted_germ_only_when_compared(monkeypatc
     assert {e.note for e in report.functional_equations} == {"", "CriterionEmpty"}
 
 
+@pytest.mark.parametrize(
+    "pair",
+    [
+        (cantor_thirds(), cantor_thirds_reflected()),
+        (sqrt_julia(-6.0), iterate_system(sqrt_julia(-6.0), 2)),
+    ],
+    ids=["thirds-reflected", "julia-square"],
+)
+def test_functional_sweep_residuals_match_a_germ_by_germ_evaluation(pair):
+    # the sweep composes each word once and pulls each class's samples back
+    # once; every residual is the one the germ-by-germ composition gives
+    G, F = (system_net(system) for system in pair)
+    budgets = Budgets()
+    entries = holoifs.symmetry._functional_sweep(G, F, budgets)
+    r = RADIUS_FRACTION * min(G.rho, F.rho)
+    disks = holoifs.attractor.box_restriction(G.system, G.net, r, budgets.point_cap)
+    checked = 0
+    for e in entries:
+        if e.word_f is None:
+            continue
+        disk = disks[e.disk_index]
+        inside = G.net.points[np.abs(G.net.points - disk.center) <= disk.radius]
+        samples = holoifs.symmetry._subsample(inside, budgets.eq_samples)
+        y = compose_word(G.system, e.rep_word_g)(samples)
+        lhs = compose_maps((compose_word(F.system, e.word_f),
+                            inverse_map(compose_word(F.system, e.rep_word_f))))
+        rhs = compose_maps((compose_word(G.system, e.word_g),
+                            inverse_map(compose_word(G.system, e.rep_word_g))))
+        assert e.residual == float(np.max(np.abs(lhs(y) - rhs(y)))) and e.note == ""
+        checked += 1
+    assert checked == len(entries) > 0
+
+
 # ---------------------------------------------------------------------------
 # spectrum compatibility
 
