@@ -38,7 +38,7 @@ LEAF_SIZE = 8
 
 #: a :class:`PointIndex` query scans at most about this many (row, point)
 #: pairs per row block: small batches stop higher in the tree
-SCAN_PAIRS = 4096
+SCAN_PAIRS = 1024
 
 #: rows answered together by :meth:`PointIndex.nearest`, which bounds its
 #: working memory
@@ -282,10 +282,11 @@ def to_xy(points: np.ndarray) -> np.ndarray:
 class PointIndex:
     """Median-split k-d tree over the rows of an ``(n, 2)`` array, queried a batch at a time.
 
-    The tree is complete: level ``l`` has ``2**l`` nodes of ``width >> l``
-    slots each, node ``k`` holding slots ``k*(width >> l)`` onward of
-    ``order``, and every node is split at its median into its two halves,
-    the children ``2k`` and ``2k + 1``.  The last node slots are pads, at
+    The tree is complete and numbered in heap order: the root is node 1, the
+    children of node ``h`` are ``2h`` and ``2h + 1``, and level ``l`` holds
+    the nodes ``2**l + k``, node ``2**l + k`` holding the ``width >> l``
+    slots of ``order`` from ``k*(width >> l)`` on.  Every node is split at
+    its median into its two halves.  The last slots are pads, at
     ``+inf`` so that they sort last and are never the nearest point.  A node
     is split along the longer side of its cell (the box cut out by the
     splits above it); every other level sorts each node along that side
@@ -319,7 +320,7 @@ class PointIndex:
         lo = np.array([[coords[:n].min()], [coords[width : width + n].min()]])
         hi = np.array([[coords[:n].max()], [coords[width : width + n].max()]])
         slots = np.arange(width)[None, :]
-        self.splits = []  # per level: (axis, left child's high, right child's low) by node
+        splits = [np.zeros((3, 1))]  # (axis, left child's high, right child's low) by node
         # a cell made only of pads has infinite sides; its axis does not matter
         with np.errstate(invalid="ignore"):
             for level in range(depth):
@@ -336,7 +337,7 @@ class PointIndex:
                 half = size // 2
                 split = np.empty((3, nodes))
                 split[0], split[1], split[2] = axis, keys[:, half - 1], keys[:, half]
-                self.splits.append(split)
+                splits.append(split)
                 lo, hi = lo.repeat(2, axis=1), hi.repeat(2, axis=1)
                 k = np.arange(nodes)
                 hi[axis, 2 * k] = split[1]
@@ -354,14 +355,13 @@ class PointIndex:
         box = sides[:, :, 0].copy()
         for j in range(1, sides.shape[2]):
             np.minimum(box, sides[:, :, j], out=box)
-        self.boxes = [box]
+        boxes = [box]
         for _ in range(depth):
-            self.boxes.insert(0, np.minimum(self.boxes[0][:, 0::2], self.boxes[0][:, 1::2]))
+            boxes.insert(0, np.minimum(boxes[0][:, 0::2], boxes[0][:, 1::2]))
+        # by node number; column 0 is no node
+        self.splits = np.concatenate(splits, axis=1)
+        self.boxes = np.concatenate([np.zeros((4, 1))] + boxes, axis=1)
         self.width = [width >> level for level in range(depth + 1)]
-        # small batches test every box of this level at once
-        self.small = 0
-        while self.small < depth and self.width[self.small] > 2 << self.small:
-            self.small += 1
 
     def nearest(self, xy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Distance to, and index of, the nearest point for each row of ``xy``.
@@ -382,18 +382,8 @@ class PointIndex:
         Each pair comes once, in no set order.  Raises ``ValueError`` on a
         row that is not finite.
         """
-        q4 = self._queries(xy)
-        nq = q4.shape[1]
-        r = np.broadcast_to(np.asarray(r, dtype=np.float64), (nq,))
-        stop = self._stop(nq)
-        rows, nodes = np.arange(nq), np.zeros(nq, dtype=np.intp)
-        for level in range(stop + 1):
-            near = self._near(self._gaps(q4, rows, nodes, level))
-            rows, nodes = self._expand(rows, nodes, near <= r.take(rows), level < stop)
-        dist, pos = self._scan(q4, rows, nodes, stop)
-        index = self.order.take(pos)
-        hit = (dist <= r.take(rows)) & (index < self.n)
-        return np.broadcast_to(rows, hit.shape)[hit], index[hit]
+        rows, index, _ = self._ball(self._queries(xy), r)
+        return rows, index
 
     @staticmethod
     def _queries(xy) -> np.ndarray:
@@ -413,9 +403,9 @@ class PointIndex:
             level += 1
         return level
 
-    def _gaps(self, q4, rows, nodes, level) -> np.ndarray:
+    def _gaps(self, q4, rows, nodes) -> np.ndarray:
         """Box minus query, per side: ``(x_lo - x, y_lo - y, x - x_hi, y - y_hi)``."""
-        return self.boxes[level].take(nodes, axis=1) - q4.take(rows, axis=1)
+        return self.boxes.take(nodes, axis=1) - q4.take(rows, axis=1)
 
     @staticmethod
     def _near(gaps: np.ndarray) -> np.ndarray:
@@ -426,13 +416,6 @@ class PointIndex:
         return np.sqrt(near[0] + near[1])
 
     @staticmethod
-    def _far(gaps: np.ndarray) -> np.ndarray:
-        """Distance from the query to its box's farthest corner: no box point is farther."""
-        far = np.minimum(gaps[:2], gaps[2:])
-        far *= far
-        return np.sqrt(far[0] + far[1])
-
-    @staticmethod
     def _expand(rows, nodes, keep, deeper: bool):
         """The kept pairs, with each node replaced by its two children when ``deeper``."""
         rows, nodes = rows[keep], nodes[keep]
@@ -441,41 +424,36 @@ class PointIndex:
         return rows, nodes
 
     def _scan(self, q4, rows, nodes, level):
-        """Distances and slots, ``(node width, pairs)``, of each pair's node points."""
+        """Distances and slots, ``(node width, pairs)``, of the points of each pair's node."""
         size = self.width[level]
-        pos = nodes * size + np.arange(size)[:, None]
+        pos = (nodes - (1 << level)) * size + np.arange(size)[:, None]
         dx = self.px.take(pos) - q4[0].take(rows)
         dy = self.py.take(pos) - q4[1].take(rows)
         return np.sqrt(dx * dx + dy * dy), pos
 
-    def _best(self, q4, rows, nodes, level):
-        """Per row, the least distance over its pairs' points and its lowest index.
-
-        Rows without pairs read ``inf`` and ``n``.
-        """
+    def _ball(self, q4, r):
+        """Rows, indexes and distances of every pair within ``r`` (per row, or one for all)."""
         nq = q4.shape[1]
-        dist, pos = self._scan(q4, rows, nodes, level)
-        best = np.full(nq, np.inf)
-        np.minimum.at(best, rows, dist.min(axis=0))
-        low = np.where(dist == best.take(rows), self.order.take(pos), self.n).min(axis=0)
-        index = np.full(nq, self.n)
-        np.minimum.at(index, rows, low)
-        return best, index
+        r = np.broadcast_to(np.asarray(r, dtype=np.float64), (nq,))
+        stop = self._stop(nq)
+        rows, nodes = np.arange(nq), np.ones(nq, dtype=np.intp)
+        for level in range(stop + 1):
+            near = self._near(self._gaps(q4, rows, nodes))
+            rows, nodes = self._expand(rows, nodes, near <= r.take(rows), level < stop)
+        dist, pos = self._scan(q4, rows, nodes, stop)
+        index = self.order.take(pos)
+        hit = (dist <= r.take(rows)) & (index < self.n)
+        return np.broadcast_to(rows, hit.shape)[hit], index[hit], dist[hit]
 
     def _nearest(self, q4):
         nq = q4.shape[1]
-        if nq << self.small <= SCAN_PAIRS:
-            # every box of the small level at once; a box nearer than the
-            # row's least farthest-corner distance is scanned
-            gaps = self.boxes[self.small][:, None, :] - q4[:, :, None]
-            keep = self._near(gaps) <= self._far(gaps).min(axis=1)[:, None]
-            return self._best(q4, *np.nonzero(keep), self.small)
-        # descend each row to its home node, on the side of the nearer child
+        # descend each row to its home node, on the side of the nearer child,
+        # noting the nearest split plane it passes
         stop = self._stop(nq)
-        node = np.zeros(nq, dtype=np.intp)
+        node = np.ones(nq, dtype=np.intp)
         plane2 = np.full(nq, np.inf)
-        for level in range(stop):
-            axis, left_high, right_low = self.splits[level].take(node, axis=1)
+        for _ in range(stop):
+            axis, left_high, right_low = self.splits.take(node, axis=1)
             c = np.where(axis, q4[1], q4[0])
             dl, dr = c - left_high, right_low - c
             right = dl > dr
@@ -485,42 +463,22 @@ class PointIndex:
         dist, pos = self._scan(q4, np.arange(nq), node, stop)
         best = dist.min(axis=0)
         index = np.where(dist == best, self.order.take(pos), self.n).min(axis=0)
-        # a row nearer its home point than every split on its path is done;
-        # the others walk down from the first level whose other child's box
-        # may hold a point as near
+        # a row nearer its home point than every split plane on its path, or
+        # else than the box of every node it passed by, is done; the others
+        # take the nearest, lowest-index point of their ball of that radius,
+        # which holds the home point
         rows = np.flatnonzero(~(best < np.sqrt(plane2)))
         if rows.size:
-            fail = np.empty((stop, rows.size), dtype=bool)
-            for level in range(stop):
-                other = (node[rows] >> (stop - level - 1)) ^ 1
-                fail[level] = self._near(self._gaps(q4, rows, other, level + 1)) <= best[rows]
-            walk = fail.any(axis=0)
-            rows, first = rows[walk], fail.argmax(axis=0)[walk]
+            q, home, near = q4.take(rows, axis=1), node.take(rows), np.full(rows.size, np.inf)
+            for up in range(stop):
+                np.minimum(near, self._near(self.boxes.take((home >> up) ^ 1, axis=1) - q), out=near)
+            rows = rows[~(best.take(rows) < near)]
         if rows.size:
-            pairs = self._walk(q4, rows, node[rows] >> (stop - first), first, stop, best)
-            walked, walked_index = self._best(q4, *pairs, stop)
-            best[rows], index[rows] = walked[rows], walked_index[rows]
+            hit, hit_index, hit_dist = self._ball(q4.take(rows, axis=1), best.take(rows))
+            first = np.lexsort((hit_index, hit_dist, hit))
+            first = first[np.diff(hit.take(first), prepend=-1) != 0]
+            best[rows], index[rows] = hit_dist.take(first), hit_index.take(first)
         return best, index
-
-    def _walk(self, q4, rows, nodes, first, stop, bound):
-        """The pairs at level ``stop`` under the given ones that may hold a row's nearest point.
-
-        Pair ``(rows[k], nodes[k])`` enters at level ``first[k]``.  A node is
-        pruned when its box is farther than the row's bound, which starts at
-        ``bound`` and falls to the farthest corner of any box the row meets.
-        The kept pairs cover every point as near as the row's nearest.
-        """
-        bound = bound.copy()
-        at_rows, at_nodes = rows[:0], nodes[:0]
-        for level in range(int(first.min()), stop + 1):
-            enter = first == level
-            at_rows = np.concatenate((at_rows, rows[enter]))
-            at_nodes = np.concatenate((at_nodes, nodes[enter]))
-            gaps = self._gaps(q4, at_rows, at_nodes, level)
-            np.minimum.at(bound, at_rows, self._far(gaps))
-            keep = self._near(gaps) <= bound.take(at_rows)
-            at_rows, at_nodes = self._expand(at_rows, at_nodes, keep, level < stop)
-        return at_rows, at_nodes
 
 
 def kd_tree(xy: np.ndarray) -> PointIndex:

@@ -576,24 +576,6 @@ def _subsample(points: np.ndarray, cap: int) -> np.ndarray:
     return points[np.unique(idx)]
 
 
-class _Once:
-    """``fn`` of each key computed once: its value, or the exception it raised, again."""
-
-    def __init__(self, fn):
-        self.fn, self.seen = fn, {}
-
-    def __call__(self, key):
-        if key not in self.seen:
-            try:
-                self.seen[key] = (True, self.fn(key))
-            except Exception as exc:
-                self.seen[key] = (False, exc)
-        ok, value = self.seen[key]
-        if not ok:
-            raise value
-        return value
-
-
 def _after(outer: HoloMap, inner: HoloMap, z: np.ndarray, inner_z) -> np.ndarray:
     """``compose_maps((outer, inner))(z)``, with ``inner(z)`` read from ``inner_z()``.
 
@@ -639,9 +621,9 @@ def _functional_sweep(
         # pull-backs f_{u_k}^{-1}(y) and g_{t_k}^{-1}(y), each computed when a
         # germ of the class first reads it, so every germ meets a failure
         # where its own evaluation would
-        y = _Once(lambda c: g_word(germs[c].word_g)(samples))
-        back_f = _Once(lambda c: inverse_map(f_word(germs[c].word_f))(y(c)))
-        back_g = _Once(lambda c: inverse_map(g_word(germs[c].word_g))(y(c)))
+        y = cache(lambda c: g_word(germs[c].word_g)(samples))
+        back_f = cache(lambda c: inverse_map(f_word(germs[c].word_f))(y(c)))
+        back_g = cache(lambda c: inverse_map(g_word(germs[c].word_g))(y(c)))
         # the scan is lazy, so each germ is compared as this loop reaches it
         for tw, germ, c in zip(words, outcomes, _germ_classes(germs, anchor, r)):
             if isinstance(germ, GERM_REJECTIONS):
