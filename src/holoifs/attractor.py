@@ -24,8 +24,11 @@ from .maps import Disk, IfsSystem
 POINT_CAP = 10**7
 
 #: the largest level :func:`compute_net` builds whole; deeper levels are
-#: walked in blocks of that many cylinders
-NET_BLOCK = 2**15
+#: walked in blocks of that many cylinders.  A block's arrays (128 KiB of
+#: centers) stay in cache; at 2**15 the walk's page faults (glibc returning
+#: freed blocks to the system) rose threefold or not with the heap layout
+#: that imports happened to leave
+NET_BLOCK = 2**13
 
 #: relative and absolute (unit-disk, times ``1 + |c|/R``) widening of the ball
 #: queries in :func:`rho_radius`; rounding in the distance, the disk formula,
@@ -36,8 +39,9 @@ BALL_SLACK = 1e-9
 #: most points in a leaf of a :class:`PointIndex`
 LEAF_SIZE = 8
 
-#: a :class:`PointIndex` query scans at most about this many (row, point)
-#: pairs per row block: small batches stop higher in the tree
+#: a :class:`PointIndex` query tests at most about this many (row, box) pairs
+#: on the level where it starts and scans about as many (row, point) pairs on
+#: the level where it stops: small batches start lower and stop higher
 SCAN_PAIRS = 1024
 
 #: rows answered together by :meth:`PointIndex.nearest`, which bounds its
@@ -447,12 +451,23 @@ class PointIndex:
 
     def _nearest(self, q4):
         nq = q4.shape[1]
-        # descend each row to its home node, on the side of the nearer child,
+        cols = np.arange(nq)
+        # each row starts in the nearest box of the deepest level whose boxes
+        # it can all test within SCAN_PAIRS (the root for large batches); the
+        # other boxes of that level bound every point outside it
+        top = 0
+        while top < self.depth and nq << (top + 1) <= SCAN_PAIRS:
+            top += 1
+        near = self._near(self.boxes[:, 1 << top : 2 << top, None] - q4[:, None])
+        node = near.argmin(axis=0)
+        near[node, cols] = np.inf
+        bound = near.min(axis=0)
+        # then descends to its home node, on the side of the nearer child,
         # noting the nearest split plane it passes
-        stop = self._stop(nq)
-        node = np.ones(nq, dtype=np.intp)
+        stop = max(top, self._stop(nq))
+        node += 1 << top
         plane2 = np.full(nq, np.inf)
-        for _ in range(stop):
+        for _ in range(stop - top):
             axis, left_high, right_low = self.splits.take(node, axis=1)
             c = np.where(axis, q4[1], q4[0])
             dl, dr = c - left_high, right_low - c
@@ -460,17 +475,18 @@ class PointIndex:
             across = np.where(right, dl, dr)  # to the other child's side of the split
             np.minimum(plane2, across * across, out=plane2)
             node = 2 * node + right
-        dist, pos = self._scan(q4, np.arange(nq), node, stop)
+        dist, pos = self._scan(q4, cols, node, stop)
         best = dist.min(axis=0)
         index = np.where(dist == best, self.order.take(pos), self.n).min(axis=0)
-        # a row nearer its home point than every split plane on its path, or
-        # else than the box of every node it passed by, is done; the others
-        # take the nearest, lowest-index point of their ball of that radius,
-        # which holds the home point
-        rows = np.flatnonzero(~(best < np.sqrt(plane2)))
+        # a row nearer its home point than the other boxes of the top level
+        # and every split plane on its path, or else than the box of every
+        # node it passed by, is done; the others take the nearest,
+        # lowest-index point of their ball of that radius, which holds the
+        # home point
+        rows = np.flatnonzero(~(best < np.minimum(bound, np.sqrt(plane2))))
         if rows.size:
-            q, home, near = q4.take(rows, axis=1), node.take(rows), np.full(rows.size, np.inf)
-            for up in range(stop):
+            q, home, near = q4.take(rows, axis=1), node.take(rows), bound.take(rows)
+            for up in range(stop - top):
                 np.minimum(near, self._near(self.boxes.take((home >> up) ^ 1, axis=1) - q), out=near)
             rows = rows[~(best.take(rows) < near)]
         if rows.size:
