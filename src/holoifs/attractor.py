@@ -76,11 +76,6 @@ class AttractorNet:
     def is_degenerate(self) -> bool:
         return self.points.size < 2
 
-    @property
-    def xy(self) -> np.ndarray:
-        """Points as an ``(n, 2)`` real array, for spatial indexing."""
-        return to_xy(self.points)
-
     def diameter(self, directions: int = 512) -> float:
         """Diameter of the point set.
 
@@ -278,13 +273,8 @@ def _as_points(obj) -> np.ndarray:
     return np.asarray(obj, dtype=np.complex128)
 
 
-def to_xy(points: np.ndarray) -> np.ndarray:
-    """Complex points as an ``(n, 2)`` real array, for spatial indexing."""
-    return np.column_stack((points.real, points.imag))
-
-
 class PointIndex:
-    """Median-split k-d tree over the rows of an ``(n, 2)`` array, queried a batch at a time.
+    """Median-split k-d tree over a 1-D array of complex points, queried a batch at a time.
 
     The tree is complete and numbered in heap order: the root is node 1, the
     children of node ``h`` are ``2h`` and ``2h + 1``, and level ``l`` holds
@@ -304,14 +294,14 @@ class PointIndex:
     exact, not approximate.
     """
 
-    def __init__(self, xy: np.ndarray):
-        xy = np.asarray(xy, dtype=np.float64)
-        if xy.ndim != 2 or xy.shape[1] != 2:
-            raise ValueError(f"index points must be an (n, 2) array, got shape {xy.shape}")
-        n = len(xy)
+    def __init__(self, points: np.ndarray):
+        points = np.asarray(points, dtype=np.complex128)
+        if points.ndim != 1:
+            raise ValueError(f"index points must be a 1-D array, got shape {points.shape}")
+        n = len(points)
         if n == 0:
             raise ValueError("an index needs at least one point")
-        if not np.isfinite(xy).all():
+        if not np.isfinite(points).all():
             raise ValueError("index points must be finite")
         depth = 0
         while -(-n >> depth) > LEAF_SIZE:
@@ -320,7 +310,7 @@ class PointIndex:
         self.n, self.depth = n, depth
         # x then y, each padded to `width` slots
         coords = np.full(2 * width, np.inf)
-        coords[:n], coords[width : width + n] = xy[:, 0], xy[:, 1]
+        coords[:n], coords[width : width + n] = points.real, points.imag
         lo = np.array([[coords[:n].min()], [coords[width : width + n].min()]])
         hi = np.array([[coords[:n].max()], [coords[width : width + n].max()]])
         slots = np.arange(width)[None, :]
@@ -367,34 +357,37 @@ class PointIndex:
         self.boxes = np.concatenate([np.zeros((4, 1))] + boxes, axis=1)
         self.width = [width >> level for level in range(depth + 1)]
 
-    def nearest(self, xy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Distance to, and index of, the nearest point for each row of ``xy``.
+    def nearest(self, z) -> tuple[np.ndarray, np.ndarray]:
+        """Distance to, and index of, the nearest point for each point of ``z``.
 
-        Ties go to the lowest index.  Raises ``ValueError`` on a row that is
-        not finite.
+        ``z`` is a 1-D array of complex points, or one point.  Ties go to the
+        lowest index.  Raises ``ValueError`` on a point that is not finite.
         """
-        q4 = self._queries(xy)
+        q4 = self._queries(z)
         if q4.shape[1] <= QUERY_ROWS:
             return self._nearest(q4)
         parts = [self._nearest(q4[:, k : k + QUERY_ROWS])
                  for k in range(0, q4.shape[1], QUERY_ROWS)]
         return np.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts])
 
-    def within(self, xy: np.ndarray, r) -> tuple[np.ndarray, np.ndarray]:
+    def within(self, z, r) -> tuple[np.ndarray, np.ndarray]:
         """Every pair ``(row, index)`` whose distance is at most ``r`` (per row, or one for all).
 
-        Each pair comes once, in no set order.  Raises ``ValueError`` on a
-        row that is not finite.
+        ``z`` is as for :meth:`nearest`.  Each pair comes once, in no set
+        order.  Raises ``ValueError`` on a point that is not finite.
         """
-        rows, index, _ = self._ball(self._queries(xy), r)
+        rows, index, _ = self._ball(self._queries(z), r)
         return rows, index
 
     @staticmethod
-    def _queries(xy) -> np.ndarray:
-        """Rows of ``xy`` as the columns of ``(x, y, -x, -y)``."""
-        xy = np.asarray(xy, dtype=np.float64).reshape(-1, 2)
-        q4 = np.empty((4, len(xy)))
-        q4[:2] = xy.T
+    def _queries(z) -> np.ndarray:
+        """The points of ``z`` as the columns of ``(x, y, -x, -y)``."""
+        z = np.asarray(z, dtype=np.complex128)
+        if z.ndim > 1:
+            raise ValueError(f"query points must be a scalar or 1-D, got shape {z.shape}")
+        z = z.reshape(-1)
+        q4 = np.empty((4, len(z)))
+        q4[0], q4[1] = z.real, z.imag
         if not np.isfinite(q4[:2]).all():
             raise ValueError("query points must be finite")
         np.negative(q4[:2], out=q4[2:])
@@ -497,15 +490,10 @@ class PointIndex:
         return best, index
 
 
-def kd_tree(xy: np.ndarray) -> PointIndex:
-    """The :class:`PointIndex` over the rows of ``xy``: every point index of the package."""
-    return PointIndex(xy)
-
-
 def hausdorff(a, b) -> float:
     """Hausdorff distance between two finite point sets (or nets)."""
-    xa, xb = to_xy(_as_points(a)), to_xy(_as_points(b))
-    d_ab, d_ba = kd_tree(xb).nearest(xa)[0], kd_tree(xa).nearest(xb)[0]
+    za, zb = _as_points(a), _as_points(b)
+    d_ab, d_ba = PointIndex(zb).nearest(za)[0], PointIndex(za).nearest(zb)[0]
     return float(max(np.max(d_ab), np.max(d_ba)))
 
 
@@ -525,11 +513,11 @@ def certify_ssc(system: IfsSystem, net: AttractorNet) -> SeparationCertificate:
     both, and each pair's nearest-point query, which :func:`rho_radius` reads.
     """
     images = tuple(g(net.points) for g in system.maps)
-    trees = tuple(kd_tree(to_xy(w)) for w in images)
+    trees = tuple(PointIndex(w) for w in images)
     nearest = {}
     for i in range(len(images)):
         for j in range(i + 1, len(images)):
-            nearest[i, j] = trees[j].nearest(to_xy(images[i]))
+            nearest[i, j] = trees[j].nearest(images[i])
     pairwise = min((float(np.min(d)) for d, _ in nearest.values()), default=math.inf)
     if not math.isfinite(pairwise):
         pairwise = 0.0  # single-map system: nothing to separate
@@ -644,9 +632,7 @@ def rho_radius(
             centers, radii = pseudo_hyperbolic_ball(u, best)
             radii = radii * (1.0 + BALL_SLACK) + BALL_SLACK * (1.0 + abs(c) / radius)
             reach = np.flatnonzero(dist / radius <= np.abs(centers - u) + radii)
-            rows, cols = cert.trees[j].within(
-                to_xy(c + radius * centers[reach]), radius * radii[reach]
-            )
+            rows, cols = cert.trees[j].within(c + radius * centers[reach], radius * radii[reach])
             if rows.size:
                 best = min(best, float(np.min(pseudo_hyperbolic(u[reach[rows]], v[cols]))))
     rho_h = math.atanh(best)

@@ -135,15 +135,8 @@ def load_system(path: str) -> tuple[IfsSystem, str]:
     if not isinstance(label, str):
         raise ConfigError(f"{path}.label: expected a string")
 
-    map_labels = ()
-    if "map_labels" in data:
-        raw = data["map_labels"]
-        if not isinstance(raw, list) or not all(isinstance(s, str) for s in raw):
-            raise ConfigError(f"{path}.map_labels: expected a list of strings")
-        map_labels = tuple(raw)
-
     try:
-        system = IfsSystem(tuple(maps), Disk(center, radius), map_labels)
+        system = IfsSystem(tuple(maps), Disk(center, radius))
     except (ValueError, HoloifsError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     return system, label
@@ -542,8 +535,7 @@ def main(argv=None) -> int:
         return 3
     except HoloifsError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        # an error is no evidence that two attractors differ
-        return 4 if args.func is cmd_shared else 1
+        return 1
 
 
 if __name__ == "__main__":

@@ -3,8 +3,8 @@
 The inverse map of a strongly separated system is single-valued on the
 attractor: a point close to one first-level image belongs to that branch.
 :class:`InverseDynamics` is that map for one system and its net.  Its
-``steps`` advance many points at once: each branch's KD tree, carried on the
-certificate, is queried once with all of them, and each claimed point is
+``steps`` advance many points at once: each branch's point index, carried on
+the certificate, is queried once with all of them, and each claimed point is
 inverted in scalar arithmetic, so a preimage is the same bits however many
 points share the step.
 ``step`` is the one-point case.  ``steps`` is the one inverse walker: the
@@ -31,7 +31,7 @@ from itertools import chain, product
 
 import numpy as np
 
-from .attractor import AttractorNet, SeparationCertificate, certify_ssc, first_per_key, to_xy
+from .attractor import AttractorNet, SeparationCertificate, certify_ssc, first_per_key
 from .errors import (
     AmbiguousBranch,
     BudgetExceeded,
@@ -336,8 +336,8 @@ class InverseDynamics:
     """The inverse map of a strongly separated system, read off its net.
 
     Branch ``i`` claims the points within ``claim_radius`` of the net's image
-    under map ``i``.  The certificate is built once, and with it the KD trees
-    are built once, by :func:`certify_ssc`; one without them or of another net raises.
+    under map ``i``.  The certificate and its point indexes are built once,
+    by :func:`certify_ssc`; one without them or of another net raises.
     """
 
     def __init__(self, system: IfsSystem, net: AttractorNet, cert: SeparationCertificate | None = None):
@@ -369,10 +369,9 @@ class InverseDynamics:
         xs = np.asarray(xs, dtype=np.complex128)
         n = len(xs)
         finite = np.isfinite(xs)
-        xy = to_xy(xs[finite])
         claimed = np.zeros((len(self.cert.trees), n), dtype=bool)
         for i, tree in enumerate(self.cert.trees):
-            claimed[i, finite] = tree.nearest(xy)[0] < self.claim_radius
+            claimed[i, finite] = tree.nearest(xs[finite])[0] < self.claim_radius
         count = claimed.sum(axis=0)
         branch = np.where(count == 1, claimed.argmax(axis=0), -1)
         failures: dict = {}

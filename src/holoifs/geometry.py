@@ -118,13 +118,22 @@ class PoincareDomain:
     def lower_center(self) -> complex:
         return self.upper_center.conjugate()
 
-    def contains(self, z: complex) -> bool:
+    def margin(self, z: complex) -> float:
+        """How far inside the lens ``z`` lies; positive exactly when it is inside.
+
+        Off the axis, the arc's circle radius minus the distance to its
+        centre, for the arc on ``z``'s side; on the axis, the distance to the
+        nearer endpoint.
+        """
         z = complex(z)
         if z.imag > 0:
-            return abs(z - self.upper_center) < self.circle_radius
+            return self.circle_radius - abs(z - self.upper_center)
         if z.imag < 0:
-            return abs(z - self.lower_center) < self.circle_radius
-        return self.a < z.real < self.b
+            return self.circle_radius - abs(z - self.lower_center)
+        return min(z.real - self.a, self.b - z.real)
+
+    def contains(self, z: complex) -> bool:
+        return self.margin(z) > 0.0
 
     def boundary(self, n: int = 128) -> np.ndarray:
         """``2n`` boundary samples, both arcs, endpoints excluded."""
@@ -261,17 +270,9 @@ def check_sull_containment(
         raise DomainError("lens closure is not contained in the map's domain disk")
 
     ga, gb = complex(g(complex(a))).real, complex(g(complex(b))).real
-    lo, hi = min(ga, gb), max(ga, gb)
-    target = PoincareDomain(lo, hi, theta_prime)
+    target = PoincareDomain(min(ga, gb), max(ga, gb), theta_prime)
 
     margin = math.inf
     for p in boundary:
-        q = complex(g(complex(p)))
-        if q.imag > 0:
-            m = target.circle_radius - abs(q - target.upper_center)
-        elif q.imag < 0:
-            m = target.circle_radius - abs(q - target.lower_center)
-        else:
-            m = min(q.real - lo, hi - q.real)
-        margin = min(margin, m)
+        margin = min(margin, target.margin(complex(g(complex(p)))))
     return margin > 0.0, margin

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -400,14 +400,11 @@ class IfsSystem:
 
     maps: tuple[HoloMap, ...]
     domain: Disk
-    labels: tuple[str, ...] = field(default=())
 
     def __post_init__(self):
         object.__setattr__(self, "maps", tuple(self.maps))
         if not self.maps:
             raise ValueError("a system needs at least one map")
-        if self.labels and len(self.labels) != len(self.maps):
-            raise ValueError("label count must match map count")
         boundary = self.domain.boundary(BOUNDARY_SAMPLES)
         for k, g in enumerate(self.maps):
             if g.meets_branch_cut(self.domain):

@@ -23,15 +23,14 @@ import numpy as np
 from .attractor import (
     POINT_CAP,
     AttractorNet,
+    PointIndex,
     SeparationCertificate,
     box_restriction,
     certify_ssc,
     compute_net,
     first_per_key,
     hausdorff,
-    kd_tree,
     rho_radius,
-    to_xy,
 )
 from .dynamics import InverseDynamics, check_word_budget, fixed_point, prep_points, spectrum
 from .errors import (
@@ -47,7 +46,6 @@ from .errors import (
     NotInImage,
     OutsideAttractor,
     PrefixViolation,
-    SeparationFailure,
 )
 from .geometry import koebe_distortion
 from .maps import (
@@ -191,11 +189,11 @@ class SystemNet:
     """One system with its net, and the structures derived from the pair.
 
     Each derived member is computed once, on first use, and freed with the
-    object.  ``cert`` carries the first-level images of the net and their KD
-    trees, built once by :func:`certify_ssc`; ``dyn`` and ``rho`` query those
-    trees and build none.  The members call the module-level functions by
-    their global names, so a wrapper installed on a module attribute sees
-    every call.
+    object.  ``cert`` carries the first-level images of the net and their
+    point indexes, built once by :func:`certify_ssc`; ``dyn`` and ``rho``
+    query those indexes and build none.  The members call the module-level
+    functions by their global names, so a wrapper installed on a module
+    attribute sees every call.
     """
 
     system: IfsSystem
@@ -219,9 +217,9 @@ class SystemNet:
         return s_floor(self.system, self.net)
 
     @cached_property
-    def tree(self):
-        """KD tree over the net points."""
-        return kd_tree(self.net.xy)
+    def tree(self) -> PointIndex:
+        """Point index over the net points."""
+        return PointIndex(self.net.points)
 
 
 def s_floor(systemF: IfsSystem, netF: AttractorNet) -> float:
@@ -427,7 +425,7 @@ def verify_symmetry(
     forward_fail = 0
     if len(sel):
         images = np.atleast_1d(H(netG.points[sel]))
-        d, _ = F.tree.nearest(to_xy(images))
+        d, _ = F.tree.nearest(images)
         forward_res = float(np.max(d))
         forward_fail = int(np.count_nonzero(d > forward_tol))
 
@@ -448,7 +446,7 @@ def verify_symmetry(
             backward_fail += 1
     if preimages:
         x = np.array(preimages)
-        d, _ = G.tree.nearest(to_xy(x))
+        d, _ = G.tree.nearest(x)
         backward_res = float(np.max(d))
         backward_fail += int(np.count_nonzero(d > backward_tol))
     return SymmetryResidualReport(
@@ -671,32 +669,35 @@ def shared_attractor(
     A net distance beyond the combined net errors certifies NotShared.
     Shared needs every category to pass: separation both sides, preperiodic
     cross-checks both ways, spectrum compatibility both ways, and the
-    functional-equation sweep.  Anything less is Inconclusive.
+    functional-equation sweep.  Anything less is Inconclusive, and so is a
+    computation that fails with a :class:`HoloifsError` other than
+    :class:`BudgetExceeded`, which propagates: the note names the exception,
+    and ``hausdorff`` is NaN if the net distance was not measured.
     """
     budgets = budgets if budgets is not None else Budgets()
-    G = SystemNet(systemG, compute_net(systemG, epsilon, budgets.point_cap))
-    F = SystemNet(systemF, compute_net(systemF, epsilon, budgets.point_cap))
-    h = hausdorff(G.net.points, F.net.points)
-    eps_sum = G.net.epsilon + F.net.epsilon
-    ssc_both = bool(G.cert.valid and F.cert.valid)
-
-    if h > eps_sum:
-        return SharedAttractorReport(
-            hausdorff=h,
-            ssc_both=ssc_both,
-            verdict="NotShared",
-            notes=(f"net distance {h:.6e} exceeds combined net error {eps_sum:.6e}",),
-        )
-    if not ssc_both:
-        return SharedAttractorReport(
-            hausdorff=h,
-            ssc_both=False,
-            verdict="Inconclusive",
-            notes=("separation certificate invalid; evidence unavailable",),
-        )
-
-    notes: list[str] = []
+    h, ssc_both = math.nan, False  # until measured
     try:
+        G = SystemNet(systemG, compute_net(systemG, epsilon, budgets.point_cap))
+        F = SystemNet(systemF, compute_net(systemF, epsilon, budgets.point_cap))
+        h = hausdorff(G.net.points, F.net.points)
+        eps_sum = G.net.epsilon + F.net.epsilon
+        ssc_both = bool(G.cert.valid and F.cert.valid)
+
+        if h > eps_sum:
+            return SharedAttractorReport(
+                hausdorff=h,
+                ssc_both=ssc_both,
+                verdict="NotShared",
+                notes=(f"net distance {h:.6e} exceeds combined net error {eps_sum:.6e}",),
+            )
+        if not ssc_both:
+            return SharedAttractorReport(
+                hausdorff=h,
+                ssc_both=False,
+                verdict="Inconclusive",
+                notes=("separation certificate invalid; evidence unavailable",),
+            )
+
         dynG, dynF = G.dyn, F.dyn
         # the word budgets fail before any orbit walk, in the order the
         # stages below would meet them
@@ -719,7 +720,10 @@ def shared_attractor(
         )
 
         equations = _functional_sweep(G, F, budgets)
-    except (SeparationFailure, DegenerateDerivative) as exc:
+    except BudgetExceeded:
+        raise
+    except HoloifsError as exc:
+        # a failed computation is no evidence either way
         return SharedAttractorReport(
             hausdorff=h,
             ssc_both=ssc_both,
@@ -727,6 +731,7 @@ def shared_attractor(
             notes=(f"{type(exc).__name__}: {exc}",),
         )
 
+    notes: list[str] = []
     prep_ok = (
         prep_forward[0] > 0
         and prep_forward[1] == 0

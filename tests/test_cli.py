@@ -483,11 +483,16 @@ def test_shared_verdict_inconclusive(configs, capsys):
 
 
 def test_shared_error_is_inconclusive(configs, capsys):
-    # a failed computation is no evidence against a shared attractor
+    # a failed computation is no evidence against a shared attractor: it is
+    # an Inconclusive report, with no net distance, naming the exception
     assert cli.main(["shared", configs["julia55"], configs["julia55"]]) == 4
     captured = capsys.readouterr()
-    assert captured.err == "error: disk meets a square-root branch cut\n"
-    assert captured.out == ""
+    assert captured.err == ""
+    lines = captured.out.splitlines()
+    assert lines[0] == cli.REPORT_HEADER
+    assert "verdict = Inconclusive" in lines
+    assert "hausdorff = nan" in lines and "ssc_both = false" in lines
+    assert lines[-1] == "notes = DomainError: disk meets a square-root branch cut"
 
 
 def test_shared_prep_budget_exit(configs, capsys):

@@ -131,6 +131,34 @@ def test_poincare_domain_contains():
     assert not thin.contains(1.5)
 
 
+def _arc_rule(dom, z):
+    """The upper-arc / lower-arc / axis membership test, written out."""
+    if z.imag > 0:
+        return abs(z - dom.upper_center) < dom.circle_radius
+    if z.imag < 0:
+        return abs(z - dom.lower_center) < dom.circle_radius
+    return dom.a < z.real < dom.b
+
+
+@pytest.mark.parametrize("theta", [0.2, math.pi / 2, 2.5])
+def test_poincare_domain_margin_is_positive_exactly_inside(theta):
+    rng = np.random.default_rng(5)
+    dom = PoincareDomain(-0.5, 2.0, theta)
+    axis = np.concatenate((np.linspace(-1.0, 2.5, 57), [-0.5, 2.0, np.nextafter(2.0, 0.0)]))
+    points = np.concatenate((
+        rng.normal(0.75, 1.5, 400) + 1j * rng.normal(0.0, 1.5, 400),
+        axis + 0j,
+        dom.boundary(64),
+        dom.boundary(64) * (1 + 1e-15),
+    ))
+    for z in points.tolist():
+        assert dom.contains(z) == (dom.margin(z) > 0.0) == _arc_rule(dom, z)
+    assert dom.margin(0.75) == 1.25
+    assert dom.margin(-0.5) == dom.margin(2.0) == 0.0
+    z = 0.75 + 1j
+    assert dom.margin(z) == dom.circle_radius - abs(z - dom.upper_center)
+
+
 def test_poincare_domain_boundary_on_circle():
     dom = poincare_domain((0.0, 2.0), 0.8)
     pts = dom.boundary(64)

@@ -1,4 +1,8 @@
-"""``attractor.PointIndex`` against ``scipy.spatial.cKDTree``, the oracle."""
+"""``attractor.PointIndex`` against ``scipy.spatial.cKDTree``, the oracle.
+
+The oracle takes ``(n, 2)`` real arrays and the index the same points as
+complex numbers.
+"""
 
 from __future__ import annotations
 
@@ -10,12 +14,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
-from holoifs.attractor import PointIndex, compute_net, kd_tree, to_xy
+from holoifs.attractor import PointIndex, compute_net
 from holoifs.maps import Affine, Disk, IfsSystem
 from holoifs.systems import cantor_thirds
 
 coord = st.floats(-4.0, 4.0, allow_nan=False, allow_infinity=False)
 point = st.tuples(coord, coord)
+
+
+def _z(xy) -> np.ndarray:
+    """The rows of an ``(n, 2)`` array as complex points, bit for bit."""
+    xy = np.asarray(xy, dtype=np.float64).reshape(-1, 2)
+    z = np.empty(len(xy), dtype=np.complex128)
+    z.real, z.imag = xy[:, 0], xy[:, 1]
+    return z
+
+
+def _xy(z) -> np.ndarray:
+    """Complex points as the rows of an ``(n, 2)`` array, for the oracle."""
+    return np.column_stack((z.real, z.imag))
 
 
 def _distances(data: np.ndarray, queries: np.ndarray) -> np.ndarray:
@@ -53,8 +70,8 @@ def _brute(data: np.ndarray, queries: np.ndarray, radii: np.ndarray, rows: int =
 
 def _agree(data: np.ndarray, queries: np.ndarray, radii: np.ndarray) -> None:
     """The index answers as cKDTree does, ties going to the lowest index."""
-    oracle, index = cKDTree(data), PointIndex(data)
-    dist, idx = index.nearest(queries)
+    oracle, index = cKDTree(data), PointIndex(_z(data))
+    dist, idx = index.nearest(_z(queries))
     d0, i0 = oracle.query(queries, k=1)
     assert np.array_equal(dist, d0)
     assert dist.dtype == np.float64 and idx.dtype == np.intp and len(idx) == len(queries)
@@ -64,7 +81,7 @@ def _agree(data: np.ndarray, queries: np.ndarray, radii: np.ndarray) -> None:
         assert np.array_equal(idx[unique], i0[unique])
     lowest, pairs, clear = _brute(data, queries, radii)
     assert np.array_equal(idx, lowest)
-    rows, cols = index.within(queries, radii)
+    rows, cols = index.within(_z(queries), radii)
     found = _sorted_pairs(rows, cols)
     assert np.array_equal(found, _sorted_pairs(pairs[:, 0], pairs[:, 1]))
     # cKDTree decides a point at float distance exactly r on its own
@@ -100,15 +117,15 @@ def test_index_agrees_with_ckdtree_on_clouds_with_repeats(cloud, scale):
 def test_index_agrees_with_ckdtree_on_rotated_lines(xs, angle, queries):
     line = np.array(xs) * complex(math.cos(angle), math.sin(angle))
     q = np.array(queries, dtype=np.float64).reshape(-1, 2)
-    q = np.concatenate((q, to_xy(line[:10]) + 1e-9))
-    _agree(to_xy(line), q, np.full(len(q), 0.5))
+    q = np.concatenate((q, _xy(line[:10]) + 1e-9))
+    _agree(_xy(line), q, np.full(len(q), 0.5))
 
 
 @pytest.mark.parametrize("angle", [0.0, 0.7, math.pi / 2])
 def test_index_agrees_with_ckdtree_on_cantor_nets(angle):
     rng = np.random.default_rng(0)
     net = compute_net(cantor_thirds(), 1e-4)
-    data = to_xy(net.points * complex(math.cos(angle), math.sin(angle)))
+    data = _xy(net.points * complex(math.cos(angle), math.sin(angle)))
     near = data + rng.normal(0.0, 1e-6, data.shape)
     far = data + rng.normal(0.0, 0.3, data.shape)
     for queries in (data, near, far, near[:5], far[:40], near[:300]):
@@ -148,8 +165,8 @@ def test_ties_on_a_line_go_to_the_lowest_index():
 
 def test_ties_are_equal_distances_not_equal_squares():
     # 1.5625 and the square just below it have the same root, 1.25
-    index = PointIndex(np.array([[0.0, 0.0], [1e-16, 0.0]]))
-    dist, idx = index.nearest(np.array([[1.0, 0.75]]))
+    index = PointIndex(np.array([0.0, 1e-16]))
+    dist, idx = index.nearest(np.array([1.0 + 0.75j]))
     assert dist.tolist() == [1.25] and idx.tolist() == [0]
 
 
@@ -161,41 +178,57 @@ def test_ball_keeps_points_at_exactly_the_radius():
         every = _distances(data, queries)
         pick = rng.integers(0, len(data), len(queries))
         radii = every[np.arange(len(queries)), pick]
-        rows, cols = PointIndex(data).within(queries, radii)
+        rows, cols = PointIndex(_z(data)).within(_z(queries), radii)
         assert _pairs_set(rows, cols) >= set(enumerate(pick.tolist()))
         assert np.array_equal(_sorted_pairs(rows, cols),
                               _sorted_pairs(*np.nonzero(every <= radii[:, None])))
 
 
 def test_single_point_index_and_empty_batches():
-    index = PointIndex(np.array([[0.25, -1.0]]))
-    dist, idx = index.nearest(np.array([[3.25, 3.0], [0.25, -1.0]]))
+    index = PointIndex(np.array([0.25 - 1.0j]))
+    dist, idx = index.nearest(np.array([3.25 + 3.0j, 0.25 - 1.0j]))
     assert dist.tolist() == [5.0, 0.0] and idx.tolist() == [0, 0]
-    dist, idx = index.nearest(np.empty((0, 2)))
+    dist, idx = index.nearest(3.25 + 3.0j)  # one point is a batch of one
+    assert dist.tolist() == [5.0] and idx.tolist() == [0]
+    dist, idx = index.nearest(np.empty(0, dtype=np.complex128))
     assert dist.shape == idx.shape == (0,)
-    rows, cols = index.within(np.empty((0, 2)), 1.0)
+    rows, cols = index.within(np.empty(0, dtype=np.complex128), 1.0)
     assert rows.shape == cols.shape == (0,)
-    rows, cols = index.within(np.array([[0.0, 0.0], [0.25, -0.5]]), 0.5)
+    rows, cols = index.within(np.array([0.0, 0.25 - 0.5j]), 0.5)
     assert rows.tolist() == [1] and cols.tolist() == [0]
-    assert isinstance(kd_tree(np.zeros((3, 2))), PointIndex)
+    rows, cols = index.within(0.25 - 0.5j, 0.5)
+    assert rows.tolist() == [0] and cols.tolist() == [0]
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_index_refuses_points_that_are_not_finite(bad):
     with pytest.raises(ValueError, match="^index points must be finite$"):
-        PointIndex(np.array([[0.0, 0.0], [bad, 1.0]]))
-    index = PointIndex(np.array([[0.0, 0.0], [1.0, 1.0]]))
+        PointIndex(_z([[0.0, 0.0], [bad, 1.0]]))
+    with pytest.raises(ValueError, match="^index points must be finite$"):
+        PointIndex(_z([[0.0, 0.0], [1.0, bad]]))
+    index = PointIndex(np.array([0.0, 1.0 + 1.0j]))
     with pytest.raises(ValueError, match="^query points must be finite$"):
-        index.nearest(np.array([[0.5, 0.5], [0.0, bad]]))
+        index.nearest(_z([[0.5, 0.5], [0.0, bad]]))
     with pytest.raises(ValueError, match="^query points must be finite$"):
-        index.within(np.array([[bad, 0.5]]), 1.0)
+        index.within(_z([[bad, 0.5]]), 1.0)
+    with pytest.raises(ValueError, match="^query points must be finite$"):
+        index.nearest(complex(bad, 0.0))
 
 
 def test_index_refuses_an_empty_or_misshapen_point_set():
+    # (n, 2) real rows are the layout of a point set before complex points
     with pytest.raises(ValueError, match="^an index needs at least one point$"):
-        PointIndex(np.empty((0, 2)))
-    with pytest.raises(ValueError, match=r"^index points must be an \(n, 2\) array"):
-        PointIndex(np.zeros((4, 3)))
+        PointIndex(np.empty(0, dtype=np.complex128))
+    for bad in (np.zeros((4, 2)), np.zeros((4, 3)), np.zeros((2, 2), dtype=np.complex128),
+                np.complex128(1.0)):
+        with pytest.raises(ValueError, match=r"^index points must be a 1-D array, got shape "):
+            PointIndex(bad)
+    index = PointIndex(np.array([0.0, 1.0 + 1.0j]))
+    for bad in (np.zeros((3, 2)), np.zeros((1, 2)), np.zeros((2, 1), dtype=np.complex128)):
+        with pytest.raises(ValueError, match=r"^query points must be a scalar or 1-D, got shape "):
+            index.nearest(bad)
+        with pytest.raises(ValueError, match=r"^query points must be a scalar or 1-D, got shape "):
+            index.within(bad, 1.0)
 
 
 def test_index_agrees_with_ckdtree_on_a_736k_point_net():
@@ -204,12 +237,12 @@ def test_index_agrees_with_ckdtree_on_a_736k_point_net():
     system = IfsSystem((Affine(a, 0.0), Affine(a, 1.0 - a)), Disk(0.5, 2.0))
     net = compute_net(system, 1e-6)
     assert len(net) == 736_320
-    data = to_xy(system.maps[1](net.points))
-    index, oracle = PointIndex(data), cKDTree(data)
-    for queries in (to_xy(system.maps[0](net.points)), to_xy(net.points) + 1e-9):
+    data = system.maps[1](net.points)
+    index, oracle = PointIndex(data), cKDTree(_xy(data))
+    for queries in (system.maps[0](net.points), net.points + (1e-9 + 1e-9j)):
         dist, idx = index.nearest(queries)
-        d0, i0 = oracle.query(queries)
+        d0, i0 = oracle.query(_xy(queries))
         assert np.array_equal(dist, d0)
-        d2, _ = oracle.query(queries[::97], k=2)
+        d2, _ = oracle.query(_xy(queries[::97]), k=2)
         unique = d2[:, 1] > d2[:, 0]
         assert np.array_equal(idx[::97][unique], i0[::97][unique])

@@ -214,10 +214,15 @@ def test_germ_address_failure_across_distinct_attractors(thirds):
 # the batched germ construction against the one-word code it replaced
 
 
+def _xy(points) -> np.ndarray:
+    """Complex points as the rows of an ``(n, 2)`` array, for cKDTree."""
+    return np.column_stack((points.real, points.imag))
+
+
 def _scalar_address_walk(F, x):
     """The one-point address walk the batch replaced: its own trees, one query per point."""
     images = [g(F.net.points) for g in F.system.maps]
-    trees = [cKDTree(np.column_stack((z.real, z.imag))) for z in images]
+    trees = [cKDTree(_xy(z)) for z in images]
     x = b = complex(x)
     n = 0
     try:
@@ -432,7 +437,7 @@ def _scalar_verify(germ, G, F, n_samples=200, tol=1e-9):
     dist_im = np.abs(F.net.points - complex(H(a)))
     selb = np.nonzero(dist_im <= inner)[0]
     selb = selb[np.argsort(dist_im[selb], kind="stable")][:n_samples]
-    tree = cKDTree(G.net.xy)
+    tree = cKDTree(_xy(G.net.points))
     res, fail = 0.0, 0
     H_inv = inverse_map(H)
     for y in F.net.points[selb]:
@@ -946,6 +951,29 @@ def test_inconclusive_without_separation():
     assert report.notes
 
 
+def test_inconclusive_when_net_refinement_meets_a_branch_cut():
+    # the net refinement of sqrt_julia(-5.5) in B(0, 5) meets a square-root
+    # branch cut: no net distance is measured, and the note names the error
+    report = shared_attractor(sqrt_julia(-5.5), sqrt_julia(-5.5), EPS)
+    assert report.verdict == "Inconclusive"
+    assert np.isnan(report.hausdorff) and report.ssc_both is False
+    assert report.notes == ("DomainError: disk meets a square-root branch cut",)
+    assert report.prep_forward == report.prep_backward == (0, 0)
+    assert report.spectrum_matches == report.functional_equations == ()
+
+
+def test_inconclusive_when_a_later_stage_fails(monkeypatch):
+    # an error after the net distance keeps it and the separation verdict
+    def prep_check(*args):
+        raise AmbiguousBranch("planted")
+
+    monkeypatch.setattr(holoifs.symmetry, "_prep_check", prep_check)
+    report = shared_attractor(cantor_thirds(), cantor_thirds_reflected(), EPS)
+    assert report.verdict == "Inconclusive" and report.ssc_both is True
+    assert 0.0 <= report.hausdorff <= 2 * EPS
+    assert report.notes == ("AmbiguousBranch: planted",)
+
+
 def test_shared_verdict_symmetric_positive():
     fwd = shared_attractor(cantor_thirds(), cantor_thirds_reflected(), EPS)
     bwd = shared_attractor(cantor_thirds_reflected(), cantor_thirds(), EPS)
@@ -1049,14 +1077,14 @@ def test_shared_attractor_indexes_each_map_image_once(monkeypatch, pair, trees):
     # two trees for the net distance, then one per map image, built by
     # certify_ssc and queried by the inverse map and rho_radius alike
     built = []
-    kd_tree = holoifs.attractor.kd_tree
+    point_index = holoifs.attractor.PointIndex
 
-    def spy(xy):
-        built.append(len(xy))
-        return kd_tree(xy)
+    def spy(points):
+        built.append(len(points))
+        return point_index(points)
 
     for module in (holoifs.attractor, holoifs.symmetry):
-        monkeypatch.setattr(module, "kd_tree", spy)
+        monkeypatch.setattr(module, "PointIndex", spy)
     assert shared_attractor(*pair, EPS).verdict == "Shared"
     assert len(built) == trees
 
@@ -1079,7 +1107,7 @@ def test_osc_composition_property(thirds):
     disks = (Disk(1 / 6 + 0j, 1 / 6 + 0.01), Disk(5 / 6 + 0j, 1 / 6 + 0.01))
     cert = certify_strong_osc(system, disks, net)
     assert cert.valid
-    tree = cKDTree(np.column_stack((net.points.real, net.points.imag)))
+    tree = cKDTree(_xy(net.points))
     from itertools import product
 
     for disk in disks:
@@ -1087,5 +1115,5 @@ def test_osc_composition_property(thirds):
         for length in range(1, 4):
             for idx in product(range(2), repeat=length):
                 image = compose_word(system, Word(idx, 2))(members)
-                d, _ = tree.query(np.column_stack((image.real, image.imag)), k=1)
+                d, _ = tree.query(_xy(image), k=1)
                 assert np.max(d) <= net.epsilon + 1e-12
