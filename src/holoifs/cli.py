@@ -48,7 +48,12 @@ from .symmetry import Budgets, SystemNet, build_symmetry, shared_attractor, veri
 
 REPORT_HEADER = "# holoifs shared-attractor report v1"
 
-_MAP_KINDS = ("affine", "sqrt_branch")
+#: the fields of each map kind; a config names no other
+_MAP_FIELDS = {
+    "affine": ("kind", "alpha_re", "alpha_im", "b_re", "b_im"),
+    "sqrt_branch": ("kind", "c_re", "c_im", "sign"),
+}
+_MAP_KINDS = tuple(_MAP_FIELDS)
 
 
 # ---------------------------------------------------------------------------
@@ -59,6 +64,13 @@ def _require(record: dict, where: str, field: str):
     if field not in record:
         raise ConfigError(f"{where}.{field}: missing required field")
     return record[field]
+
+
+def _only(record: dict, where: str, fields: tuple[str, ...]) -> None:
+    """Refuse a field the grammar does not define, so a misspelt one is not dropped."""
+    for field in record:
+        if field not in fields:
+            raise ConfigError(f"{where}.{field}: unknown field (expected one of {fields})")
 
 
 def _number(record: dict, where: str, field: str) -> float:
@@ -80,6 +92,8 @@ def _parse_map(record, where: str) -> HoloMap:
     if not isinstance(record, dict):
         raise ConfigError(f"{where}: expected an object, got {type(record).__name__}")
     kind = _require(record, where, "kind")
+    if kind in _MAP_KINDS:  # a tuple: an unhashable kind is refused below, not raised here
+        _only(record, where, _MAP_FIELDS[kind])
     if kind == "affine":
         alpha = complex(
             _number(record, where, "alpha_re"), _number(record, where, "alpha_im")
@@ -111,6 +125,7 @@ def load_system(path: str) -> tuple[IfsSystem, str]:
         ) from exc
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: top level must be an object")
+    _only(data, path, ("label", "maps", "domain"))
 
     maps_field = _require(data, path, "maps")
     if not isinstance(maps_field, list) or not maps_field:
@@ -123,6 +138,7 @@ def load_system(path: str) -> tuple[IfsSystem, str]:
     if not isinstance(domain_field, dict):
         raise ConfigError(f"{path}.domain: expected an object")
     where = f"{path}.domain"
+    _only(domain_field, where, ("center_re", "center_im", "radius"))
     center = complex(
         _number(domain_field, where, "center_re"),
         _number(domain_field, where, "center_im"),

@@ -4,9 +4,11 @@ The inverse map of a strongly separated system is single-valued on the
 attractor: a point close to one first-level image belongs to that branch.
 :class:`InverseDynamics` is that map for one system and its net.  Its
 ``steps`` advance many points at once: each branch's point index, carried on
-the certificate, is queried once with all of them, and each claimed point is
-inverted in scalar arithmetic, so a preimage is the same bits however many
-points share the step.
+the certificate, is queried once with all of them, and the points one branch
+claims are inverted in one call of the exact kernel
+(:class:`~holoifs.maps.Exact`), whose rows round as Python's complex scalars
+do, so a preimage has the bits of the scalar inversion however many points
+share the step.
 ``step`` is the one-point case.  ``steps`` is the one inverse walker: the
 target addresses of :mod:`holoifs.symmetry` are read from it, and ``orbits``
 walks many points as one array and detects (pre)periodicity numerically,
@@ -17,10 +19,12 @@ finite.  A point whose step fails never stops the others: its exception is
 kept, and raised or returned in input order.
 
 Periodic points are solved one word length at a time: the necklaces of that
-length form one letter array, iterated as a whole, and each row stops by its
-own tolerance test.  Affine words take the closed form.  On real values the
-array arithmetic rounds as scalar arithmetic does; on complex values numpy's
-products and quotients may differ from CPython's in the last bit.
+length form one array, carried through the factors of their letters by
+:func:`~holoifs.maps.apply_rows`, and each row stops by its own tolerance
+test.  Affine words take the closed form.  These arrays keep numpy's
+arithmetic, which feeds the pinned reports: on real values it rounds as
+scalar arithmetic does; on complex values numpy's products and quotients may
+differ from CPython's in the last bit.
 """
 
 from __future__ import annotations
@@ -41,7 +45,16 @@ from .errors import (
     OutsideAttractor,
     SeparationFailure,
 )
-from .maps import Affine, Composite, HoloMap, IfsSystem, Word, compose_word
+from .maps import (
+    Affine,
+    Exact,
+    IfsSystem,
+    Word,
+    apply_rows,
+    compose_word,
+    factor_table,
+    rowwise,
+)
 
 #: fixed-point iteration tolerance and cap
 FIXED_POINT_TOL = 1e-14
@@ -120,43 +133,6 @@ class OrbitReport:
         return self.period is not None
 
 
-def _factors(g: HoloMap) -> tuple[HoloMap, ...]:
-    """The factors ``g`` contributes to a word map, as :func:`compose_maps` flattens."""
-    return g.factors if isinstance(g, Composite) else (g,)
-
-
-def _apply_words(maps, letters: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """``g_w(z)`` for each row ``w`` of ``letters``, innermost letter first."""
-    z = z.copy()
-    for col in letters.T[::-1]:
-        for a, g in enumerate(maps):
-            rows = col == a
-            if rows.any():
-                z[rows] = g(z[rows])
-    return z
-
-
-def _multipliers(maps, letters: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """``g_w'(z)`` for each row ``w``: the chain rule over the flattened factors.
-
-    The products run in the order of ``Composite.deriv``, innermost factor
-    first.
-    """
-    z = z.copy()
-    total = np.ones(len(z), dtype=np.complex128)
-    for col in letters.T[::-1]:
-        for a, g in enumerate(maps):
-            rows = np.flatnonzero(col == a)
-            if not len(rows):
-                continue
-            zr, tr = z[rows], total[rows]
-            for f in reversed(_factors(g)):
-                tr = tr * f.deriv(zr)
-                zr = f(zr)
-            z[rows], total[rows] = zr, tr
-    return total
-
-
 def _modulus(z: np.ndarray) -> np.ndarray:
     # np.hypot rounds as the built-in abs() of a complex scalar does
     return np.hypot(z.real, z.imag)
@@ -177,9 +153,9 @@ def _solve_level(system: IfsSystem, letters: np.ndarray):
     mults = np.empty(n, dtype=np.complex128)
     fail = np.zeros(n, dtype=np.int8)
 
-    affine_letter = np.array(
-        [all(isinstance(f, Affine) for f in _factors(g)) for g in system.maps]
-    )
+    factors, lookup = factor_table(system.maps)
+    affine_letter = np.array([all(isinstance(factors[k], Affine) for k in row if k >= 0)
+                              for row in lookup])
     affine = affine_letter[letters].all(axis=1)
     for i in np.flatnonzero(affine):
         gw = compose_word(system, Word(letters[i].tolist(), m))
@@ -192,23 +168,32 @@ def _solve_level(system: IfsSystem, letters: np.ndarray):
             fail[i] = 3
 
     rest = np.flatnonzero(~affine)
-    words = letters[rest]
+    # the factors of each row's letters, outermost first: the chain of g_w
+    table = lookup[letters[rest]].reshape(len(rest), letters.shape[1] * lookup.shape[1])
+
+    def words_at(rows, z, deriv=False):
+        values, derivs, errors = apply_rows(factors, table[rows], z, deriv)
+        if errors:
+            raise errors[min(errors)]
+        return values, derivs
+
     p = np.full(len(rest), complex(system.domain.center), dtype=np.complex128)
     active = np.arange(len(rest))
     for _ in range(FIXED_POINT_MAX_ITER):
         if not len(active):
             break
         pa = p[active]
-        q = _apply_words(system.maps, words[active], pa)
+        q = words_at(active, pa)[0]
         p[active] = q
         settled = _modulus(q - pa) <= FIXED_POINT_TOL * np.maximum(1.0, _modulus(pa))
         active = active[~settled]
     fail[rest[active]] = 2
     ok = np.flatnonzero(fail[rest] == 0)
-    bad = _modulus(_apply_words(system.maps, words[ok], p[ok]) - p[ok]) > PERIODIC_RESIDUAL_TOL
+    bad = _modulus(words_at(ok, p[ok])[0] - p[ok]) > PERIODIC_RESIDUAL_TOL
     fail[rest[ok[bad]]] = 3
     ok = ok[~bad]
-    lam = _multipliers(system.maps, words[ok], p[ok])
+    # the chain rule over the factors, in the order of Composite.deriv
+    lam = words_at(ok, p[ok], deriv=True)[1]
     fail[rest[ok[_modulus(lam) >= 1.0]]] = 4
     points[rest], mults[rest[ok]] = p, lam
     reasons = (
@@ -358,13 +343,15 @@ class InverseDynamics:
         """One step of the inverse map for every point of ``xs``.
 
         Each branch's tree is queried once with every finite point, with the
-        strict ``d < claim_radius`` test of :meth:`step`.  Returns ``(branch,
-        preimage, failures)``: ``failures`` maps each row that fails to the
-        exception :meth:`step` raises for that point, and such a row has
-        branch -1.  A row fails with :class:`OutsideAttractor` when no branch
-        claims it or its branch cannot invert it, with
-        :class:`AmbiguousBranch` when several branches claim it, and with
-        ``ValueError`` when it is not finite.
+        strict ``d < claim_radius`` test of :meth:`step`, and inverts all the
+        points it claims in one call of the exact kernel
+        (:class:`~holoifs.maps.Exact`).  Returns ``(branch, preimage,
+        failures)``: ``failures`` maps each row that fails to the exception
+        :meth:`step` raises for that point, and such a row has branch -1.  A
+        row fails with :class:`OutsideAttractor` when no branch claims it or
+        its branch cannot invert it (the branch's :class:`NotInImage` is the
+        cause), with :class:`AmbiguousBranch` when several branches claim it,
+        and with ``ValueError`` when it is not finite.
         """
         xs = np.asarray(xs, dtype=np.complex128)
         n = len(xs)
@@ -385,19 +372,20 @@ class InverseDynamics:
             else:
                 failures[k] = OutsideAttractor(f"no branch claims {x}")
         preimage = np.empty(n, dtype=np.complex128)
-        maps = self.system.maps
-        for k, i in enumerate(branch.tolist()):
-            if i >= 0:
-                x = complex(xs[k])
-                try:
-                    preimage[k] = maps[i].invert(x)
-                except NotInImage as exc:
-                    failures[k] = OutsideAttractor(f"branch {i} cannot invert {x}")
+        for i, g in enumerate(self.system.maps):
+            rows = np.flatnonzero(branch == i)
+            if not len(rows):
+                continue
+            preimage[rows], errors = rowwise(g.invert, xs[rows].view(Exact))
+            for j, exc in errors.items():
+                k = int(rows[j])
+                if not isinstance(exc, HoloifsError):
+                    raise exc
+                branch[k] = -1
+                failures[k] = exc
+                if isinstance(exc, NotInImage):
+                    failures[k] = OutsideAttractor(f"branch {i} cannot invert {complex(xs[k])}")
                     failures[k].__cause__ = exc
-                    branch[k] = -1
-                except HoloifsError as exc:
-                    failures[k] = exc
-                    branch[k] = -1
         return branch, preimage, failures
 
     def step(self, x: complex) -> tuple[complex, int]:

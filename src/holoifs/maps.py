@@ -4,13 +4,23 @@ All maps act on complex scalars or complex numpy arrays interchangeably.
 The variant set is deliberately closed (affine maps, inverse square-root
 branches, compositions, inverses) so that every operation -- evaluation,
 derivative, inversion, certified disk enclosure -- has a closed form.
+
+Each variant has one formula per operation, and the operand picks the
+arithmetic: CPython's on a scalar; numpy's on an array, as at the sites that
+feed the pinned reports (nets, images, samples), where complex ``*``, ``abs``
+and ``sqrt`` may differ from CPython's in the last bit; and on an
+:class:`Exact` array, for rows that stand for scalars, the bits of each
+row's scalar evaluation.  :func:`map_rows` evaluates a different map on each
+row of an array, factor position by factor position.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -41,9 +51,78 @@ def _is_finite_complex(z: complex) -> bool:
     return math.isfinite(z.real) and math.isfinite(z.imag)
 
 
-def _any(mask) -> bool:
-    """``np.any`` of a mask, without numpy's cost on a scalar one."""
-    return bool(mask.any()) if isinstance(mask, np.ndarray) else bool(mask)
+# ---------------------------------------------------------------------------
+# the exact kernel: complex arrays that round as CPython's complex scalars
+
+
+def _parts(x):
+    x = np.asarray(x, dtype=np.complex128)  # a real operand widens to imaginary part 0.0
+    return x.real, x.imag
+
+
+def _joined(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    out = np.empty(re.shape, dtype=np.complex128)
+    out.real, out.imag = re, im
+    return out
+
+
+def _exact_mul(a, b):  # _Py_c_prod
+    (ar, ai), (br, bi) = _parts(a), _parts(b)
+    return _joined(ar * br - ai * bi, ar * bi + ai * br)
+
+
+def _exact_div(a, b):  # _Py_c_quot: Smith's quotient, scaled by the larger part of b
+    (ar, ai), (br, bi) = _parts(a), _parts(b)
+    if np.any((br == 0.0) & (bi == 0.0)):
+        raise ZeroDivisionError("complex division by zero")
+    by_re = np.abs(br) >= np.abs(bi)
+    big, small, p, q = (np.where(by_re, u, v) for u, v in ((br, bi), (bi, br), (ar, ai), (ai, ar)))
+    ratio = small / big
+    t = p * ratio
+    denom = big + small * ratio
+    return _joined((p + q * ratio) / denom, np.where(by_re, q - t, t - q) / denom)
+
+
+def _exact_sqrt(z):  # cmath.sqrt, with its table for infinities and NaNs
+    special = ~np.isfinite(z)
+    x, y = _parts(np.where(special, 1.0, z))
+    ax, ay = np.abs(x), np.abs(y)
+    s = 2.0 * np.sqrt(ax / 8.0 + np.hypot(ax / 8.0, ay / 8.0))
+    # a pair of subnormal parts is scaled up by 2**53, and its root down by 2**-27
+    tiny = (ax < sys.float_info.min) & (ay < sys.float_info.min)
+    tx, ty = np.ldexp(ax[tiny], 53), np.ldexp(ay[tiny], 53)
+    s[tiny] = np.ldexp(np.sqrt(tx + np.hypot(tx, ty)), -27)
+    right = x >= 0.0
+    d = ay / (2.0 * np.where((x == 0.0) & (y == 0.0), 1.0, s))  # the root of 0 is (0, y)
+    out = _joined(np.where(right, s, d), np.copysign(np.where(right, d, s), y))
+    out[special] = [cmath.sqrt(v) for v in z[special].tolist()]
+    return out
+
+
+_KERNELS = {np.multiply: _exact_mul, np.divide: _exact_div, np.sqrt: _exact_sqrt,
+            np.absolute: lambda z: np.hypot(z.real, z.imag)}  # _Py_c_abs
+
+
+class Exact(np.ndarray):
+    """Complex array whose ``*``, ``/``, ``abs`` and ``sqrt`` round as CPython's complex scalars.
+
+    Numpy's complex loops may fuse or reorder these four; here they follow
+    ``_Py_c_prod``, ``_Py_c_quot``, ``_Py_c_abs`` and ``cmath.sqrt``.  The
+    other ufuncs already round as Python does.  So a map evaluated on
+    ``z.view(Exact)`` gives each row the bits of its scalar evaluation (an
+    overflowing modulus is inf where Python raises).
+    """
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        args = [x.view(np.ndarray) if isinstance(x, Exact) else x for x in inputs]
+        kernel = _KERNELS.get(ufunc) if method == "__call__" else None
+        if kernel and any(np.iscomplexobj(x) for x in args):
+            if kwargs:
+                raise TypeError(f"{ufunc.__name__} on an Exact array takes no keywords")
+            out = kernel(*args)
+        else:
+            out = getattr(ufunc, method)(*args, **kwargs)
+        return out.view(Exact) if isinstance(out, np.ndarray) and out.dtype.kind == "c" else out
 
 
 @dataclass(frozen=True)
@@ -157,9 +236,7 @@ class HoloMap:
         return Disk(complex(centers[0]), float(radii[0]))
 
     def _verify_roundtrip(self, x, y):
-        scale = np.maximum(1.0, np.abs(y)) if isinstance(y, np.ndarray) else max(1.0, abs(y))
-        err = np.abs(self(x) - y) if isinstance(y, np.ndarray) else abs(self(x) - y)
-        if _any(err > INVERT_RTOL * scale):
+        if np.any(abs(self(x) - y) > INVERT_RTOL * np.maximum(1.0, abs(y))):
             raise NotInImage("inversion round-trip failed beyond tolerance")
         return x
 
@@ -182,7 +259,7 @@ class Affine(HoloMap):
 
     def deriv(self, z):
         if isinstance(z, np.ndarray):
-            return np.full(z.shape, self.alpha, dtype=np.complex128)
+            return np.full_like(z, self.alpha, dtype=np.complex128)
         return self.alpha
 
     def invert(self, y):
@@ -232,19 +309,22 @@ class SqrtBranch(HoloMap):
 
     def deriv(self, z):
         root = _sqrt(z - self.c)
-        if _any(abs(root) < DERIV_FLOOR):
+        if np.any(abs(root) < DERIV_FLOOR):
             raise SingularDerivative("derivative of sqrt branch blows up at the branch point")
         return self.sign / (2.0 * root)
 
     def invert(self, y):
         # the selected branch only produces values with Re(sign*y) >= 0
         w = self.sign * y
-        scale = np.maximum(1.0, np.abs(w)) if isinstance(w, np.ndarray) else max(1.0, abs(w))
-        if _any(w.real < -INVERT_RTOL * scale):
+        if np.any(w.real < -INVERT_RTOL * np.maximum(1.0, abs(w))):
             raise NotInImage("value not in the range of this square-root branch")
         return self._verify_roundtrip(y * y + self.c, y)
 
     def inverse(self) -> "_SqrtBranchInverse":
+        return self._inverse
+
+    @cached_property
+    def _inverse(self) -> "_SqrtBranchInverse":  # one object, so map_rows batches its rows
         return _SqrtBranchInverse(self)
 
     def enclosure_arrays(self, centers, radii):
@@ -431,3 +511,86 @@ def compose_word(system: IfsSystem, word: Word) -> HoloMap:
             f"system with {len(system.maps)} maps"
         )
     return compose_maps(system.maps[i] for i in word.indices)
+
+
+# ---------------------------------------------------------------------------
+# many maps, one row each
+
+
+def rowwise(fn, z: np.ndarray):
+    """``fn(z)`` of a row-by-row ``fn``, and the exception of each row on which it raises.
+
+    If ``fn`` raises on ``z``, it is called on each row alone.  Returns the
+    values (NaN on failing rows) and a dict from failing row to exception.
+    """
+    try:
+        return fn(z), {}
+    except Exception:
+        pass
+    out = np.full_like(z, complex(math.nan, math.nan), dtype=np.complex128)
+    errors = {}
+    for k in range(len(z)):
+        try:
+            out[k] = fn(z[k:k + 1])[0]
+        except Exception as exc:
+            errors[k] = exc
+    return out, errors
+
+
+def apply_rows(factors: list, table: np.ndarray, z: np.ndarray, deriv: bool = False):
+    """Carry each row of ``z`` through the factors its row of ``table`` names.
+
+    ``table[i]`` indexes ``factors`` outermost first (-1 names none); the last
+    column acts first, as in :class:`Composite`.  The rows that meet one factor
+    in one column are evaluated in one call, so each row gets the bits of its
+    own chain of calls.  With ``deriv``, the factors' derivatives are
+    multiplied into 1 innermost first, as ``Composite.deriv`` does.  A row
+    whose call raises stops and keeps the exception (see :func:`rowwise`).
+    Returns ``(values, derivatives or None, errors)``.
+    """
+    values = z.copy()
+    derivs = np.ones_like(z) if deriv else None
+    errors: dict = {}
+    live = np.ones(len(z), dtype=bool)
+    for col in table.T[::-1]:
+        for k, f in enumerate(factors):
+            rows = (col == k) & live if errors else col == k
+            if not rows.any():
+                continue
+            zr = values[rows]
+            d, failed = rowwise(f.deriv, zr) if deriv else (None, {})
+            values[rows], called = rowwise(f, zr)
+            if deriv:
+                derivs[rows] = derivs[rows] * d
+            failed = {**called, **failed}  # a derivative's exception comes first
+            if failed:
+                at = np.flatnonzero(rows)[list(failed)]
+                errors.update(zip(at.tolist(), failed.values()))
+                live[at] = False
+    return values, derivs, errors
+
+
+def factor_table(maps) -> tuple[list, np.ndarray]:
+    """The distinct factors of ``maps`` and each map's row of :func:`apply_rows` indexes.
+
+    A composite is the chain of its factors, any other map one factor.
+    """
+    chains = [m.factors if isinstance(m, Composite) else (m,) for m in maps]
+    flat = [f for chain in chains for f in chain]
+    number: dict = {}
+    index = [number.setdefault(id(f), len(number)) for f in flat]
+    factors = list({id(f): f for f in flat}.values())
+    lengths = np.array([len(chain) for chain in chains], dtype=np.intp)
+    width = int(lengths.max(initial=0))
+    table = np.full((len(maps), width), -1, dtype=np.min_scalar_type(-len(factors) - 1))
+    table[np.arange(width) >= width - lengths[:, None]] = index
+    return factors, table
+
+
+def map_rows(maps, z: np.ndarray, deriv: bool = False):
+    """:func:`apply_rows` of ``maps[i]`` on row ``i``.
+
+    A map of one factor has its derivative multiplied into 1 too, which can
+    change only the sign of a zero part.
+    """
+    return apply_rows(*factor_table(maps), z, deriv)

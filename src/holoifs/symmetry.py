@@ -52,12 +52,15 @@ from .maps import (
     DERIV_FLOOR,
     Affine,
     Disk,
+    Exact,
     HoloMap,
     IfsSystem,
     Word,
     compose_maps,
     compose_word,
     inverse_map,
+    map_rows,
+    rowwise,
 )
 
 #: germ radius as a fraction of the univalence radius rho
@@ -270,120 +273,144 @@ def address(F: SystemNet, x: complex, k: int) -> Word:
     return Word(tuple(letters), len(F.system.maps))
 
 
-def _address_prefixes(F: SystemNet, starts: list, lams: list, cap: int) -> list:
+def _address_prefixes(F: SystemNet, starts, lams, cap: int) -> list:
     """The address words of :func:`build_symmetries`, for many start points at once.
 
     Row ``r`` walks the target address of ``starts[r]``, multiplying the
     derivatives of the letters it reads, and keeps the letters read before
     the product's modulus first drops below ``lams[r]`` or before it holds
     ``cap`` letters.  Every unfinished row takes one inverse step of
-    :meth:`InverseDynamics.steps` per round.  Returns, per row, the letters
-    or the exception that ends the walk; a walk off the attractor or into an
+    :meth:`InverseDynamics.steps` per round, and the products are one
+    :class:`~holoifs.maps.Exact` array.  Returns, per row, the letters or the
+    exception that ends the walk; a walk off the attractor or into an
     ambiguous branch ends in :class:`AddressFailure`.
     """
+    starts = np.asarray(starts, dtype=np.complex128)
+    lams = np.asarray(lams, dtype=np.float64)
     out: list = [[] for _ in starts]
-    D = [1.0 + 0.0j] * len(starts)
-    here = np.array(starts, dtype=np.complex128)
-    active = list(range(len(starts)))
+    D = np.ones(len(starts), dtype=np.complex128).view(Exact)
+    here = starts.copy()
+    active = np.arange(len(starts))
     for n in range(cap):
-        if not active:
+        if not len(active):
             break
         branch, preimage, failures = F.dyn.steps(here[active])
-        going = []
-        for k, (r, j) in enumerate(zip(active, branch.tolist())):
-            if k in failures:
-                exc = failures[k]
-                if isinstance(exc, (OutsideAttractor, AmbiguousBranch)):
-                    exc = AddressFailure(
-                        f"address walk from {starts[r]} failed after {n} letters "
-                        f"at {complex(here[r])}"
-                    )
-                    exc.__cause__ = failures[k]
-                out[r] = exc
+        for k, exc in failures.items():
+            r = active[k]
+            if isinstance(exc, (OutsideAttractor, AmbiguousBranch)):
+                exc = AddressFailure(
+                    f"address walk from {complex(starts[r])} failed after {n} letters "
+                    f"at {complex(here[r])}"
+                )
+                exc.__cause__ = failures[k]
+            out[r] = exc
+        for j, g in enumerate(F.system.maps):
+            sel = np.flatnonzero(branch == j)
+            if not len(sel):
                 continue
-            b = complex(preimage[k])
-            try:
-                D[r] = D[r] * complex(F.system.maps[j].deriv(b))
-            except HoloifsError as exc:
-                out[r] = exc
-                continue
-            if abs(D[r]) < lams[r]:
-                if not out[r]:
-                    out[r] = CriterionEmpty(
-                        f"first address derivative {abs(D[r]):.3e} already below "
-                        f"|g_w'(a)| = {lams[r]:.3e}"
-                    )
-                continue
+            d, errors = rowwise(g.deriv, preimage[sel].view(Exact))
+            for i, exc in errors.items():
+                if not isinstance(exc, HoloifsError):
+                    raise exc
+                out[active[sel[i]]] = exc
+                branch[sel[i]] = -1
+            D[active[sel]] = D[active[sel]] * d
+        moved = np.flatnonzero(branch >= 0)
+        rows = active[moved]
+        modulus = abs(D[rows])
+        below = modulus < lams[rows]
+        for r, mod in zip(rows[below].tolist(), modulus[below].tolist()):
+            if not out[r]:
+                out[r] = CriterionEmpty(
+                    f"first address derivative {mod:.3e} already below "
+                    f"|g_w'(a)| = {lams[r]:.3e}"
+                )
+        going = moved[~below]
+        for r, j in zip(active[going].tolist(), branch[going].tolist()):
             out[r].append(j)
-            here[r] = b
-            going.append(r)
-        active = going
+        here[active[going]] = preimage[going]
+        active = active[going]
     return out
 
 
-def build_symmetries(G: SystemNet, F: SystemNet, a: complex, words) -> list:
-    """:func:`build_symmetry` at one base point for each of ``words``.
+def build_symmetries(G: SystemNet, F: SystemNet, a, words) -> list:
+    """:func:`build_symmetry` at a base point for each of ``words``: one point, or one per word.
 
-    The target addresses of all ``g_w(a)`` are walked together, one inverse
-    step of every unfinished word at a time.  Returns, per word in order, its
-    germ or the exception :func:`build_symmetry` raises for it; nothing is
-    raised, so a caller that raises the first exception it reads fails as a
-    word-by-word loop would.
+    The words are rows of arrays.  ``g_w(a)``, ``g_w'(a)``, ``H(a)`` and
+    ``H'(a)`` are rows of the exact kernel (:class:`~holoifs.maps.Exact`),
+    the target addresses of all ``g_w(a)`` are walked together, and the
+    image sandwiches of all germs are one (germs × samples) array.  Returns,
+    per word in order, its germ or the exception :func:`build_symmetry`
+    raises for it; nothing is raised, so a caller that raises the first
+    exception it reads fails as a word-by-word loop would.
     """
-    a = complex(a)
     words = list(words)
+    bases = np.broadcast_to(np.asarray(a, dtype=np.complex128), (len(words),)).tolist()
     out: list = [None] * len(words)
-    starts, lams, walked = [], [], []
+    compose = cache(lambda w: compose_word(G.system, w))
+    gws: dict = {}
     for i, w in enumerate(words):
         # an exception is the word's outcome: returned, and raised by the
         # caller that reads it
         try:
-            gw = compose_word(G.system, w)
-            lam = complex(gw.deriv(a))
-            rho = min(G.rho, F.rho)
-            sF = F.s_floor
-            starts.append(complex(gw(a)))
+            gws[i] = compose(w)
         except Exception as exc:
             out[i] = exc
-            continue
-        lams.append(abs(lam))
-        walked.append((i, gw, rho, sF))
-    prefixes = _address_prefixes(F, starts, lams, WALK_CAP)
-    mF = len(F.system.maps)
-    for (i, gw, rho, sF), letters in zip(walked, prefixes):
+    rows = list(gws)
+    start, lam, failed = map_rows([gws[i] for i in rows],
+                                  np.array([bases[i] for i in rows], dtype=complex).view(Exact),
+                                  deriv=True)
+    shared = None
+    try:
+        rho, sF = (min(G.rho, F.rho), F.s_floor) if rows else (None, None)
+    except Exception as exc:
+        shared = exc
+    walked = []
+    for k, i in enumerate(rows):
+        out[i] = failed.get(k) or shared
+        if out[i] is None:
+            walked.append(k)
+    inverses = cache(lambda V: inverse_map(compose_word(F.system, V)))
+    germs: dict = {}  # word index -> (H, V)
+    for k, letters in zip(walked, _address_prefixes(F, start[walked], abs(lam[walked]), WALK_CAP)):
+        i = rows[k]
         if isinstance(letters, Exception):
             out[i] = letters
-            continue
-        if len(letters) == WALK_CAP:
+        elif len(letters) == WALK_CAP:
             # a walk stopped by the threshold holds fewer letters than the cap
             out[i] = BudgetExceeded("address walk never crossed the derivative threshold")
-            continue
-        try:
-            out[i] = _germ(F.system, a, words[i], gw, Word(tuple(letters), mF), rho, sF)
-        except Exception as exc:
-            out[i] = exc
-    return out
-
-
-def _germ(
-    systemF: IfsSystem, a: complex, w: Word, gw: HoloMap, V: Word, rho: float, sF: float
-) -> SymmetryGerm:
-    """The germ ``f_V^{-1} ∘ g_w`` at ``a``, once its bounds are checked."""
+        else:
+            V = Word(tuple(letters), len(F.system.maps))
+            try:
+                germs[i] = (compose_maps((inverses(V), gws[i])), V)
+            except Exception as exc:
+                out[i] = exc
+    if not germs:
+        return out
+    # each germ meets its checks in the order H'(a) (whose chain holds H(a)),
+    # its bounds, the boundary images, the outer and the inner sandwich disk
     r = RADIUS_FRACTION * rho
-    f_V = compose_word(systemF, V)
-    H = compose_maps((inverse_map(f_V), gw))
-    dH = complex(H.deriv(a))
-    if not (sF - DERIV_SLACK <= abs(dH) <= 1.0 + DERIV_SLACK):
-        raise GermBoundsError(
-            f"|H'(a)| = {abs(dH):.6e} outside [{sF:.6e}, 1]"
-        )
-    Ha = complex(H(a))
-    dist = np.abs(H(Disk(a, r).boundary(BOUNDARY_SAMPLES)) - Ha)
-    if float(np.max(dist)) > rho + 1e-12:
-        raise GermBoundsError("image boundary escapes the outer sandwich disk")
-    if float(np.min(dist)) < sF * rho / 25.0 - 1e-12:
-        raise GermBoundsError("image boundary enters the inner sandwich disk")
-    return SymmetryGerm(base=a, radius=r, word_g=w, word_f=V, map=H)
+    maps = [H for H, _ in germs.values()]
+    at = np.array([bases[i] for i in germs], dtype=complex)
+    Ha, dH, failed = map_rows(maps, at.view(Exact), deriv=True)
+    ring = {z: Disk(z, r).boundary(BOUNDARY_SAMPLES) for z in dict.fromkeys(at.tolist())}
+    images, _, escaped = map_rows(maps, np.array([ring[z] for z in at.tolist()]))
+    dist = np.abs(images - Ha.view(np.ndarray)[:, None])
+    far, near, mod = dist.max(axis=1), dist.min(axis=1), abs(dH)
+    for j, (i, (H, V)) in enumerate(germs.items()):
+        if j in failed:
+            out[i] = failed[j]
+        elif not (sF - DERIV_SLACK <= mod[j] <= 1.0 + DERIV_SLACK):
+            out[i] = GermBoundsError(f"|H'(a)| = {mod[j]:.6e} outside [{sF:.6e}, 1]")
+        elif j in escaped:
+            out[i] = escaped[j]
+        elif far[j] > rho + 1e-12:
+            out[i] = GermBoundsError("image boundary escapes the outer sandwich disk")
+        elif near[j] < sF * rho / 25.0 - 1e-12:
+            out[i] = GermBoundsError("image boundary enters the inner sandwich disk")
+        else:
+            out[i] = SymmetryGerm(base=bases[i], radius=r, word_g=words[i], word_f=V, map=H)
+    return out
 
 
 def build_symmetry(G: SystemNet, F: SystemNet, a: complex, w: Word) -> SymmetryGerm:
@@ -437,15 +464,14 @@ def verify_symmetry(
     backward_tol = tol + netG.epsilon + netF.epsilon / max(dH * _SHRINK, 1e-12)
     backward_res = 0.0
     backward_fail = 0
-    H_inv = inverse_map(H)
-    preimages = []
-    for y in netF.points[selb]:
-        try:
-            preimages.append(complex(H_inv(complex(y))))
-        except (NotInImage, DomainError, ValueError):
-            backward_fail += 1
-    if preimages:
-        x = np.array(preimages)
+    # one call of the exact kernel: each preimage has the bits of H_inv(complex(y))
+    preimages, errors = rowwise(inverse_map(H), netF.points[selb].view(Exact))
+    for exc in errors.values():
+        if not isinstance(exc, (NotInImage, DomainError, ValueError)):
+            raise exc
+    backward_fail += len(errors)
+    x = np.delete(preimages.view(np.ndarray), list(errors))
+    if len(x):
         d, _ = G.tree.nearest(x)
         backward_res = float(np.max(d))
         backward_fail += int(np.count_nonzero(d > backward_tol))
@@ -468,23 +494,32 @@ def _germ_classes(germs: list, base: complex, radius: float):
     one.  Yields, per germ, the index of the first earlier representative it
     equals within ``GERM_EQUALITY_TOL`` on the boundary samples of
     ``Disk(base, radius / 2)``, its own index when it becomes one, or ``None``
-    for ``None``.  Each germ is evaluated once, at its first comparison and
-    before the representative, so a germ whose map raises on the samples
-    raises there, and a lone germ never.
+    for ``None``.  Every germ is evaluated on the samples up front, as one
+    (germs × samples) array.  A germ whose evaluation raised raises at its
+    first comparison, before the representative's, as an evaluation made
+    there would; so a lone germ never raises.
     """
     z = Disk(base, 0.5 * radius).boundary(GERM_SAMPLES)
-
-    @cache
-    def on_samples(i: int) -> np.ndarray:
-        return germs[i].map(z)
-
+    live = [i for i, germ in enumerate(germs) if germ is not None]
+    values, _, errors = map_rows([germs[i].map for i in live], np.tile(z, (len(live), 1)))
+    errors = {live[k]: exc for k, exc in errors.items()}
+    values = dict(zip(live, values))
     reps: list[int] = []
     for i, germ in enumerate(germs):
-        rep = None if germ is None else next(
-            (j for j in reps
-             if float(np.max(np.abs(on_samples(i) - on_samples(j)))) <= GERM_EQUALITY_TOL),
-            i,
-        )
+        if germ is None:
+            yield None
+            continue
+        if reps and i in errors:
+            raise errors[i]
+        near = (np.max(np.abs(np.array([values[j] for j in reps]) - values[i]), axis=1)
+                <= GERM_EQUALITY_TOL).tolist() if reps else []
+        rep = i
+        for j, hit in zip(reps, near):
+            if j in errors:  # the representative's evaluation raises at its first comparison
+                raise errors[j]
+            if hit:
+                rep = j
+                break
         if rep == i:
             reps.append(i)
         yield rep
@@ -574,21 +609,22 @@ def _subsample(points: np.ndarray, cap: int) -> np.ndarray:
     return points[np.unique(idx)]
 
 
-def _after(outer: HoloMap, inner: HoloMap, z: np.ndarray, inner_z) -> np.ndarray:
-    """``compose_maps((outer, inner))(z)``, with ``inner(z)`` read from ``inner_z()``.
-
-    :func:`compose_maps` folds two affine maps into one, whose floats differ
-    from the chain's, so that pair is evaluated folded; any other pair is a
-    chain that applies ``inner``, then ``outer``.
-    """
-    if isinstance(outer, Affine) and isinstance(inner, Affine):
-        return compose_maps((outer, inner))(z)
-    return outer(inner_z())
-
-
 def _functional_sweep(
     G: SystemNet, F: SystemNet, budgets: Budgets
 ) -> tuple[FunctionalEquation, ...]:
+    """The functional equations of every cover disk; the germs and both sides as array rows.
+
+    The germs of all disks are built in one call and scanned into classes
+    disk by disk.  Per class representative ``c = (t_c, u_c)``,
+    ``y = g_{t_c}(samples)`` is a row of one array, and the two sides
+    ``f_u ∘ f_{u_c}^{-1}`` and ``g_t ∘ g_{t_c}^{-1}`` of each germ act on
+    its class's ``y`` as rows of two more, over all disks.  Each row is the
+    chain of calls, or the folded map of two affine maps, that the germ's own
+    evaluation makes, so its bits and its exception are that evaluation's.
+    A disk with fewer samples repeats them to the common width, which moves
+    no maximum and no exception.  Each germ meets, in order, the exceptions
+    of the scan, of its ``y`` and of each side.
+    """
     sF = F.s_floor
     M = min_depth(G.system, G.net, sF) + 1
     rho = min(G.rho, F.rho)
@@ -596,60 +632,82 @@ def _functional_sweep(
     disks = box_restriction(G.system, G.net, eps_target=r, point_cap=budgets.point_cap)
     netG = G.net
     mG = len(G.system.maps)
-    entries: list[FunctionalEquation] = []
+    words = [Word(t, mG) for t in product(range(mG), repeat=M)]
+    cover: dict = {}  # disk -> the net point nearest its centre, and its samples
+    for d, disk in enumerate(disks):
+        dist = np.abs(netG.points - disk.center)
+        inside = np.nonzero(dist <= disk.radius)[0]
+        if len(inside):
+            anchor = complex(netG.points[inside[np.argmin(dist[inside])]])
+            cover[d] = (anchor, _subsample(netG.points[inside], budgets.eq_samples))
+    anchors = np.array([anchor for anchor, _ in cover.values()], dtype=complex)
+    built = build_symmetries(G, F, np.repeat(anchors, len(words)), words * len(cover))
+    outcomes = {d: built[n * len(words):(n + 1) * len(words)] for n, d in enumerate(cover)}
+    classes: dict = {}  # (disk, germ) -> its class representative (disk, germ)
+    scan_errors: dict = {}
+    for d, (anchor, _) in cover.items():
+        germs = [None if isinstance(g, Exception) else g for g in outcomes[d]]
+        scanned = 0
+        try:
+            for rep in _germ_classes(germs, anchor, r):
+                if rep is not None:
+                    classes[d, scanned] = (d, rep)
+                scanned += 1
+        except Exception as exc:  # raised where the loop below reaches that germ
+            scan_errors[d] = exc
+    germ = {key: outcomes[key[0]][key[1]] for key in classes}
+    reps = sorted(set(classes.values()))
+    width = max((len(samples) for _, samples in cover.values()), default=0)
     # each word's map is composed once per sweep
     g_word = cache(lambda w: compose_word(G.system, w))
     f_word = cache(lambda w: compose_word(F.system, w))
-
-    for d_idx, disk in enumerate(disks):
-        dist = np.abs(netG.points - disk.center)
-        inside = np.nonzero(dist <= disk.radius)[0]
-        if not len(inside):
+    y, _, y_errors = map_rows([g_word(germ[c].word_g) for c in reps],
+                              np.array([np.resize(cover[d][1], width) for d, _ in reps],
+                                       dtype=complex).reshape(len(reps), width))
+    y_errors = {reps[j]: exc for j, exc in y_errors.items()}
+    y = dict(zip(reps, y))
+    rows = {k: j for j, k in enumerate(k for k, c in classes.items() if c not in y_errors)}
+    at = np.array([y[classes[k]] for k in rows], dtype=complex).reshape(len(rows), width)
+    (lhs, _, lhs_errors), (rhs, _, rhs_errors) = (
+        map_rows([compose_maps((word(getattr(germ[k], field)),
+                                inverse_map(word(getattr(germ[classes[k]], field)))))
+                  for k in rows], at)
+        for field, word in (("word_f", f_word), ("word_g", g_word))
+    )
+    entries: list[FunctionalEquation] = []
+    for d in range(len(disks)):
+        if d not in cover:
             entries.append(
-                FunctionalEquation(d_idx, Word((), mG), None, None, None,
+                FunctionalEquation(d, Word((), mG), None, None, None,
                                    math.inf, False, "empty cover disk")
             )
             continue
-        anchor = complex(netG.points[inside[np.argmin(dist[inside])]])
-        samples = _subsample(netG.points[inside], budgets.eq_samples)
-        words = [Word(t, mG) for t in product(range(mG), repeat=M)]
-        outcomes = build_symmetries(G, F, anchor, words)
-        germs = [None if isinstance(g, Exception) else g for g in outcomes]
-        # per class representative c = (t_k, u_k): y = g_{t_k}(samples) and its
-        # pull-backs f_{u_k}^{-1}(y) and g_{t_k}^{-1}(y), each computed when a
-        # germ of the class first reads it, so every germ meets a failure
-        # where its own evaluation would
-        y = cache(lambda c: g_word(germs[c].word_g)(samples))
-        back_f = cache(lambda c: inverse_map(f_word(germs[c].word_f))(y(c)))
-        back_g = cache(lambda c: inverse_map(g_word(germs[c].word_g))(y(c)))
-        # the scan is lazy, so each germ is compared as this loop reaches it
-        for tw, germ, c in zip(words, outcomes, _germ_classes(germs, anchor, r)):
-            if isinstance(germ, GERM_REJECTIONS):
+        for k, (tw, outcome) in enumerate(zip(words, outcomes[d])):
+            if isinstance(outcome, GERM_REJECTIONS):
                 entries.append(
-                    FunctionalEquation(d_idx, tw, None, None, None,
-                                       math.inf, False, type(germ).__name__)
+                    FunctionalEquation(d, tw, None, None, None,
+                                       math.inf, False, type(outcome).__name__)
                 )
                 continue
-            if isinstance(germ, Exception):
-                raise germ
-            t_k, u_k = germs[c].word_g, germs[c].word_f
-            try:
-                z = y(c)
-                fw, f_back = f_word(germ.word_f), inverse_map(f_word(u_k))
-                gw, g_back = g_word(tw), inverse_map(g_word(t_k))
-                lhs = _after(fw, f_back, z, lambda: back_f(c))
-                rhs = _after(gw, g_back, z, lambda: back_g(c))
-                residual = float(np.max(np.abs(lhs - rhs)))
-                note = ""
-            except (NotInImage, DomainError, ValueError) as exc:
+            if isinstance(outcome, Exception):
+                raise outcome
+            if (d, k) not in classes:
+                raise scan_errors[d]
+            c, j = classes[d, k], rows.get((d, k))
+            exc = y_errors.get(c) or lhs_errors.get(j) or rhs_errors.get(j)
+            if exc is None:
+                residual, note = float(np.max(np.abs(lhs[j] - rhs[j]))), ""
+            elif isinstance(exc, (NotInImage, DomainError, ValueError)):
                 residual, note = math.inf, type(exc).__name__
+            else:
+                raise exc
             entries.append(
                 FunctionalEquation(
-                    disk_index=d_idx,
+                    disk_index=d,
                     word_g=tw,
-                    word_f=germ.word_f,
-                    rep_word_g=t_k,
-                    rep_word_f=u_k,
+                    word_f=outcome.word_f,
+                    rep_word_g=germ[c].word_g,
+                    rep_word_f=germ[c].word_f,
                     residual=residual,
                     ok=residual <= budgets.func_eq_tol,
                     note=note,

@@ -272,6 +272,24 @@ def test_config_missing_field_named(tmp_path, capsys):
     assert "b_im" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "where, key",
+    [(None, "lable"), (None, "map_labels"), ("domain", "centre_re"), (0, "alpha"), (1, "sign")],
+)
+def test_config_unknown_field_named(tmp_path, capsys, where, key):
+    # a misspelt optional key would otherwise be dropped: "lable" left the
+    # label at the file stem
+    path = tmp_path / "typo.json"
+    payload = json.loads(json.dumps(THIRDS))
+    record = payload if where is None else (
+        payload["domain"] if where == "domain" else payload["maps"][where])
+    record[key] = ["a", "b"] if key == "map_labels" else 1.0
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    assert cli.main(["check", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert f".{key}: unknown field" in err
+
+
 def test_config_invalid_json_line(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text("{\n  broken\n}", encoding="utf-8")

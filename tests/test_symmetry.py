@@ -31,7 +31,7 @@ from holoifs import (
 )
 from holoifs.attractor import certify_strong_osc, compute_net
 from holoifs.dynamics import MultiplierSpectrum, fixed_point, prep_points, spectrum
-from holoifs.maps import Affine, compose_maps, compose_word, inverse_map
+from holoifs.maps import Affine, Composite, SqrtBranch, compose_maps, compose_word, inverse_map
 from holoifs.symmetry import (
     BOUNDARY_SAMPLES,
     DERIV_SLACK,
@@ -264,8 +264,13 @@ def _scalar_build_symmetry(G, F, a, w):
         raise CriterionEmpty(
             f"first address derivative {abs(D):.3e} already below |g_w'(a)| = {abs(lam):.3e}"
         )
-    V = Word(tuple(letters), len(F.system.maps))
-    H = compose_maps((inverse_map(compose_word(F.system, V)), gw))
+    return _germ_oracle(F.system, a, w, gw, Word(tuple(letters), len(F.system.maps)), rho, sF)
+
+
+def _germ_oracle(systemF, a, w, gw, V, rho, sF):
+    """The per-word germ check the array of germs replaced: scalar H(a) and H'(a), one sandwich."""
+    r = RADIUS_FRACTION * rho
+    H = compose_maps((inverse_map(compose_word(systemF, V)), gw))
     dH = complex(H.deriv(a))
     if not (sF - DERIV_SLACK <= abs(dH) <= 1.0 + DERIV_SLACK):
         raise GermBoundsError(f"|H'(a)| = {abs(dH):.6e} outside [{sF:.6e}, 1]")
@@ -423,6 +428,47 @@ def test_build_symmetries_keeps_a_word_whose_walk_cannot_invert(thirds, monkeypa
         build_symmetry(thirds, thirds, 0.0, words[1])
     assert str(raised.value.__cause__.__cause__) == "planted refusal"
     assert build_symmetries(thirds, thirds, 0.0, []) == []
+
+
+def _record_sweep_builds(monkeypatch):
+    """Patch build_symmetries to record, per call, its base points, words and outcomes."""
+    calls = []
+    build = holoifs.symmetry.build_symmetries
+
+    def recording(G, F, a, words):
+        words = list(words)
+        out = build(G, F, a, words)
+        calls.append((np.broadcast_to(np.asarray(a), (len(words),)).tolist(), words, out))
+        return out
+
+    monkeypatch.setattr(holoifs.symmetry, "build_symmetries", recording)
+    return calls
+
+
+SWEEP_PAIRS = {
+    "julia6-squared": lambda: (sqrt_julia(-6.0), iterate_system(sqrt_julia(-6.0), 2)),
+    "julia6-self": lambda: (sqrt_julia(-6.0), sqrt_julia(-6.0)),
+    "julia-complex-squared": lambda: (
+        sqrt_julia(-6.0 + 0.5j), iterate_system(sqrt_julia(-6.0 + 0.5j), 2)),
+    "thirds-reflected": lambda: (cantor_thirds(), cantor_thirds_reflected()),
+}
+
+
+@pytest.mark.parametrize("pair", list(SWEEP_PAIRS))
+def test_sweep_germs_equal_the_per_word_germ_loop(monkeypatch, pair):
+    # the sweep builds the germs of all its disks as one array of rows; each
+    # row's germ, or exception type and text, is the one-word code's
+    G, F = (system_net(system) for system in SWEEP_PAIRS[pair]())
+    calls = _record_sweep_builds(monkeypatch)
+    entries = holoifs.symmetry._functional_sweep(G, F, Budgets())
+    (bases, words, got), = calls
+    assert len(set(bases)) > 1 and len(got) == len(entries) > 0
+    names = Counter()
+    for a, w, outcome in zip(bases, words, got):
+        want = _outcome(_scalar_build_symmetry, G, F, a, w)
+        assert _same_outcome(outcome, want)
+        names[type(want).__name__] += 1
+    assert names["SymmetryGerm"] > 0
 
 
 # ---------------------------------------------------------------------------
@@ -760,6 +806,63 @@ def test_functional_sweep_evaluates_a_planted_germ_only_when_compared(monkeypatc
     report = shared_attractor(cantor_thirds(), cantor_thirds_reflected(), EPS)
     assert report.verdict == "Inconclusive"
     assert {e.note for e in report.functional_equations} == {"", "CriterionEmpty"}
+
+
+def _plant(monkeypatch, plan):
+    """Patch build_symmetries to replace outcome ``k`` of the sweep's disk ``d`` by ``plan[d, k]``.
+
+    An exception replaces the outcome; a map replaces the germ's map.
+    """
+    build = holoifs.symmetry.build_symmetries
+
+    def planting(G, F, a, words):
+        out = build(G, F, a, words)
+        bases = np.asarray(a).tolist()
+        starts = [k for k, z in enumerate(bases) if k == 0 or z != bases[k - 1]]
+        for (d, k), what in plan.items():
+            row = starts[d] + k
+            out[row] = what if isinstance(what, Exception) else dataclasses.replace(
+                out[row], map=what)
+        return out
+
+    monkeypatch.setattr(holoifs.symmetry, "build_symmetries", planting)
+
+
+#: an in-family map that raises NotInImage on every sample: y - 100 lies
+#: outside the half-plane of the branch's image
+FAILING = Composite((SqrtBranch(-6.0, 1).inverse(), Affine(1.0, -100.0)))
+
+
+@pytest.mark.parametrize(
+    "plan, raised",
+    [
+        # the scan of disk 1 compares its second germ with the first
+        ({(1, 1): FAILING, (2, 1): _raising("later disk")}, NotInImage),
+        ({(2, 1): FAILING, (1, 1): _raising("earlier disk")}, _Planted),
+        # an outcome the loop raises comes before a later germ's failure
+        ({(1, 0): BudgetExceeded("planted"), (1, 1): FAILING}, BudgetExceeded),
+        ({(1, 1): FAILING, (1, 2): BudgetExceeded("planted")}, NotInImage),
+        ({(1, 2): _raising("third"), (1, 1): _raising("second")}, _Planted),
+    ],
+)
+def test_functional_sweep_raises_the_first_planted_failure_it_reaches(monkeypatch, plan, raised):
+    G, F = system_net(cantor_thirds()), system_net(cantor_thirds_reflected())
+    _plant(monkeypatch, plan)
+    with pytest.raises(raised) as info:
+        holoifs.symmetry._functional_sweep(G, F, Budgets())
+    if raised is _Planted:
+        assert str(info.value) in ("earlier disk", "second")
+
+
+def test_functional_sweep_never_raises_for_a_lone_failing_germ(monkeypatch):
+    # the scan compares no germ with a lone one, and the residuals read its words only
+    G, F = system_net(cantor_thirds()), system_net(cantor_thirds_reflected())
+    rejected = CriterionEmpty("planted")
+    _plant(monkeypatch, {(0, 0): FAILING, (0, 1): rejected, (0, 2): rejected, (0, 3): rejected})
+    entries = holoifs.symmetry._functional_sweep(G, F, Budgets())
+    assert [e.note for e in entries[:4]] == ["", "CriterionEmpty", "CriterionEmpty",
+                                             "CriterionEmpty"]
+    assert all(e.ok for e in entries if not e.note)
 
 
 @pytest.mark.parametrize(
