@@ -72,10 +72,6 @@ class AttractorNet:
     def __len__(self) -> int:
         return int(self.points.size)
 
-    @property
-    def is_degenerate(self) -> bool:
-        return self.points.size < 2
-
     def diameter(self, directions: int = 512) -> float:
         """Diameter of the point set.
 

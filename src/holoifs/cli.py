@@ -259,22 +259,6 @@ def write_csv(path: str, points: np.ndarray) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def read_csv(path: str) -> np.ndarray:
-    """Re-ingest a point cloud written by :func:`write_csv`."""
-    values = []
-    for n, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        if not line.strip():
-            continue
-        parts = line.split(",")
-        if len(parts) != 2:
-            raise ConfigError(f"{path}:{n}: expected 're,im'")
-        try:
-            values.append(complex(float(parts[0]), float(parts[1])))
-        except ValueError as exc:
-            raise ConfigError(f"{path}:{n}: {exc}") from exc
-    return np.asarray(values, dtype=np.complex128)
-
-
 def write_pgm(path: str, points: np.ndarray, pixels: int) -> None:
     """Binary portable graymap of a point cloud: hits 0 on background 255.
 

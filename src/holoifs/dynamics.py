@@ -116,9 +116,6 @@ class MultiplierSpectrum:
         rows = (self.words[:n], self.points[:n], self.lambdas[:n], self.alphabet_size)
         return MultiplierSpectrum(*rows, min(max_len, self.max_word_length))
 
-    def contains_multiplier(self, value: complex, tol: float = SPECTRUM_DEDUP_TOL) -> bool:
-        return bool(np.any(np.abs(self.lambdas - value) <= tol))
-
 
 @dataclass(frozen=True)
 class OrbitReport:

@@ -197,9 +197,7 @@ class HoloMap:
     * ``enclosure_arrays(centers, radii)``: disks certified to contain the
       images of many disks at once;
     * ``taylor(point, order)``: the image of ``point`` and the Taylor
-      coefficients ``c_1..c_order`` there;
-    * ``meets_branch_cut(disk)``: whether the cut of any square-root factor
-      meets ``disk``.
+      coefficients ``c_1..c_order`` there.
     """
 
     def __call__(self, z):
@@ -221,10 +219,6 @@ class HoloMap:
 
     def taylor(self, point: complex, order: int) -> tuple[complex, np.ndarray]:
         """Image value and centered coefficients ``c_1..c_order`` at ``point``."""
-        raise NotImplementedError
-
-    def meets_branch_cut(self, disk: Disk) -> bool:
-        """Whether the cut of any square-root factor meets ``disk``."""
         raise NotImplementedError
 
     def image_enclosure(self, disk: Disk) -> Disk:
@@ -280,9 +274,6 @@ class Affine(HoloMap):
         coeffs = np.zeros(order, dtype=np.complex128)
         coeffs[0] = self.alpha
         return self.alpha * point + self.b, coeffs
-
-    def meets_branch_cut(self, disk):
-        return False
 
 
 @dataclass(frozen=True)
@@ -348,12 +339,6 @@ class SqrtBranch(HoloMap):
             coeffs[k - 1] = c
         return u0, coeffs
 
-    def meets_branch_cut(self, disk):
-        # distance from the disk's center to the cut ray
-        v = disk.center - self.c
-        t = max(0.0, -v.real)
-        return abs(v - complex(-t, 0.0)) <= disk.radius
-
 
 @dataclass(frozen=True)
 class Composite(HoloMap):
@@ -403,9 +388,6 @@ class Composite(HoloMap):
             full = layer if full is None else _series.compose(layer, full, order)
         return value, full[1:]
 
-    def meets_branch_cut(self, disk):
-        return any(f.meets_branch_cut(disk) for f in self.factors)
-
 
 @dataclass(frozen=True)
 class _SqrtBranchInverse(HoloMap):
@@ -435,9 +417,6 @@ class _SqrtBranchInverse(HoloMap):
         if order > 1:
             coeffs[1] = 1.0
         return complex(self(point)), coeffs
-
-    def meets_branch_cut(self, disk):
-        return False
 
 
 def inverse_map(m: HoloMap) -> HoloMap:
@@ -472,10 +451,12 @@ class IfsSystem:
 
     Construction verifies, by sampling the boundary circle, that each map
     sends the closed domain disk strictly inside the open disk.  For maps
-    containing square-root branches the branch cut must avoid the domain,
-    which also guarantees injectivity of each member on the disk.  A map
-    whose derivative vanishes at the domain centre is rejected, since it is
-    not injective there (a constant map, for one).
+    containing square-root branches each cut must avoid the image of the
+    domain under the factors inside it (the disks of ``enclosure_arrays``,
+    which the first net refinement meets too), which also guarantees
+    injectivity of each member on the disk.  A map whose derivative vanishes
+    at the domain centre is rejected, since it is not injective there (a
+    constant map, for one).
     """
 
     maps: tuple[HoloMap, ...]
@@ -486,9 +467,12 @@ class IfsSystem:
         if not self.maps:
             raise ValueError("a system needs at least one map")
         boundary = self.domain.boundary(BOUNDARY_SAMPLES)
+        center, radius = np.array([self.domain.center]), np.array([self.domain.radius])
         for k, g in enumerate(self.maps):
-            if g.meets_branch_cut(self.domain):
-                raise DomainError(f"map {k}: square-root branch cut meets the domain disk")
+            try:
+                g.enclosure_arrays(center, radius)
+            except DomainError as exc:
+                raise DomainError(f"map {k}: square-root branch cut meets the domain disk") from exc
             if abs(complex(g.deriv(self.domain.center))) < DERIV_FLOOR:
                 raise DomainError(f"map {k}: derivative vanishes at the domain centre")
             image = g(boundary)

@@ -487,42 +487,45 @@ def verify_symmetry(
     )
 
 
-def _germ_classes(germs: list, base: complex, radius: float):
-    """Class representative of each germ of one scan, in order.
+def _germ_classes(germs: list, bases, radius: float, groups) -> list:
+    """Class representative of each germ, scanned group by group.
 
-    ``germs`` are built at ``base`` with ``radius``, ``None`` for a rejected
-    one.  Yields, per germ, the index of the first earlier representative it
+    ``germs`` are built at ``bases`` with ``radius``, ``None`` for a rejected
+    one, and the germs of one group are scanned in order.  Returns, per
+    germ, the index of the first earlier representative of its group that it
     equals within ``GERM_EQUALITY_TOL`` on the boundary samples of
-    ``Disk(base, radius / 2)``, its own index when it becomes one, or ``None``
-    for ``None``.  Every germ is evaluated on the samples up front, as one
-    (germs × samples) array.  A germ whose evaluation raised raises at its
-    first comparison, before the representative's, as an evaluation made
-    there would; so a lone germ never raises.
+    ``Disk(base, radius / 2)``, its own index when it becomes one, ``None``
+    for ``None``, or the exception that ends its group's scan.  Every germ
+    is evaluated on its samples up front, as one (germs × samples) array.  A
+    germ whose evaluation raised ends the scan at its first comparison,
+    before the representative's, as an evaluation made there would; so only
+    a group's first germ becomes a representative unevaluated, and a lone
+    germ never ends a scan.
     """
-    z = Disk(base, 0.5 * radius).boundary(GERM_SAMPLES)
     live = [i for i, germ in enumerate(germs) if germ is not None]
-    values, _, errors = map_rows([germs[i].map for i in live], np.tile(z, (len(live), 1)))
-    errors = {live[k]: exc for k, exc in errors.items()}
-    values = dict(zip(live, values))
-    reps: list[int] = []
-    for i, germ in enumerate(germs):
-        if germ is None:
-            yield None
+    ring = {z: Disk(z, 0.5 * radius).boundary(GERM_SAMPLES)
+            for z in dict.fromkeys(bases[i] for i in live)}
+    values = np.full((len(germs), GERM_SAMPLES), complex(math.nan, math.nan))
+    values[live], _, failed = map_rows(
+        [germs[i].map for i in live],
+        np.array([ring[bases[i]] for i in live], dtype=complex).reshape(len(live), GERM_SAMPLES))
+    errors = {live[k]: exc for k, exc in failed.items()}
+    out: list = [None] * len(germs)
+    reps: dict = {}  # group -> its representatives, or the exception that ended its scan
+    for i in live:
+        seen = reps.setdefault(groups[i], [])
+        # of the representatives only the first, seen[0], can have raised
+        if isinstance(seen, list) and seen and (exc := errors.get(i) or errors.get(seen[0])):
+            reps[groups[i]] = seen = exc
+        if isinstance(seen, Exception):
+            out[i] = seen
             continue
-        if reps and i in errors:
-            raise errors[i]
-        near = (np.max(np.abs(np.array([values[j] for j in reps]) - values[i]), axis=1)
-                <= GERM_EQUALITY_TOL).tolist() if reps else []
-        rep = i
-        for j, hit in zip(reps, near):
-            if j in errors:  # the representative's evaluation raises at its first comparison
-                raise errors[j]
-            if hit:
-                rep = j
-                break
-        if rep == i:
-            reps.append(i)
-        yield rep
+        near = np.flatnonzero(np.max(np.abs(values[seen] - values[i]), axis=1)
+                              <= GERM_EQUALITY_TOL)
+        out[i] = seen[near[0]] if len(near) else i
+        if not len(near):
+            seen.append(i)
+    return out
 
 
 def detect_coincidence(G: SystemNet, F: SystemNet, w: Word, K_max: int = 16) -> ConjugacyRelation:
@@ -553,7 +556,9 @@ def detect_coincidence(G: SystemNet, F: SystemNet, w: Word, K_max: int = 16) -> 
 
     # up to the first coincidence every germ is a representative, so the
     # first germ H_q with another class is the first pair H_p = H_q, p < q
-    for q, p in enumerate(_germ_classes(germs, beta, r)):
+    for q, p in enumerate(_germ_classes(germs, [beta] * len(germs), r, [0] * len(germs))):
+        if isinstance(p, Exception):
+            raise p
         if p is None or p == q:
             continue
         v, vq = germs[p].word_f, germs[q].word_f
@@ -614,11 +619,12 @@ def _functional_sweep(
 ) -> tuple[FunctionalEquation, ...]:
     """The functional equations of every cover disk; the germs and both sides as array rows.
 
-    The germs of all disks are built in one call and scanned into classes
-    disk by disk.  Per class representative ``c = (t_c, u_c)``,
-    ``y = g_{t_c}(samples)`` is a row of one array, and the two sides
-    ``f_u ∘ f_{u_c}^{-1}`` and ``g_t ∘ g_{t_c}^{-1}`` of each germ act on
-    its class's ``y`` as rows of two more, over all disks.  Each row is the
+    The germs of all disks are built in one call and scanned into classes in
+    one more, one group per disk; a germ is named by its flat row in both.
+    Per class representative ``c = (t_c, u_c)``, ``y = g_{t_c}(samples)`` is
+    a row of one array, and the two sides ``f_u ∘ f_{u_c}^{-1}`` and
+    ``g_t ∘ g_{t_c}^{-1}`` of each germ act on its class's ``y`` as rows of
+    two more, over all disks.  Each row is the
     chain of calls, or the folded map of two affine maps, that the germ's own
     evaluation makes, so its bits and its exception are that evaluation's.
     A disk with fewer samples repeats them to the common width, which moves
@@ -640,38 +646,29 @@ def _functional_sweep(
         if len(inside):
             anchor = complex(netG.points[inside[np.argmin(dist[inside])]])
             cover[d] = (anchor, _subsample(netG.points[inside], budgets.eq_samples))
-    anchors = np.array([anchor for anchor, _ in cover.values()], dtype=complex)
-    built = build_symmetries(G, F, np.repeat(anchors, len(words)), words * len(cover))
-    outcomes = {d: built[n * len(words):(n + 1) * len(words)] for n, d in enumerate(cover)}
-    classes: dict = {}  # (disk, germ) -> its class representative (disk, germ)
-    scan_errors: dict = {}
-    for d, (anchor, _) in cover.items():
-        germs = [None if isinstance(g, Exception) else g for g in outcomes[d]]
-        scanned = 0
-        try:
-            for rep in _germ_classes(germs, anchor, r):
-                if rep is not None:
-                    classes[d, scanned] = (d, rep)
-                scanned += 1
-        except Exception as exc:  # raised where the loop below reaches that germ
-            scan_errors[d] = exc
-    germ = {key: outcomes[key[0]][key[1]] for key in classes}
-    reps = sorted(set(classes.values()))
-    width = max((len(samples) for _, samples in cover.values()), default=0)
+    # germ i is word i % len(words) at the i // len(words)-th covered disk
+    n = len(words)
+    covered, samples = list(cover), [s for _, s in cover.values()]
+    bases = np.repeat([anchor for anchor, _ in cover.values()], n).tolist()
+    built = build_symmetries(G, F, bases, words * len(cover))
+    germs = [None if isinstance(g, Exception) else g for g in built]
+    classes = _germ_classes(germs, bases, r, np.repeat(covered, n).tolist())
+    reps = [i for i, c in enumerate(classes) if c == i]
+    width = max(map(len, samples), default=0)
     # each word's map is composed once per sweep
     g_word = cache(lambda w: compose_word(G.system, w))
     f_word = cache(lambda w: compose_word(F.system, w))
-    y, _, y_errors = map_rows([g_word(germ[c].word_g) for c in reps],
-                              np.array([np.resize(cover[d][1], width) for d, _ in reps],
+    y, _, y_errors = map_rows([g_word(germs[c].word_g) for c in reps],
+                              np.array([np.resize(samples[c // n], width) for c in reps],
                                        dtype=complex).reshape(len(reps), width))
     y_errors = {reps[j]: exc for j, exc in y_errors.items()}
-    y = dict(zip(reps, y))
-    rows = {k: j for j, k in enumerate(k for k, c in classes.items() if c not in y_errors)}
-    at = np.array([y[classes[k]] for k in rows], dtype=complex).reshape(len(rows), width)
+    y = {c: row for c, row in zip(reps, y) if c not in y_errors}
+    rows = {i: j for j, i in enumerate(i for i, c in enumerate(classes) if c in y)}
+    at = np.array([y[classes[i]] for i in rows], dtype=complex).reshape(len(rows), width)
     (lhs, _, lhs_errors), (rhs, _, rhs_errors) = (
-        map_rows([compose_maps((word(getattr(germ[k], field)),
-                                inverse_map(word(getattr(germ[classes[k]], field)))))
-                  for k in rows], at)
+        map_rows([compose_maps((word(getattr(germs[i], field)),
+                                inverse_map(word(getattr(germs[classes[i]], field)))))
+                  for i in rows], at)
         for field, word in (("word_f", f_word), ("word_g", g_word))
     )
     entries: list[FunctionalEquation] = []
@@ -682,7 +679,9 @@ def _functional_sweep(
                                    math.inf, False, "empty cover disk")
             )
             continue
-        for k, (tw, outcome) in enumerate(zip(words, outcomes[d])):
+        start = covered.index(d) * n
+        for i, tw in enumerate(words, start):
+            outcome, c, j = built[i], classes[i], rows.get(i)
             if isinstance(outcome, GERM_REJECTIONS):
                 entries.append(
                     FunctionalEquation(d, tw, None, None, None,
@@ -691,9 +690,8 @@ def _functional_sweep(
                 continue
             if isinstance(outcome, Exception):
                 raise outcome
-            if (d, k) not in classes:
-                raise scan_errors[d]
-            c, j = classes[d, k], rows.get((d, k))
+            if isinstance(c, Exception):
+                raise c
             exc = y_errors.get(c) or lhs_errors.get(j) or rhs_errors.get(j)
             if exc is None:
                 residual, note = float(np.max(np.abs(lhs[j] - rhs[j]))), ""
@@ -706,8 +704,8 @@ def _functional_sweep(
                     disk_index=d,
                     word_g=tw,
                     word_f=outcome.word_f,
-                    rep_word_g=germ[c].word_g,
-                    rep_word_f=germ[c].word_f,
+                    rep_word_g=germs[c].word_g,
+                    rep_word_f=germs[c].word_f,
                     residual=residual,
                     ok=residual <= budgets.func_eq_tol,
                     note=note,

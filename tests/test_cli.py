@@ -107,6 +107,12 @@ def _cantor_distance(x: float) -> float:
 # attractor command
 
 
+def _read_csv(path):
+    """The points of a CSV written by ``attractor --out-csv``."""
+    xy = np.loadtxt(path, delimiter=",", ndmin=2)
+    return xy[:, 0] + 1j * xy[:, 1]
+
+
 def test_attractor_csv_is_real_cantor_subset(configs, tmp_path, capsys):
     out = tmp_path / "net.csv"
     code = cli.main(
@@ -115,7 +121,7 @@ def test_attractor_csv_is_real_cantor_subset(configs, tmp_path, capsys):
     assert code == 0
     stdout = capsys.readouterr().out
     assert "system = cantor-thirds" in stdout
-    points = cli.read_csv(str(out))
+    points = _read_csv(out)
     assert len(points) > 100
     assert np.max(np.abs(points.imag)) <= 1e-12
     assert np.min(points.real) >= -1e-3 and np.max(points.real) <= 1 + 1e-3
@@ -149,7 +155,7 @@ def test_attractor_csv_round_trip(configs, tmp_path):
     assert cli.main(
         ["attractor", configs["thirds"], "--epsilon", str(eps), "--out-csv", str(out)]
     ) == 0
-    reingested = cli.read_csv(str(out))
+    reingested = _read_csv(out)
     net = compute_net(cantor_thirds(), eps)
     assert len(reingested) == len(net.points)
     assert hausdorff(reingested, net.points) <= 1e-12
@@ -169,7 +175,7 @@ def test_round_trip_reproduces_shared_verdict(configs, tmp_path, capsys):
     reported = float(
         next(l for l in stdout.splitlines() if l.startswith("hausdorff")).split("=")[1]
     )
-    recomputed = hausdorff(cli.read_csv(str(csv_g)), cli.read_csv(str(csv_f)))
+    recomputed = hausdorff(_read_csv(csv_g), _read_csv(csv_f))
     assert abs(recomputed - reported) <= 1e-12
     # both sides of the decision threshold agree
     assert (recomputed > 2 * eps) == (reported > 2 * eps)

@@ -369,12 +369,6 @@ def test_spectrum_equals_the_round_key_oracle(make, max_len):
         assert cut.max_word_length == short.max_word_length == k
 
 
-def test_spectrum_contains_multiplier():
-    spec = spectrum(cantor_thirds(), 2)
-    assert spec.contains_multiplier(1 / 9)
-    assert not spec.contains_multiplier(-1 / 9)
-
-
 def test_spectrum_rows_cannot_be_written_through_its_arrays():
     spec = spectrum(cantor_thirds_reflected(), 4)
     before = spec.entries[0]

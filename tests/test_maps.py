@@ -180,6 +180,15 @@ def test_system_construction_rejects_non_contraction():
         IfsSystem((SqrtBranch(-6.0, +1), SqrtBranch(-6.0, -1)), Disk(0.0, 7.0))
 
 
+def test_system_construction_rejects_a_cut_inside_a_composite():
+    # the cut of the square root lies far from the domain disk B(10, 1), but
+    # the affine factor inside it carries the disk across the cut, so g jumps
+    g = Composite((Affine(0.1, 10), SqrtBranch(0, 1), Affine(1, -10.5)))
+    assert abs(g(10.2 + 1e-9j) - g(10.2 - 1e-9j)) > 0.1
+    with pytest.raises(DomainError, match="^map 0: square-root branch cut meets the domain disk$"):
+        IfsSystem((g, Affine(0.05, 9.5)), Disk(10, 1))
+
+
 def test_system_construction_rejects_vanishing_derivative():
     # constant maps, composites holding one, and y**2 + c centred at 0
     # sit inside the domain but are not injective at its centre

@@ -672,19 +672,25 @@ def _pairwise_detect_coincidence(G, F, w, K_max=16):
 
 
 def _record_germ_scans(monkeypatch):
-    """Patch the germ scan to record, per call, its germs, base, radius and yields."""
+    """Patch the germ scan to record, per call, its germs, bases, radius, groups and outcomes."""
     scans = []
     scan = holoifs.symmetry._germ_classes
 
-    def recording(germs, base, radius):
-        got = []
-        scans.append((germs, base, radius, got))
-        for c in scan(germs, base, radius):
-            got.append(c)
-            yield c
+    def recording(germs, bases, radius, groups):
+        got = scan(germs, bases, radius, groups)
+        scans.append((germs, bases, radius, groups, got))
+        return got
 
     monkeypatch.setattr(holoifs.symmetry, "_germ_classes", recording)
     return scans
+
+
+def _scan_groups(germs, groups):
+    """The flat indices of each group of a scan, in order."""
+    members: dict = {}
+    for i, group in enumerate(groups):
+        members.setdefault(group, []).append(i)
+    return list(members.values())
 
 
 GERM_SCAN_PAIRS = {
@@ -702,18 +708,32 @@ def test_germ_classes_equal_the_pairwise_loops(monkeypatch, pair):
     scans = _record_germ_scans(monkeypatch)
     assert shared_attractor(g, f, EPS).verdict == "Shared"
     G, F = system_net(g), system_net(f)
-    for w in _all_words(len(g.maps), 2):
+    words = _all_words(len(g.maps), 2)
+    for w in words:
         want = _outcome(_pairwise_detect_coincidence, G, F, w)
         assert _same_outcome(_outcome(detect_coincidence, G, F, w), want)
     merged = 0
-    for germs, base, radius, got in scans:
-        # every germ of one scan shares the scan's base and radius
-        assert all(x.base == base and x.radius == radius for x in germs if x is not None)
-        # detect_coincidence stops reading at the first coincidence
-        assert got == _pairwise_classes(germs)[:len(got)]
+    for germs, bases, radius, groups, got in scans:
+        # every germ of a scan is built at its own base with the scan's radius
+        assert all(x.base == bases[i] and x.radius == radius
+                   for i, x in enumerate(germs) if x is not None)
+        for members in _scan_groups(germs, groups):
+            want = _pairwise_classes([germs[i] for i in members])
+            assert [got[i] for i in members] == [None if c is None else members[c] for c in want]
         merged += sum(c not in (None, i) for i, c in enumerate(got))
-    # one scan per word of detect_coincidence, and at least one disk of the sweep
-    assert len(scans) > len(_all_words(len(g.maps), 2)) and merged > 0
+    # one scan for the sweep, and one per word of detect_coincidence
+    assert len(scans) == 1 + len(words) and merged > 0
+
+
+def test_functional_sweep_scans_the_germs_of_every_disk_at_once(monkeypatch):
+    julia = sqrt_julia(-6.0)
+    G, F = system_net(julia), system_net(iterate_system(julia, 2))
+    scans = _record_germ_scans(monkeypatch)
+    entries = holoifs.symmetry._functional_sweep(G, F, Budgets())
+    assert len(entries) == 256
+    [(germs, bases, radius, groups, got)] = scans
+    assert len(germs) == 256 and len(_scan_groups(germs, groups)) == 16
+    assert sorted(set(groups)) == sorted({e.disk_index for e in entries})
 
 
 def test_germ_maps_are_evaluated_once_per_germ(monkeypatch):
@@ -740,10 +760,11 @@ def test_germ_maps_are_evaluated_once_per_germ(monkeypatch):
     assert len(report.functional_equations) == 256
     assert max(counts.values()) == 1
     assert sum(counts.values()) <= 256
-    # the pairwise loop evaluates both germs on every comparison
+    # the pairwise loop evaluates both germs on every comparison, disk by disk
     counts.clear()
-    for germs, *_ in scans:
-        _pairwise_classes(germs)
+    for germs, _, _, groups, _ in scans:
+        for members in _scan_groups(germs, groups):
+            _pairwise_classes([germs[i] for i in members])
     assert sum(counts.values()) == 1000
 
 
@@ -762,28 +783,30 @@ def _scan_germ(map_):
     return SymmetryGerm(0.25 + 0j, 0.01, Word((0,), 2), Word((0,), 2), map_)
 
 
+def _scan(germs, groups=None):
+    """The scan's outcomes, with each exception as its message."""
+    groups = [0] * len(germs) if groups is None else groups
+    got = holoifs.symmetry._germ_classes(germs, [0.25] * len(germs), 0.01, groups)
+    return [str(c) if isinstance(c, _Planted) else c for c in got]
+
+
 def test_germ_scan_evaluates_a_germ_at_its_first_comparison():
-    scan = holoifs.symmetry._germ_classes
     ok = _scan_germ(Affine(1.0, 0.0))
     # a lone germ is never evaluated
-    assert list(scan([None, _scan_germ(_raising("lone")), None], 0.25, 0.01)) == [None, 1, None]
-    # a germ is not evaluated when it becomes the first representative ...
-    classes = scan([_scan_germ(_raising("first")), ok], 0.25, 0.01)
-    assert next(classes) == 0
-    # ... but at its first comparison, after the new germ
-    with pytest.raises(_Planted, match="first"):
-        next(classes)
-    classes = scan([ok, _scan_germ(_raising("second")), ok], 0.25, 0.01)
-    assert next(classes) == 0
-    with pytest.raises(_Planted, match="second"):
-        next(classes)
-    with pytest.raises(_Planted, match="new"):
-        list(scan([_scan_germ(_raising("rep")), _scan_germ(_raising("new"))], 0.25, 0.01))
+    assert _scan([None, _scan_germ(_raising("lone")), None]) == [None, 1, None]
+    # a germ is not evaluated when it becomes the first representative, but at
+    # its first comparison, after the new germ; its exception ends the scan
+    assert _scan([_scan_germ(_raising("first")), ok, ok]) == [0, "first", "first"]
+    assert _scan([ok, _scan_germ(_raising("second")), ok]) == [0, "second", "second"]
+    assert _scan([_scan_germ(_raising("rep")), _scan_germ(_raising("new"))]) == [0, "new"]
     # the pairwise loop raises the same way
     with pytest.raises(_Planted, match="new"):
         _pairwise_classes([_scan_germ(_raising("rep")), _scan_germ(_raising("new"))])
-    assert list(scan([ok, _scan_germ(Affine(1.0, 1e-10)), _scan_germ(Affine(1.0, 1e-8))],
-                     0.25, 0.01)) == [0, 0, 2]
+    assert _scan([ok, _scan_germ(Affine(1.0, 1e-10)), _scan_germ(Affine(1.0, 1e-8))]) == [0, 0, 2]
+    # each group is scanned alone: an exception ends its own group only, and a
+    # germ's representative is never in another group
+    assert _scan([ok, _scan_germ(_raising("other")), ok, None, ok, ok],
+                 groups=[0, 1, 0, 1, 1, 2]) == [0, 1, 0, None, "other", 5]
 
 
 @pytest.mark.parametrize("lone", [False, True])
