@@ -133,11 +133,18 @@ def _refine_level(system: IfsSystem, centers: np.ndarray, radii: np.ndarray):
 def first_per_key(*keys: np.ndarray) -> np.ndarray:
     """The rows, in order, that hold the first occurrence of each tuple of float keys.
 
-    Adding 0.0 makes -0.0 equal 0.0, and integral floats compare as Python's
-    integers do at every magnitude, where an int64 cast fails beyond 2**63.
+    One stable lexsort, then the first row of each run of equal keys.  Keys
+    compare as floats: -0.0 equals 0.0, and integral floats compare as
+    Python's integers do at every magnitude, where an int64 cast fails
+    beyond 2**63.
     """
-    _, first = np.unique(np.stack(keys, axis=1) + 0.0, axis=0, return_index=True)
-    return np.sort(first)
+    order = np.lexsort(keys[::-1])
+    first = np.zeros(len(order), dtype=bool)
+    first[:1] = True
+    for key in keys:
+        ranked = key[order]
+        first[1:] |= ranked[1:] != ranked[:-1]
+    return np.sort(order[first])
 
 
 def _grid_dedup(points: np.ndarray, cell: float) -> np.ndarray:

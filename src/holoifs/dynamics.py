@@ -18,20 +18,23 @@ branch cannot invert it), ambiguous (several branches claim it) or not
 finite.  A point whose step fails never stops the others: its exception is
 kept, and raised or returned in input order.
 
-Periodic points are solved one word length at a time: the necklaces of that
-length form one array, carried through the factors of their letters by
+Periodic points of every word length are solved in one array: the
+necklaces of all lengths, each padded on the left with a letter that names
+no factor, are carried through the factors of their letters by
 :func:`~holoifs.maps.apply_rows`, and each row stops by its own tolerance
-test.  Affine words take the closed form.  These arrays keep numpy's
-arithmetic, which feeds the pinned reports: on real values it rounds as
-scalar arithmetic does; on complex values numpy's products and quotients may
-differ from CPython's in the last bit.
+test.  Affine words take the closed form.  The first row that fails, in
+length then necklace order, raises, as a scalar loop over the necklaces
+would.  These arrays keep numpy's arithmetic, which feeds the pinned
+reports: on real values it rounds as scalar arithmetic does; on complex
+values numpy's products and quotients may differ from CPython's in the last
+bit.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import chain, product
+from itertools import product
 
 import numpy as np
 
@@ -138,24 +141,26 @@ def _modulus(z: np.ndarray) -> np.ndarray:
 def _solve_level(system: IfsSystem, letters: np.ndarray):
     """Fixed points and multipliers of ``g_w`` for the rows ``w`` of ``letters``.
 
-    All rows are solved at once.  A word whose factors are all affine takes
-    the closed form; the others iterate ``p <- g_w(p)`` from the domain
-    centre, each row until its own step drops below ``FIXED_POINT_TOL``.
-    Returns the points and multipliers of the rows before the first that fails a check
-    (contraction, convergence, residual, attraction), and its :class:`NoConvergence` or None.
+    All rows are solved at once; the letter ``len(system.maps)`` pads a row
+    and names no factor.  A word whose factors are all affine takes the
+    closed form; the others iterate ``p <- g_w(p)`` from the domain centre,
+    each row until its own step drops below ``FIXED_POINT_TOL``.  Returns the
+    points and multipliers of the rows before the first that fails, and its
+    exception or :class:`NoConvergence`, met in the scalar loop's order, or None.
     """
-    n = len(letters)
-    m = len(system.maps)
+    n, m = len(letters), len(system.maps)
     points = np.empty(n, dtype=np.complex128)
     mults = np.empty(n, dtype=np.complex128)
     fail = np.zeros(n, dtype=np.int8)
+    raised: dict = {}
 
     factors, lookup = factor_table(system.maps)
+    lookup = np.vstack((lookup, np.full_like(lookup[:1], -1)))  # the pad letter
     affine_letter = np.array([all(isinstance(factors[k], Affine) for k in row if k >= 0)
                               for row in lookup])
     affine = affine_letter[letters].all(axis=1)
     for i in np.flatnonzero(affine):
-        gw = compose_word(system, Word(letters[i].tolist(), m))
+        gw = compose_word(system, Word(letters[i][letters[i] < m].tolist(), m))
         if abs(gw.alpha) >= 1.0:
             fail[i] = 1
             continue
@@ -168,11 +173,10 @@ def _solve_level(system: IfsSystem, letters: np.ndarray):
     # the factors of each row's letters, outermost first: the chain of g_w
     table = lookup[letters[rest]].reshape(len(rest), letters.shape[1] * lookup.shape[1])
 
-    def words_at(rows, z, deriv=False):
-        values, derivs, errors = apply_rows(factors, table[rows], z, deriv)
-        if errors:
-            raise errors[min(errors)]
-        return values, derivs
+    def stop(rows, errors):  # the rows of ``rest`` whose chain raised keep their exceptions
+        at = rest[rows[list(errors)]]
+        fail[at] = 5
+        raised.update(zip(at.tolist(), errors.values()))
 
     p = np.full(len(rest), complex(system.domain.center), dtype=np.complex128)
     active = np.arange(len(rest))
@@ -180,18 +184,27 @@ def _solve_level(system: IfsSystem, letters: np.ndarray):
         if not len(active):
             break
         pa = p[active]
-        q = words_at(active, pa)[0]
+        q, _, errors = apply_rows(factors, table[active], pa)
         p[active] = q
         settled = _modulus(q - pa) <= FIXED_POINT_TOL * np.maximum(1.0, _modulus(pa))
+        settled[list(errors)] = True
+        stop(active, errors)
         active = active[~settled]
     fail[rest[active]] = 2
     ok = np.flatnonzero(fail[rest] == 0)
-    bad = _modulus(words_at(ok, p[ok])[0] - p[ok]) > PERIODIC_RESIDUAL_TOL
-    fail[rest[ok[bad]]] = 3
-    ok = ok[~bad]
-    # the chain rule over the factors, in the order of Composite.deriv
-    lam = words_at(ok, p[ok], deriv=True)[1]
+    # one pass gives the residual and the multiplier, by the chain rule over
+    # the factors in the order of Composite.deriv
+    values, lam, errors = apply_rows(factors, table[ok], p[ok], deriv=True)
+    if errors:  # a row that raised meets its value's exception first, then its residual test
+        at = np.array(list(errors))
+        values[at], _, first = apply_rows(factors, table[ok[at]], p[ok[at]])
+        errors.update((int(at[j]), exc) for j, exc in first.items())
+    # each failure overrides those the scalar loop meets after it: attraction,
+    # then residual, then an exception (a value that raised is NaN, so not bad)
+    bad = _modulus(values - p[ok]) > PERIODIC_RESIDUAL_TOL
     fail[rest[ok[_modulus(lam) >= 1.0]]] = 4
+    fail[rest[ok[bad]]] = 3
+    stop(ok, {j: exc for j, exc in errors.items() if not bad[j]})
     points[rest], mults[rest[ok]] = p, lam
     reasons = (
         "",
@@ -200,8 +213,8 @@ def _solve_level(system: IfsSystem, letters: np.ndarray):
         "fixed-point residual above tolerance",
         "fixed point is not attracting",
     )
-    for i in np.flatnonzero(fail)[:1]:  # the first failing row, if any
-        return points[:i], mults[:i], NoConvergence(reasons[fail[i]])
+    for i in np.flatnonzero(fail)[:1].tolist():  # the first failing row, if any
+        return points[:i], mults[:i], raised.get(i) or NoConvergence(reasons[fail[i]])
     return points, mults, None
 
 
@@ -223,37 +236,43 @@ def fixed_point(system: IfsSystem, word: Word) -> PeriodicPoint:
     return PeriodicPoint(word, complex(points[0]), complex(mults[0]))
 
 
-def _necklaces(m: int, length: int):
-    """Lexicographically minimal rotations of the words of ``length`` letters.
+#: codes per block of the necklace filter: its peak memory is a block plus the output
+_NECKLACE_BLOCK = 1 << 15
 
-    Fredricksen-Kessler-Maiorana: extend each prenecklace periodically and
-    keep those whose period divides ``length``; yields in increasing order.
+
+def _necklace_letters(m: int, length: int) -> np.ndarray:
+    """The necklaces (least rotations) of ``length`` letters over ``m``, in increasing order.
+
+    The words are the base-``m`` codes ``0..m**length - 1``, filtered block by
+    block: a code is kept when it is at most each of its left rotations,
+    ``r * m**k + q`` for ``q, r = divmod(code, m**(length - k))``.
     """
-    w = [-1]
-    while w:
-        w[-1] += 1
-        k = len(w)
-        if length % k == 0:
-            yield tuple(w * (length // k))
-        while len(w) < length:
-            w.append(w[-k])
-        while w and w[-1] == m - 1:
-            w.pop()
+    total, kept = m**length, [np.empty((0, length), np.min_scalar_type(m - 1))]
+    for start in range(0, total, _NECKLACE_BLOCK):
+        codes = np.arange(start, min(start + _NECKLACE_BLOCK, total), dtype=np.int64)
+        for k in range(1, length):
+            q, r = np.divmod(codes, m ** (length - k))
+            codes = codes[codes <= r * m**k + q]
+        kept.append(np.empty((len(codes), length), kept[0].dtype))
+        for j in range(length - 1, -1, -1):
+            codes, kept[-1][:, j] = np.divmod(codes, m)
+    return np.concatenate(kept)
 
 
 def _levels(system: IfsSystem, max_len: int):
-    """Yield ``(letters, points, multipliers)`` of the necklaces of each length 1..``max_len``.
+    """The necklaces of 1..``max_len`` letters, in increasing length, solved in one call.
 
-    A length whose rows fail a check yields the rows before the first that fails, then raises.
+    Returns ``(letters, lengths, points, multipliers, error)``: row ``i`` of
+    ``letters`` holds ``lengths[i]`` letters after the pad letter ``m``, and
+    the rest is :func:`_solve_level`'s.
     """
     m = len(system.maps)
-    for length in range(1, max_len + 1):
-        necklaces = chain.from_iterable(_necklaces(m, length))
-        letters = np.fromiter(necklaces, np.min_scalar_type(m - 1)).reshape(-1, length)
-        points, mults, error = _solve_level(system, letters)
-        yield letters[: len(points)], points, mults
-        if error:
-            raise error
+    blocks = [_necklace_letters(m, length) for length in range(1, max_len + 1)]
+    lengths = np.repeat(np.arange(1, max_len + 1), [len(b) for b in blocks])
+    letters = np.full((len(lengths), max_len), m, dtype=np.min_scalar_type(m))
+    for block, end in zip(blocks, np.cumsum([len(b) for b in blocks])):
+        letters[end - len(block):end, max_len - block.shape[1]:] = block
+    return (letters, lengths, *_solve_level(system, letters))
 
 
 def periodic_points(system: IfsSystem, max_len: int):
@@ -261,12 +280,17 @@ def periodic_points(system: IfsSystem, max_len: int):
 
     Every word is a rotation of exactly one necklace, and rotations share
     the orbit and the multiplier, so the orbits of the yielded points list
-    the fixed points of all words.  Each length is solved as one array.
+    the fixed points of all words.  After the word budget, all lengths are
+    solved as one array; the rows before the first that fails are yielded,
+    then its exception is raised.
     """
+    check_word_budget(system, max_len=max_len)
     m = len(system.maps)
-    for letters, points, mults in _levels(system, max_len):
-        for word, p, lam in zip(letters.tolist(), points.tolist(), mults.tolist()):
-            yield PeriodicPoint(Word(word, m), p, lam)
+    letters, lengths, points, mults, error = _levels(system, max_len)
+    for word, n, p, lam in zip(letters.tolist(), lengths.tolist(), points.tolist(), mults.tolist()):
+        yield PeriodicPoint(Word(word[max_len - n:], m), p, lam)
+    if error:
+        raise error
 
 
 def check_word_budget(
@@ -294,24 +318,25 @@ def check_word_budget(
 def spectrum(system: IfsSystem, max_len: int, word_cap: int = WORD_CAP) -> MultiplierSpectrum:
     """Periodic points and multipliers over all words up to ``max_len``.
 
-    One row per necklace, solved as for :func:`periodic_points`: a failing
-    row raises before a later length is solved.  Of the rows whose point and
-    multiplier round alike at ``SPECTRUM_DEDUP_TOL``, the first is kept.
+    One row per necklace, all lengths solved as one array, as for
+    :func:`periodic_points`: the first failing row, in length then necklace
+    order, raises.  Of the rows whose point and multiplier round alike at
+    ``SPECTRUM_DEDUP_TOL``, the first is kept, and only the kept rows'
+    words become tuples.
     """
     check_word_budget(system, max_len=max_len, word_cap=word_cap)
-    words, points, lambdas = [], [np.empty(0, complex)], [np.empty(0, complex)]
-    for letters, p, lam in _levels(system, max_len):
-        words += map(tuple, letters.tolist())
-        points.append(p)
-        lambdas.append(lam)
-    points, lambdas = np.concatenate(points), np.concatenate(lambdas)
+    letters, lengths, points, lambdas, error = _levels(system, max_len)
+    if error:
+        raise error
     keys = (points.real, points.imag, lambdas.real, lambdas.imag)
     rows = first_per_key(*(np.round(k / SPECTRUM_DEDUP_TOL) for k in keys))
-    kept = tuple(words[i] for i in rows.tolist())
+    kept = []
+    for n in range(1, max_len + 1):
+        kept += map(tuple, letters[rows[lengths[rows] == n], max_len - n:].tolist())
     points, lambdas = points[rows], lambdas[rows]
     # read-only, so no caller of multipliers() or truncated() writes into the rows
     points.flags.writeable = lambdas.flags.writeable = False
-    return MultiplierSpectrum(kept, points, lambdas, len(system.maps), max_len)
+    return MultiplierSpectrum(tuple(kept), points, lambdas, len(system.maps), max_len)
 
 
 class InverseDynamics:

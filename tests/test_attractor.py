@@ -426,6 +426,27 @@ def test_first_per_key_compares_keys_as_integers_of_any_size():
         assert first_per_key(*keys).tolist() == _first_rows_by_int_keys(*keys)
 
 
+def _unique_first_rows(*keys):
+    """``np.unique(axis=0)``, the sort that the lexsort of ``first_per_key`` replaced, as the oracle."""
+    _, first = np.unique(np.stack(keys, axis=1) + 0.0, axis=0, return_index=True)
+    return np.sort(first).tolist()
+
+
+_TIED_KEYS = st.sampled_from(
+    [0.0, -0.0, 1.0, -1.0, 3.0, math.inf, -math.inf, 2.0**63, 2.0**63 + 2048, 2.0**64, -(2.0**70), 1e300]
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 3).flatmap(
+    lambda width: st.tuples(st.just(width), st.lists(st.tuples(*[_TIED_KEYS] * width), max_size=40))))
+def test_first_per_key_equals_the_unique_oracle(case):
+    # few distinct values, so most rows tie with an earlier one on some keys
+    width, rows = case
+    keys = [np.array([row[j] for row in rows], dtype=np.float64) for j in range(width)]
+    assert first_per_key(*keys).tolist() == _unique_first_rows(*keys)
+
+
 def _level_by_level_net(system, epsilon, point_cap=POINT_CAP):
     """Oracle: ``compute_net`` as it was before the depth-first walk, whole levels at a time."""
     target = epsilon / 4.0

@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 from holoifs.cli import shared_report_text
+from holoifs.dynamics import spectrum
 from holoifs.symmetry import shared_attractor
 from holoifs.systems import cantor_thirds, cantor_thirds_reflected, iterate_system, sqrt_julia
 
@@ -101,3 +102,23 @@ def test_complex_julia_square_report_keeps_its_verdict_counts_and_words():
     assert words.count("\n") == 3 * 256
     assert hashlib.sha256(words.encode("utf-8")).hexdigest() == (
         "862a784594eda488f65aab38e515fa129a471156e2ae1f1e98b2537baf33ef3e")
+
+
+@pytest.mark.parametrize(
+    "make, max_len, digest",
+    [
+        (lambda: iterate_system(sqrt_julia(-6.0), 2), 8,
+         "5c54f300cce67534e5ae3ba58cadc50b721635b235008e7984f6a712569996e1"),
+        (lambda: sqrt_julia(-6.0), 10,
+         "38d1da80079492d33fff25e91210ddcfc5cec8d813a03044dbf953e2d78e49b5"),
+        # complex values, so these bits are numpy's complex arithmetic's
+        (lambda: iterate_system(sqrt_julia(-6.0 + 0.5j), 2), 6,
+         "3a26a6788ce7e2e5e47f4b9f350d43a01e6a47552e349b1e16203f8771d9aa43"),
+    ],
+    ids=["julia6-squared", "julia6", "julia-complex-squared"],
+)
+def test_spectrum_arrays_match_their_pins(make, max_len, digest):
+    # the reports print only the matches, so the whole spectrum is pinned here
+    spec = spectrum(make(), max_len)
+    data = repr(spec.words).encode() + spec.points.tobytes() + spec.lambdas.tobytes()
+    assert hashlib.sha256(data).hexdigest() == digest

@@ -6,6 +6,7 @@ import cmath
 import dataclasses
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,11 +19,13 @@ from holoifs import (
     AmbiguousBranch,
     BudgetExceeded,
     Disk,
+    DomainError,
     IfsSystem,
     NoConvergence,
     NotInImage,
     OutsideAttractor,
     SeparationFailure,
+    SingularDerivative,
     Word,
 )
 from holoifs.attractor import (
@@ -38,14 +41,14 @@ from holoifs.dynamics import (
     InverseDynamics,
     OrbitReport,
     PeriodicPoint,
-    _necklaces,
+    _necklace_letters,
     check_word_budget,
     fixed_point,
     periodic_points,
     prep_points,
     spectrum,
 )
-from holoifs.maps import Affine, SqrtBranch, compose_word
+from holoifs.maps import Affine, Composite, SqrtBranch, compose_word
 from holoifs.symmetry import Budgets, SystemNet, address
 from holoifs.systems import cantor_thirds, cantor_thirds_reflected, iterate_system, sqrt_julia
 
@@ -164,6 +167,24 @@ def _scalar_fixed_point(system, word):
     return PeriodicPoint(word, complex(p), mult)
 
 
+def _necklaces(m, length):
+    """Fredricksen-Kessler-Maiorana, the generator the array necklaces replaced, as the oracle.
+
+    Extends each prenecklace periodically and keeps those whose period
+    divides ``length``; yields in increasing order.
+    """
+    w = [-1]
+    while w:
+        w[-1] += 1
+        k = len(w)
+        if length % k == 0:
+            yield tuple(w * (length // k))
+        while len(w) < length:
+            w.append(w[-k])
+        while w and w[-1] == m - 1:
+            w.pop()
+
+
 def _scalar_periodic_points(system, max_len):
     m = len(system.maps)
     return [
@@ -266,6 +287,70 @@ def test_periodic_points_fail_in_the_oracle_order(monkeypatch):
         _round_key_spectrum(system, 3)
     with pytest.raises(NoConvergence, match=message):
         spectrum(system, 3)
+
+
+class _PlantedBranch(SqrtBranch):
+    """A square-root branch whose call raises near ``trap``, whose derivative
+    raises near ``sharp`` and is 100 times too large near ``flat``."""
+
+    flat = sharp = trap = None
+
+    def __call__(self, z):
+        if self.trap is not None and np.any(abs(z - self.trap) < 1e-6):
+            raise DomainError("planted")
+        return super().__call__(z)
+
+    def deriv(self, z):
+        if self.sharp is not None and np.any(abs(z - self.sharp) < 1e-6):
+            raise SingularDerivative("planted derivative")
+        d = super().deriv(z)
+        return d if self.flat is None else np.where(abs(z - self.flat) < 1e-6, 100 * d, d)
+
+
+def test_the_first_failing_row_in_length_order_raises_after_the_rows_before_it():
+    # every length is solved in one array, so the length-3 row that raises in
+    # its iteration is met before the length-2 row fails its last check
+    julia = sqrt_julia(-6.0)
+    planted = _PlantedBranch(-6.0, 1)
+    system = IfsSystem((planted, julia.maps[1]), julia.domain)
+    planted.flat = julia.maps[1](fixed_point(julia, Word((0, 1), 2)).point)
+    planted.trap = julia.maps[1](fixed_point(julia, Word((0, 0, 1), 2)).point)
+    with pytest.raises(DomainError, match="^planted$"):
+        fixed_point(system, Word((0, 0, 1), 2))
+    message = "^fixed point is not attracting$"
+    with pytest.raises(NoConvergence, match=message):
+        _scalar_periodic_points(system, 3)
+    points = periodic_points(system, 3)
+    words = [Word(w, 2) for w in [(0,), (1,), (0, 0)]]
+    assert [next(points) for _ in words] == [_scalar_fixed_point(system, w) for w in words]
+    with pytest.raises(NoConvergence, match=message):
+        next(points)
+    with pytest.raises(NoConvergence, match=message):
+        spectrum(system, 3)
+
+
+@pytest.mark.parametrize(
+    "tol, error, message",
+    [
+        (None, SingularDerivative, "^planted derivative$"),
+        # the scalar loop tests the residual before it takes the derivative
+        (-1.0, NoConvergence, "^fixed-point residual above tolerance$"),
+    ],
+    ids=["derivative", "residual-first"],
+)
+def test_a_derivative_that_raises_inside_a_word_keeps_the_oracle_order(
+        monkeypatch, tol, error, message):
+    # the planted factor acts first, so its derivative raises before the
+    # outer factor is applied, and the residual needs a pass of its own
+    julia = sqrt_julia(-6.0)
+    planted = _PlantedBranch(-6.0, 1)
+    planted.sharp = fixed_point(julia, Word((1, 0), 2)).point
+    system = IfsSystem((Composite((julia.maps[1], planted)), julia.maps[0]), julia.domain)
+    if tol is not None:
+        monkeypatch.setattr(holoifs.dynamics, "PERIODIC_RESIDUAL_TOL", tol)
+    for solve in (_scalar_periodic_points, lambda *a: list(periodic_points(*a)), spectrum):
+        with pytest.raises(error, match=message):
+            solve(system, 2)
 
 
 def test_word_budget_counts_spectrum_and_prep_words():
@@ -401,14 +486,32 @@ def _totient(d):
     return sum(1 for k in range(1, d + 1) if math.gcd(k, d) == 1)
 
 
-@pytest.mark.parametrize("m", [1, 2, 3, 4])
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
 def test_necklaces_match_minimal_rotations(m):
-    for length in range(1, 8):
-        necklaces = list(_necklaces(m, length))
+    # m = 5 at 8 letters spans several blocks of the code filter
+    for length in range(1, 9):
+        letters = _necklace_letters(m, length)
+        assert letters.dtype == np.min_scalar_type(m - 1)
+        assert letters.shape == (len(letters), length)
+        necklaces = list(map(tuple, letters.tolist()))
+        assert necklaces == list(_necklaces(m, length))
         assert necklaces == _first_seen_min_rotations(m, length)
         # (1/n) sum over the divisors d of n of phi(d) m^(n/d)
         divisors = [d for d in range(1, length + 1) if length % d == 0]
         assert len(necklaces) * length == sum(_totient(d) * m ** (length // d) for d in divisors)
+
+
+def test_necklace_letters_hold_a_block_and_the_output_at_once():
+    tracemalloc.start()
+    try:
+        letters = _necklace_letters(2, 20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert letters.shape == (52488, 20)
+    # the blocks and their concatenation; the whole code range as int64
+    # arrays would take several times 8 * 2**20 bytes
+    assert peak - letters.nbytes < 3 * 2**20
 
 
 def test_periodic_points_one_per_necklace():
