@@ -9,7 +9,6 @@ geometry utilities these constructions rest on.
 from . import errors
 from .errors import (
     AddressFailure,
-    AmbiguousBranch,
     BudgetExceeded,
     ConfigError,
     CriterionEmpty,

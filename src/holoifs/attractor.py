@@ -191,28 +191,24 @@ def compute_net(system: IfsSystem, epsilon: float, point_cap: int = POINT_CAP) -
     first level whose largest radius is at most ``epsilon/4``; a level of
     more than ``point_cap`` cylinders raises :class:`BudgetExceeded`.
 
-    Levels are built whole while they hold at most ``NET_BLOCK`` cylinders.
-    Deeper levels are walked depth first in blocks of the last such level
-    (:func:`_blocks`), and only the run starts of the last level's blocks are
-    kept (:func:`_depth_first_net`), so memory stays near one block per
-    level.  Depth, points and their order are those of whole levels, and
-    ``point_cap`` still limits the cylinders of each level.
+    Levels are built whole while the next holds at most ``NET_BLOCK``
+    cylinders.  From the last such level on, levels are walked depth first
+    in blocks of it (:func:`_blocks`), and only the run starts of the last
+    level's blocks are kept (:func:`_depth_first_net`), so memory stays near
+    one block per level.  Depth, points and their order are those of whole
+    levels, and ``point_cap`` still limits the cylinders of each level.
     """
     if not (math.isfinite(epsilon) and epsilon > 0):
         raise ValueError(f"epsilon must be finite and positive, got {epsilon!r}")
-    target = epsilon / 4.0
     m = len(system.maps)
     centers = np.array([system.domain.center], dtype=np.complex128)
     radii = np.array([system.domain.radius], dtype=np.float64)
     depth = 0
-    while float(np.max(radii)) > target:
+    while float(np.max(radii)) > epsilon / 4.0 and len(centers) * m <= NET_BLOCK:
         _check_budget(len(centers) * m, point_cap, depth)
-        if len(centers) * m > NET_BLOCK:
-            return _depth_first_net(system, epsilon, point_cap, centers, radii, depth)
         centers, radii = _refine_level(system, centers, radii)
         depth += 1
-    points = _grid_dedup(centers, target)
-    return AttractorNet(points, epsilon, depth)
+    return _depth_first_net(system, epsilon, point_cap, centers, radii, depth)
 
 
 def _blocks(maps, centers: np.ndarray, radii: np.ndarray, depth: int):
@@ -233,17 +229,19 @@ def _blocks(maps, centers: np.ndarray, radii: np.ndarray, depth: int):
 
 
 def _depth_first_net(system, epsilon, point_cap, centers, radii, base_depth) -> AttractorNet:
-    """:func:`compute_net` below a base level whose largest radius exceeds ``epsilon/4``.
+    """:func:`compute_net` from a base level down, in blocks of the base level.
 
-    No level is computed that the whole-level loop would not reach.  The
-    radii along a greedy chain, the largest child of the largest cylinder,
-    bound each level's maximum from below, so the level after one whose
-    bound exceeds ``epsilon/4`` is sure to be reached.  The blocks are
-    walked that deep; the largest radius of that level decides whether it
-    is the last, and else its largest cylinder starts the next chain and
-    the walk is repeated deeper.  Of the last level only each block's run
-    starts are kept: in level order they hold every first occurrence of a
-    grid cell, so :func:`_grid_dedup` of them is that of the whole level.
+    A base level whose largest radius is at most ``epsilon/4`` is the last
+    level, walked as one block.  No level is computed that the whole-level
+    loop would not reach.  The radii along a greedy chain, the largest child
+    of the largest cylinder, bound each level's maximum from below, so the
+    level after one whose bound exceeds ``epsilon/4`` is sure to be reached.
+    The blocks are walked that deep; the largest radius of that level
+    decides whether it is the last, and else its largest cylinder starts the
+    next chain and the walk is repeated deeper.  Of the last level only each
+    block's run starts are kept: in level order they hold every first
+    occurrence of a grid cell, so :func:`_grid_dedup` of them is that of the
+    whole level.
     """
     target = epsilon / 4.0
     maps = system.maps

@@ -3,9 +3,10 @@
 The inverse map of a strongly separated system is single-valued on the
 attractor: a point close to one first-level image belongs to that branch.
 :class:`InverseDynamics` is that map for one system and its net.  Its
-``steps`` advance many points at once: each branch's point index, carried on
-the certificate, is queried once with all of them, and the points one branch
-claims are inverted in one call of the exact kernel
+``steps`` advance many points at once: the branches' point indexes, carried
+on the certificate, are queried in branch order, each with the points no
+earlier branch claimed, and the points one branch claims are inverted in one
+call of the exact kernel
 (:class:`~holoifs.maps.Exact`), whose rows round as Python's complex scalars
 do, so a preimage has the bits of the scalar inversion however many points
 share the step.
@@ -13,10 +14,12 @@ share the step.
 target addresses of :mod:`holoifs.symmetry` are read from it, and ``orbits``
 walks many points as one array and detects (pre)periodicity numerically,
 which the preperiodic cross-check reads; ``orbit`` is its one-point case.
-A step fails when the point is off the attractor (no branch claims it, or its
-branch cannot invert it), ambiguous (several branches claim it) or not
-finite.  A point whose step fails never stops the others: its exception is
-kept, and raised or returned in input order.
+A point takes the first branch whose image net lies within the claim
+radius; the radius is below half the gap between the image nets, so no two
+branches claim one point.  A step fails when the point is off the attractor
+(no branch claims it, or its branch cannot invert it) or not finite.  A
+point whose step fails never stops the others: its exception is kept, and
+raised or returned in input order.
 
 Periodic points of every word length are solved in one array: the
 necklaces of all lengths, each padded on the left with a letter that names
@@ -40,7 +43,6 @@ import numpy as np
 
 from .attractor import AttractorNet, SeparationCertificate, certify_ssc, first_per_key
 from .errors import (
-    AmbiguousBranch,
     BudgetExceeded,
     HoloifsError,
     NoConvergence,
@@ -315,7 +317,7 @@ def check_word_budget(
         raise BudgetExceeded("preperiodic enumeration exceeds the word cap")
 
 
-def spectrum(system: IfsSystem, max_len: int, word_cap: int = WORD_CAP) -> MultiplierSpectrum:
+def spectrum(system: IfsSystem, max_len: int) -> MultiplierSpectrum:
     """Periodic points and multipliers over all words up to ``max_len``.
 
     One row per necklace, all lengths solved as one array, as for
@@ -324,7 +326,7 @@ def spectrum(system: IfsSystem, max_len: int, word_cap: int = WORD_CAP) -> Multi
     ``SPECTRUM_DEDUP_TOL``, the first is kept, and only the kept rows'
     words become tuples.
     """
-    check_word_budget(system, max_len=max_len, word_cap=word_cap)
+    check_word_budget(system, max_len=max_len)
     letters, lengths, points, lambdas, error = _levels(system, max_len)
     if error:
         raise error
@@ -356,7 +358,7 @@ class InverseDynamics:
         # epsilon of their image net) while gap midpoints, whose true distance
         # is at least half the pairwise gap, stay strictly unclaimed despite
         # net slop.  Two claims would force image nets within 2*claim
-        # < pairwise_distance of each other, so ambiguity cannot occur.
+        # < pairwise_distance of each other, so the first claim is the only one.
         self.claim_radius = self.cert.pairwise_distance / 2.0 - net.epsilon
         if self.claim_radius <= 2.0 * net.epsilon:
             raise SeparationFailure("net too coarse to resolve inverse branches")
@@ -364,35 +366,36 @@ class InverseDynamics:
     def steps(self, xs: np.ndarray):
         """One step of the inverse map for every point of ``xs``.
 
-        Each branch's tree is queried once with every finite point, with the
-        strict ``d < claim_radius`` test of :meth:`step`, and inverts all the
+        The branch trees are queried in branch order, each with the finite
+        points that no earlier branch claimed, with the strict
+        ``d < claim_radius`` test, until no such point is left; so each point
+        takes the first branch that claims it.  Each branch inverts all the
         points it claims in one call of the exact kernel
         (:class:`~holoifs.maps.Exact`).  Returns ``(branch, preimage,
         failures)``: ``failures`` maps each row that fails to the exception
         :meth:`step` raises for that point, and such a row has branch -1.  A
         row fails with :class:`OutsideAttractor` when no branch claims it or
         its branch cannot invert it (the branch's :class:`NotInImage` is the
-        cause), with :class:`AmbiguousBranch` when several branches claim it,
-        and with ``ValueError`` when it is not finite.
+        cause), and with ``ValueError`` when it is not finite.
         """
         xs = np.asarray(xs, dtype=np.complex128)
         n = len(xs)
         finite = np.isfinite(xs)
-        claimed = np.zeros((len(self.cert.trees), n), dtype=bool)
+        branch = np.full(n, -1, dtype=np.intp)
+        unclaimed = np.flatnonzero(finite)
         for i, tree in enumerate(self.cert.trees):
-            claimed[i, finite] = tree.nearest(xs[finite])[0] < self.claim_radius
-        count = claimed.sum(axis=0)
-        branch = np.where(count == 1, claimed.argmax(axis=0), -1)
+            if not len(unclaimed):
+                break
+            near = tree.nearest(xs[unclaimed])[0] < self.claim_radius
+            branch[unclaimed[near]] = i
+            unclaimed = unclaimed[~near]
         failures: dict = {}
-        for k in np.flatnonzero(count != 1).tolist():
+        for k in np.flatnonzero(branch < 0).tolist():
             x = complex(xs[k])
-            if not finite[k]:
-                failures[k] = ValueError(f"point {x} is not finite")
-            elif count[k]:
-                claims = np.flatnonzero(claimed[:, k]).tolist()
-                failures[k] = AmbiguousBranch(f"branches {claims} all claim {x}")
-            else:
+            if finite[k]:
                 failures[k] = OutsideAttractor(f"no branch claims {x}")
+            else:
+                failures[k] = ValueError(f"point {x} is not finite")
         preimage = np.empty(n, dtype=np.complex128)
         for i, g in enumerate(self.system.maps):
             rows = np.flatnonzero(branch == i)
@@ -423,9 +426,9 @@ class InverseDynamics:
         Every row keeps its points in one table, which grows with the
         longest walk rather than with ``max_iter``; each new column is tested
         against the row's earlier points.  A row that leaves the attractor
-        ends with no periodicity claim.  If any row's walk raises (an
-        ambiguous branch or a point that is not finite), the first such
-        row's exception is raised once every row has stopped.
+        ends with no periodicity claim.  If any row's walk meets another
+        failure (a point that is not finite, or a branch's other error), the
+        first such row's exception is raised once every row has stopped.
         """
         xs = np.asarray(xs, dtype=np.complex128).reshape(-1)
         n = len(xs)
@@ -468,23 +471,18 @@ class InverseDynamics:
 
         ``preperiod`` is the first index whose point recurs and ``period`` the
         distance to its recurrence.  Leaving the attractor ends the orbit with
-        no periodicity claim; an ambiguous branch propagates.
+        no periodicity claim; any other failure of a step propagates.
         """
         return self.orbits([x], max_iter, tol)[0]
 
 
-def prep_points(
-    system: IfsSystem,
-    max_word: int,
-    max_prefix: int,
-    word_cap: int = WORD_CAP,
-) -> np.ndarray:
+def prep_points(system: IfsSystem, max_word: int, max_prefix: int) -> np.ndarray:
     """Periodic points and their forward images, deduplicated.
 
     Enumerates the fixed points of every word up to ``max_word`` and applies
     every word map up to ``max_prefix`` (including the identity) to them.
     """
-    check_word_budget(system, max_word=max_word, max_prefix=max_prefix, word_cap=word_cap)
+    check_word_budget(system, max_word=max_word, max_prefix=max_prefix)
     m = len(system.maps)
     orbits = [x for pp in periodic_points(system, max_word) for x in pp.orbit(system)]
     base = np.array(orbits, dtype=np.complex128)

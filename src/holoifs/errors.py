@@ -33,10 +33,6 @@ class NoConvergence(HoloifsError):
     """Fixed-point iteration failed to converge within the iteration cap."""
 
 
-class AmbiguousBranch(HoloifsError):
-    """More than one inverse branch claims a point."""
-
-
 class OutsideAttractor(HoloifsError):
     """No inverse branch claims a point."""
 

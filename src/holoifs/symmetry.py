@@ -35,7 +35,6 @@ from .attractor import (
 from .dynamics import InverseDynamics, check_word_budget, fixed_point, prep_points, spectrum
 from .errors import (
     AddressFailure,
-    AmbiguousBranch,
     BudgetExceeded,
     CriterionEmpty,
     DegenerateDerivative,
@@ -282,8 +281,8 @@ def _address_prefixes(F: SystemNet, starts, lams, cap: int) -> list:
     ``cap`` letters.  Every unfinished row takes one inverse step of
     :meth:`InverseDynamics.steps` per round, and the products are one
     :class:`~holoifs.maps.Exact` array.  Returns, per row, the letters or the
-    exception that ends the walk; a walk off the attractor or into an
-    ambiguous branch ends in :class:`AddressFailure`.
+    exception that ends the walk; a walk off the attractor ends in
+    :class:`AddressFailure`.
     """
     starts = np.asarray(starts, dtype=np.complex128)
     lams = np.asarray(lams, dtype=np.float64)
@@ -297,7 +296,7 @@ def _address_prefixes(F: SystemNet, starts, lams, cap: int) -> list:
         branch, preimage, failures = F.dyn.steps(here[active])
         for k, exc in failures.items():
             r = active[k]
-            if isinstance(exc, (OutsideAttractor, AmbiguousBranch)):
+            if isinstance(exc, OutsideAttractor):
                 exc = AddressFailure(
                     f"address walk from {complex(starts[r])} failed after {n} letters "
                     f"at {complex(here[r])}"
@@ -602,7 +601,10 @@ def spectrum_compat(specG, specF, l_max: int, tol: float = 1e-9):
 
 def _prep_check(source: IfsSystem, target_dyn: InverseDynamics, budgets: Budgets):
     points = prep_points(source, budgets.prep_max_word, 0)
-    reports = target_dyn.orbits(points, budgets.prep_orbit_cap, 1e-9)
+    # the recurrence test scales with the points, as their rounding does, so a
+    # translated pair passes alike
+    tol = 1e-9 * max(1.0, float(np.max(np.abs(points), initial=0.0)))
+    reports = target_dyn.orbits(points, budgets.prep_orbit_cap, tol)
     passes = sum(rep.is_preperiodic for rep in reports)
     return passes, len(reports) - passes
 

@@ -16,7 +16,6 @@ from scipy.spatial import cKDTree
 
 import holoifs.dynamics
 from holoifs import (
-    AmbiguousBranch,
     BudgetExceeded,
     Disk,
     DomainError,
@@ -465,9 +464,15 @@ def test_spectrum_rows_cannot_be_written_through_its_arrays():
     assert spec.entries[0].multiplier != 5
 
 
-def test_spectrum_budget():
-    with pytest.raises(BudgetExceeded):
-        spectrum(cantor_thirds(), 30, word_cap=1000)
+def _no_solve(*args):
+    raise AssertionError("a word was solved past the budget")
+
+
+def test_spectrum_budget(monkeypatch):
+    # 2**31 - 2 words pass the default cap: it raises before any solve
+    monkeypatch.setattr(holoifs.dynamics, "_levels", _no_solve)
+    with pytest.raises(BudgetExceeded, match=r"^2147483646 words exceed the cap 10000000$"):
+        spectrum(cantor_thirds(), 30)
 
 
 # ---------------------------------------------------------------------------
@@ -695,12 +700,14 @@ def test_orbit_with_no_steps_holds_only_the_start():
     assert rep.period is None and rep.preperiod is None
 
 
-def test_orbit_propagates_ambiguous_branches():
+def test_orbit_takes_the_lowest_claiming_branch():
     system = cantor_thirds()
     dyn = InverseDynamics(system, compute_net(system, 1e-3))
     dyn.claim_radius = 1.0  # both image nets now claim every point of [0, 1]
-    with pytest.raises(AmbiguousBranch):
-        dyn.orbit(0.75)
+    # 0.75 lies in the image of branch 1, but branch 0 claims it first; its
+    # preimage 2.25 is more than 1 from both image nets
+    assert dyn.step(0.75) == (2.25, 0)
+    assert dyn.orbit(0.75) == OrbitReport((0.75, 2.25), None, None)
 
 
 @pytest.mark.parametrize(
@@ -759,12 +766,16 @@ def test_walk_raises_off_the_attractor():
 class _ScalarInverse:
     """The one-point step and orbit loop that the batched walk replaced, as the oracle.
 
-    It builds its own KD trees and queries them one point at a time.
+    It builds its own KD trees and queries them one point at a time.  A point
+    takes the first branch that claims it; unless ``overlapping``, no point
+    it walks may be claimed by two branches, the invariant that lets the
+    batched walk stop at the first claim.
     """
 
-    def __init__(self, dyn):
+    def __init__(self, dyn, overlapping=False):
         self.maps = dyn.system.maps
         self.claim_radius = dyn.claim_radius
+        self.overlapping = overlapping
         images = [g(dyn.net.points) for g in self.maps]
         self.trees = [cKDTree(np.column_stack((z.real, z.imag))) for z in images]
 
@@ -777,8 +788,7 @@ class _ScalarInverse:
                 claims.append(i)
         if not claims:
             raise OutsideAttractor(f"no branch claims {x}")
-        if len(claims) > 1:
-            raise AmbiguousBranch(f"branches {claims} all claim {x}")
+        assert self.overlapping or len(claims) == 1, f"branches {claims} all claim {x}"
         try:
             return complex(self.maps[claims[0]].invert(x)), claims[0]
         except NotInImage as exc:
@@ -883,23 +893,21 @@ def test_orbits_equal_the_scalar_loop_on_random_affine_systems(data):
     assert dyn.orbits(points, 32, 1e-9) == [oracle.orbit(p, 32, 1e-9) for p in points]
 
 
-def test_orbits_raise_the_first_ambiguous_row():
+def test_orbits_under_overlapping_claims_equal_the_oracle():
     system = cantor_thirds()
     dyn = InverseDynamics(system, compute_net(system, 1e-3))
     dyn.claim_radius = 1.0  # both image nets now claim every point of [0, 1]
-    oracle = _ScalarInverse(dyn)
-    # the first row leaves the attractor, which is no error; the second is
-    # ambiguous, and so is the third
-    points = [5.0 + 5.0j, 0.75, 0.25]
-    assert oracle.orbit(points[0]).points == (5.0 + 5.0j,)
-    with pytest.raises(AmbiguousBranch) as want:
-        oracle.orbit(points[1])
-    assert str(want.value) == "branches [0, 1] all claim (0.75+0j)"
-    with pytest.raises(AmbiguousBranch) as got:
-        dyn.orbits(points)
-    assert str(got.value) == str(want.value)
-    with pytest.raises(AmbiguousBranch, match=r"^branches \[0, 1\] all claim \(0\.75\+0j\)$"):
-        dyn.step(0.75)
+    oracle = _ScalarInverse(dyn, overlapping=True)
+    # the first row leaves the attractor at once; both branches claim the
+    # others, and each step takes branch 0 until its preimage leaves [0, 1]
+    points = [5.0 + 5.0j, 0.75, 0.25, 0.0, 1.0 / 3.0]
+    want = [oracle.orbit(p) for p in points]
+    assert dyn.orbits(points) == want
+    assert [rep.points[:2] for rep in want[:3]] == [(5.0 + 5.0j,), (0.75, 2.25), (0.25, 0.75)]
+    assert want[3] == OrbitReport((0.0, 0.0), 0, 1)
+    branch, preimage, failures = dyn.steps(np.array(points))
+    assert branch.tolist() == [-1, 0, 0, 0, 0] and list(failures) == [0]
+    assert preimage[1:].tolist() == [3.0 * p for p in points[1:]]
 
 
 def test_a_row_its_branch_cannot_invert_fails_alone(monkeypatch):
@@ -947,37 +955,47 @@ def test_steps_fail_a_non_finite_row_alone():
         dyn.orbits([0.75, math.nan])
 
 
-class _CountingTree:
-    """A point index that records the number of rows of each nearest-point query."""
+class _SpyTree:
+    """A point index that records its branch and the points of each nearest-point query."""
 
-    def __init__(self, tree, rows):
-        self.tree, self.rows = tree, rows
+    def __init__(self, tree, branch, queries):
+        self.tree, self.branch, self.queries = tree, branch, queries
 
     def nearest(self, xy):
-        self.rows.append(len(xy))
+        self.queries.append((self.branch, xy.tolist()))
         return self.tree.nearest(xy)
 
 
 def test_steps_of_empty_and_all_non_finite_batches():
-    rows = []
+    queries = []
     system = cantor_thirds()
     net = compute_net(system, 1e-3)
     cert = certify_ssc(system, net)
-    spied = dataclasses.replace(cert, trees=tuple(_CountingTree(t, rows) for t in cert.trees))
-    dyn = InverseDynamics(system, net, spied)
+    spies = tuple(_SpyTree(t, i, queries) for i, t in enumerate(cert.trees))
+    dyn = InverseDynamics(system, net, dataclasses.replace(cert, trees=spies))
     branch, preimage, failures = dyn.steps(np.array([], dtype=np.complex128))
     assert failures == {} and len(branch) == len(preimage) == 0
     xs = np.array([math.nan, complex(0.5, math.inf), -math.inf])
     branch, _, failures = dyn.steps(xs)
-    assert not any(rows)
+    assert queries == []
     assert branch.tolist() == [-1, -1, -1] and list(failures) == [0, 1, 2]
     assert all(type(exc) is ValueError for exc in failures.values())
     assert [str(exc) for exc in failures.values()] == [
         f"point {complex(x)} is not finite" for x in xs
     ]
-    # the spy sees the queries of a finite batch: one per branch, every row
-    dyn.steps(np.array([0.75, math.nan, 0.25]))
-    assert rows[-2:] == [2, 2]
+    # the spy sees the queries of a finite batch: branch 0 with every finite
+    # row, then branch 1 with the row that branch 0 left unclaimed
+    branch, _, _ = dyn.steps(np.array([0.75, math.nan, 0.25]))
+    assert queries == [(0, [0.75, 0.25]), (1, [0.75])]
+    assert branch.tolist() == [1, -1, 0]
+    # once every row is claimed, no later tree is queried
+    del queries[:]
+    dyn.steps(np.array([0.25, math.nan, 0.0]))
+    assert queries == [(0, [0.25, 0.0])]
+    # a row that no branch claims is queried by every tree
+    del queries[:]
+    dyn.steps(np.array([0.5, 0.25]))
+    assert queries == [(0, [0.5, 0.25]), (1, [0.5])]
 
 
 def test_orbits_memory_follows_the_walk_not_the_cap():
@@ -1031,7 +1049,8 @@ def test_prep_points_all_near_attractor():
     assert np.max(d) <= net.epsilon + 1e-12
 
 
-def test_prep_points_budget():
-    system = cantor_thirds()
-    with pytest.raises(BudgetExceeded):
-        prep_points(system, max_word=2, max_prefix=2, word_cap=3)
+def test_prep_points_budget(monkeypatch):
+    # 2**25 - 2 words pass the default cap: it raises before any solve
+    monkeypatch.setattr(holoifs.dynamics, "_levels", _no_solve)
+    with pytest.raises(BudgetExceeded, match="^preperiodic enumeration exceeds the word cap$"):
+        prep_points(cantor_thirds(), 24, 0)

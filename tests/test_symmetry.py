@@ -9,6 +9,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
 import holoifs.attractor
@@ -16,7 +18,6 @@ import holoifs.dynamics
 import holoifs.symmetry
 from holoifs import (
     AddressFailure,
-    AmbiguousBranch,
     BudgetExceeded,
     CriterionEmpty,
     Disk,
@@ -220,7 +221,12 @@ def _xy(points) -> np.ndarray:
 
 
 def _scalar_address_walk(F, x):
-    """The one-point address walk the batch replaced: its own trees, one query per point."""
+    """The one-point address walk the batch replaced: its own trees, one query per point.
+
+    Each point takes the first branch that claims it, and no point it walks
+    may be claimed by two branches, the invariant that lets the batched walk
+    stop at the first claim.
+    """
     images = [g(F.net.points) for g in F.system.maps]
     trees = [cKDTree(_xy(z)) for z in images]
     x = b = complex(x)
@@ -231,15 +237,14 @@ def _scalar_address_walk(F, x):
                       if float(t.query([[b.real, b.imag]], k=1)[0][0]) < F.dyn.claim_radius]
             if not claims:
                 raise OutsideAttractor(f"no branch claims {b}")
-            if len(claims) > 1:
-                raise AmbiguousBranch(f"branches {claims} all claim {b}")
+            assert len(claims) == 1, f"branches {claims} all claim {b}"
             try:
                 b = complex(F.system.maps[claims[0]].invert(b))
             except NotInImage as exc:
                 raise OutsideAttractor(f"branch {claims[0]} cannot invert {b}") from exc
             n += 1
             yield claims[0], b
-    except (OutsideAttractor, AmbiguousBranch) as exc:
+    except OutsideAttractor as exc:
         raise AddressFailure(f"address walk from {x} failed after {n} letters at {b}") from exc
 
 
@@ -1055,6 +1060,36 @@ def test_shared_thirds_vs_squared_both_orders():
     assert max(e.residual for e in bwd.functional_equations) <= 1e-9
 
 
+def _conjugated(system, u, t):
+    """``h ∘ g ∘ h⁻¹`` for every affine map ``g``, with ``h(z) = u·z + t``, on ``h(domain)``."""
+    maps = tuple(Affine(g.alpha, u * g.b + t * (1 - g.alpha)) for g in system.maps)
+    return IfsSystem(maps, Disk(u * system.domain.center + t, system.domain.radius))
+
+
+_coordinate = st.floats(-100.0, 100.0, allow_subnormal=False)
+
+
+@settings(max_examples=8, deadline=None, derandomize=True, database=None)
+@given(
+    a=st.floats(0.15, 0.4),
+    b=st.floats(0.15, 0.4),
+    angle=st.floats(0.0, 2 * np.pi),
+    t=st.builds(complex, _coordinate, _coordinate),
+)
+def test_shared_with_its_square_survives_swapping_and_conjugation(a, b, angle, t):
+    # a system shares its attractor with its own square; the verdict holds
+    # with the pair swapped, and when both systems and their domain are moved
+    # by the rotation and translation z -> u z + t, which walks complex affine
+    # inverse orbits far from the origin
+    G = IfsSystem((Affine(a, 0.0), Affine(b, 1.0 - b)), Disk(0.5, 2.0))
+    G2 = iterate_system(G, 2)
+    assert shared_attractor(G, G2, 1e-3).verdict == "Shared"
+    assert shared_attractor(G2, G, 1e-3).verdict == "Shared"
+    u = complex(np.cos(angle), np.sin(angle))
+    moved = shared_attractor(_conjugated(G, u, t), _conjugated(G2, u, t), 1e-3)
+    assert moved.verdict == "Shared", moved.notes
+
+
 def test_not_shared_certified_by_hausdorff():
     report = shared_attractor(cantor_thirds(), shifted_system(), EPS)
     assert report.verdict == "NotShared"
@@ -1091,13 +1126,13 @@ def test_inconclusive_when_net_refinement_meets_a_branch_cut():
 def test_inconclusive_when_a_later_stage_fails(monkeypatch):
     # an error after the net distance keeps it and the separation verdict
     def prep_check(*args):
-        raise AmbiguousBranch("planted")
+        raise DomainError("planted")
 
     monkeypatch.setattr(holoifs.symmetry, "_prep_check", prep_check)
     report = shared_attractor(cantor_thirds(), cantor_thirds_reflected(), EPS)
     assert report.verdict == "Inconclusive" and report.ssc_both is True
     assert 0.0 <= report.hausdorff <= 2 * EPS
-    assert report.notes == ("AmbiguousBranch: planted",)
+    assert report.notes == ("DomainError: planted",)
 
 
 def test_shared_verdict_symmetric_positive():
