@@ -40,7 +40,6 @@ from .maps import (
     Word,
     compose_maps,
     compose_word,
-    inverse_map,
 )
 
 __version__ = "0.1.0"

@@ -72,18 +72,6 @@ class AttractorNet:
     def __len__(self) -> int:
         return int(self.points.size)
 
-    def diameter(self, directions: int = 512) -> float:
-        """Diameter of the point set.
-
-        Exact over the points that are extreme in ``directions`` sampled
-        directions; the relative error is below ``1 - cos(pi/directions)``.
-        """
-        angles = np.pi * np.arange(directions) / directions
-        proj = np.real(self.points[:, None] * np.exp(-1j * angles)[None, :])
-        idx = np.unique(np.concatenate((np.argmax(proj, axis=0), np.argmin(proj, axis=0))))
-        cand = self.points[idx]
-        return float(np.max(np.abs(cand[:, None] - cand[None, :])))
-
 
 @dataclass(frozen=True)
 class SeparationCertificate:

@@ -18,9 +18,10 @@ Subcommands
 ``symmetry``
     Build and verify a local symmetry germ between two systems.
 
-Exit codes: 0 pass/Shared, 1 fail/NotShared, 2 configuration error,
-3 budget exceeded, 4 inconclusive.  Any other library error exits 1, except
-under ``shared``, where it leaves the verdict open and exits 4.
+Exit codes: 0 pass/Shared, 1 fail/NotShared, 2 configuration error (an
+unwritable output file too), 3 budget exceeded, 4 inconclusive.  Any other
+library error exits 1, except under ``shared``, where it leaves the verdict
+open and exits 4.
 """
 
 from __future__ import annotations
@@ -150,6 +151,8 @@ def load_system(path: str) -> tuple[IfsSystem, str]:
     label = data.get("label", Path(path).stem)
     if not isinstance(label, str):
         raise ConfigError(f"{path}.label: expected a string")
+    if label.splitlines() not in ([], [label]):  # a line break would forge report lines
+        raise ConfigError(f"{path}.label: expected one line, got {label!r}")
 
     try:
         system = IfsSystem(tuple(maps), Disk(center, radius))
@@ -254,6 +257,14 @@ def _fmt_word(word: Word | None) -> str:
     return "(" + ",".join(str(i) for i in word.indices) + ")"
 
 
+def _write(flag: str, write, *args) -> None:
+    """``write(*args)``, an unwritable output file being a configuration error."""
+    try:
+        write(*args)
+    except OSError as exc:
+        raise ConfigError(f"{flag}: {exc}") from exc
+
+
 def write_csv(path: str, points: np.ndarray) -> None:
     lines = [f"{_g15(p.real)},{_g15(p.imag)}" for p in points]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -325,9 +336,9 @@ def cmd_attractor(args) -> int:
     system, label = load_system(args.config)
     net = compute_net(system, args.epsilon, point_cap=args.point_cap)
     if args.out_csv:
-        write_csv(args.out_csv, net.points)
+        _write("--out-csv", write_csv, args.out_csv, net.points)
     if args.out_pgm:
-        write_pgm(args.out_pgm, net.points, args.pixels)
+        _write("--out-pgm", write_pgm, args.out_pgm, net.points, args.pixels)
     print(f"system = {label}")
     print(f"epsilon = {_g17(net.epsilon)}")
     print(f"points = {len(net.points)}")
@@ -381,7 +392,7 @@ def cmd_shared(args) -> int:
     report = shared_attractor(system_g, system_f, args.epsilon, budgets)
     text = shared_report_text(report, args.epsilon, label_g, label_f)
     if args.report:
-        Path(args.report).write_text(text, encoding="utf-8")
+        _write("--report", Path(args.report).write_text, text, "utf-8")
     sys.stdout.write(text)
     if report.verdict == "Shared":
         return 0

@@ -5,10 +5,10 @@ attractor: a point close to one first-level image belongs to that branch.
 :class:`InverseDynamics` is that map for one system and its net.  Its
 ``steps`` advance many points at once: the branches' point indexes, carried
 on the certificate, are queried in branch order, each with the points no
-earlier branch claimed, and the points one branch claims are inverted in one
-call of the exact kernel
+earlier branch claimed, and the points one branch claims go through its
+inverse map, ``g.inverse()``, in one call of the exact kernel
 (:class:`~holoifs.maps.Exact`), whose rows round as Python's complex scalars
-do, so a preimage has the bits of the scalar inversion however many points
+do, so a preimage has the bits of ``g.inverse()(x)`` however many points
 share the step.
 ``step`` is the one-point case.  ``steps`` is the one inverse walker: the
 target addresses of :mod:`holoifs.symmetry` are read from it, and ``orbits``
@@ -354,6 +354,7 @@ class InverseDynamics:
         self.net = net
         self.cert = cert if cert is not None else certify_ssc(system, net)
         self.cert.require_trees(net, "inverse dynamics need strong separation")
+        self.inverses = tuple(g.inverse() for g in system.maps)
         # Shrinking by epsilon keeps attractor points claimed (they sit within
         # epsilon of their image net) while gap midpoints, whose true distance
         # is at least half the pairwise gap, stay strictly unclaimed despite
@@ -369,10 +370,10 @@ class InverseDynamics:
         The branch trees are queried in branch order, each with the finite
         points that no earlier branch claimed, with the strict
         ``d < claim_radius`` test, until no such point is left; so each point
-        takes the first branch that claims it.  Each branch inverts all the
-        points it claims in one call of the exact kernel
-        (:class:`~holoifs.maps.Exact`).  Returns ``(branch, preimage,
-        failures)``: ``failures`` maps each row that fails to the exception
+        takes the first branch that claims it.  Each branch's inverse map
+        (``self.inverses``) maps all the points it claims in one call of the
+        exact kernel (:class:`~holoifs.maps.Exact`).  Returns ``(branch,
+        preimage, failures)``: ``failures`` maps each row that fails to the exception
         :meth:`step` raises for that point, and such a row has branch -1.  A
         row fails with :class:`OutsideAttractor` when no branch claims it or
         its branch cannot invert it (the branch's :class:`NotInImage` is the
@@ -397,11 +398,11 @@ class InverseDynamics:
             else:
                 failures[k] = ValueError(f"point {x} is not finite")
         preimage = np.empty(n, dtype=np.complex128)
-        for i, g in enumerate(self.system.maps):
+        for i, g_inv in enumerate(self.inverses):
             rows = np.flatnonzero(branch == i)
             if not len(rows):
                 continue
-            preimage[rows], errors = rowwise(g.invert, xs[rows].view(Exact))
+            preimage[rows], errors = rowwise(g_inv, xs[rows].view(Exact))
             for j, exc in errors.items():
                 k = int(rows[j])
                 if not isinstance(exc, HoloifsError):

@@ -191,9 +191,10 @@ class HoloMap:
 
     Each variant is one class that supplies every per-variant rule:
 
-    * ``__call__(z)``, ``deriv(z)`` and ``invert(y)``: value, derivative and
-      preimage, on complex scalars or arrays;
-    * ``inverse()``: the closed-form inverse map, again a family member;
+    * ``__call__(z)`` and ``deriv(z)``: value and derivative, on complex
+      scalars or arrays;
+    * ``inverse()``: the closed-form inverse map, again a family member, and
+      the one inversion rule: a preimage is ``g.inverse()(y)``;
     * ``enclosure_arrays(centers, radii)``: disks certified to contain the
       images of many disks at once;
     * ``taylor(point, order)``: the image of ``point`` and the Taylor
@@ -204,9 +205,6 @@ class HoloMap:
         raise NotImplementedError
 
     def deriv(self, z):
-        raise NotImplementedError
-
-    def invert(self, y):
         raise NotImplementedError
 
     def inverse(self) -> "HoloMap":
@@ -229,11 +227,6 @@ class HoloMap:
         )
         return Disk(complex(centers[0]), float(radii[0]))
 
-    def _verify_roundtrip(self, x, y):
-        if np.any(abs(self(x) - y) > INVERT_RTOL * np.maximum(1.0, abs(y))):
-            raise NotInImage("inversion round-trip failed beyond tolerance")
-        return x
-
 
 @dataclass(frozen=True)
 class Affine(HoloMap):
@@ -255,11 +248,6 @@ class Affine(HoloMap):
         if isinstance(z, np.ndarray):
             return np.full_like(z, self.alpha, dtype=np.complex128)
         return self.alpha
-
-    def invert(self, y):
-        if self.alpha == 0:
-            raise SingularDerivative("constant affine map has no inverse")
-        return (y - self.b) / self.alpha
 
     def inverse(self) -> "Affine":
         if self.alpha == 0:
@@ -303,13 +291,6 @@ class SqrtBranch(HoloMap):
         if np.any(abs(root) < DERIV_FLOOR):
             raise SingularDerivative("derivative of sqrt branch blows up at the branch point")
         return self.sign / (2.0 * root)
-
-    def invert(self, y):
-        # the selected branch only produces values with Re(sign*y) >= 0
-        w = self.sign * y
-        if np.any(w.real < -INVERT_RTOL * np.maximum(1.0, abs(w))):
-            raise NotInImage("value not in the range of this square-root branch")
-        return self._verify_roundtrip(y * y + self.c, y)
 
     def inverse(self) -> "_SqrtBranchInverse":
         return self._inverse
@@ -366,11 +347,6 @@ class Composite(HoloMap):
             z = f(z)
         return total
 
-    def invert(self, y):
-        for f in self.factors:
-            y = f.invert(y)
-        return y
-
     def inverse(self) -> "Composite":
         return Composite(tuple(f.inverse() for f in reversed(self.factors)))
 
@@ -395,14 +371,18 @@ class _SqrtBranchInverse(HoloMap):
 
     branch: SqrtBranch
 
-    def __call__(self, z):
-        return self.branch.invert(z)
+    def __call__(self, y):
+        # the branch only produces values with Re(sign*y) >= 0
+        w = self.branch.sign * y
+        if np.any(w.real < -INVERT_RTOL * np.maximum(1.0, abs(w))):
+            raise NotInImage("value not in the range of this square-root branch")
+        x = y * y + self.branch.c
+        if np.any(abs(self.branch(x) - y) > INVERT_RTOL * np.maximum(1.0, abs(y))):
+            raise NotInImage("inversion round-trip failed beyond tolerance")
+        return x
 
     def deriv(self, z):
         return 2.0 * z
-
-    def invert(self, y):
-        return self.branch(y)
 
     def inverse(self) -> SqrtBranch:
         return self.branch
@@ -417,11 +397,6 @@ class _SqrtBranchInverse(HoloMap):
         if order > 1:
             coeffs[1] = 1.0
         return complex(self(point)), coeffs
-
-
-def inverse_map(m: HoloMap) -> HoloMap:
-    """Closed-form inverse of ``m`` within the variant family."""
-    return m.inverse()
 
 
 def compose_maps(factors) -> HoloMap:

@@ -57,7 +57,6 @@ from .maps import (
     Word,
     compose_maps,
     compose_word,
-    inverse_map,
     map_rows,
     rowwise,
 )
@@ -369,7 +368,7 @@ def build_symmetries(G: SystemNet, F: SystemNet, a, words) -> list:
         out[i] = failed.get(k) or shared
         if out[i] is None:
             walked.append(k)
-    inverses = cache(lambda V: inverse_map(compose_word(F.system, V)))
+    inverses = cache(lambda V: compose_word(F.system, V).inverse())
     germs: dict = {}  # word index -> (H, V)
     for k, letters in zip(walked, _address_prefixes(F, start[walked], abs(lam[walked]), WALK_CAP)):
         i = rows[k]
@@ -464,7 +463,7 @@ def verify_symmetry(
     backward_res = 0.0
     backward_fail = 0
     # one call of the exact kernel: each preimage has the bits of H_inv(complex(y))
-    preimages, errors = rowwise(inverse_map(H), netF.points[selb].view(Exact))
+    preimages, errors = rowwise(H.inverse(), netF.points[selb].view(Exact))
     for exc in errors.values():
         if not isinstance(exc, (NotInImage, DomainError, ValueError)):
             raise exc
@@ -568,7 +567,7 @@ def detect_coincidence(G: SystemNet, F: SystemNet, w: Word, K_max: int = 16) -> 
         vtilde = Word(vq.indices[len(v):], mF)
         l = q - p
         f_v = compose_word(F.system, v)
-        rel = compose_maps((f_v, compose_word(F.system, vtilde), inverse_map(f_v)))
+        rel = compose_maps((f_v, compose_word(F.system, vtilde), f_v.inverse()))
         gwl = compose_word(G.system, w * l)
         z = np.concatenate((Disk(beta, r * sF / 2.0).boundary(GERM_SAMPLES), [beta]))
         residual = float(np.max(np.abs(gwl(z) - rel(z))))
@@ -669,7 +668,7 @@ def _functional_sweep(
     at = np.array([y[classes[i]] for i in rows], dtype=complex).reshape(len(rows), width)
     (lhs, _, lhs_errors), (rhs, _, rhs_errors) = (
         map_rows([compose_maps((word(getattr(germs[i], field)),
-                                inverse_map(word(getattr(germs[classes[i]], field)))))
+                                word(getattr(germs[classes[i]], field)).inverse()))
                   for i in rows], at)
         for field, word in (("word_f", f_word), ("word_g", g_word))
     )

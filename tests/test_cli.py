@@ -296,6 +296,30 @@ def test_config_unknown_field_named(tmp_path, capsys, where, key):
     assert f".{key}: unknown field" in err
 
 
+@pytest.mark.parametrize("label", ["thirds\nverdict = NotShared", "thirds\r", "a\u2028b", "thirds\n"])
+def test_config_label_with_a_line_break_is_refused(tmp_path, capsys, label):
+    # a line break in the label would forge report lines: "verdict = NotShared"
+    # printed above the real verdict
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({**THIRDS, "label": label}), encoding="utf-8")
+    assert cli.main(["shared", str(path), str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {path}.label: expected one line, got {label!r}\n"
+
+
+@pytest.mark.parametrize("command", ["check", "attractor", "spectrum"])
+def test_config_file_stem_with_a_line_break_is_refused(tmp_path, capsys, command):
+    # with no "label" key the label is the file stem, which is checked alike
+    payload = {key: value for key, value in THIRDS.items() if key != "label"}
+    path = tmp_path / "thirds\nvalid = true.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    assert cli.main([command, str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.endswith(".label: expected one line, got 'thirds\\nvalid = true'\n")
+
+
 def test_config_invalid_json_line(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text("{\n  broken\n}", encoding="utf-8")
@@ -399,6 +423,25 @@ def test_config_non_finite_number_named(tmp_path, capsys, base, field, literal):
 def test_unknown_subcommand_exits_two(capsys):
     assert cli.main(["frobnicate"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "flag, argv",
+    [
+        ("--report", ["shared", "{thirds}", "{thirds}", "--report"]),
+        ("--out-csv", ["attractor", "{thirds}", "--out-csv"]),
+        ("--out-pgm", ["attractor", "{thirds}", "--out-pgm"]),
+    ],
+    ids=["report", "out-csv", "out-pgm"],
+)
+def test_unwritable_output_file_is_a_configuration_error(configs, tmp_path, capsys, flag, argv):
+    # exit 1 would read as NotShared; an unwritable file is a usage error
+    target = tmp_path / "missing" / "out"
+    assert cli.main([a.format(**configs) for a in argv] + [str(target)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: {flag}: [Errno 2] No such file or directory")
+    assert err.count("\n") == 1
 
 
 # ---------------------------------------------------------------------------

@@ -766,7 +766,8 @@ def test_walk_raises_off_the_attractor():
 class _ScalarInverse:
     """The one-point step and orbit loop that the batched walk replaced, as the oracle.
 
-    It builds its own KD trees and queries them one point at a time.  A point
+    It builds its own KD trees and queries them one point at a time, and it
+    inverts through the walk's own inverse maps, ``dyn.inverses``.  A point
     takes the first branch that claims it; unless ``overlapping``, no point
     it walks may be claimed by two branches, the invariant that lets the
     batched walk stop at the first claim.
@@ -774,6 +775,7 @@ class _ScalarInverse:
 
     def __init__(self, dyn, overlapping=False):
         self.maps = dyn.system.maps
+        self.inverses = dyn.inverses
         self.claim_radius = dyn.claim_radius
         self.overlapping = overlapping
         images = [g(dyn.net.points) for g in self.maps]
@@ -790,7 +792,7 @@ class _ScalarInverse:
             raise OutsideAttractor(f"no branch claims {x}")
         assert self.overlapping or len(claims) == 1, f"branches {claims} all claim {x}"
         try:
-            return complex(self.maps[claims[0]].invert(x)), claims[0]
+            return complex(self.inverses[claims[0]](x)), claims[0]
         except NotInImage as exc:
             raise OutsideAttractor(f"branch {claims[0]} cannot invert {x}") from exc
 
@@ -918,14 +920,16 @@ def test_a_row_its_branch_cannot_invert_fails_alone(monkeypatch):
     points = prep_points(system, 2, 0)
     planted = complex(points[1])
     _, i = dyn.step(planted)
-    invert = SqrtBranch.invert
+    inverse = dyn.inverses[i]
 
-    def refuse(self, y):
-        if y == planted:
+    def refuse(y):
+        if np.any(y == planted):
             raise NotInImage("planted refusal")
-        return invert(self, y)
+        return inverse(y)
 
-    monkeypatch.setattr(SqrtBranch, "invert", refuse)
+    inverses = list(dyn.inverses)
+    inverses[i] = refuse
+    monkeypatch.setattr(dyn, "inverses", tuple(inverses))
     branch, preimage, failures = dyn.steps(points)
     assert list(failures) == [1] and type(failures[1]) is OutsideAttractor
     assert str(failures[1]) == f"branch {i} cannot invert {planted}"
@@ -940,6 +944,37 @@ def test_a_row_its_branch_cannot_invert_fails_alone(monkeypatch):
     assert str(raised.value.__cause__) == "planted refusal"
     reports = dyn.orbits(points[[0, 2, 3]], 64, 1e-9)
     assert all(rep.is_preperiodic for rep in reports)
+
+
+_ROTATION = cmath.exp(0.7j)
+
+
+@pytest.mark.parametrize(
+    "make, epsilon",
+    [
+        (cantor_thirds, 1e-4),
+        # conjugate by z -> u*z + t: the offsets become complex
+        (lambda: IfsSystem(tuple(Affine(g.alpha, _ROTATION * g.b + (0.3 - 0.2j) * (1 - g.alpha))
+                                 for g in cantor_thirds().maps),
+                           Disk(_ROTATION * 0.5 + (0.3 - 0.2j), 2.0)), 1e-4),
+        # a rotating similarity: complex multipliers
+        (lambda: IfsSystem((Affine(_ROTATION / 3, 0.0), Affine(_ROTATION / 3, 2 / 3)),
+                           Disk(0.5, 2.0)), 1e-4),
+        (lambda: sqrt_julia(-6.0), 1e-3),
+        (lambda: iterate_system(sqrt_julia(-6.0), 2), 1e-3),
+    ],
+    ids=["thirds", "thirds-conjugate", "thirds-rotating", "julia", "julia-square"],
+)
+def test_steps_invert_with_the_branch_inverse_bit_for_bit(make, epsilon):
+    # one inversion rule: a walk's preimage is g.inverse()(x), whatever its batch
+    system = make()
+    dyn = InverseDynamics(system, compute_net(system, epsilon))
+    xs = dyn.net.points
+    branch, preimage, failures = dyn.steps(xs)
+    assert not failures and (branch >= 0).all()
+    want = np.array([complex(system.maps[b].inverse()(complex(x)))
+                     for b, x in zip(branch.tolist(), xs.tolist())])
+    assert preimage.tobytes() == want.tobytes()
 
 
 def test_steps_fail_a_non_finite_row_alone():

@@ -13,7 +13,6 @@ from holoifs.maps import (
     Word,
     compose_maps,
     compose_word,
-    inverse_map,
 )
 from holoifs.systems import cantor_thirds, cantor_thirds_reflected, sqrt_julia
 
@@ -37,18 +36,18 @@ def test_affine_eval_deriv_invert():
     f = Affine(1 / 3, 2 / 3)
     assert f(0.0) == pytest.approx(2 / 3)
     assert f.deriv(1.0 + 1.0j) == pytest.approx(1 / 3)
-    assert f.invert(f(0.25 + 0.5j)) == pytest.approx(0.25 + 0.5j, abs=1e-14)
+    assert f.inverse()(f(0.25 + 0.5j)) == pytest.approx(0.25 + 0.5j, abs=1e-14)
 
 
 def test_sqrt_branch_matches_quadratic_inverse():
     g = SqrtBranch(-6.0, +1)
     assert g(3.0) == pytest.approx(3.0)
     assert g.deriv(3.0) == pytest.approx(1 / 6)
-    assert g.invert(3.0) == pytest.approx(3.0)
+    assert g.inverse()(3.0) == pytest.approx(3.0)
     minus = SqrtBranch(-6.0, -1)
     assert minus(-2.0 + 0j) == pytest.approx(-2.0)
     with pytest.raises(NotInImage):
-        g.invert(-1.0 + 0.0j)
+        g.inverse()(-1.0 + 0.0j)
 
 
 def test_composite_order_is_outermost_first():
@@ -65,15 +64,15 @@ def test_composite_order_is_outermost_first():
         (SqrtBranch(-6.0, +1), Disk(0.0, 4.0)),
         (SqrtBranch(-6.0, -1), Disk(1.0 + 0.5j, 3.0)),
         (Composite((Affine(0.5, 0.1), SqrtBranch(-6.0, +1))), Disk(0.0, 4.0)),
-        (inverse_map(SqrtBranch(-6.0, +1)), Disk(2.5, 0.5)),
-        (inverse_map(Affine(0.4, 0.3)), Disk(0.3, 0.05)),
+        (SqrtBranch(-6.0, +1).inverse(), Disk(2.5, 0.5)),
+        (Affine(0.4, 0.3).inverse(), Disk(0.3, 0.05)),
     ],
 )
 def test_roundtrip_invert_after_eval(m, disk):
     pts = _random_points(disk, 100)
     for z in pts:
         y = m(z)
-        assert abs(m.invert(y) - z) <= 1e-10 * max(1.0, abs(z))
+        assert abs(m.inverse()(y) - z) <= 1e-10 * max(1.0, abs(z))
 
 
 @pytest.mark.parametrize(
@@ -82,7 +81,7 @@ def test_roundtrip_invert_after_eval(m, disk):
         Affine(0.3 + 0.2j, -0.1),
         SqrtBranch(-6.0, +1),
         Composite((Affine(0.5, 0.0), SqrtBranch(-6.0, -1), Affine(0.25, 1.0))),
-        inverse_map(SqrtBranch(-6.0, +1)),
+        SqrtBranch(-6.0, +1).inverse(),
     ],
 )
 def test_chain_rule_against_finite_differences(m):
@@ -156,18 +155,18 @@ def test_affine_simplification_exactness():
 
 def test_inverse_map_closed_forms():
     f = Affine(1 / 3, 2 / 3)
-    finv = inverse_map(f)
+    finv = f.inverse()
     assert isinstance(finv, Affine)
     z = 0.1 + 0.2j
     assert finv(f(z)) == pytest.approx(z, abs=1e-15)
     assert finv.deriv(f(z)) == pytest.approx(3.0)
-    assert finv.invert(z) == pytest.approx(f(z))
+    assert finv.inverse()(z) == pytest.approx(f(z))
 
     g = SqrtBranch(-6.0, +1)
-    assert inverse_map(inverse_map(g)) == g
+    assert g.inverse().inverse() == g
 
     comp = Composite((Affine(0.5, 0.1), SqrtBranch(-6.0, +1)))
-    cinv = inverse_map(comp)
+    cinv = comp.inverse()
     z = 2.0 + 0.1j
     assert cinv(comp(z)) == pytest.approx(z, abs=1e-12)
 
@@ -195,7 +194,7 @@ def test_system_construction_rejects_vanishing_derivative():
     for m, disk in [
         (Affine(0, 0.1), Disk(0.0, 1.0)),
         (compose_maps((Affine(0.1, 0), SqrtBranch(-6.0, +1), Affine(0, 0.5))), Disk(0.0, 1.0)),
-        (inverse_map(SqrtBranch(0.0, +1)), Disk(0.0, 0.5)),
+        (SqrtBranch(0.0, +1).inverse(), Disk(0.0, 0.5)),
     ]:
         with pytest.raises(DomainError, match="derivative vanishes"):
             IfsSystem((m,), disk)
@@ -215,7 +214,7 @@ def test_image_enclosure_contains_sampled_images():
         (Affine(0.4 - 0.2j, 0.3), Disk(0.5, 2.0)),
         (SqrtBranch(-6.0, +1), Disk(0.0, 4.0)),
         (Composite((SqrtBranch(-6.0, -1), Affine(0.5, 1.0))), Disk(0.0, 4.0)),
-        (inverse_map(SqrtBranch(-6.0, +1)), Disk(2.5, 0.7)),
+        (SqrtBranch(-6.0, +1).inverse(), Disk(2.5, 0.7)),
     ]
     for m, disk in cases:
         enc = m.image_enclosure(disk)

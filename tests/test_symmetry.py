@@ -32,7 +32,7 @@ from holoifs import (
 )
 from holoifs.attractor import certify_strong_osc, compute_net
 from holoifs.dynamics import MultiplierSpectrum, fixed_point, prep_points, spectrum
-from holoifs.maps import Affine, Composite, SqrtBranch, compose_maps, compose_word, inverse_map
+from holoifs.maps import Affine, Composite, SqrtBranch, compose_maps, compose_word
 from holoifs.symmetry import (
     BOUNDARY_SAMPLES,
     DERIV_SLACK,
@@ -134,7 +134,7 @@ def test_address_satisfies_word_evaluation(thirds):
     # walking back down the word must reproduce x
     b = complex(x)
     for letter in word.indices:
-        b = system.maps[letter].invert(b)
+        b = system.maps[letter].inverse()(b)
     assert abs(complex(compose_word(system, word)(b)) - x) < 1e-12
 
 
@@ -223,6 +223,8 @@ def _xy(points) -> np.ndarray:
 def _scalar_address_walk(F, x):
     """The one-point address walk the batch replaced: its own trees, one query per point.
 
+    It inverts through the walk's own inverse maps, ``F.dyn.inverses``.
+
     Each point takes the first branch that claims it, and no point it walks
     may be claimed by two branches, the invariant that lets the batched walk
     stop at the first claim.
@@ -239,7 +241,7 @@ def _scalar_address_walk(F, x):
                 raise OutsideAttractor(f"no branch claims {b}")
             assert len(claims) == 1, f"branches {claims} all claim {b}"
             try:
-                b = complex(F.system.maps[claims[0]].invert(b))
+                b = complex(F.dyn.inverses[claims[0]](b))
             except NotInImage as exc:
                 raise OutsideAttractor(f"branch {claims[0]} cannot invert {b}") from exc
             n += 1
@@ -275,7 +277,7 @@ def _scalar_build_symmetry(G, F, a, w):
 def _germ_oracle(systemF, a, w, gw, V, rho, sF):
     """The per-word germ check the array of germs replaced: scalar H(a) and H'(a), one sandwich."""
     r = RADIUS_FRACTION * rho
-    H = compose_maps((inverse_map(compose_word(systemF, V)), gw))
+    H = compose_maps((compose_word(systemF, V).inverse(), gw))
     dH = complex(H.deriv(a))
     if not (sF - DERIV_SLACK <= abs(dH) <= 1.0 + DERIV_SLACK):
         raise GermBoundsError(f"|H'(a)| = {abs(dH):.6e} outside [{sF:.6e}, 1]")
@@ -414,14 +416,14 @@ def test_build_symmetries_keeps_a_word_whose_walk_cannot_invert(thirds, monkeypa
     # in an address failure, for that word only
     words = [Word((0,), 2), Word((1,), 2), Word((0, 0), 2)]
     start = complex(compose_word(thirds.system, words[1])(0.0))
-    invert = Affine.invert
+    inverse = thirds.dyn.inverses[1]
 
-    def refuse(self, y):
-        if y == start:
+    def refuse(y):
+        if np.any(y == start):
             raise NotInImage("planted refusal")
-        return invert(self, y)
+        return inverse(y)
 
-    monkeypatch.setattr(Affine, "invert", refuse)
+    monkeypatch.setattr(thirds.dyn, "inverses", (thirds.dyn.inverses[0], refuse))
     got = build_symmetries(thirds, thirds, 0.0, words)
     assert isinstance(got[0], SymmetryGerm) and isinstance(got[2], SymmetryGerm)
     assert type(got[1]) is AddressFailure
@@ -490,7 +492,7 @@ def _scalar_verify(germ, G, F, n_samples=200, tol=1e-9):
     selb = selb[np.argsort(dist_im[selb], kind="stable")][:n_samples]
     tree = cKDTree(_xy(G.net.points))
     res, fail = 0.0, 0
-    H_inv = inverse_map(H)
+    H_inv = H.inverse()
     for y in F.net.points[selb]:
         try:
             x = complex(H_inv(complex(y)))
@@ -599,7 +601,7 @@ def test_coincidence_multiplier_law(thirds, reflected):
     gwl = compose_word(systemG, Word(rel.source.indices * rel.exponent_l, 2))
     lam_l = complex(gwl.deriv(rel.anchor))
     f_outer = compose_word(systemF, rel.outer)
-    beta_tilde = complex(f_outer.invert(rel.anchor))
+    beta_tilde = complex(f_outer.inverse()(rel.anchor))
     mu = complex(compose_word(systemF, rel.inner).deriv(beta_tilde))
     assert abs(lam_l - mu) < 1e-9
     assert abs(lam_l - 1 / 9) < 1e-12
@@ -668,7 +670,7 @@ def _pairwise_detect_coincidence(G, F, w, K_max=16):
             vtilde = Word(vq.indices[len(v):], mF)
             l = q - p
             f_v = compose_word(F.system, v)
-            rel = compose_maps((f_v, compose_word(F.system, vtilde), inverse_map(f_v)))
+            rel = compose_maps((f_v, compose_word(F.system, vtilde), f_v.inverse()))
             gwl = compose_word(G.system, w * l)
             z = np.concatenate((Disk(beta, r * sF / 2.0).boundary(GERM_SAMPLES), [beta]))
             residual = float(np.max(np.abs(gwl(z) - rel(z))))
@@ -918,9 +920,9 @@ def test_functional_sweep_residuals_match_a_germ_by_germ_evaluation(pair):
         samples = holoifs.symmetry._subsample(inside, budgets.eq_samples)
         y = compose_word(G.system, e.rep_word_g)(samples)
         lhs = compose_maps((compose_word(F.system, e.word_f),
-                            inverse_map(compose_word(F.system, e.rep_word_f))))
+                            compose_word(F.system, e.rep_word_f).inverse()))
         rhs = compose_maps((compose_word(G.system, e.word_g),
-                            inverse_map(compose_word(G.system, e.rep_word_g))))
+                            compose_word(G.system, e.rep_word_g).inverse()))
         assert e.residual == float(np.max(np.abs(lhs(y) - rhs(y)))) and e.note == ""
         checked += 1
     assert checked == len(entries) > 0
