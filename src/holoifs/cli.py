@@ -114,6 +114,8 @@ def _parse_map(record, where: str) -> HoloMap:
 
 def load_system(path: str) -> tuple[IfsSystem, str]:
     """Parse a system config file; returns the system and its display label."""
+    if path.splitlines() not in ([], [path]):  # every error below names the path
+        raise ConfigError(f"{path!r}: a config path must be one line")
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:

@@ -29,7 +29,7 @@ from holoifs.attractor import (
 )
 from holoifs.errors import BudgetExceeded, DomainError, SeparationFailure
 from holoifs.geometry import hyp_ball_inradius, pseudo_hyperbolic
-from holoifs.maps import Affine, Disk, IfsSystem, SqrtBranch
+from holoifs.maps import Affine, Composite, Disk, IfsSystem, SqrtBranch
 from holoifs.systems import cantor_thirds, cantor_thirds_reflected, iterate_system, sqrt_julia
 
 EPS = 1e-3
@@ -473,24 +473,34 @@ def _net_outcome(build, system, epsilon, point_cap):
     return net.depth, net.points.tobytes()
 
 
+def _spy_walks(mp):
+    """The frozen-block flags of each walk of ``compute_net``, as a list that fills up."""
+    walks = []
+    frozen_blocks = holoifs.attractor._frozen_blocks
+
+    def spy(*args):
+        walks.append(frozen_blocks(*args))
+        return walks[-1]
+
+    mp.setattr(holoifs.attractor, "_frozen_blocks", spy)
+    return walks
+
+
+def _frozen(walks):
+    return sum(int(frozen.sum()) for frozen in walks)
+
+
 def _assert_matches_level_by_level(system, epsilon, point_cap=POINT_CAP, block=8):
     """Depth-first ``compute_net`` with ``block``-cylinder levels equals the oracle.
 
-    Returns whether the depth-first walk ran.
+    Returns the frozen-block flags of each walk, none if no walk ran.
     """
     expected = _net_outcome(_level_by_level_net, system, epsilon, point_cap)
-    walks = []
-
-    def spy(*args):
-        walks.append(args)
-        return depth_first(*args)
-
-    depth_first = holoifs.attractor._depth_first_net
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(holoifs.attractor, "NET_BLOCK", block)
-        mp.setattr(holoifs.attractor, "_depth_first_net", spy)
+        walks = _spy_walks(mp)
         assert _net_outcome(compute_net, system, epsilon, point_cap) == expected
-    return bool(walks)
+    return walks
 
 
 @pytest.mark.parametrize("eps", [1e-2, 1e-3, 1e-4])
@@ -537,12 +547,18 @@ def test_depth_first_branch_cut_matches_level_by_level(c, eps, block):
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(st.data())
 def test_depth_first_net_matches_level_by_level_on_random_affine_systems(data):
+    # real systems on a real centre take the real-axis rule of _frozen_blocks
+    real = data.draw(st.booleans(), label="real")
     maps = []
     for _ in range(data.draw(st.integers(2, 4), label="maps")):
         ratio = data.draw(st.floats(0.05, 0.5))
-        angle = data.draw(st.floats(0.0, 2 * math.pi))
-        shift = complex(data.draw(st.floats(-1.0, 1.0)), data.draw(st.floats(-1.0, 1.0)))
-        maps.append(Affine(ratio * cmath.exp(1j * angle), shift))
+        if real:
+            alpha = ratio * data.draw(st.sampled_from([1.0, -1.0]))
+            shift = complex(data.draw(st.floats(-1.0, 1.0)))
+        else:
+            alpha = ratio * cmath.exp(1j * data.draw(st.floats(0.0, 2 * math.pi)))
+            shift = complex(data.draw(st.floats(-1.0, 1.0)), data.draw(st.floats(-1.0, 1.0)))
+        maps.append(Affine(alpha, shift))
     least = max(abs(g.b) / (1.0 - abs(g.alpha)) for g in maps)
     system = IfsSystem(tuple(maps), Disk(0.0, least + 0.1))
     eps = data.draw(st.floats(1e-3, 0.5), label="eps") * system.domain.radius
@@ -550,11 +566,108 @@ def test_depth_first_net_matches_level_by_level_on_random_affine_systems(data):
     _assert_matches_level_by_level(system, eps, point_cap=2**14)
 
 
+def _nonuniform(t=0j):
+    """{0.5z, 0.05z + 0.95} conjugated by ``z -> z + t``: its attractor is ``t + [0, 1]``."""
+    return IfsSystem((Affine(0.5, 0.5 * t), Affine(0.05, 0.95 + 0.95 * t)), Disk(0.5 + t, 2.0))
+
+
+@pytest.mark.parametrize("block", [8, holoifs.attractor.NET_BLOCK])
+@pytest.mark.parametrize("eps", [1e-3, 1e-4])
+@pytest.mark.parametrize(
+    "shift",
+    [0.0, 0.3, 3j, 0.2608171825055785 + 0.07907681980551806j],
+    ids=["im-0", "real-shift", "grid-line", "off-grid"],
+)
+def test_frozen_walk_matches_level_by_level_on_grid_lines(shift, eps, block):
+    # "grid-line" puts the attractor on Im z = 3*eps/4, a line of the grid of
+    # cell eps/4, where rounding sends each centre to one side or the other;
+    # only the real systems (im-0, real-shift) take the real-axis rule
+    t = shift * eps / 4 if shift == 3j else shift
+    walks = _assert_matches_level_by_level(_nonuniform(t), eps, block=block)
+    if block == 8:  # at NET_BLOCK few levels lie below the base
+        assert (_frozen(walks) > 0) == (shift != 3j)
+
+
+@pytest.mark.parametrize("point_cap", [2**13 - 1, 2**13, 2**16])
+def test_frozen_walk_budget_matches_level_by_level(point_cap):
+    # the net of eps = 1e-3 has depth 13: a cap one short of its level fails
+    walks = _assert_matches_level_by_level(_nonuniform(), 1e-3, point_cap=point_cap)
+    assert walks
+    if point_cap >= 2**13:
+        assert _frozen(walks) > 0
+
+
+def test_frozen_blocks_engage_on_the_nonuniform_system(monkeypatch):
+    # a silent fallback to the full walk would keep every byte and fail here
+    walks = _spy_walks(monkeypatch)
+    net = compute_net(_nonuniform(), 1e-6)
+    assert (net.depth, len(net)) == (23, 1864)
+    (frozen,) = walks
+    assert frozen.mean() >= 0.8
+
+
+@pytest.mark.parametrize(
+    "system, eps",
+    [(sqrt_julia(-6.0 + 0.5j), 1e-6), (iterate_system(sqrt_julia(-6.0 + 0.5j), 2), 1e-5)],
+    ids=["julia-complex", "julia-complex-squared"],
+)
+def test_frozen_walk_matches_level_by_level_on_julia_sets(system, eps):
+    assert _frozen(_assert_matches_level_by_level(system, eps)) > 0
+
+
+def test_julia_set_on_a_grid_line_does_not_freeze():
+    # sqrt_julia(-6)'s attractor lies on the grid line Im z = 0, and its maps
+    # are not affine, so the real-axis rule does not hold
+    walks = _assert_matches_level_by_level(sqrt_julia(-6.0), 1e-6)
+    assert walks and _frozen(walks) == 0
+
+
+@pytest.mark.parametrize("eps", [1e-8, 1e-9])
+@pytest.mark.parametrize(
+    "system",
+    [sqrt_julia(-6.0), iterate_system(sqrt_julia(-6.0), 2), sqrt_julia(-6.7), sqrt_julia(-6.0 + 0.5j)],
+    ids=["julia", "julia-squared", "julia-6.7", "julia-complex"],
+)
+def test_beam_walks_once(monkeypatch, system, eps):
+    # the greedy chain (largest child of the largest cylinder) stopped a
+    # level short on these and walked every block twice
+    walks = _spy_walks(monkeypatch)
+    compute_net(system, eps)
+    assert len(walks) == 1
+
+
+def _variant_maps():
+    branch = SqrtBranch(-6.0 + 0.5j, -1)
+    return [
+        Affine(0.3 + 0.4j, 0.1 - 0.2j),
+        Affine(0.5, 0.0),
+        SqrtBranch(-6.0, 1),
+        branch,
+        branch.inverse(),
+        Composite((SqrtBranch(-6.0, 1), Affine(0.5, 0.25j), SqrtBranch(-6.0, -1))),
+    ]
+
+
+@pytest.mark.parametrize("g", _variant_maps(), ids=["affine", "affine-real", "sqrt", "sqrt-complex", "square", "composite"])
+def test_enclosure_of_a_row_has_the_bits_of_the_whole_array(g):
+    # the premise of carrying one row of a frozen subtree: numpy's loops may
+    # treat an array's head, body and tail differently, and must not round
+    # them differently
+    rng = np.random.default_rng(7)
+    for n in [1, 2, 3, 5, 7, 8, 9, 15, 16, 17, 31, 33, 64, 100, 1001, 4096]:
+        centers = 0.3 + 0.5 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        radii = rng.uniform(0.0, 0.1, n)
+        whole = g.enclosure_arrays(centers, radii)
+        for k in range(n):
+            row = g.enclosure_arrays(centers[k : k + 1], radii[k : k + 1])
+            assert row[0].tobytes() == whole[0][k : k + 1].tobytes()
+            assert row[1].tobytes() == whole[1][k : k + 1].tobytes()
+
+
 def test_nonuniform_net_memory():
-    system = IfsSystem((Affine(0.5, 0.0), Affine(0.05, 0.95)), Disk(0.5, 2.0))
     tracemalloc.start()
     try:
-        net = compute_net(system, 1e-6)
+        net = compute_net(_nonuniform(), 1e-6)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -310,14 +310,18 @@ def test_config_label_with_a_line_break_is_refused(tmp_path, capsys, label):
 
 @pytest.mark.parametrize("command", ["check", "attractor", "spectrum"])
 def test_config_file_stem_with_a_line_break_is_refused(tmp_path, capsys, command):
-    # with no "label" key the label is the file stem, which is checked alike
+    # with no "label" key the label would be the file stem; the path is
+    # refused first, so the error that names it is one line, not a forged
+    # "valid = true.json..." line under it
     payload = {key: value for key, value in THIRDS.items() if key != "label"}
-    path = tmp_path / "thirds\nvalid = true.json"
-    path.write_text(json.dumps(payload), encoding="utf-8")
-    assert cli.main([command, str(path)]) == 2
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert err.startswith("error: ") and err.endswith(".label: expected one line, got 'thirds\\nvalid = true'\n")
+    for stem in ["thirds\nvalid = true", "thirds\r", "a\u2028b"]:
+        path = tmp_path / f"{stem}.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        assert cli.main([command, str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {str(path)!r}: a config path must be one line\n"
+        assert len(err.splitlines()) == 1
 
 
 def test_config_invalid_json_line(tmp_path, capsys):
