@@ -34,13 +34,6 @@ NET_BLOCK = 2**12
 #: cylinders per level that bound a level's largest radius from below
 NET_BEAM = 8
 
-#: radii, as fractions of the domain's, on which :func:`_invariant_radius`
-#: looks for an invariant disk: steps of 2**(1/32) from 1 down to 2**-16
-INVARIANT_LADDER = 2.0 ** (-np.arange(513) / 32)
-
-#: relative margin by which the enclosures of an invariant disk lie inside it
-INVARIANT_MARGIN = 1e-9
-
 #: rounding allowance of a frozen block's chain disk, per enclosure step, as a
 #: fraction of ``|c0| + R`` (see :func:`_frozen_blocks`)
 ROUNDING_PAD = 2.0**-40
@@ -199,11 +192,16 @@ def compute_net(system: IfsSystem, epsilon: float, point_cap: int = POINT_CAP) -
     in blocks of it (:func:`_blocks`), and only the run starts of the last
     level's blocks are kept (:func:`_depth_first_net`), so memory stays near
     one block per level.  A last-level block whose cylinders provably share
-    one grid cell is frozen: the chain of enclosures of an invariant disk
-    about the domain centre holds every one of its centres, and when that
-    disk lies in one cell only the block's first row is computed
-    (:func:`_frozen_blocks`).  Depth, points and their order are those of
-    whole levels, and ``point_cap`` still limits the cylinders of each level.
+    one grid cell is frozen, and only its first row is computed
+    (:func:`_frozen_blocks`).  Enclosures are monotone and every base
+    cylinder lies in the base level's bounding disk ``B``, so the block's
+    chain disk ``E_u(B)`` holds all its cylinders; when that disk, padded
+    for rounding, lies in one cell, the first row is the block's only run
+    start.  The pad's bound needs every map to send the domain into itself
+    and ``B`` to lie in the domain, else nothing freezes.  On real affine
+    systems with a real base level the imaginary axis is exactly +-0 and is
+    not tested.  Depth, points and their order are those of whole levels,
+    and ``point_cap`` still limits the cylinders of each level.
     """
     if not (math.isfinite(epsilon) and epsilon > 0):
         raise ValueError(f"epsilon must be finite and positive, got {epsilon!r}")
@@ -220,125 +218,99 @@ def compute_net(system: IfsSystem, epsilon: float, point_cap: int = POINT_CAP) -
 
 def _blocks(system: IfsSystem, centers: np.ndarray, radii: np.ndarray, depth: int,
             frozen: np.ndarray, place: int = 0, value: int = 1):
-    """Yield ``(places, centers, radii)`` for the blocks ``depth`` levels down.
+    """Yield ``(place, centers, radii)`` for the unfrozen blocks ``depth`` levels down.
 
     Block ``(a_1 .. a_j)`` is ``E_a1(..(E_aj(base)))``.  Its place in the
     whole level is the base-``m`` number ``a_1 .. a_j``, outer letter most
     significant as in :func:`_refine_level`, so the map applied ``s``-th
     has place value ``m**s``; a subtree's places start at ``place`` in steps
-    of ``value``.  Depth first: one block per level is alive.
-
-    ``frozen`` flags the subtree's blocks by place.  A block comes alone,
-    with one place, unless its subtree's blocks are all frozen.  Such a
-    subtree comes at once, as the first row of each of its blocks, one
-    place per row, refined from the subtree's first row alone.  Enclosures
-    are elementwise, so a one-row slice gets the bits of that row of the
-    whole array.
+    of ``value``.  Depth first: one block per level is alive.  ``frozen``
+    flags the subtree's blocks by place; a subtree of frozen blocks is not
+    refined.
     """
     if frozen.all():
-        c, r = centers[:1], radii[:1]
-        for _ in range(depth):
-            c, r = _refine_level(system, c, r)
-        yield place + value * np.arange(len(c)), c, r
-    elif depth == 0:
-        yield np.array([place]), centers, radii
-    else:
-        m = len(system.maps)
-        for a, g in enumerate(system.maps):
-            children = g.enclosure_arrays(centers, radii)
-            yield from _blocks(system, *children, depth - 1, frozen[a::m], place + a * value, value * m)
+        return
+    if depth == 0:
+        yield place, centers, radii
+        return
+    m = len(system.maps)
+    for a, g in enumerate(system.maps):
+        children = g.enclosure_arrays(centers, radii)
+        yield from _blocks(system, *children, depth - 1, frozen[a::m], place + a * value, value * m)
 
 
-def _invariant_radius(system: IfsSystem) -> float | None:
-    """Radius of the least invariant disk ``K = B(c0, rho)`` about the domain centre ``c0``.
-
-    ``rho`` runs over ``R * INVARIANT_LADDER``; a disk is invariant when
-    every map's enclosure of it lies inside it by the relative margin
-    ``INVARIANT_MARGIN``.  Returns None unless the domain ``D = B(c0, R)``
-    itself is invariant.  An enclosure holds the true image, so every map
-    sends ``K`` into itself, and ``K`` holds ``c0`` and the attractor.
-    """
-    c0, radius = system.domain.center, system.domain.radius
-    rho = radius * INVARIANT_LADDER
-    inside = np.ones(len(rho), dtype=bool)
-    try:
-        with np.errstate(all="ignore"):
-            for g in system.maps:
-                c, r = g.enclosure_arrays(np.full(len(rho), c0, dtype=np.complex128), rho)
-                inside &= np.abs(c - c0) + r <= rho * (1.0 - INVARIANT_MARGIN)
-    except DomainError:
-        return None
-    return float(rho[inside][-1]) if inside[0] else None
-
-
-def _frozen_blocks(system: IfsSystem, rho: float | None, target: float, base_depth: int,
-                   depth: int) -> np.ndarray:
+def _frozen_blocks(system: IfsSystem, centers: np.ndarray, radii: np.ndarray, target: float,
+                   depth: int) -> tuple[np.ndarray, np.ndarray]:
     """Flag, by place, the blocks ``depth`` levels below the base whose cylinders share a grid cell.
 
-    Precondition: the domain ``D = B(c0, R)`` is invariant with the margin of
-    :func:`_invariant_radius` (``rho`` is not None); else nothing is frozen.
-    Every variant's enclosure is centred at the image of the disk's centre
-    and is monotone: a disk inside another has its enclosure inside the
-    other's.  So a base cylinder ``E_v(D)`` is centred at ``g_v(c0)``, a
-    point of the invariant disk ``K = B(c0, rho)``, every leaf (last-level
-    cylinder) of block ``u`` is centred in the chain disk ``E_u(K)``, and its
-    radius is at most that of ``E_u(D)``.  A block is frozen when
+    Returns the flags and each block's first leaf (last-level cylinder)
+    centre.  One chain of enclosures is refined ``depth`` times from two
+    rows: the bounding disk ``B`` of the base level, and the base level's
+    first cylinder.  Block ``u`` gets the chain disk ``E_u(B)`` and
+    ``E_u(base[0])``, which has the bits of the walk's first row of the
+    block, since enclosures are elementwise.
 
-    * its ``E_u(K)``, padded for rounding, lies in one grid cell on each
-      axis, so every leaf is in the first leaf's cell and only the first row
-      is a run start;
-    * its ``E_u(K)`` radius is at most ``target/2``;
-    * its ``E_u(D)`` radius is at most ``target``, so its leaves never decide
-      whether the level is the last or where the walk restarts;
-    * neither chain raised (the branch-cut test of a square-root map), so no
-      cylinder above a leaf meets a cut either.
+    Every variant's enclosure is monotone: a disk inside another has its
+    enclosure inside the other's.  Every base cylinder lies in ``B``, so
+    every leaf of block ``u`` lies in ``E_u(B)``.  A block is frozen when
+    its ``E_u(B)``, padded for rounding, lies in one grid cell on each axis:
+    every leaf is then in the first leaf's cell, so the first row is the
+    block's only run start.  A disk inside a cell of side ``target`` has
+    radius below ``target/2``, and so has each leaf, so a frozen block never
+    decides whether the level is the last or where the walk restarts.  If
+    the chain raised (the branch-cut test of a square-root map), nothing is
+    frozen; else no cylinder above a leaf meets a cut either.
 
     The pad: an enclosure step rounds a centre by a few units in the last
-    place of the moduli it meets, at most ``|c0| + R`` inside ``D``.  A map's
-    Lipschitz bound on ``D``, its enclosure radius of ``D`` over ``R``, is at
-    most 1 by the precondition, so an error carried into a step does not
-    grow.  A leaf takes ``base_depth + depth`` steps and the chain ``depth``;
-    ``ROUNDING_PAD * (|c0| + R)`` for each of them, and one more for the
-    cell bounds, leaves thousands of units to spare for both centres and the
-    chain radius.  The margin of the precondition, 1e-9 of each radius,
-    covers the rounding of the leaf radii against ``E_u(D)``.
+    place of the moduli it meets.  Nothing is frozen unless every map's
+    enclosure of the domain ``D = B(c0, R)`` lies inside ``D`` and ``B``
+    lies inside ``D``.  Those moduli are then at most ``|c0| + R``, and a
+    map's Lipschitz bound on ``D``, its enclosure radius of ``D`` over
+    ``R``, is at most 1, so an error carried into a step does not grow.  A
+    leaf takes ``depth`` steps from its base cylinder as computed, which
+    ``B`` holds, and the chain ``depth`` steps from ``B``; ``ROUNDING_PAD *
+    (|c0| + R)`` for each step, one more for ``B`` and one for the cell
+    bounds, leaves thousands of units to spare.
 
-    Real axis: when ``c0`` and the coefficients of every map, all ``Affine``,
-    are real, every centre's imaginary part is exactly +-0.  In
-    ``alpha*z + b``, the imaginary part of the product is
-    ``Re(alpha)*Im(z) + Im(alpha)*Re(z)``, and each product has an exact zero
-    factor (``Im(z)`` by induction, ``Im(alpha)`` by assumption), so it is
-    +-0, and adding ``Im(b) = 0`` keeps +-0.  Every imaginary cell key is
-    then 0, so that axis takes no pad and no test; without this an
-    attractor on the grid line ``Im z = 0`` would never freeze.
+    Real axis: when every base centre and the coefficients of every map,
+    all ``Affine``, are real, every leaf's imaginary part is exactly +-0.
+    In ``alpha*z + b``, the imaginary part of the product is
+    ``Re(alpha)*Im(z) + Im(alpha)*Re(z)``, and each product has an exact
+    zero factor (``Im(z)`` by induction, ``Im(alpha)`` by assumption), so it
+    is +-0, and adding ``Im(b) = 0`` keeps +-0.  Every imaginary cell key is
+    then 0, so that axis is not tested; without this an attractor on the
+    grid line ``Im z = 0`` would never freeze.  A real centre of ``B`` is
+    not enough: base centres at ``x + iy`` and ``x - iy`` give one.
     """
     m = len(system.maps)
-    frozen = np.zeros(m**depth, dtype=bool)
-    if rho is None:
-        return frozen
+    frozen, first = np.zeros(m**depth, dtype=bool), np.zeros(m**depth, dtype=np.complex128)
     c0, radius = system.domain.center, system.domain.radius
-    centers = np.array([c0, c0], dtype=np.complex128)
-    radii = np.array([rho, radius], dtype=np.float64)
     try:
         with np.errstate(all="ignore"):
+            bound = _bounding_disk(centers, float(np.max(radii)))
+            dc, dr = _refine_level(system, np.array([c0]), np.array([radius]))
+            if not (np.all(np.abs(dc - c0) + dr <= radius)
+                    and abs(bound.center - c0) + bound.radius <= radius):
+                return frozen, first
+            chain = np.array([bound.center, centers[0]]), np.array([bound.radius, radii[0]])
             for _ in range(depth):
-                centers, radii = _refine_level(system, centers, radii)
-    except DomainError:
-        return frozen
-    kc, kr, dr = centers[0::2], radii[0::2], radii[1::2]
-    pad = kr + ROUNDING_PAD * (abs(c0) + radius) * (base_depth + 2 * depth + 1)
+                chain = _refine_level(system, *chain)
+    except (DomainError, ValueError):  # a cut, or a base level with no finite B
+        return frozen, first
+    kc, kr = chain[0][0::2], chain[1][0::2]
+    pad = kr + ROUNDING_PAD * (abs(c0) + radius) * 2 * (depth + 1)
 
     def one_cell(x):
         return np.floor((x - pad) / target) == np.floor((x + pad) / target)
 
-    real = c0.imag == 0 and all(
+    real = not centers.imag.any() and all(
         isinstance(g, Affine) and g.alpha.imag == 0 and g.b.imag == 0 for g in system.maps
     )
     with np.errstate(all="ignore"):
-        frozen = (kr <= target / 2) & (dr <= target) & one_cell(kc.real)
+        frozen = one_cell(kc.real)
         if not real:
             frozen &= one_cell(kc.imag)
-    return frozen
+    return frozen, chain[0][1::2]
 
 
 def _depth_first_net(system, epsilon, point_cap, centers, radii, base_depth) -> AttractorNet:
@@ -356,13 +328,12 @@ def _depth_first_net(system, epsilon, point_cap, centers, radii, base_depth) -> 
     deeper.  Of the last level only each block's run starts are kept: in
     level order they hold every first occurrence of a grid cell, so
     :func:`_grid_dedup` of them is that of the whole level.  A frozen block
-    (:func:`_frozen_blocks`) carries one row, its only run start, and its
-    radii are at most ``epsilon/4``, so they never decide the largest radius
-    of a level that is not the last.
+    (:func:`_frozen_blocks`) is not walked: the chain gives its first row,
+    its only run start, and its radii are below ``epsilon/8``, so they never
+    decide the largest radius of a level that is not the last.
     """
     target = epsilon / 4.0
     m, n = len(system.maps), len(centers)
-    rho = _invariant_radius(system)
     beam = np.argsort(radii)[-NET_BEAM:]
     c, r = centers[beam], radii[beam]
     depth = 0
@@ -372,22 +343,17 @@ def _depth_first_net(system, epsilon, point_cap, centers, radii, base_depth) -> 
             beam = np.argsort(r)[-NET_BEAM:]
             c, r = c[beam], r[beam]
             depth += 1
-        frozen = _frozen_blocks(system, rho, target, base_depth, depth)
-        rows, keys = [], []
+        frozen, first = _frozen_blocks(system, centers, radii, target, depth)
+        kept = list(first[:, None])  # each block's run starts, by place
         level_max = -np.inf
-        for places, bc, br in _blocks(system, centers, radii, depth, frozen):
-            if len(places) == 1:  # one block, frozen or not
-                i = int(np.argmax(br))  # a NaN radius, if any, as np.max finds it
-                level_max = np.maximum(level_max, br[i])
-                if br[i] == level_max:
-                    c, r = bc[i : i + 1], br[i : i + 1]
-                bc = _run_starts(bc, target)
-                places = places.repeat(len(bc))
-            rows.append(bc)
-            keys.append(places)
+        for place, bc, br in _blocks(system, centers, radii, depth, frozen):
+            i = int(np.argmax(br))  # a NaN radius, if any, as np.max finds it
+            level_max = np.maximum(level_max, br[i])
+            if br[i] == level_max:
+                c, r = bc[i : i + 1], br[i : i + 1]
+            kept[place] = _run_starts(bc, target)
         if not level_max > target:
-            kept = np.concatenate(rows)[np.argsort(np.concatenate(keys), kind="stable")]
-            return AttractorNet(_grid_dedup(kept, target), epsilon, base_depth + depth)
+            return AttractorNet(_grid_dedup(np.concatenate(kept), target), epsilon, base_depth + depth)
         _check_budget(n * m ** (depth + 1), point_cap, base_depth + depth)
 
 

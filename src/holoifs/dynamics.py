@@ -37,7 +37,6 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
@@ -299,21 +298,18 @@ def check_word_budget(
     system: IfsSystem,
     max_len: int = 0,
     max_word: int = 0,
-    max_prefix: int = 0,
     word_cap: int = WORD_CAP,
 ) -> None:
     """Raise :class:`BudgetExceeded` before any work that would pass ``word_cap``.
 
-    ``max_len`` is the word length of :func:`spectrum`; ``max_word`` and
-    ``max_prefix`` are those of :func:`prep_points`.  A zero skips that test.
+    ``max_len`` is the word length of :func:`spectrum` and ``max_word`` that
+    of :func:`prep_points`.  A zero skips that test.
     """
     m = len(system.maps)
     total = sum(m**k for k in range(1, max_len + 1))
     if total > word_cap:
         raise BudgetExceeded(f"{total} words exceed the cap {word_cap}")
-    n_words = sum(m**k for k in range(1, max_word + 1))
-    n_prefix = sum(m**k for k in range(0, max_prefix + 1))
-    if n_words * n_prefix > word_cap:
+    if sum(m**k for k in range(1, max_word + 1)) > word_cap:
         raise BudgetExceeded("preperiodic enumeration exceeds the word cap")
 
 
@@ -477,23 +473,10 @@ class InverseDynamics:
         return self.orbits([x], max_iter, tol)[0]
 
 
-def prep_points(system: IfsSystem, max_word: int, max_prefix: int) -> np.ndarray:
-    """Periodic points and their forward images, deduplicated.
-
-    Enumerates the fixed points of every word up to ``max_word`` and applies
-    every word map up to ``max_prefix`` (including the identity) to them.
-    """
-    check_word_budget(system, max_word=max_word, max_prefix=max_prefix)
-    m = len(system.maps)
+def prep_points(system: IfsSystem, max_word: int) -> np.ndarray:
+    """The periodic orbits of every word up to ``max_word``, deduplicated and sorted."""
+    check_word_budget(system, max_word=max_word)
     orbits = [x for pp in periodic_points(system, max_word) for x in pp.orbit(system)]
-    base = np.array(orbits, dtype=np.complex128)
-
-    chunks = [base]
-    for length in range(1, max_prefix + 1):
-        for w in product(range(m), repeat=length):
-            gw = compose_word(system, Word(w, m))
-            chunks.append(gw(base))
-    pts = np.concatenate(chunks)
-
+    pts = np.array(orbits, dtype=np.complex128)
     keys = (np.round(pts.real / PREP_DEDUP_TOL), np.round(pts.imag / PREP_DEDUP_TOL))
     return np.sort_complex(pts[first_per_key(*keys)])

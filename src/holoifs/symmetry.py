@@ -599,7 +599,7 @@ def spectrum_compat(specG, specF, l_max: int, tol: float = 1e-9):
 
 
 def _prep_check(source: IfsSystem, target_dyn: InverseDynamics, budgets: Budgets):
-    points = prep_points(source, budgets.prep_max_word, 0)
+    points = prep_points(source, budgets.prep_max_word)
     # the recurrence test scales with the points, as their rounding does, so a
     # translated pair passes alike
     tol = 1e-9 * max(1.0, float(np.max(np.abs(points), initial=0.0)))
@@ -640,20 +640,20 @@ def _functional_sweep(
     netG = G.net
     mG = len(G.system.maps)
     words = [Word(t, mG) for t in product(range(mG), repeat=M)]
-    cover: dict = {}  # disk -> the net point nearest its centre, and its samples
+    n = len(words)
+    # germ i is word i % n at the i // n-th covered disk
+    cover: dict = {}  # disk -> the net point nearest its centre, its samples, its first germ
     for d, disk in enumerate(disks):
         dist = np.abs(netG.points - disk.center)
         inside = np.nonzero(dist <= disk.radius)[0]
         if len(inside):
             anchor = complex(netG.points[inside[np.argmin(dist[inside])]])
-            cover[d] = (anchor, _subsample(netG.points[inside], budgets.eq_samples))
-    # germ i is word i % len(words) at the i // len(words)-th covered disk
-    n = len(words)
-    covered, samples = list(cover), [s for _, s in cover.values()]
-    bases = np.repeat([anchor for anchor, _ in cover.values()], n).tolist()
+            cover[d] = (anchor, _subsample(netG.points[inside], budgets.eq_samples), len(cover) * n)
+    samples = [s for _, s, _ in cover.values()]
+    bases = np.repeat([anchor for anchor, _, _ in cover.values()], n).tolist()
     built = build_symmetries(G, F, bases, words * len(cover))
     germs = [None if isinstance(g, Exception) else g for g in built]
-    classes = _germ_classes(germs, bases, r, np.repeat(covered, n).tolist())
+    classes = _germ_classes(germs, bases, r, np.repeat(list(cover), n).tolist())
     reps = [i for i, c in enumerate(classes) if c == i]
     width = max(map(len, samples), default=0)
     # each word's map is composed once per sweep
@@ -680,7 +680,7 @@ def _functional_sweep(
                                    math.inf, False, "empty cover disk")
             )
             continue
-        start = covered.index(d) * n
+        start = cover[d][2]
         for i, tw in enumerate(words, start):
             outcome, c, j = built[i], classes[i], rows.get(i)
             if isinstance(outcome, GERM_REJECTIONS):

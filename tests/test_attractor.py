@@ -24,8 +24,10 @@ from holoifs.attractor import (
     hausdorff,
     hutchinson_defect,
     rho_radius,
+    _blocks,
     _grid_dedup,
     _refine_level,
+    _run_starts,
 )
 from holoifs.errors import BudgetExceeded, DomainError, SeparationFailure
 from holoifs.geometry import hyp_ball_inradius, pseudo_hyperbolic
@@ -479,8 +481,9 @@ def _spy_walks(mp):
     frozen_blocks = holoifs.attractor._frozen_blocks
 
     def spy(*args):
-        walks.append(frozen_blocks(*args))
-        return walks[-1]
+        frozen, first = frozen_blocks(*args)
+        walks.append(frozen)
+        return frozen, first
 
     mp.setattr(holoifs.attractor, "_frozen_blocks", spy)
     return walks
@@ -620,6 +623,82 @@ def test_julia_set_on_a_grid_line_does_not_freeze():
     # are not affine, so the real-axis rule does not hold
     walks = _assert_matches_level_by_level(sqrt_julia(-6.0), 1e-6)
     assert walks and _frozen(walks) == 0
+
+
+def test_frozen_walk_needs_the_domain_enclosures_inside_the_domain():
+    # the maps send Disk(0, 5.3) into itself, but their enclosures of it
+    # reach out, so the rounding pad has no bound and nothing freezes; on
+    # Disk(0, 5), as sqrt_julia(-6 + 0.5j), the same maps freeze blocks
+    c = -6.0 + 0.5j
+    walks = {}
+    for radius in (5.0, 5.3):
+        system = IfsSystem((SqrtBranch(c, 1), SqrtBranch(c, -1)), Disk(0.0, radius))
+        dc, dr = _refine_level(system, np.zeros(1, dtype=complex), np.full(1, radius))
+        assert (np.max(np.abs(dc) + dr) > radius) == (radius == 5.3)
+        walks[radius] = _assert_matches_level_by_level(system, 1e-6)
+    assert _frozen(walks[5.3]) == 0 < _frozen(walks[5.0])
+
+
+def _triangle(radius):
+    """Maps towards the cube roots of unity ``v_k``: ``0.3z + 0.7v_0`` and ``0.05z + 0.95v_k``.
+
+    Each map fixes its ``v_k``, so every radius above 1 gives a domain that
+    each map, and its enclosure, sends into itself.  At ``NET_BLOCK`` 8 the
+    base level is the first, and its bounding disk, centred at about 0.11,
+    reaches 1.45 from 0.
+    """
+    v = [cmath.exp(2j * math.pi * k / 3) for k in range(3)]
+    maps = tuple(Affine(a, (1 - a) * vk) for a, vk in zip((0.3, 0.05, 0.05), v))
+    return IfsSystem(maps, Disk(0.0, radius))
+
+
+@pytest.mark.parametrize("eps", [1e-2, 1e-3])
+def test_frozen_walk_needs_the_bounding_disk_inside_the_domain(eps):
+    assert _frozen(_assert_matches_level_by_level(_triangle(1.1), eps)) == 0
+    assert _frozen(_assert_matches_level_by_level(_triangle(2.0), eps)) > 0
+
+
+@pytest.mark.parametrize("eps", [1e-2, 1e-3])
+def test_real_maps_on_a_centre_off_the_real_axis_do_not_freeze(eps):
+    # the base centres come in pairs x + iy and x - iy, so the base level's
+    # bounding disk has a real centre, but a block's leaves lie on both sides
+    # of the grid line Im z = 0; on a real centre the same maps freeze
+    maps = (Affine(0.3, 0.0), Affine(-0.3, 0.3), Affine(0.05, 0.95))
+    off = _assert_matches_level_by_level(IfsSystem(maps, Disk(0.5 + 0.5j, 2.0)), eps)
+    on = _assert_matches_level_by_level(IfsSystem(maps, Disk(0.5, 2.0)), eps)
+    assert _frozen(off) == 0 < _frozen(on)
+
+
+@pytest.mark.parametrize(
+    "system, eps",
+    [
+        (_nonuniform(), 1e-4),
+        (_nonuniform(0.2608171825055785 + 0.07907681980551806j), 1e-4),
+        (sqrt_julia(-6.0 + 0.5j), 1e-6),
+        (_triangle(2.0), 1e-3),
+    ],
+    ids=["nonuniform", "off-grid", "julia-complex", "triangle"],
+)
+def test_frozen_block_row_is_its_first_run_start(monkeypatch, system, eps):
+    # the chain's row of a frozen block, walked whole, is the block's only run start
+    monkeypatch.setattr(holoifs.attractor, "NET_BLOCK", 8)
+    calls = []
+    frozen_blocks = holoifs.attractor._frozen_blocks
+
+    def spy(*args):
+        calls.append((args, frozen_blocks(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(holoifs.attractor, "_frozen_blocks", spy)
+    compute_net(system, eps)
+    assert calls
+    for (_, centers, radii, target, depth), (frozen, first) in calls:
+        walked = 0
+        for place, bc, _ in _blocks(system, centers, radii, depth, np.zeros_like(frozen)):
+            if frozen[place]:
+                assert _run_starts(bc, target).tobytes() == first[place : place + 1].tobytes()
+                walked += 1
+        assert walked == frozen.sum() > 0
 
 
 @pytest.mark.parametrize("eps", [1e-8, 1e-9])

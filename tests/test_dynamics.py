@@ -357,9 +357,9 @@ def test_word_budget_counts_spectrum_and_prep_words():
     check_word_budget(thirds, max_len=3, word_cap=14)  # 2 + 4 + 8 words
     with pytest.raises(BudgetExceeded, match="^14 words exceed the cap 13$"):
         check_word_budget(thirds, max_len=3, word_cap=13)
-    check_word_budget(thirds, max_word=2, max_prefix=1, word_cap=18)  # 6 * 3 words
+    check_word_budget(thirds, max_word=2, word_cap=6)  # 2 + 4 words
     with pytest.raises(BudgetExceeded, match="^preperiodic enumeration exceeds the word cap$"):
-        check_word_budget(thirds, max_word=2, max_prefix=1, word_cap=17)
+        check_word_budget(thirds, max_word=2, word_cap=5)
 
 
 # ---------------------------------------------------------------------------
@@ -542,27 +542,20 @@ def _three_map_system():
     ],
     ids=["thirds", "julia6", "julia6-squared", "three-map"],
 )
-@pytest.mark.parametrize("max_prefix", [0, 1])
-def test_prep_points_match_per_word_fixed_points(make, max_prefix):
+def test_prep_points_match_per_word_fixed_points(make):
     system = make()
     m = len(system.maps)
     max_word = 4 if m == 2 else 2
-    base = [
+    brute = np.array([
         fixed_point(system, Word(w, m)).point
         for n in range(1, max_word + 1)
         for w in itertools.product(range(m), repeat=n)
-    ]
-    brute = list(base)
-    for n in range(1, max_prefix + 1):
-        for w in itertools.product(range(m), repeat=n):
-            gw = compose_word(system, Word(w, m))
-            brute += [complex(gw(p)) for p in base]
-    brute = np.array(brute)
+    ])
     keys = np.round(brute.real / PREP_DEDUP_TOL) + 1j * np.round(brute.imag / PREP_DEDUP_TOL)
     _, first = np.unique(keys, return_index=True)
     brute = brute[first]
 
-    pts = prep_points(system, max_word, max_prefix)
+    pts = prep_points(system, max_word)
     assert len(pts) == len(brute)
     assert np.max(np.min(np.abs(pts[:, None] - brute[None, :]), axis=1)) <= 1e-12
     assert np.max(np.min(np.abs(brute[:, None] - pts[None, :]), axis=1)) <= 1e-12
@@ -716,7 +709,7 @@ def test_orbit_takes_the_lowest_claiming_branch():
 def test_one_inverse_dynamics_serves_every_orbit(system, epsilon):
     net = compute_net(system, epsilon)
     shared = InverseDynamics(system, net)
-    points = prep_points(system, Budgets().prep_max_word, 0)
+    points = prep_points(system, Budgets().prep_max_word)
     reused = [shared.orbit(p, 64, 1e-9) for p in points]
     fresh = [InverseDynamics(system, net).orbit(p, 64, 1e-9) for p in points]
     assert reused == fresh
@@ -810,9 +803,14 @@ class _ScalarInverse:
         return OrbitReport(tuple(pts), None, None)
 
 
+def _with_images(system, points):
+    """``points`` followed by their images under each map of ``system``."""
+    return np.concatenate([points] + [g(points) for g in system.maps])
+
+
 def _walk_points(system, net, max_word):
     """Prep points, their first images, points off the attractor and net points."""
-    points = prep_points(system, max_word, 1)
+    points = _with_images(system, prep_points(system, max_word))
     spread = net.points[:: max(1, len(net.points) // 40)]
     c, r = system.domain.center, system.domain.radius
     off = c + r * np.array([0.0, 0.3, 0.55j, -0.7 + 0.1j, 2.0])
@@ -917,7 +915,7 @@ def test_a_row_its_branch_cannot_invert_fails_alone(monkeypatch):
     # its orbit ends with no period, and the other rows still move
     system = sqrt_julia(-6.0)
     dyn = InverseDynamics(system, compute_net(system, 1e-3))
-    points = prep_points(system, 2, 0)
+    points = prep_points(system, 2)
     planted = complex(points[1])
     _, i = dyn.step(planted)
     inverse = dyn.inverses[i]
@@ -1037,7 +1035,7 @@ def test_orbits_memory_follows_the_walk_not_the_cap():
     # a table of max_iter + 1 columns per point could not be allocated
     system = sqrt_julia(-6.0)
     dyn = InverseDynamics(system, compute_net(system, 1e-3))
-    points = prep_points(system, 4, 1)
+    points = _with_images(system, prep_points(system, 4))
     assert dyn.orbits(points, 10**18, 1e-9) == dyn.orbits(points, 64, 1e-9)
 
 
@@ -1056,18 +1054,20 @@ def test_orbits_of_no_points():
 
 def test_prep_points_small_budget_exact():
     system = cantor_thirds()
-    pts = prep_points(system, max_word=1, max_prefix=1)
-    expected = np.array([0.0, 1 / 3, 2 / 3, 1.0])
-    assert pts.shape == expected.shape
-    assert np.allclose(np.sort(pts.real), expected, atol=1e-12)
-    assert np.allclose(pts.imag, 0.0, atol=1e-12)
+    pts = prep_points(system, max_word=1)
+    assert np.allclose(pts, [0.0, 1.0], atol=1e-12)
+    images = _with_images(system, pts)
+    assert np.allclose(np.unique(images.real), [0.0, 1 / 3, 2 / 3, 1.0], atol=1e-12)
+    assert np.allclose(images.imag, 0.0, atol=1e-12)
 
 
 def test_prep_points_dedup_and_growth():
     system = cantor_thirds()
-    small = prep_points(system, max_word=2, max_prefix=2)
-    large = prep_points(system, max_word=3, max_prefix=3)
+    small = prep_points(system, max_word=2)
+    large = prep_points(system, max_word=3)
     assert len(large) > len(small)
+    # each point once, although the words 00 and 000 repeat the orbit of 0
+    assert np.all(np.diff(large.real) > 1e-10)
     # every small point reappears in the larger enumeration
     for p in small:
         assert np.min(np.abs(large - p)) < 1e-10
@@ -1076,7 +1076,7 @@ def test_prep_points_dedup_and_growth():
 def test_prep_points_all_near_attractor():
     system = cantor_thirds_reflected()
     net = compute_net(system, 1e-3)
-    pts = prep_points(system, max_word=3, max_prefix=2)
+    pts = _with_images(system, _with_images(system, prep_points(system, max_word=3)))
     from scipy.spatial import cKDTree
 
     tree = cKDTree(np.column_stack((net.points.real, net.points.imag)))
@@ -1088,4 +1088,4 @@ def test_prep_points_budget(monkeypatch):
     # 2**25 - 2 words pass the default cap: it raises before any solve
     monkeypatch.setattr(holoifs.dynamics, "_levels", _no_solve)
     with pytest.raises(BudgetExceeded, match="^preperiodic enumeration exceeds the word cap$"):
-        prep_points(cantor_thirds(), 24, 0)
+        prep_points(cantor_thirds(), 24)

@@ -344,7 +344,7 @@ def test_build_symmetries_equal_the_one_word_code(thirds, reflected, julia_pairs
                 shifted=system_net(shifted_system()))
     G, F = nets[g], nets[f]
     words = _all_words(len(G.system.maps), max_len)
-    for a in prep_points(G.system, 2, 0)[:4]:
+    for a in prep_points(G.system, 2)[:4]:
         want = [_outcome(_scalar_build_symmetry, G, F, a, w) for w in words]
         got = build_symmetries(G, F, a, words)
         assert len(got) == len(want)
@@ -363,7 +363,7 @@ def test_address_equals_the_scalar_address_walk(thirds, reflected, julia_pairs, 
     m = len(F.system.maps)
     c, r = F.system.domain.center, F.system.domain.radius
     off = c + r * np.array([0.0, 0.3, 0.55j, -0.7 + 0.1j, 2.0])
-    points = np.concatenate((prep_points(F.system, 2, 0)[:12], off))
+    points = np.concatenate((prep_points(F.system, 2)[:12], off))
     names = set()
     for x in points:
         try:
@@ -1156,7 +1156,7 @@ def test_functional_equation_entries_structure():
 def test_prep_points_of_reflected_land_on_cantor():
     # independent oracle: every fixed point of the reflected system lies on
     # the middle-thirds Cantor set
-    for p in prep_points(cantor_thirds_reflected(), 4, 0):
+    for p in prep_points(cantor_thirds_reflected(), 4):
         assert abs(p.imag) < 1e-12
         assert _cantor_distance(p.real) < 1e-12
 
