@@ -57,7 +57,6 @@ from .maps import (
     apply_rows,
     compose_word,
     factor_table,
-    rowwise,
 )
 
 #: fixed-point iteration tolerance and cap
@@ -366,9 +365,10 @@ class InverseDynamics:
         The branch trees are queried in branch order, each with the finite
         points that no earlier branch claimed, with the strict
         ``d < claim_radius`` test, until no such point is left; so each point
-        takes the first branch that claims it.  Each branch's inverse map
-        (``self.inverses``) maps all the points it claims in one call of the
-        exact kernel (:class:`~holoifs.maps.Exact`).  Returns ``(branch,
+        takes the first branch that claims it.  :func:`~holoifs.maps.apply_rows`
+        maps the points each branch claims by its inverse (``self.inverses``)
+        in one call of the exact kernel (:class:`~holoifs.maps.Exact`), and
+        the lowest row's non-library exception is raised.  Returns ``(branch,
         preimage, failures)``: ``failures`` maps each row that fails to the exception
         :meth:`step` raises for that point, and such a row has branch -1.  A
         row fails with :class:`OutsideAttractor` when no branch claims it or
@@ -393,22 +393,16 @@ class InverseDynamics:
                 failures[k] = OutsideAttractor(f"no branch claims {x}")
             else:
                 failures[k] = ValueError(f"point {x} is not finite")
-        preimage = np.empty(n, dtype=np.complex128)
-        for i, g_inv in enumerate(self.inverses):
-            rows = np.flatnonzero(branch == i)
-            if not len(rows):
-                continue
-            preimage[rows], errors = rowwise(g_inv, xs[rows].view(Exact))
-            for j, exc in errors.items():
-                k = int(rows[j])
-                if not isinstance(exc, HoloifsError):
-                    raise exc
-                branch[k] = -1
-                failures[k] = exc
-                if isinstance(exc, NotInImage):
-                    failures[k] = OutsideAttractor(f"branch {i} cannot invert {complex(xs[k])}")
-                    failures[k].__cause__ = exc
-        return branch, preimage, failures
+        preimage, _, errors = apply_rows(self.inverses, branch[:, None], xs.view(Exact))
+        for k, exc in sorted(errors.items()):
+            if not isinstance(exc, HoloifsError):
+                raise exc
+            failures[k] = exc
+            if isinstance(exc, NotInImage):
+                failures[k] = OutsideAttractor(f"branch {branch[k]} cannot invert {complex(xs[k])}")
+                failures[k].__cause__ = exc
+            branch[k] = -1
+        return branch, preimage.view(np.ndarray), failures
 
     def step(self, x: complex) -> tuple[complex, int]:
         """One step of the inverse map: the claimed preimage and its branch index."""

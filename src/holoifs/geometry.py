@@ -17,13 +17,8 @@ import numpy as np
 from .errors import DomainError, NotReal, OnSlit, OutsideDomain
 from .maps import Disk
 
-#: golden-section parameter tolerance for geodesic minimization
-SLIT_TOL = 1e-10
-
 #: tolerance for the conjugation-symmetry (realness) test
 REAL_TOL = 1e-12
-
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def _to_unit(disk: Disk, z: complex) -> complex:
@@ -164,36 +159,17 @@ def _slit_to_unit(interval: tuple[float, float], z: complex) -> complex:
     return (u - 1.0) / (u + 1.0)
 
 
-def _golden_min(f, lo: float, hi: float, tol: float) -> float:
-    c = hi - _INVPHI * (hi - lo)
-    d = lo + _INVPHI * (hi - lo)
-    fc, fd = f(c), f(d)
-    while hi - lo > tol:
-        if fc < fd:
-            hi, d, fd = d, c, fc
-            c = hi - _INVPHI * (hi - lo)
-            fc = f(c)
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + _INVPHI * (hi - lo)
-            fd = f(d)
-    return 0.5 * (lo + hi)
-
-
-def hyp_dist_slit(interval: tuple[float, float], z: complex, tol: float = SLIT_TOL) -> float:
+def hyp_dist_slit(interval: tuple[float, float], z: complex) -> float:
     """Hyperbolic distance from ``z`` to the interval inside the slit plane.
 
-    After uniformization the interval is a geodesic diameter; the distance
-    is minimized over the geodesic parameter by golden section (the profile
-    is unimodal).
+    After uniformization the interval is the imaginary diameter, a geodesic;
+    the pseudo-hyperbolic distance from ``w`` to it is the closed form
+    ``2|Re w| / (q + hypot(q, 2 Re w))`` with ``q = 1 - |w|^2``.
     """
     w = _slit_to_unit(interval, z)
-
-    def pseudo(s: float) -> float:
-        return pseudo_hyperbolic(1j * s, w)
-
-    s_best = _golden_min(pseudo, -1.0 + 1e-12, 1.0 - 1e-12, tol)
-    return math.atanh(min(pseudo(s_best), 1.0 - 1e-16))
+    q = 1.0 - abs(w) ** 2
+    p = 2.0 * abs(w.real) / (q + math.hypot(q, 2.0 * w.real))
+    return math.atanh(min(p, 1.0 - 1e-16))
 
 
 def kappa(theta: float) -> float:

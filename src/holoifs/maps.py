@@ -502,8 +502,9 @@ def apply_rows(factors: list, table: np.ndarray, z: np.ndarray, deriv: bool = Fa
     ``table[i]`` indexes ``factors`` outermost first (-1 names none); the last
     column acts first, as in :class:`Composite`.  The rows that meet one factor
     in one column are evaluated in one call, so each row gets the bits of its
-    own chain of calls.  With ``deriv``, the factors' derivatives are
-    multiplied into 1 innermost first, as ``Composite.deriv`` does.  A row
+    own chain of calls.  Without ``deriv`` a factor may be any row-wise
+    callable (a bound ``deriv`` method, say); with it, the maps' derivatives
+    are multiplied into 1 innermost first, as ``Composite.deriv`` does.  A row
     whose call raises stops and keeps the exception (see :func:`rowwise`).
     Returns ``(values, derivatives or None, errors)``.
     """

@@ -55,6 +55,7 @@ from .maps import (
     HoloMap,
     IfsSystem,
     Word,
+    apply_rows,
     compose_maps,
     compose_word,
     map_rows,
@@ -278,7 +279,9 @@ def _address_prefixes(F: SystemNet, starts, lams, cap: int) -> list:
     derivatives of the letters it reads, and keeps the letters read before
     the product's modulus first drops below ``lams[r]`` or before it holds
     ``cap`` letters.  Every unfinished row takes one inverse step of
-    :meth:`InverseDynamics.steps` per round, and the products are one
+    :meth:`InverseDynamics.steps` per round, the letters' derivatives are one
+    :func:`~holoifs.maps.apply_rows` call (the lowest row's non-library
+    exception is raised), and the products are one
     :class:`~holoifs.maps.Exact` array.  Returns, per row, the letters or the
     exception that ends the walk; a walk off the attractor ends in
     :class:`AddressFailure`.
@@ -286,6 +289,7 @@ def _address_prefixes(F: SystemNet, starts, lams, cap: int) -> list:
     starts = np.asarray(starts, dtype=np.complex128)
     lams = np.asarray(lams, dtype=np.float64)
     out: list = [[] for _ in starts]
+    derivs = [g.deriv for g in F.system.maps]
     D = np.ones(len(starts), dtype=np.complex128).view(Exact)
     here = starts.copy()
     active = np.arange(len(starts))
@@ -302,19 +306,15 @@ def _address_prefixes(F: SystemNet, starts, lams, cap: int) -> list:
                 )
                 exc.__cause__ = failures[k]
             out[r] = exc
-        for j, g in enumerate(F.system.maps):
-            sel = np.flatnonzero(branch == j)
-            if not len(sel):
-                continue
-            d, errors = rowwise(g.deriv, preimage[sel].view(Exact))
-            for i, exc in errors.items():
-                if not isinstance(exc, HoloifsError):
-                    raise exc
-                out[active[sel[i]]] = exc
-                branch[sel[i]] = -1
-            D[active[sel]] = D[active[sel]] * d
+        d, _, errors = apply_rows(derivs, branch[:, None], preimage.view(Exact))
+        for k, exc in sorted(errors.items()):
+            if not isinstance(exc, HoloifsError):
+                raise exc
+            out[active[k]] = exc
+            branch[k] = -1
         moved = np.flatnonzero(branch >= 0)
         rows = active[moved]
+        D[rows] = D[rows] * d[moved]
         modulus = abs(D[rows])
         below = modulus < lams[rows]
         for r, mod in zip(rows[below].tolist(), modulus[below].tolist()):
@@ -369,6 +369,8 @@ def build_symmetries(G: SystemNet, F: SystemNet, a, words) -> list:
         if out[i] is None:
             walked.append(k)
     inverses = cache(lambda V: compose_word(F.system, V).inverse())
+    # one germ map per (V, w), so the germs that share it share its factor rows
+    germ_map = cache(lambda V, w: compose_maps((inverses(V), compose(w))))
     germs: dict = {}  # word index -> (H, V)
     for k, letters in zip(walked, _address_prefixes(F, start[walked], abs(lam[walked]), WALK_CAP)):
         i = rows[k]
@@ -380,7 +382,7 @@ def build_symmetries(G: SystemNet, F: SystemNet, a, words) -> list:
         else:
             V = Word(tuple(letters), len(F.system.maps))
             try:
-                germs[i] = (compose_maps((inverses(V), gws[i])), V)
+                germs[i] = (germ_map(V, words[i]), V)
             except Exception as exc:
                 out[i] = exc
     if not germs:
@@ -656,9 +658,10 @@ def _functional_sweep(
     classes = _germ_classes(germs, bases, r, np.repeat(list(cover), n).tolist())
     reps = [i for i, c in enumerate(classes) if c == i]
     width = max(map(len, samples), default=0)
-    # each word's map is composed once per sweep
+    # each word's map, and each side word(u) ∘ word(u_c)^{-1}, is composed once per sweep
     g_word = cache(lambda w: compose_word(G.system, w))
     f_word = cache(lambda w: compose_word(F.system, w))
+    side = cache(lambda word, u, u_c: compose_maps((word(u), word(u_c).inverse())))
     y, _, y_errors = map_rows([g_word(germs[c].word_g) for c in reps],
                               np.array([np.resize(samples[c // n], width) for c in reps],
                                        dtype=complex).reshape(len(reps), width))
@@ -667,8 +670,7 @@ def _functional_sweep(
     rows = {i: j for j, i in enumerate(i for i, c in enumerate(classes) if c in y)}
     at = np.array([y[classes[i]] for i in rows], dtype=complex).reshape(len(rows), width)
     (lhs, _, lhs_errors), (rhs, _, rhs_errors) = (
-        map_rows([compose_maps((word(getattr(germs[i], field)),
-                                word(getattr(germs[classes[i]], field)).inverse()))
+        map_rows([side(word, getattr(germs[i], field), getattr(germs[classes[i]], field))
                   for i in rows], at)
         for field, word in (("word_f", f_word), ("word_g", g_word))
     )

@@ -13,8 +13,10 @@ from pathlib import Path
 
 import pytest
 
+import holoifs.maps
 from holoifs.cli import shared_report_text
 from holoifs.dynamics import spectrum
+from holoifs.maps import Affine, Disk, IfsSystem
 from holoifs.symmetry import shared_attractor
 from holoifs.systems import cantor_thirds, cantor_thirds_reflected, iterate_system, sqrt_julia
 
@@ -102,6 +104,27 @@ def test_complex_julia_square_report_keeps_its_verdict_counts_and_words():
     assert words.count("\n") == 3 * 256
     assert hashlib.sha256(words.encode("utf-8")).hexdigest() == (
         "862a784594eda488f65aab38e515fa129a471156e2ae1f1e98b2537baf33ef3e")
+
+
+def test_affine_square_sweep_shares_its_compositions(monkeypatch):
+    # G = {0.4z, 0.12z + 0.88} against its square: 4,096 equations, and a new
+    # composite per germ would hand map_rows 4,096 distinct factors
+    sizes = []
+    factor_table = holoifs.maps.factor_table
+
+    def spy(maps):
+        factors, table = factor_table(maps)
+        sizes.append(len(factors))
+        return factors, table
+
+    monkeypatch.setattr(holoifs.maps, "factor_table", spy)
+    g = ("G0.12", lambda: IfsSystem((Affine(0.4, 0.0), Affine(0.12, 0.88)), Disk(0.5, 2.0)))
+    g2 = ("G0.12^2", lambda: iterate_system(g[1](), 2))
+    text = _report(g, g2, 1e-3)
+    assert b"\nverdict = Shared\n" in text and b"\nequation_count = 4096\n" in text
+    assert max(sizes) <= 64
+    assert hashlib.sha256(text).hexdigest() == (
+        "00fd12d48255b38ef49773829153ce9fc0399e822a082ed088caa71e28a9ddd5")
 
 
 @pytest.mark.parametrize(

@@ -8,9 +8,11 @@ from holoifs.maps import (
     Affine,
     Composite,
     Disk,
+    Exact,
     IfsSystem,
     SqrtBranch,
     Word,
+    apply_rows,
     compose_maps,
     compose_word,
 )
@@ -227,3 +229,64 @@ def test_enclosure_rejects_disk_touching_cut():
     g = SqrtBranch(-6.0, +1)
     with pytest.raises(DomainError):
         g.image_enclosure(Disk(-6.0 + 0.1j, 1.0))
+
+
+def _row_chain(factors, row, z, deriv):
+    """Oracle: one row's chain of calls, innermost first, and its exception type."""
+    total = (np.ones_like(z) if isinstance(z, np.ndarray) else 1.0 + 0.0j) if deriv else None
+    for k in row[::-1]:
+        if k < 0:
+            continue
+        f = factors[k]
+        try:
+            d = f.deriv(z) if deriv else None
+        except Exception as exc:
+            return z, total, type(exc)
+        try:
+            z = f(z)
+        except Exception as exc:
+            return z, total, type(exc)
+        if deriv:
+            total = total * d
+    return z, total, None
+
+
+@pytest.mark.parametrize("exact", [False, True], ids=["plain", "exact"])
+@pytest.mark.parametrize("deriv, bound_derivs", [(False, False), (True, False), (False, True)],
+                         ids=["values", "derivatives", "bound-derivs"])
+@pytest.mark.parametrize("n_rows, n_factors", [(5, 12), (40, 4)], ids=["few-rows", "many-rows"])
+def test_apply_rows_equals_each_rows_own_chain(n_rows, n_factors, deriv, bound_derivs, exact):
+    # with deriv off, a factor may be any row-wise callable: here the maps' bound derivs
+    rng = np.random.default_rng(n_rows * 100 + n_factors)
+    branch = SqrtBranch(complex(*rng.uniform(-1, 1, 2)), 1)
+    maps = [Affine(complex(*rng.uniform(-1, 1, 2)), complex(*rng.uniform(-1, 1, 2))),
+            SqrtBranch(complex(*rng.uniform(-1, 1, 2)), -1),
+            branch.inverse()]  # raises NotInImage on the rows outside its branch's half-plane
+    maps += [Affine(complex(*rng.uniform(-1, 1, 2)), complex(*rng.uniform(-1, 1, 2)))
+             for _ in range(n_factors - len(maps))]
+    factors = [g.deriv for g in maps] if bound_derivs else maps
+    table = rng.integers(-1, n_factors, size=(n_rows, 3))  # -1 pads
+    table[::2, -1] = 2  # every other row meets the square-root inverse first
+    z = rng.uniform(-2, 2, n_rows) + 1j * rng.uniform(-2, 2, n_rows)
+    if exact:
+        z = z.view(Exact)
+    values, derivs, errors = apply_rows(factors, table, z, deriv)
+    assert (derivs is None) is not deriv
+    raised = set()
+    for i, row in enumerate(table):
+        want, want_d, exc = _row_chain(factors, row, z[i:i + 1], deriv)
+        if exc is not None:
+            raised.add(exc)
+            assert type(errors.get(i)) is exc
+            continue
+        assert i not in errors
+        assert values[i:i + 1].tobytes() == want.tobytes()
+        if deriv:
+            assert derivs[i:i + 1].tobytes() == want_d.tobytes()
+        if exact:  # a row of the exact kernel has the bits of its scalar chain
+            scalar, scalar_d, _ = _row_chain(factors, row, complex(z[i]), deriv)
+            assert values[i:i + 1].tobytes() == np.array([scalar], dtype=complex).tobytes()
+            if deriv:
+                assert derivs[i:i + 1].tobytes() == np.array([scalar_d], dtype=complex).tobytes()
+    # the square-root inverse raises on some rows; the derivatives never raise here
+    assert raised == (set() if bound_derivs else {NotInImage})
