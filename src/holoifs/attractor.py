@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import BudgetExceeded, DomainError, SeparationFailure
 from .geometry import hyp_ball_inradius, pseudo_hyperbolic, pseudo_hyperbolic_ball
-from .maps import Affine, Disk, IfsSystem
+from .maps import Affine, Disk, Exact, IfsSystem, rowwise
 
 #: default cap on the number of cylinder disks per refinement level
 POINT_CAP = 10**7
@@ -96,7 +96,6 @@ class SeparationCertificate:
     kind: str
     pairwise_distance: float
     margin: float
-    osc_set: tuple[Disk, ...] | None = None
     checks: dict = field(default_factory=dict)
     images: tuple[np.ndarray, ...] = field(default=(), repr=False, compare=False)
     trees: tuple = field(default=(), repr=False, compare=False)
@@ -632,33 +631,43 @@ def certify_strong_osc(
 
     Three sampled checks: the net meets the union, each map sends every disk
     into the union (boundary samples with margin), and images of the union
-    under distinct maps are disjoint (via certified disk enclosures).
+    under distinct maps are disjoint (via certified disk enclosures).  Each
+    check takes all disks at once.  The first disk that a map cannot
+    evaluate raises; a ring or centre whose depth is NaN is skipped.
     """
     disks = tuple(disks)
     if not disks:
         raise ValueError("need at least one candidate disk")
+    centers = np.array([d.center for d in disks], dtype=np.complex128)
+    radii = np.array([d.radius for d in disks], dtype=np.float64)
 
     def union_depth(pts: np.ndarray) -> np.ndarray:
         """Per point, its largest depth ``radius - distance`` in one of the disks."""
-        best = np.full(pts.shape, -math.inf)
-        for d in disks:
-            best = np.maximum(best, d.radius - np.abs(pts - d.center))
-        return best
+        return np.max(radii - np.abs(pts[..., None] - centers), axis=-1)
 
     meets_margin = float(np.max(union_depth(net.points)))
-    containment = math.inf
+    angles = 2.0 * np.pi * np.arange(samples) / samples
+    rings = centers[:, None] + radii[:, None] * np.exp(1j * angles)  # disks[k].boundary(samples)
+    depths = []
     for g in system.maps:
-        for d in disks:
-            for pts in (g(d.boundary(samples)), np.array([g(d.center)])):
-                containment = min(containment, float(np.min(union_depth(pts))))
+        ring_images, ring_errors = rowwise(g, rings)
+        center_images, center_errors = rowwise(g, centers.view(Exact))  # the bits of g(d.center)
+        errors = {**center_errors, **ring_errors}  # a disk's ring is mapped before its centre
+        if errors:
+            raise errors[min(errors)]
+        depths += [np.min(union_depth(ring_images), axis=1),
+                   union_depth(center_images.view(np.ndarray))]
+    containment = float(np.fmin.reduce(np.concatenate(depths), initial=math.inf))
 
-    enclosures = [[g.image_enclosure(d) for d in disks] for g in system.maps]
-    gap = math.inf
-    for i in range(len(system.maps)):
-        for j in range(i + 1, len(system.maps)):
-            for ei in enclosures[i]:
-                for ej in enclosures[j]:
-                    gap = min(gap, abs(ei.center - ej.center) - ei.radius - ej.radius)
+    enclosures, gap = [], math.inf
+    for g in system.maps:
+        cj, rj = g.enclosure_arrays(centers, radii)
+        for k in np.flatnonzero(~(np.isfinite(cj) & np.isfinite(rj) & (rj > 0)))[:1]:
+            Disk(cj[k], rj[k])  # raises, as the first degenerate enclosure's disk does
+        for ci, ri in enclosures:  # np.hypot rounds as the built-in abs() of a complex does
+            d = ci[:, None] - cj
+            gap = min(gap, float(np.min(np.hypot(d.real, d.imag) - ri[:, None] - rj)))
+        enclosures.append((cj, rj))
     if not math.isfinite(gap):
         gap = 0.0
 
@@ -667,7 +676,6 @@ def certify_strong_osc(
         kind="StrongOSC",
         pairwise_distance=max(gap, 0.0),
         margin=margin,
-        osc_set=disks,
         checks={
             "net_meets_set": meets_margin,
             "containment": containment,

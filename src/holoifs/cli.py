@@ -117,15 +117,13 @@ def load_system(path: str) -> tuple[IfsSystem, str]:
     if path.splitlines() not in ([], [path]):  # every error below names the path
         raise ConfigError(f"{path!r}: a config path must be one line")
     try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
-    try:
-        data = json.loads(text)
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
+    except (OSError, UnicodeDecodeError, RecursionError) as exc:  # unreadable, or nested too deeply
+        raise ConfigError(f"{path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: top level must be an object")
     _only(data, path, ("label", "maps", "domain"))

@@ -149,35 +149,28 @@ def _solve_level(system: IfsSystem, letters: np.ndarray):
     exception or :class:`NoConvergence`, met in the scalar loop's order, or None.
     """
     n, m = len(letters), len(system.maps)
-    points = np.empty(n, dtype=np.complex128)
-    mults = np.empty(n, dtype=np.complex128)
-    fail = np.zeros(n, dtype=np.int8)
-    raised: dict = {}
+    points, mults = np.empty((2, n), dtype=np.complex128)
+    failed: dict = {}  # row -> its first failure, in the scalar loop's order
+    residual = NoConvergence("fixed-point residual above tolerance")
 
     factors, lookup = factor_table(system.maps)
     lookup = np.vstack((lookup, np.full_like(lookup[:1], -1)))  # the pad letter
     affine_letter = np.array([all(isinstance(factors[k], Affine) for k in row if k >= 0)
                               for row in lookup])
     affine = affine_letter[letters].all(axis=1)
-    for i in np.flatnonzero(affine):
+    for i in np.flatnonzero(affine).tolist():
         gw = compose_word(system, Word(letters[i][letters[i] < m].tolist(), m))
         if abs(gw.alpha) >= 1.0:
-            fail[i] = 1
+            failed[i] = NoConvergence("word map is not a contraction")
             continue
         p = gw.b / (1.0 - gw.alpha)
         points[i], mults[i] = p, gw.alpha
         if abs(complex(gw(p)) - p) > PERIODIC_RESIDUAL_TOL:
-            fail[i] = 3
+            failed[i] = residual
 
     rest = np.flatnonzero(~affine)
     # the factors of each row's letters, outermost first: the chain of g_w
     table = lookup[letters[rest]].reshape(len(rest), letters.shape[1] * lookup.shape[1])
-
-    def stop(rows, errors):  # the rows of ``rest`` whose chain raised keep their exceptions
-        at = rest[rows[list(errors)]]
-        fail[at] = 5
-        raised.update(zip(at.tolist(), errors.values()))
-
     p = np.full(len(rest), complex(system.domain.center), dtype=np.complex128)
     active = np.arange(len(rest))
     for _ in range(FIXED_POINT_MAX_ITER):
@@ -188,34 +181,26 @@ def _solve_level(system: IfsSystem, letters: np.ndarray):
         p[active] = q
         settled = _modulus(q - pa) <= FIXED_POINT_TOL * np.maximum(1.0, _modulus(pa))
         settled[list(errors)] = True
-        stop(active, errors)
+        failed.update(zip(rest[active[list(errors)]].tolist(), errors.values()))
         active = active[~settled]
-    fail[rest[active]] = 2
-    ok = np.flatnonzero(fail[rest] == 0)
+    capped = NoConvergence(f"no fixed point after {FIXED_POINT_MAX_ITER} iterations")
+    failed.update(dict.fromkeys(rest[active].tolist(), capped))
+    ok = np.flatnonzero(~np.isin(rest, list(failed)))
     # one pass gives the residual and the multiplier, by the chain rule over
-    # the factors in the order of Composite.deriv
+    # the factors in the order of Composite.deriv; if a row raised, a pass
+    # without derivatives gives the values and the values' own exceptions
     values, lam, errors = apply_rows(factors, table[ok], p[ok], deriv=True)
-    if errors:  # a row that raised meets its value's exception first, then its residual test
-        at = np.array(list(errors))
-        values[at], _, first = apply_rows(factors, table[ok[at]], p[ok[at]])
-        errors.update((int(at[j]), exc) for j, exc in first.items())
-    # each failure overrides those the scalar loop meets after it: attraction,
-    # then residual, then an exception (a value that raised is NaN, so not bad)
-    bad = _modulus(values - p[ok]) > PERIODIC_RESIDUAL_TOL
-    fail[rest[ok[_modulus(lam) >= 1.0]]] = 4
-    fail[rest[ok[bad]]] = 3
-    stop(ok, {j: exc for j, exc in errors.items() if not bad[j]})
+    values, _, first = apply_rows(factors, table[ok], p[ok]) if errors else (values, lam, {})
     points[rest], mults[rest[ok]] = p, lam
-    reasons = (
-        "",
-        "word map is not a contraction",
-        f"no fixed point after {FIXED_POINT_MAX_ITER} iterations",
-        "fixed-point residual above tolerance",
-        "fixed point is not attracting",
-    )
-    for i in np.flatnonzero(fail)[:1].tolist():  # the first failing row, if any
-        return points[:i], mults[:i], raised.get(i) or NoConvergence(reasons[fail[i]])
-    return points, mults, None
+    rows = rest[ok].tolist()
+    far = dict.fromkeys(np.flatnonzero(_modulus(values - p[ok]) > PERIODIC_RESIDUAL_TOL), residual)
+    repelling = dict.fromkeys(np.flatnonzero(_modulus(lam) >= 1.0),
+                              NoConvergence("fixed point is not attracting"))
+    for check in (first, far, errors, repelling):  # the scalar loop's order
+        for j, exc in check.items():
+            failed.setdefault(rows[j], exc)
+    i = min(failed, default=n)
+    return points[:i], mults[:i], failed.get(i)
 
 
 def fixed_point(system: IfsSystem, word: Word) -> PeriodicPoint:

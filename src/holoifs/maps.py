@@ -219,14 +219,6 @@ class HoloMap:
         """Image value and centered coefficients ``c_1..c_order`` at ``point``."""
         raise NotImplementedError
 
-    def image_enclosure(self, disk: Disk) -> Disk:
-        """A disk certified to contain the image of ``disk``."""
-        centers, radii = self.enclosure_arrays(
-            np.array([disk.center], dtype=np.complex128),
-            np.array([disk.radius], dtype=np.float64),
-        )
-        return Disk(complex(centers[0]), float(radii[0]))
-
 
 @dataclass(frozen=True)
 class Affine(HoloMap):

@@ -16,7 +16,7 @@ import math
 import numbers
 from dataclasses import dataclass, fields
 from functools import cache, cached_property
-from itertools import product
+from itertools import count, product
 
 import numpy as np
 
@@ -239,22 +239,15 @@ def min_depth(
     """Smallest word length at which every word derivative drops below s_F."""
     if not 0.0 < s_F < 1.0:
         raise ValueError("s_F must lie in (0, 1)")
-    pts = netG.points
-    level = [(pts, np.ones(len(pts), dtype=np.complex128))]
-    depth = 0
-    while True:
-        depth += 1
-        if len(level) * len(systemG.maps) > word_cap:
+    # row w of ``vals`` and ``ders`` holds g_w and its derivative on the net
+    vals = netG.points[None, :]
+    ders = np.ones_like(vals)
+    for depth in count(1):
+        if len(vals) * len(systemG.maps) > word_cap:
             raise BudgetExceeded("word enumeration exceeded the cap in min_depth")
-        nxt = []
-        worst = 0.0
-        for vals, ders in level:
-            for g in systemG.maps:
-                nd = g.deriv(vals) * ders
-                nxt.append((g(vals), nd))
-                worst = max(worst, float(np.max(np.abs(nd))))
-        level = nxt
-        if worst <= s_F:
+        ders = np.concatenate([g.deriv(vals) * ders for g in systemG.maps])
+        vals = np.concatenate([g(vals) for g in systemG.maps])
+        if np.max(np.abs(ders)) <= s_F:
             return depth
 
 

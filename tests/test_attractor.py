@@ -4,6 +4,7 @@ import cmath
 import math
 import re
 import tracemalloc
+from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
@@ -15,6 +16,7 @@ import holoifs.attractor
 from holoifs.attractor import (
     POINT_CAP,
     AttractorNet,
+    SeparationCertificate,
     box_restriction,
     cardinality_bound,
     certify_ssc,
@@ -148,6 +150,155 @@ def test_strong_osc_rejects_tangent_images(thirds, thirds_net):
     cert = certify_strong_osc(thirds, (Disk(0.5, 1.0),), thirds_net)
     assert not cert.valid
     assert cert.checks["image_disjointness"] <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the strong-OSC certificate against the per-disk loops it replaced
+
+
+def _disk_loop_strong_osc(system, disks, net, samples=256):
+    """The per-disk loops that the disk arrays of the certificate replaced, as the oracle.
+
+    Returns the certificate's floats by name.
+    """
+    disks = tuple(disks)
+
+    def union_depth(pts):
+        best = np.full(pts.shape, -math.inf)
+        for d in disks:
+            best = np.maximum(best, d.radius - np.abs(pts - d.center))
+        return best
+
+    meets_margin = float(np.max(union_depth(net.points)))
+    containment = math.inf
+    for g in system.maps:
+        for d in disks:
+            for pts in (g(d.boundary(samples)), np.array([g(d.center)])):
+                containment = min(containment, float(np.min(union_depth(pts))))
+
+    def enclosure(g, d):
+        centers, radii = g.enclosure_arrays(np.array([d.center]), np.array([d.radius]))
+        return Disk(complex(centers[0]), float(radii[0]))
+
+    enclosures = [[enclosure(g, d) for d in disks] for g in system.maps]
+    gap = math.inf
+    for i in range(len(system.maps)):
+        for j in range(i + 1, len(system.maps)):
+            for ei in enclosures[i]:
+                for ej in enclosures[j]:
+                    gap = min(gap, abs(ei.center - ej.center) - ei.radius - ej.radius)
+    if not math.isfinite(gap):
+        gap = 0.0
+    return {
+        "margin": min(meets_margin, containment, gap),
+        "pairwise_distance": max(gap, 0.0),
+        "net_meets_set": meets_margin,
+        "containment": containment,
+        "image_disjointness": gap,
+    }
+
+
+def _strong_osc_outcome(certify, system, disks, net, samples=256):
+    """The certificate's floats by name as ``float.hex``, or the exception's type and text."""
+    try:
+        found = certify(system, disks, net, samples)
+    except Exception as exc:
+        return type(exc), str(exc)
+    if isinstance(found, SeparationCertificate):
+        found = {"margin": found.margin, "pairwise_distance": found.pairwise_distance,
+                 **found.checks}
+    return {name: float.hex(value) for name, value in found.items()}
+
+
+def _complex_affine_triple():
+    return IfsSystem(
+        (Affine(0.3 + 0.1j, 0.0), Affine(0.25 - 0.1j, 0.6 + 0.2j), Affine(0.2j, 0.3 - 0.5j)),
+        Disk(0.3, 2.0),
+    )
+
+
+def _imaginary_factors():
+    return IfsSystem(
+        (Composite((Affine(0.5, 0.1), Affine(0.3j, 0.0))),
+         Composite((Affine(0.5, 0.6), Affine(-0.3j, 0.0)))),
+        Disk(0.3, 2.0),
+    )
+
+
+@pytest.mark.parametrize(
+    "make",
+    [cantor_thirds, _complex_affine_triple, lambda: sqrt_julia(-6.0),
+     lambda: iterate_system(sqrt_julia(-6.5), 2)],
+    ids=["thirds", "complex-affine", "julia6", "julia6.5-squared"],
+)
+def test_strong_osc_equals_the_disk_loops(make):
+    # every float of the certificate has the bits of the loops, on seeded
+    # random disks away from the square-root cuts, at two ring sizes
+    system = make()
+    net = compute_net(system, 1e-2)
+    c, r = system.domain.center, system.domain.radius
+    rng = np.random.default_rng(24)
+    for samples in (256, 37, 256, 256, 37, 256):
+        disks = [Disk(c + 0.5 * r * complex(*rng.uniform(-1, 1, 2)), r * rng.uniform(0.02, 0.3))
+                 for _ in range(rng.integers(1, 7))]
+        want = _strong_osc_outcome(_disk_loop_strong_osc, system, disks, net, samples)
+        assert isinstance(want, dict)
+        assert _strong_osc_outcome(certify_strong_osc, system, disks, net, samples) == want
+
+
+@pytest.mark.parametrize(
+    "make, disks",
+    [
+        # a ring past the float range: a map with an imaginary factor sends
+        # its points to NaN, and the loops skip such a ring; the other maps
+        # send them to inf
+        (_imaginary_factors, (Disk(1e308, 0.9e308),)),
+        (_imaginary_factors, (Disk(1e308, 0.9e308), Disk(0.3, 0.5))),
+        (_complex_affine_triple, (Disk(1e308, 1e308), Disk(0.5, 0.5))),
+        # an enclosure whose radius underflows to 0 is not a disk
+        (cantor_thirds, (Disk(0.5, 0.5), Disk(0.5, 5e-324))),
+        (lambda: sqrt_julia(-6.0), (Disk(0.0, 1.0), Disk(-6.0 + 0.1j, 1.0))),
+    ],
+    ids=["nan-ring", "nan-ring-and-disk", "inf-ring", "zero-enclosure", "square-root-cut"],
+)
+def test_strong_osc_degenerate_disks_meet_the_disk_loops(make, disks):
+    system = make()
+    net = compute_net(system, 1e-2)
+    for errors in ("raise", "ignore"):  # the first floating-point error raises, or none does
+        with np.errstate(all=errors):
+            want = _strong_osc_outcome(_disk_loop_strong_osc, system, disks, net)
+            assert _strong_osc_outcome(certify_strong_osc, system, disks, net) == want
+
+
+@dataclass(frozen=True)
+class _Fenced(Affine):
+    """An affine map that refuses the points right of ``wall`` and the point ``trap``."""
+
+    wall: float = math.inf
+    trap: complex = math.nan
+
+    def __call__(self, z):
+        if np.any(abs(z - self.trap) < 1e-9):
+            raise DomainError("trapped")
+        if np.any(np.real(z) > self.wall):
+            raise DomainError("fenced")
+        return super().__call__(z)
+
+
+@pytest.mark.parametrize(
+    "order, message",
+    [((0, 1, 2), "^trapped$"), ((0, 2, 1), "^fenced$")],
+    ids=["centre-first", "ring-first"],
+)
+def test_strong_osc_raises_for_the_first_disk_a_map_refuses(thirds, thirds_net, order, message):
+    # disk 1 has its centre on the trap and its ring clear of it; disk 2 has
+    # its ring across the wall: the disk met first in the loops' order raises
+    fenced = _Fenced(1 / 3, 2 / 3, wall=3.0, trap=1.0)
+    system = IfsSystem((thirds.maps[0], fenced), thirds.domain)
+    disks = [(Disk(0.5, 0.6), Disk(1.0, 0.2), Disk(2.8, 0.5))[k] for k in order]
+    for certify in (_disk_loop_strong_osc, certify_strong_osc):
+        with pytest.raises(DomainError, match=message):
+            certify(system, disks, thirds_net)
 
 
 def _hyp_dist_disk_oracle(domain, z1, z2):

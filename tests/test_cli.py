@@ -331,6 +331,24 @@ def test_config_invalid_json_line(tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
+def test_config_not_utf8(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b"\xff\xfe{}")
+    assert cli.main(["check", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: 'utf-8' codec can't decode byte 0xff")
+    assert len(err.splitlines()) == 1
+
+
+def test_config_nested_too_deeply(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+    assert cli.main(["check", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: maximum recursion depth exceeded")
+    assert len(err.splitlines()) == 1
+
+
 def test_config_missing_file(capsys):
     assert cli.main(["attractor", "/nonexistent/system.json"]) == 2
     assert "No such file" in capsys.readouterr().err

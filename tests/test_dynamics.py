@@ -289,14 +289,16 @@ def test_periodic_points_fail_in_the_oracle_order(monkeypatch):
 
 
 class _PlantedBranch(SqrtBranch):
-    """A square-root branch whose call raises near ``trap``, whose derivative
-    raises near ``sharp`` and is 100 times too large near ``flat``."""
+    """A square-root branch whose call raises near ``trap`` and at ``exact``,
+    whose derivative raises near ``sharp`` and is 100 times too large near ``flat``."""
 
-    flat = sharp = trap = None
+    exact = flat = sharp = trap = None
 
     def __call__(self, z):
         if self.trap is not None and np.any(abs(z - self.trap) < 1e-6):
             raise DomainError("planted")
+        if self.exact is not None and np.any(z == self.exact):
+            raise DomainError("planted value")
         return super().__call__(z)
 
     def deriv(self, z):
@@ -350,6 +352,24 @@ def test_a_derivative_that_raises_inside_a_word_keeps_the_oracle_order(
     for solve in (_scalar_periodic_points, lambda *a: list(periodic_points(*a)), spectrum):
         with pytest.raises(error, match=message):
             solve(system, 2)
+
+
+def test_a_value_that_raises_after_a_derivative_keeps_the_oracle_order():
+    # at the fixed point p of word (1,), the inner factor's derivative raises,
+    # and the outer factor's value raises at the inner image of p itself,
+    # which no iteration step met: the scalar loop evaluates the value first
+    julia = sqrt_julia(-6.0)
+    inner, outer = _PlantedBranch(-6.0, 1), _PlantedBranch(-6.0, -1)
+    system = IfsSystem((julia.maps[0], Composite((outer, inner))), julia.domain)
+    p = fixed_point(system, Word((1,), 2)).point
+    inner.sharp, outer.exact = p, inner(np.array([p]))[0]
+    for solve in (_scalar_periodic_points, lambda *a: list(periodic_points(*a)), spectrum):
+        with pytest.raises(DomainError, match="^planted value$"):
+            solve(system, 2)
+    points = periodic_points(system, 2)
+    assert next(points) == _scalar_fixed_point(system, Word((0,), 2))
+    with pytest.raises(DomainError, match="^planted value$"):
+        next(points)
 
 
 def test_word_budget_counts_spectrum_and_prep_words():

@@ -117,6 +117,55 @@ def test_min_depth_budget(thirds):
         min_depth(thirds.system, thirds.net, 1e-9, word_cap=8)
 
 
+def _word_loop_min_depth(systemG, netG, s_F, word_cap=10**6):
+    """The per-word loop that the level arrays of ``min_depth`` replaced, as the oracle."""
+    if not 0.0 < s_F < 1.0:
+        raise ValueError("s_F must lie in (0, 1)")
+    pts = netG.points
+    level = [(pts, np.ones(len(pts), dtype=np.complex128))]
+    depth = 0
+    while True:
+        depth += 1
+        if len(level) * len(systemG.maps) > word_cap:
+            raise BudgetExceeded("word enumeration exceeded the cap in min_depth")
+        nxt = []
+        worst = 0.0
+        for vals, ders in level:
+            for g in systemG.maps:
+                nd = g.deriv(vals) * ders
+                nxt.append((g(vals), nd))
+                worst = max(worst, float(np.max(np.abs(nd))))
+        level = nxt
+        if worst <= s_F:
+            return depth
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        cantor_thirds,
+        lambda: IfsSystem(
+            (Affine(0.3 + 0.1j, 0.0), Affine(0.25 - 0.1j, 0.6 + 0.2j), Affine(0.2j, 0.3 - 0.5j)),
+            Disk(0.3, 2.0),
+        ),
+        lambda: sqrt_julia(-6.0),
+        lambda: iterate_system(sqrt_julia(-6.5), 2),
+    ],
+    ids=["thirds", "complex-affine", "julia6", "julia6.5-squared"],
+)
+def test_min_depth_equals_the_word_loop(make):
+    system = make()
+    net = compute_net(system, 1e-2)
+    # the last cases meet the word cap, an s_F outside (0, 1), and net points
+    # on the branch points, where a square-root derivative raises
+    singular = holoifs.attractor.AttractorNet(np.append(net.points, [-6.0, -6.5]), 1e-2, 1)
+    cases = [(net, s_F, 10**6) for s_F in (0.5, 0.1, 1e-2, 1e-3)]
+    cases += [(net, 1e-3, 40), (net, 1.0, 10**6), (singular, 0.1, 10**6)]
+    for case in cases:
+        want = _outcome(_word_loop_min_depth, system, *case)
+        assert _same_outcome(_outcome(min_depth, system, *case), want)
+
+
 # ---------------------------------------------------------------------------
 # addresses
 
