@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import BudgetExceeded, DomainError, SeparationFailure
 from .geometry import hyp_ball_inradius, pseudo_hyperbolic, pseudo_hyperbolic_ball
-from .maps import Affine, Disk, Exact, IfsSystem, rowwise
+from .maps import Affine, Disk, Exact, IfsSystem, circle, modulus, rowwise
 
 #: default cap on the number of cylinder disks per refinement level
 POINT_CAP = 10**7
@@ -646,8 +646,7 @@ def certify_strong_osc(
         return np.max(radii - np.abs(pts[..., None] - centers), axis=-1)
 
     meets_margin = float(np.max(union_depth(net.points)))
-    angles = 2.0 * np.pi * np.arange(samples) / samples
-    rings = centers[:, None] + radii[:, None] * np.exp(1j * angles)  # disks[k].boundary(samples)
+    rings = circle(centers, radii, samples)
     depths = []
     for g in system.maps:
         ring_images, ring_errors = rowwise(g, rings)
@@ -664,9 +663,8 @@ def certify_strong_osc(
         cj, rj = g.enclosure_arrays(centers, radii)
         for k in np.flatnonzero(~(np.isfinite(cj) & np.isfinite(rj) & (rj > 0)))[:1]:
             Disk(cj[k], rj[k])  # raises, as the first degenerate enclosure's disk does
-        for ci, ri in enclosures:  # np.hypot rounds as the built-in abs() of a complex does
-            d = ci[:, None] - cj
-            gap = min(gap, float(np.min(np.hypot(d.real, d.imag) - ri[:, None] - rj)))
+        for ci, ri in enclosures:
+            gap = min(gap, float(np.min(modulus(ci[:, None] - cj) - ri[:, None] - rj)))
         enclosures.append((cj, rj))
     if not math.isfinite(gap):
         gap = 0.0

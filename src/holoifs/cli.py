@@ -350,7 +350,11 @@ def cmd_check(args) -> int:
     system, label = load_system(args.config)
     net = compute_net(system, args.epsilon, point_cap=args.point_cap)
     if args.osc_disks:
-        cert = certify_strong_osc(system, _parse_disks(args.osc_disks), net)
+        disks = _parse_disks(args.osc_disks)
+        try:
+            cert = certify_strong_osc(system, disks, net)
+        except ValueError as exc:  # a disk whose image enclosure degenerates, say
+            raise ConfigError(f"--osc-disks: {exc}") from exc
     else:
         cert = certify_ssc(system, net)
     print(f"system = {label}")

@@ -57,6 +57,7 @@ from .maps import (
     apply_rows,
     compose_word,
     factor_table,
+    modulus,
 )
 
 #: fixed-point iteration tolerance and cap
@@ -133,11 +134,6 @@ class OrbitReport:
         return self.period is not None
 
 
-def _modulus(z: np.ndarray) -> np.ndarray:
-    # np.hypot rounds as the built-in abs() of a complex scalar does
-    return np.hypot(z.real, z.imag)
-
-
 def _solve_level(system: IfsSystem, letters: np.ndarray):
     """Fixed points and multipliers of ``g_w`` for the rows ``w`` of ``letters``.
 
@@ -179,7 +175,7 @@ def _solve_level(system: IfsSystem, letters: np.ndarray):
         pa = p[active]
         q, _, errors = apply_rows(factors, table[active], pa)
         p[active] = q
-        settled = _modulus(q - pa) <= FIXED_POINT_TOL * np.maximum(1.0, _modulus(pa))
+        settled = modulus(q - pa) <= FIXED_POINT_TOL * np.maximum(1.0, modulus(pa))
         settled[list(errors)] = True
         failed.update(zip(rest[active[list(errors)]].tolist(), errors.values()))
         active = active[~settled]
@@ -193,8 +189,8 @@ def _solve_level(system: IfsSystem, letters: np.ndarray):
     values, _, first = apply_rows(factors, table[ok], p[ok]) if errors else (values, lam, {})
     points[rest], mults[rest[ok]] = p, lam
     rows = rest[ok].tolist()
-    far = dict.fromkeys(np.flatnonzero(_modulus(values - p[ok]) > PERIODIC_RESIDUAL_TOL), residual)
-    repelling = dict.fromkeys(np.flatnonzero(_modulus(lam) >= 1.0),
+    far = dict.fromkeys(np.flatnonzero(modulus(values - p[ok]) > PERIODIC_RESIDUAL_TOL), residual)
+    repelling = dict.fromkeys(np.flatnonzero(modulus(lam) >= 1.0),
                               NoConvergence("fixed point is not attracting"))
     for check in (first, far, errors, repelling):  # the scalar loop's order
         for j, exc in check.items():
@@ -427,7 +423,7 @@ class InverseDynamics:
             active, ys = active[moved], ys[moved]
             table[active, q] = ys
             length[active] = q + 1
-            hit = _modulus(table[active, :q] - ys[:, None]) <= tol
+            hit = modulus(table[active, :q] - ys[:, None]) <= tol
             closed = hit.any(axis=1)
             preperiod[active[closed]] = hit[closed].argmax(axis=1)
             active = active[~closed]

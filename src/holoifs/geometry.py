@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NotReal, OnSlit, OutsideDomain
-from .maps import Disk
+from .maps import Disk, circle
 
 #: tolerance for the conjugation-symmetry (realness) test
 REAL_TOL = 1e-12
@@ -234,8 +234,7 @@ def check_sull_containment(
 
     # realness: g(conj z) == conj(g z) on a sample of v
     radii = v.radius * np.array([0.25, 0.55, 0.85])
-    angles = np.exp(2j * np.pi * np.arange(32) / 32)
-    probe = (complex(v.center).real + radii[:, None] * angles[None, :]).ravel()
+    probe = circle(complex(v.center).real, radii, 32).ravel()
     mirror_err = np.abs(np.conj([complex(g(complex(z))) for z in probe]) -
                         [complex(g(complex(z).conjugate())) for z in probe])
     if float(np.max(mirror_err)) > REAL_TOL * max(1.0, float(np.max(np.abs(probe)))):

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import _series
 from .errors import InvalidMultiplier, NoConvergence, NonInvertible, NotAFixedPoint
-from .maps import HoloMap
+from .maps import HoloMap, circle
 
 #: default truncation order (coefficients c_1 .. c_ORDER)
 ORDER = 32
@@ -85,10 +85,6 @@ class PowerSeriesGerm:
     def __call__(self, z):
         coeffs = np.concatenate((self.coefficients[::-1], [0.0]))
         return np.polyval(coeffs, z)
-
-    def derivative(self, z):
-        ks = np.arange(1, self.order + 1)
-        return np.polyval((self.coefficients * ks)[::-1], z)
 
     def _full(self) -> np.ndarray:
         return np.concatenate(([0.0], self.coefficients))
@@ -170,7 +166,7 @@ def composition_residual(
 ) -> float:
     """Max of ``|g^l - target|`` over a circle inside both sample radii."""
     radius = 0.5 * min(g.sample_radius, target.sample_radius)
-    z = radius * np.exp(2j * np.pi * np.arange(samples) / samples)
+    z = circle(0.0, radius, samples)
     w = z.copy()
     for _ in range(l):
         w = g(w)

@@ -47,10 +47,6 @@ def _sqrt(z):
     return cmath.sqrt(z)
 
 
-def _is_finite_complex(z: complex) -> bool:
-    return math.isfinite(z.real) and math.isfinite(z.imag)
-
-
 # ---------------------------------------------------------------------------
 # the exact kernel: complex arrays that round as CPython's complex scalars
 
@@ -99,8 +95,19 @@ def _exact_sqrt(z):  # cmath.sqrt, with its table for infinities and NaNs
     return out
 
 
+def modulus(z):  # _Py_c_abs
+    """``|z|`` of a complex array, rounded as the built-in ``abs()`` of a complex scalar."""
+    return np.hypot(z.real, z.imag)
+
+
+def circle(centers, radii, n: int) -> np.ndarray:
+    """``n`` equispaced points on each circle, one row per centre and radius (broadcast)."""
+    angles = 2.0 * np.pi * np.arange(n) / n
+    return np.asarray(centers)[..., None] + np.asarray(radii)[..., None] * np.exp(1j * angles)
+
+
 _KERNELS = {np.multiply: _exact_mul, np.divide: _exact_div, np.sqrt: _exact_sqrt,
-            np.absolute: lambda z: np.hypot(z.real, z.imag)}  # _Py_c_abs
+            np.absolute: modulus}
 
 
 class Exact(np.ndarray):
@@ -136,7 +143,7 @@ class Disk:
         center = complex(self.center)
         object.__setattr__(self, "center", center)
         object.__setattr__(self, "radius", float(self.radius))
-        if not _is_finite_complex(center) or not math.isfinite(self.radius):
+        if not cmath.isfinite(center) or not math.isfinite(self.radius):
             raise ValueError("disk parameters must be finite")
         if self.radius <= 0:
             raise ValueError("disk radius must be positive")
@@ -147,8 +154,7 @@ class Disk:
 
     def boundary(self, n: int = BOUNDARY_SAMPLES) -> np.ndarray:
         """``n`` equispaced points on the boundary circle."""
-        angles = 2.0 * np.pi * np.arange(n) / n
-        return self.center + self.radius * np.exp(1j * angles)
+        return circle(self.center, self.radius, n)
 
 
 @dataclass(frozen=True)
@@ -230,7 +236,7 @@ class Affine(HoloMap):
     def __post_init__(self):
         object.__setattr__(self, "alpha", complex(self.alpha))
         object.__setattr__(self, "b", complex(self.b))
-        if not (_is_finite_complex(self.alpha) and _is_finite_complex(self.b)):
+        if not (cmath.isfinite(self.alpha) and cmath.isfinite(self.b)):
             raise ValueError("affine coefficients must be finite")
 
     def __call__(self, z):
@@ -272,7 +278,7 @@ class SqrtBranch(HoloMap):
         object.__setattr__(self, "sign", int(self.sign))
         if self.sign not in (-1, 1):
             raise ValueError("sign must be +1 or -1")
-        if not _is_finite_complex(self.c):
+        if not cmath.isfinite(self.c):
             raise ValueError("branch point must be finite")
 
     def __call__(self, z):
@@ -449,9 +455,6 @@ class IfsSystem:
                     f"map {k} does not send the domain strictly into itself "
                     f"(boundary margin {margin:.3e})"
                 )
-
-    def __len__(self) -> int:
-        return len(self.maps)
 
 
 def compose_word(system: IfsSystem, word: Word) -> HoloMap:

@@ -50,12 +50,12 @@ from .geometry import koebe_distortion
 from .maps import (
     DERIV_FLOOR,
     Affine,
-    Disk,
     Exact,
     HoloMap,
     IfsSystem,
     Word,
     apply_rows,
+    circle,
     compose_maps,
     compose_word,
     map_rows,
@@ -243,7 +243,8 @@ def min_depth(
     vals = netG.points[None, :]
     ders = np.ones_like(vals)
     for depth in count(1):
-        if len(vals) * len(systemG.maps) > word_cap:
+        # the next level holds words × net points values and derivatives
+        if len(vals) * len(systemG.maps) > word_cap or vals.size * len(systemG.maps) > POINT_CAP:
             raise BudgetExceeded("word enumeration exceeded the cap in min_depth")
         ders = np.concatenate([g.deriv(vals) * ders for g in systemG.maps])
         vals = np.concatenate([g(vals) for g in systemG.maps])
@@ -386,8 +387,7 @@ def build_symmetries(G: SystemNet, F: SystemNet, a, words) -> list:
     maps = [H for H, _ in germs.values()]
     at = np.array([bases[i] for i in germs], dtype=complex)
     Ha, dH, failed = map_rows(maps, at.view(Exact), deriv=True)
-    ring = {z: Disk(z, r).boundary(BOUNDARY_SAMPLES) for z in dict.fromkeys(at.tolist())}
-    images, _, escaped = map_rows(maps, np.array([ring[z] for z in at.tolist()]))
+    images, _, escaped = map_rows(maps, circle(at, r, BOUNDARY_SAMPLES))
     dist = np.abs(images - Ha.view(np.ndarray)[:, None])
     far, near, mod = dist.max(axis=1), dist.min(axis=1), abs(dH)
     for j, (i, (H, V)) in enumerate(germs.items()):
@@ -433,51 +433,43 @@ def verify_symmetry(
     source net error; the backward direction inverts the germ on the inner
     quarter ball, where surjectivity is guaranteed.
     """
-    netG, netF = G.net, F.net
-    a, r, H = germ.base, germ.radius, germ.map
+    netG, netF, H = G.net, F.net, germ.map
     dH = abs(germ.derivative)
-
-    dist_a = np.abs(netG.points - a)
-    sel = np.nonzero(dist_a <= r)[0]
-    sel = sel[np.argsort(dist_a[sel], kind="stable")][:n_samples]
     forward_tol = tol + netF.epsilon + _EXPAND * netG.epsilon
-    forward_res = 0.0
-    forward_fail = 0
-    if len(sel):
-        images = np.atleast_1d(H(netG.points[sel]))
-        d, _ = F.tree.nearest(images)
-        forward_res = float(np.max(d))
-        forward_fail = int(np.count_nonzero(d > forward_tol))
-
-    Ha = complex(H(a))
-    inner = dH * r / 4.0
-    dist_im = np.abs(netF.points - Ha)
-    selb = np.nonzero(dist_im <= inner)[0]
-    selb = selb[np.argsort(dist_im[selb], kind="stable")][:n_samples]
     backward_tol = tol + netG.epsilon + netF.epsilon / max(dH * _SHRINK, 1e-12)
-    backward_res = 0.0
-    backward_fail = 0
+    f_res, f_fail, f_count = _carry(netG.points, germ.base, germ.radius, n_samples,
+                                    lambda z: (np.atleast_1d(H(z)), {}), F.tree, forward_tol)
+    Ha, H_inv = germ.image, H.inverse()
     # one call of the exact kernel: each preimage has the bits of H_inv(complex(y))
-    preimages, errors = rowwise(H.inverse(), netF.points[selb].view(Exact))
+    b_res, b_fail, b_count = _carry(netF.points, Ha, dH * germ.radius / 4.0, n_samples,
+                                    lambda y: rowwise(H_inv, y.view(Exact)), G.tree, backward_tol)
+    return SymmetryResidualReport(f_res, b_res, f_fail, b_fail, f_count, b_count,
+                                  forward_tol, backward_tol)
+
+
+def _carry(points, center, radius, n_samples, carry, tree, tol):
+    """``(residual, failures, count)`` of the points within ``radius`` of ``center``, carried.
+
+    At most ``n_samples`` of them, nearest first, go through ``carry``, which
+    returns their images and a dict from row to exception; a
+    ``NotInImage``, ``DomainError`` or ``ValueError`` row fails, and any other
+    exception is raised.  Each image is measured against ``tree`` and fails
+    beyond ``tol``.
+    """
+    dist = np.abs(points - center)
+    sel = np.nonzero(dist <= radius)[0]
+    sel = sel[np.argsort(dist[sel], kind="stable")][:n_samples]
+    if not len(sel):
+        return 0.0, 0, 0
+    images, errors = carry(points[sel])
     for exc in errors.values():
         if not isinstance(exc, (NotInImage, DomainError, ValueError)):
             raise exc
-    backward_fail += len(errors)
-    x = np.delete(preimages.view(np.ndarray), list(errors))
-    if len(x):
-        d, _ = G.tree.nearest(x)
-        backward_res = float(np.max(d))
-        backward_fail += int(np.count_nonzero(d > backward_tol))
-    return SymmetryResidualReport(
-        forward_residual=forward_res,
-        backward_residual=backward_res,
-        forward_failures=forward_fail,
-        backward_failures=backward_fail,
-        forward_count=int(len(sel)),
-        backward_count=int(len(selb)),
-        forward_tolerance=forward_tol,
-        backward_tolerance=backward_tol,
-    )
+    x = np.delete(np.asarray(images), list(errors))
+    if not len(x):
+        return 0.0, len(errors), len(sel)
+    d, _ = tree.nearest(x)
+    return float(np.max(d)), len(errors) + int(np.count_nonzero(d > tol)), len(sel)
 
 
 def _germ_classes(germs: list, bases, radius: float, groups) -> list:
@@ -486,9 +478,10 @@ def _germ_classes(germs: list, bases, radius: float, groups) -> list:
     ``germs`` are built at ``bases`` with ``radius``, ``None`` for a rejected
     one, and the germs of one group are scanned in order.  Returns, per
     germ, the index of the first earlier representative of its group that it
-    equals within ``GERM_EQUALITY_TOL`` on the boundary samples of
-    ``Disk(base, radius / 2)``, its own index when it becomes one, ``None``
-    for ``None``, or the exception that ends its group's scan.  Every germ
+    equals within ``GERM_EQUALITY_TOL`` on ``GERM_SAMPLES`` points of the
+    circle of radius ``radius / 2`` about its base, its own index when it
+    becomes one, ``None`` for ``None``, or the exception that ends its
+    group's scan.  Every germ
     is evaluated on its samples up front, as one (germs × samples) array.  A
     germ whose evaluation raised ends the scan at its first comparison,
     before the representative's, as an evaluation made there would; so only
@@ -496,12 +489,10 @@ def _germ_classes(germs: list, bases, radius: float, groups) -> list:
     germ never ends a scan.
     """
     live = [i for i, germ in enumerate(germs) if germ is not None]
-    ring = {z: Disk(z, 0.5 * radius).boundary(GERM_SAMPLES)
-            for z in dict.fromkeys(bases[i] for i in live)}
     values = np.full((len(germs), GERM_SAMPLES), complex(math.nan, math.nan))
     values[live], _, failed = map_rows(
         [germs[i].map for i in live],
-        np.array([ring[bases[i]] for i in live], dtype=complex).reshape(len(live), GERM_SAMPLES))
+        circle(np.array([bases[i] for i in live], dtype=complex), 0.5 * radius, GERM_SAMPLES))
     errors = {live[k]: exc for k, exc in failed.items()}
     out: list = [None] * len(germs)
     reps: dict = {}  # group -> its representatives, or the exception that ended its scan
@@ -564,7 +555,7 @@ def detect_coincidence(G: SystemNet, F: SystemNet, w: Word, K_max: int = 16) -> 
         f_v = compose_word(F.system, v)
         rel = compose_maps((f_v, compose_word(F.system, vtilde), f_v.inverse()))
         gwl = compose_word(G.system, w * l)
-        z = np.concatenate((Disk(beta, r * sF / 2.0).boundary(GERM_SAMPLES), [beta]))
+        z = np.append(circle(beta, r * sF / 2.0, GERM_SAMPLES), beta)
         residual = float(np.max(np.abs(gwl(z) - rel(z))))
         return ConjugacyRelation(exponent_l=l, outer=v, inner=vtilde, source=w,
                                  anchor=beta, residual=residual)
@@ -728,6 +719,11 @@ def shared_attractor(
     """
     budgets = budgets if budgets is not None else Budgets()
     h, ssc_both = math.nan, False  # until measured
+
+    def report(verdict: str, *notes: str, **evidence) -> SharedAttractorReport:
+        return SharedAttractorReport(hausdorff=h, ssc_both=ssc_both, verdict=verdict,
+                                     notes=notes, **evidence)
+
     try:
         G = SystemNet(systemG, compute_net(systemG, epsilon, budgets.point_cap))
         F = SystemNet(systemF, compute_net(systemF, epsilon, budgets.point_cap))
@@ -736,19 +732,10 @@ def shared_attractor(
         ssc_both = bool(G.cert.valid and F.cert.valid)
 
         if h > eps_sum:
-            return SharedAttractorReport(
-                hausdorff=h,
-                ssc_both=ssc_both,
-                verdict="NotShared",
-                notes=(f"net distance {h:.6e} exceeds combined net error {eps_sum:.6e}",),
-            )
+            return report("NotShared",
+                          f"net distance {h:.6e} exceeds combined net error {eps_sum:.6e}")
         if not ssc_both:
-            return SharedAttractorReport(
-                hausdorff=h,
-                ssc_both=False,
-                verdict="Inconclusive",
-                notes=("separation certificate invalid; evidence unavailable",),
-            )
+            return report("Inconclusive", "separation certificate invalid; evidence unavailable")
 
         dynG, dynF = G.dyn, F.dyn
         # the word budgets fail before any orbit walk, in the order the
@@ -776,37 +763,16 @@ def shared_attractor(
         raise
     except HoloifsError as exc:
         # a failed computation is no evidence either way
-        return SharedAttractorReport(
-            hausdorff=h,
-            ssc_both=ssc_both,
-            verdict="Inconclusive",
-            notes=(f"{type(exc).__name__}: {exc}",),
-        )
+        return report("Inconclusive", f"{type(exc).__name__}: {exc}")
 
-    notes: list[str] = []
-    prep_ok = (
-        prep_forward[0] > 0
-        and prep_forward[1] == 0
-        and prep_backward[0] > 0
-        and prep_backward[1] == 0
+    # Shared needs every check; each one that fails writes its note, in order
+    checks = (
+        ("preperiodic cross-check", all(passes > 0 and fails == 0
+                                        for passes, fails in (prep_forward, prep_backward))),
+        ("spectrum compatibility", len(matches) > 0 and all(l is not None for _, l in matches)),
+        ("functional-equation sweep", len(equations) > 0 and all(e.ok for e in equations)),
     )
-    spectrum_ok = len(matches) > 0 and all(l is not None for _, l in matches)
-    func_ok = len(equations) > 0 and all(e.ok for e in equations)
-    if not prep_ok:
-        notes.append("preperiodic cross-check failed")
-    if not spectrum_ok:
-        notes.append("spectrum compatibility failed")
-    if not func_ok:
-        notes.append("functional-equation sweep failed")
-
-    verdict = "Shared" if (prep_ok and spectrum_ok and func_ok) else "Inconclusive"
-    return SharedAttractorReport(
-        hausdorff=h,
-        ssc_both=True,
-        prep_forward=prep_forward,
-        prep_backward=prep_backward,
-        spectrum_matches=matches,
-        functional_equations=equations,
-        verdict=verdict,
-        notes=tuple(notes),
-    )
+    notes = [f"{name} failed" for name, passed in checks if not passed]
+    return report("Inconclusive" if notes else "Shared", *notes, prep_forward=prep_forward,
+                  prep_backward=prep_backward, spectrum_matches=matches,
+                  functional_equations=equations)

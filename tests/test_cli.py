@@ -508,6 +508,16 @@ def test_check_osc_disks_non_finite(configs, capsys, disks, named):
     assert err.startswith(f"error: {named}: expected finite numbers")
 
 
+@pytest.mark.parametrize("name", ["thirds", "julia6"])
+def test_check_osc_disk_with_a_degenerate_image_exits_2(configs, capsys, name):
+    # the enclosure radius of a subnormal disk underflows to 0, and the
+    # certificate refuses it with the ValueError of Disk
+    assert cli.main(["check", configs[name], "--osc-disks", "0.5,0,5e-324"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: --osc-disks: disk radius must be positive\n"
+
+
 # ---------------------------------------------------------------------------
 # spectrum command
 

@@ -1059,6 +1059,38 @@ def test_orbits_memory_follows_the_walk_not_the_cap():
     assert dyn.orbits(points, 10**18, 1e-9) == dyn.orbits(points, 64, 1e-9)
 
 
+def _step_loop_orbit(dyn, x, max_iter, tol):
+    """One point's orbit by a loop of ``step``, under the recurrence rule of ``orbits``."""
+    points = [complex(x)]
+    for _ in range(max_iter):
+        try:
+            y, _ = dyn.step(points[-1])
+        except OutsideAttractor:
+            break
+        points.append(y)
+        hit = [k for k, p in enumerate(points[:-1]) if abs(p - y) <= tol]
+        if hit:
+            return OrbitReport(tuple(points), hit[0], len(points) - 1 - hit[0])
+    return OrbitReport(tuple(points), None, None)
+
+
+@pytest.mark.parametrize("make", [cantor_thirds, lambda: sqrt_julia(-6.0)],
+                         ids=["thirds", "julia6"])
+def test_orbits_past_sixteen_steps_equal_the_step_loop(make):
+    # the table starts with 17 columns and doubles when a walk needs more:
+    # the cycles of words of 20 and 25 letters, which close under a loose
+    # tolerance or leave the attractor once their rounding has grown
+    system = make()
+    dyn = InverseDynamics(system, compute_net(system, 1e-3))
+    w20 = (0, 1, 1, 0, 1, 0, 0, 0, 1, 1, 1, 0, 1, 0, 0, 1, 1, 0, 0, 0)
+    words = [Word(w20, 2), Word(w20 + (1, 1, 0, 1, 0), 2)]
+    points = [fixed_point(system, w).point for w in words] + list(prep_points(system, 3)[:4])
+    for tol in (1e-6, 1e-9, 0.0):
+        want = [_step_loop_orbit(dyn, p, 64, tol) for p in points]
+        assert dyn.orbits(points, 64, tol) == want
+    assert max(len(rep.points) for rep in want) > 17
+
+
 def test_orbits_of_no_points():
     system = cantor_thirds()
     dyn = InverseDynamics(system, compute_net(system, 1e-3))

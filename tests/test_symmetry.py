@@ -6,6 +6,7 @@ import dataclasses
 import itertools
 import sys
 from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -32,7 +33,7 @@ from holoifs import (
 )
 from holoifs.attractor import certify_strong_osc, compute_net
 from holoifs.dynamics import MultiplierSpectrum, fixed_point, prep_points, spectrum
-from holoifs.maps import Affine, Composite, SqrtBranch, compose_maps, compose_word
+from holoifs.maps import Affine, Composite, HoloMap, SqrtBranch, compose_maps, compose_word
 from holoifs.symmetry import (
     BOUNDARY_SAMPLES,
     DERIV_SLACK,
@@ -42,6 +43,7 @@ from holoifs.symmetry import (
     RADIUS_FRACTION,
     Budgets,
     ConjugacyRelation,
+    FunctionalEquation,
     SymmetryGerm,
     SystemNet,
     SymmetryResidualReport,
@@ -115,6 +117,17 @@ def test_min_depth_examples(thirds, reflected):
 def test_min_depth_budget(thirds):
     with pytest.raises(BudgetExceeded):
         min_depth(thirds.system, thirds.net, 1e-9, word_cap=8)
+
+
+def test_min_depth_refuses_a_level_past_the_point_cap(thirds, monkeypatch):
+    # each word holds a row of every net point: depth 2 needs 4 rows of them
+    cells = 4 * len(thirds.net.points)
+    monkeypatch.setattr(holoifs.symmetry, "POINT_CAP", cells)
+    assert min_depth(thirds.system, thirds.net, 1 / 9) == 2
+    monkeypatch.setattr(holoifs.symmetry, "POINT_CAP", cells - 1)
+    assert min_depth(thirds.system, thirds.net, 1 / 3) == 1
+    with pytest.raises(BudgetExceeded, match="^word enumeration exceeded the cap in min_depth$"):
+        min_depth(thirds.system, thirds.net, 1 / 9)
 
 
 def _word_loop_min_depth(systemG, netG, s_F, word_cap=10**6):
@@ -486,6 +499,88 @@ def test_build_symmetries_keeps_a_word_whose_walk_cannot_invert(thirds, monkeypa
     assert build_symmetries(thirds, thirds, 0.0, []) == []
 
 
+@dataclasses.dataclass(frozen=True)
+class _FaultyInverse(HoloMap):
+    """The inverse of an affine map that fails on purpose, as ``fault`` names.
+
+    ``"deriv"``: its derivative raises.  ``"ring"`` and ``"far"``: a value
+    off the real axis raises, or lands a thousand times farther out.  Real
+    values, as on the walks of the thirds, are the affine map's.
+    """
+
+    inner: Affine
+    fault: str
+
+    def __call__(self, z):
+        if self.fault != "deriv" and np.any(np.imag(z) != 0.0):
+            if self.fault == "ring":
+                raise DomainError("planted: a value off the real axis")
+            return self.inner(z) * 1e3
+        return self.inner(z)
+
+    def deriv(self, z):
+        if self.fault == "deriv":
+            raise DomainError("planted: a derivative")
+        return self.inner.deriv(z)
+
+
+@dataclasses.dataclass(frozen=True)
+class _FaultyAffine(HoloMap):
+    """An affine map, not folded into its neighbours, whose inverse is planted."""
+
+    inner: Affine
+    fault: str
+
+    def __call__(self, z):
+        return self.inner(z)
+
+    def deriv(self, z):
+        return self.inner.deriv(z)
+
+    def inverse(self):
+        return _FaultyInverse(self.inner.inverse(), self.fault)
+
+    def enclosure_arrays(self, centers, radii):
+        return self.inner.enclosure_arrays(centers, radii)
+
+
+@pytest.mark.parametrize("fault, rejection", [
+    ("deriv", "DomainError: planted: a derivative"),
+    ("ring", "DomainError: planted: a value off the real axis"),
+    ("far", "GermBoundsError: image boundary escapes the outer sandwich disk"),
+])
+def test_build_symmetries_meet_a_germ_that_fails_its_checks(thirds, fault, rejection):
+    # the germs whose target word reads the planted letter 1 fail at H'(a),
+    # on the boundary ring, or at the outer sandwich disk
+    maps = thirds.system.maps
+    F = system_net(IfsSystem((maps[0], _FaultyAffine(maps[1], fault)), thirds.system.domain))
+    words = _all_words(2, 3)
+    names = set()
+    for a in (0.0, 0.75, 1.0):
+        want = [_outcome(_scalar_build_symmetry, thirds, F, a, w) for w in words]
+        got = build_symmetries(thirds, F, a, words)
+        assert all(_same_outcome(x, y) for x, y in zip(got, want))
+        names.update(f"{type(x).__name__}: {x}" if isinstance(x, Exception) else "germ"
+                     for x in want)
+    assert names == {"germ", rejection}
+
+
+def test_build_symmetries_meet_a_word_or_a_pair_that_fails(thirds):
+    # a word over another alphabet fails to compose; a pair whose separation
+    # fails has no radius rho, which every composed word meets
+    halves = system_net(IfsSystem((Affine(0.5, 0.0), Affine(0.5, 0.5)), Disk(0.5, 2.0)))
+    words = [Word((0,), 2), Word((0,), 3), Word((1, 0), 2)]
+    for G, F, names in [
+        (thirds, thirds, ["SymmetryGerm", "IndexError", "SymmetryGerm"]),
+        (halves, thirds, ["SeparationFailure", "IndexError", "SeparationFailure"]),
+        (thirds, halves, ["SeparationFailure", "IndexError", "SeparationFailure"]),
+    ]:
+        want = [_outcome(_scalar_build_symmetry, G, F, 0.0, w) for w in words]
+        assert [type(x).__name__ for x in want] == names
+        got = build_symmetries(G, F, 0.0, words)
+        assert all(_same_outcome(x, y) for x, y in zip(got, want))
+
+
 def _record_sweep_builds(monkeypatch):
     """Patch build_symmetries to record, per call, its base points, words and outcomes."""
     calls = []
@@ -575,6 +670,70 @@ def test_verify_symmetry_backward_equals_the_per_point_loop(thirds, reflected, j
             res, fail, count)
         assert count > 0
     assert verify_symmetry(corrupted, reflected, thirds).backward_failures > 0
+
+
+def _scalar_forward(germ, G, F, n_samples=200, tol=1e-9):
+    """The forward direction of ``verify_symmetry`` with one KD query per image, as the oracle."""
+    report = verify_symmetry(germ, G, F, n_samples, tol)
+    dist_a = np.abs(G.net.points - germ.base)
+    sel = np.nonzero(dist_a <= germ.radius)[0]
+    sel = sel[np.argsort(dist_a[sel], kind="stable")][:n_samples]
+    tree = cKDTree(_xy(F.net.points))
+    res, fail = 0.0, 0
+    for x in np.atleast_1d(germ.map(G.net.points[sel])).tolist():  # one array, as the library
+        d, _ = tree.query([[x.real, x.imag]], k=1)
+        res = max(res, float(d[0]))
+        fail += float(d[0]) > report.forward_tolerance
+    return res, fail, len(sel)
+
+
+def test_verify_symmetry_forward_equals_the_per_point_loop(thirds, reflected, julia_pairs):
+    julia6, squared = julia_pairs["julia6"], julia_pairs["julia6-squared"]
+    reference = build_symmetry(reflected, thirds, 0.0, Word((1,), 2))
+    corrupted = SymmetryGerm(reference.base, reference.radius, reference.word_g,
+                             reference.word_f, Affine(1j, 1.0))
+    cases = [
+        (reference, reflected, thirds, 200),
+        (corrupted, reflected, thirds, 200),
+        (corrupted, reflected, thirds, 7),
+        (dataclasses.replace(corrupted, base=0.25), reflected, thirds, 7),
+        (build_symmetry(thirds, thirds, 0.0, Word((0,), 2)), thirds, thirds, 200),
+        (build_symmetry(julia6, squared, 3.0, Word((0, 0, 1), 2)), julia6, squared, 200),
+        (build_symmetry(squared, julia6, -2.0, Word((3,), 4)), squared, julia6, 200),
+    ]
+    for germ, G, F, n in cases:
+        report = verify_symmetry(germ, G, F, n)
+        res, fail, count = _scalar_forward(germ, G, F, n)
+        assert (report.forward_residual, report.forward_failures, report.forward_count) == (
+            res, fail, count)
+        assert 0 < count <= n
+    assert verify_symmetry(corrupted, reflected, thirds).forward_failures > 0
+    # a germ whose ball holds no source point measures nothing in that direction
+    away = dataclasses.replace(reference, base=0.5)
+    report = verify_symmetry(away, reflected, thirds)
+    assert (report.forward_residual, report.forward_failures, report.forward_count) == (0.0, 0, 0)
+    assert _scalar_forward(away, reflected, thirds) == (0.0, 0, 0)
+
+
+def test_verify_symmetry_counts_preimages_that_fail(julia_pairs):
+    # the planted identity cannot invert a point off the real axis: every
+    # point of the complex julia net is one, so no backward sample is
+    # measured; the net of {z/3, z/3 + 2/3, z/3 + i/3} near 0 holds both kinds
+    identity = _FaultyAffine(Affine(1.0, 0.0), "ring")
+    julia = julia_pairs["julia-complex"]
+    germ = build_symmetry(julia, julia, prep_points(julia.system, 1)[0], Word((0,), 2))
+    report = verify_symmetry(dataclasses.replace(germ, map=identity), julia, julia)
+    assert report.backward_count == report.backward_failures > 0
+    assert report.backward_residual == 0.0
+    assert (report.forward_residual, report.forward_failures) == (0.0, 0)
+    gasket = system_net(IfsSystem(
+        (Affine(1 / 3, 0.0), Affine(1 / 3, 2 / 3), Affine(1 / 3, 1j / 3)), Disk(0.5, 1.5)))
+    mixed = SymmetryGerm(0.0, 0.2, Word((0,), 3), Word((0,), 3), identity)
+    for germ, G in ((dataclasses.replace(germ, map=identity), julia), (mixed, gasket)):
+        report = verify_symmetry(germ, G, G)
+        assert _scalar_verify(germ, G, G) == (
+            report.backward_residual, report.backward_failures, report.backward_count)
+    assert 0 < report.backward_failures < report.backward_count
 
 
 def test_verify_reflection_germ(thirds, reflected):
@@ -1097,6 +1256,37 @@ def test_shared_thirds_vs_reflected():
     assert len(report.functional_equations) > 0
     assert all(e.ok for e in report.functional_equations)
     assert max(e.residual for e in report.functional_equations) <= 1e-9
+
+
+def test_shared_verdict_and_notes_follow_each_check(monkeypatch):
+    # the evidence is planted; the rule is written out as the three checks
+    # and their notes were before one table decided both
+    passing = FunctionalEquation(0, Word((0,), 2), None, None, None, 0.0, True)
+    failing = dataclasses.replace(passing, residual=1.0, ok=False)
+    preps = [((3, 0), (3, 0)), ((0, 0), (3, 0)), ((3, 1), (3, 0)), ((3, 0), (0, 0)),
+             ((3, 0), (3, 2))]
+    spectra = [[(0.5, 1)], [], [(0.5, 1), (0.25, None)]]
+    sweeps = [(passing,), (), (passing, failing)]
+    unused = SimpleNamespace(truncated=lambda length: None)
+    monkeypatch.setattr(holoifs.symmetry, "spectrum", lambda system, max_len: unused)
+    for (forward, backward), matches, equations in itertools.product(preps, spectra, sweeps):
+        checks = iter([forward, backward])
+        monkeypatch.setattr(holoifs.symmetry, "_prep_check", lambda *args: next(checks))
+        monkeypatch.setattr(holoifs.symmetry, "spectrum_compat", lambda *args: matches)
+        monkeypatch.setattr(holoifs.symmetry, "_functional_sweep", lambda *args: equations)
+        report = shared_attractor(cantor_thirds(), cantor_thirds_reflected(), EPS)
+        notes = []
+        if not (forward[0] > 0 and forward[1] == 0 and backward[0] > 0 and backward[1] == 0):
+            notes.append("preperiodic cross-check failed")
+        if not (len(matches) > 0 and all(l is not None for _, l in matches)):
+            notes.append("spectrum compatibility failed")
+        if not (len(equations) > 0 and all(e.ok for e in equations)):
+            notes.append("functional-equation sweep failed")
+        assert report.notes == tuple(notes)
+        assert report.verdict == ("Inconclusive" if notes else "Shared")
+        assert (report.prep_forward, report.prep_backward) == (forward, backward)
+        assert report.spectrum_matches == tuple(2 * matches)
+        assert report.functional_equations == equations and report.ssc_both
 
 
 def test_shared_thirds_vs_squared_both_orders():
