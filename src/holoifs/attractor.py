@@ -19,6 +19,7 @@ import numpy as np
 from .errors import BudgetExceeded, DomainError, SeparationFailure
 from .geometry import hyp_ball_inradius, pseudo_hyperbolic, pseudo_hyperbolic_ball
 from .maps import Affine, Disk, Exact, IfsSystem, circle, modulus, rowwise
+from .tolerances import BALL_SLACK, ROUNDING_PAD
 
 #: default cap on the number of cylinder disks per refinement level
 POINT_CAP = 10**7
@@ -33,16 +34,6 @@ NET_BLOCK = 2**12
 
 #: cylinders per level that bound a level's largest radius from below
 NET_BEAM = 8
-
-#: rounding allowance of a frozen block's chain disk, per enclosure step, as a
-#: fraction of ``|c0| + R`` (see :func:`_frozen_blocks`)
-ROUNDING_PAD = 2.0**-40
-
-#: relative and absolute (unit-disk, times ``1 + |c|/R``) widening of the ball
-#: queries in :func:`rho_radius`; rounding in the distance, the disk formula,
-#: the map to ``B(c, R)`` and the index's distance test moves a ball boundary
-#: by far less, so the minimising pair is never dropped
-BALL_SLACK = 1e-9
 
 #: most points in a leaf of a :class:`PointIndex`
 LEAF_SIZE = 8
@@ -640,10 +631,19 @@ def certify_strong_osc(
         raise ValueError("need at least one candidate disk")
     centers = np.array([d.center for d in disks], dtype=np.complex128)
     radii = np.array([d.radius for d in disks], dtype=np.float64)
+    block = max(1, QUERY_ROWS // len(disks))
 
     def union_depth(pts: np.ndarray) -> np.ndarray:
-        """Per point, its largest depth ``radius - distance`` in one of the disks."""
-        return np.max(radii - np.abs(pts[..., None] - centers), axis=-1)
+        """Per point, its largest depth ``radius - distance`` in one of the disks.
+
+        The points go in blocks of at most ``QUERY_ROWS`` (point, disk) cells,
+        so memory stays linear in the points and in the disks.
+        """
+        flat = pts.reshape(-1)
+        out = np.empty(flat.shape)
+        for k in range(0, len(flat), block):
+            out[k:k + block] = np.max(radii - np.abs(flat[k:k + block, None] - centers), axis=-1)
+        return out.reshape(pts.shape)
 
     meets_margin = float(np.max(union_depth(net.points)))
     rings = circle(centers, radii, samples)

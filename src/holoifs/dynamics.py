@@ -59,17 +59,16 @@ from .maps import (
     factor_table,
     modulus,
 )
+from .tolerances import (
+    FIXED_POINT_TOL,
+    PERIODIC_RESIDUAL_TOL,
+    PREP_DEDUP_TOL,
+    RECURRENCE_TOL,
+    SPECTRUM_DEDUP_TOL,
+)
 
-#: fixed-point iteration tolerance and cap
-FIXED_POINT_TOL = 1e-14
+#: fixed-point iteration cap
 FIXED_POINT_MAX_ITER = 10**5
-
-#: acceptance tolerances for periodic-point data
-PERIODIC_RESIDUAL_TOL = 1e-10
-
-#: deduplication tolerances
-SPECTRUM_DEDUP_TOL = 1e-9
-PREP_DEDUP_TOL = 1e-10
 
 #: default word/point budget
 WORD_CAP = 10**7
@@ -339,16 +338,24 @@ class InverseDynamics:
         self.claim_radius = self.cert.pairwise_distance / 2.0 - net.epsilon
         if self.claim_radius <= 2.0 * net.epsilon:
             raise SeparationFailure("net too coarse to resolve inverse branches")
+        # A point at least `reach` from the domain centre c lies at least
+        # max|w - c| + 2*claim_radius from every image point w, so no branch
+        # claims it; it is not queried, where a huge point's squared
+        # distances would overflow.
+        c = system.domain.center
+        spread = max(float(np.max(np.abs(w - c))) for w in self.cert.images)
+        self.reach = 2.0 * (spread + self.claim_radius)
 
     def steps(self, xs: np.ndarray):
         """One step of the inverse map for every point of ``xs``.
 
         The branch trees are queried in branch order, each with the finite
-        points that no earlier branch claimed, with the strict
-        ``d < claim_radius`` test, until no such point is left; so each point
-        takes the first branch that claims it.  :func:`~holoifs.maps.apply_rows`
-        maps the points each branch claims by its inverse (``self.inverses``)
-        in one call of the exact kernel (:class:`~holoifs.maps.Exact`), and
+        points within ``reach`` of the domain centre that no earlier branch
+        claimed, with the strict ``d < claim_radius`` test, until no such
+        point is left; so each point takes the first branch that claims it.
+        :func:`~holoifs.maps.apply_rows` maps the points each branch claims
+        by its inverse (``self.inverses``) in one call of the exact kernel
+        (:class:`~holoifs.maps.Exact`), and
         the lowest row's non-library exception is raised.  Returns ``(branch,
         preimage, failures)``: ``failures`` maps each row that fails to the exception
         :meth:`step` raises for that point, and such a row has branch -1.  A
@@ -360,7 +367,9 @@ class InverseDynamics:
         n = len(xs)
         finite = np.isfinite(xs)
         branch = np.full(n, -1, dtype=np.intp)
-        unclaimed = np.flatnonzero(finite)
+        with np.errstate(over="ignore"):
+            within = np.abs(xs - self.system.domain.center) < self.reach
+        unclaimed = np.flatnonzero(finite & within)
         for i, tree in enumerate(self.cert.trees):
             if not len(unclaimed):
                 break
@@ -392,7 +401,7 @@ class InverseDynamics:
             raise failures[0]
         return complex(preimage[0]), int(branch[0])
 
-    def orbits(self, xs, max_iter: int = 200, tol: float = 1e-9) -> list[OrbitReport]:
+    def orbits(self, xs, max_iter: int = 200, tol: float = RECURRENCE_TOL) -> list[OrbitReport]:
         """:meth:`orbit` of every point of ``xs``, walked together as one array.
 
         Every row keeps its points in one table, which grows with the
@@ -438,7 +447,7 @@ class InverseDynamics:
                 reports.append(OrbitReport(points, p, size - 1 - p))
         return reports
 
-    def orbit(self, x: complex, max_iter: int = 200, tol: float = 1e-9) -> OrbitReport:
+    def orbit(self, x: complex, max_iter: int = 200, tol: float = RECURRENCE_TOL) -> OrbitReport:
         """Walk at most ``max_iter`` steps and report the first detected cycle.
 
         ``preperiod`` is the first index whose point recurs and ``period`` the

@@ -16,9 +16,7 @@ import numpy as np
 
 from .errors import DomainError, NotReal, OnSlit, OutsideDomain
 from .maps import Disk, circle
-
-#: tolerance for the conjugation-symmetry (realness) test
-REAL_TOL = 1e-12
+from .tolerances import ATANH_CLAMP, REAL_TOL
 
 
 def _to_unit(disk: Disk, z: complex) -> complex:
@@ -169,7 +167,7 @@ def hyp_dist_slit(interval: tuple[float, float], z: complex) -> float:
     w = _slit_to_unit(interval, z)
     q = 1.0 - abs(w) ** 2
     p = 2.0 * abs(w.real) / (q + math.hypot(q, 2.0 * w.real))
-    return math.atanh(min(p, 1.0 - 1e-16))
+    return math.atanh(min(p, 1.0 - ATANH_CLAMP))
 
 
 def kappa(theta: float) -> float:

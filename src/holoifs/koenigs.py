@@ -24,15 +24,10 @@ import numpy as np
 from . import _series
 from .errors import InvalidMultiplier, NoConvergence, NonInvertible, NotAFixedPoint
 from .maps import HoloMap, circle
+from .tolerances import ROOT_RESIDUAL_TOL, SERIES_FIXED_POINT_TOL
 
 #: default truncation order (coefficients c_1 .. c_ORDER)
 ORDER = 32
-
-#: fixed-point residual accepted by series_of_map
-FIXED_POINT_TOL = 1e-12
-
-#: composition residual accepted by functional_roots
-ROOT_RESIDUAL_TOL = 1e-8
 
 #: geometric ratio used to pick a safe sampling radius
 _SAMPLE_RATIO = 0.25
@@ -119,10 +114,10 @@ def series_of_map(m: HoloMap, point: complex, order: int = ORDER) -> PowerSeries
     """Centered Taylor germ of ``m`` at a fixed point.
 
     The germ represents ``z -> m(point + z) - point``; the point must be
-    fixed within ``FIXED_POINT_TOL`` so the constant term genuinely vanishes.
+    fixed within ``SERIES_FIXED_POINT_TOL`` so the constant term genuinely vanishes.
     """
     value, coeffs = m.taylor(point, order)
-    if abs(value - complex(point)) > FIXED_POINT_TOL:
+    if abs(value - complex(point)) > SERIES_FIXED_POINT_TOL:
         raise NotAFixedPoint(
             f"map moves {point} to {value}; germ extraction needs a fixed point"
         )

@@ -26,18 +26,10 @@ import numpy as np
 
 from . import _series
 from .errors import DomainError, NonInvertible, NotInImage, SingularDerivative
-
-#: relative tolerance for inversion round-trip verification
-INVERT_RTOL = 1e-12
-
-#: derivative magnitudes below this cannot be reciprocated meaningfully
-DERIV_FLOOR = 1e-300
+from .tolerances import CONTAINMENT_MARGIN, DERIV_FLOOR, INVERT_RTOL
 
 #: number of boundary samples used to certify domain containment
-BOUNDARY_SAMPLES = 256
-
-#: minimal margin by which map images must stay inside the domain disk
-CONTAINMENT_MARGIN = 1e-9
+CONTAINMENT_SAMPLES = 256
 
 
 def _sqrt(z):
@@ -152,7 +144,7 @@ class Disk:
     def diameter(self) -> float:
         return 2.0 * self.radius
 
-    def boundary(self, n: int = BOUNDARY_SAMPLES) -> np.ndarray:
+    def boundary(self, n: int = CONTAINMENT_SAMPLES) -> np.ndarray:
         """``n`` equispaced points on the boundary circle."""
         return circle(self.center, self.radius, n)
 
@@ -439,7 +431,7 @@ class IfsSystem:
         object.__setattr__(self, "maps", tuple(self.maps))
         if not self.maps:
             raise ValueError("a system needs at least one map")
-        boundary = self.domain.boundary(BOUNDARY_SAMPLES)
+        boundary = self.domain.boundary(CONTAINMENT_SAMPLES)
         center, radius = np.array([self.domain.center]), np.array([self.domain.radius])
         for k, g in enumerate(self.maps):
             try:

@@ -48,7 +48,6 @@ from .errors import (
 )
 from .geometry import koebe_distortion
 from .maps import (
-    DERIV_FLOOR,
     Affine,
     Exact,
     HoloMap,
@@ -61,6 +60,17 @@ from .maps import (
     map_rows,
     rowwise,
 )
+from .tolerances import (
+    BACKWARD_DERIV_FLOOR,
+    DERIV_FLOOR,
+    DERIV_SLACK,
+    FUNC_EQ_TOL,
+    GERM_EQUALITY_TOL,
+    RECURRENCE_TOL,
+    SANDWICH_SLACK,
+    SPECTRUM_TOL,
+    SYMMETRY_RESIDUAL_TOL,
+)
 
 #: germ radius as a fraction of the univalence radius rho
 RADIUS_FRACTION = 3.0 - math.sqrt(8.0)
@@ -69,8 +79,6 @@ RADIUS_FRACTION = 3.0 - math.sqrt(8.0)
 #: ball, |H'| / |H'(a)| lies in [_SHRINK, _EXPAND]
 _SHRINK, _EXPAND = koebe_distortion(RADIUS_FRACTION)
 
-DERIV_SLACK = 1e-9
-GERM_EQUALITY_TOL = 1e-9
 GERM_SAMPLES = 32
 BOUNDARY_SAMPLES = 64
 WALK_CAP = 512
@@ -156,8 +164,8 @@ class Budgets:
     spectrum_source_len: int = 4
     spectrum_target_len: int = 8
     spectrum_l_max: int = 8
-    spectrum_tol: float = 1e-9
-    func_eq_tol: float = 1e-9
+    spectrum_tol: float = SPECTRUM_TOL
+    func_eq_tol: float = FUNC_EQ_TOL
     eq_samples: int = 64
     point_cap: int = POINT_CAP
 
@@ -397,9 +405,9 @@ def build_symmetries(G: SystemNet, F: SystemNet, a, words) -> list:
             out[i] = GermBoundsError(f"|H'(a)| = {mod[j]:.6e} outside [{sF:.6e}, 1]")
         elif j in escaped:
             out[i] = escaped[j]
-        elif far[j] > rho + 1e-12:
+        elif far[j] > rho + SANDWICH_SLACK:
             out[i] = GermBoundsError("image boundary escapes the outer sandwich disk")
-        elif near[j] < sF * rho / 25.0 - 1e-12:
+        elif near[j] < sF * rho / 25.0 - SANDWICH_SLACK:
             out[i] = GermBoundsError("image boundary enters the inner sandwich disk")
         else:
             out[i] = SymmetryGerm(base=bases[i], radius=r, word_g=words[i], word_f=V, map=H)
@@ -425,7 +433,7 @@ def verify_symmetry(
     G: SystemNet,
     F: SystemNet,
     n_samples: int = 200,
-    tol: float = 1e-9,
+    tol: float = SYMMETRY_RESIDUAL_TOL,
 ) -> SymmetryResidualReport:
     """Sampled check that the germ carries one net into the other and back.
 
@@ -436,7 +444,7 @@ def verify_symmetry(
     netG, netF, H = G.net, F.net, germ.map
     dH = abs(germ.derivative)
     forward_tol = tol + netF.epsilon + _EXPAND * netG.epsilon
-    backward_tol = tol + netG.epsilon + netF.epsilon / max(dH * _SHRINK, 1e-12)
+    backward_tol = tol + netG.epsilon + netF.epsilon / max(dH * _SHRINK, BACKWARD_DERIV_FLOOR)
     f_res, f_fail, f_count = _carry(netG.points, germ.base, germ.radius, n_samples,
                                     lambda z: (np.atleast_1d(H(z)), {}), F.tree, forward_tol)
     Ha, H_inv = germ.image, H.inverse()
@@ -562,7 +570,7 @@ def detect_coincidence(G: SystemNet, F: SystemNet, w: Word, K_max: int = 16) -> 
     raise NoCoincidence(f"no coinciding germ pair within K_max = {K_max}")
 
 
-def spectrum_compat(specG, specF, l_max: int, tol: float = 1e-9):
+def spectrum_compat(specG, specF, l_max: int, tol: float = SPECTRUM_TOL):
     """Smallest power matching each source multiplier into the target spectrum.
 
     Returns ``(value, l)`` pairs with ``l = None`` for unmatched entries; source
@@ -588,7 +596,7 @@ def _prep_check(source: IfsSystem, target_dyn: InverseDynamics, budgets: Budgets
     points = prep_points(source, budgets.prep_max_word)
     # the recurrence test scales with the points, as their rounding does, so a
     # translated pair passes alike
-    tol = 1e-9 * max(1.0, float(np.max(np.abs(points), initial=0.0)))
+    tol = RECURRENCE_TOL * max(1.0, float(np.max(np.abs(points), initial=0.0)))
     reports = target_dyn.orbits(points, budgets.prep_orbit_cap, tol)
     passes = sum(rep.is_preperiodic for rep in reports)
     return passes, len(reports) - passes

@@ -152,6 +152,21 @@ def test_strong_osc_rejects_tangent_images(thirds, thirds_net):
     assert cert.checks["image_disjointness"] <= 1e-12
 
 
+def test_strong_osc_memory_is_linear_in_the_disks(thirds):
+    # the union depths of every ring sample in every disk once took
+    # disks**2 * samples cells: 236 MiB at 200 disks
+    net = compute_net(thirds, 1e-3)
+    disks = [Disk(complex(x, 0.01 * k), 0.013) for k, x in enumerate(np.linspace(0, 1, 200))]
+    tracemalloc.start()
+    try:
+        cert = certify_strong_osc(thirds, disks, net)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cert.kind == "StrongOSC"
+    assert peak < 16 * 2**20
+
+
 # ---------------------------------------------------------------------------
 # the strong-OSC certificate against the per-disk loops it replaced
 

@@ -728,3 +728,16 @@ def test_symmetry_point_off_attractor(configs, capsys):
     )
     assert code == 1
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("point", ["1e300", "1.7e308,1.7e308"])
+def test_symmetry_huge_point_prints_one_error_line(configs, point):
+    # the inverse steps leave a point far outside every image unqueried, so
+    # no squared distance overflows into a numpy warning before the error
+    args = ["symmetry", configs["thirds"], configs["thirds"], "--point", point, "--word", "0"]
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parent.parent))
+    proc = subprocess.run([sys.executable, "-m", "holoifs.cli", *args], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 1
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
