@@ -367,11 +367,12 @@ class PointIndex:
     once, so its children split the same way.  Each node keeps its tight
     bounding box.
 
-    Distances are ``sqrt(dx*dx + dy*dy)`` in float arithmetic, and ties are
-    equal distances.  Every pruning test compares a distance bound computed
-    by the same float expression, and rounding is monotone, so a pruned node
-    holds no point that the test on its own distance would keep: answers are
-    exact, not approximate.
+    Distances are ``sqrt(dx*dx + dy*dy)`` in float arithmetic (see
+    :func:`_length` for the rows whose squares overflow), and ties are equal
+    distances.  Every pruning test compares a distance bound computed by the
+    same float expression, and rounding is monotone, so a pruned node holds
+    no point that the test on its own distance would keep: answers are
+    exact, not approximate.  A distance past the largest float is inf.
     """
 
     def __init__(self, points: np.ndarray):
@@ -395,8 +396,9 @@ class PointIndex:
         hi = np.array([[coords[:n].max()], [coords[width : width + n].max()]])
         slots = np.arange(width)[None, :]
         splits = [np.zeros((3, 1))]  # (axis, left child's high, right child's low) by node
-        # a cell made only of pads has infinite sides; its axis does not matter
-        with np.errstate(invalid="ignore"):
+        # a cell made only of pads, or wider than the largest float, has an
+        # infinite side; its axis matters only to speed, never to an answer
+        with np.errstate(invalid="ignore", over="ignore"):
             for level in range(depth):
                 nodes, size = slots.shape
                 if level % 2 == 0:
@@ -444,10 +446,11 @@ class PointIndex:
         lowest index.  Raises ``ValueError`` on a point that is not finite.
         """
         q4 = self._queries(z)
-        if q4.shape[1] <= QUERY_ROWS:
-            return self._nearest(q4)
-        parts = [self._nearest(q4[:, k : k + QUERY_ROWS])
-                 for k in range(0, q4.shape[1], QUERY_ROWS)]
+        with np.errstate(over="ignore"):  # a difference past the largest float is inf
+            if q4.shape[1] <= QUERY_ROWS:
+                return self._nearest(q4)
+            parts = [self._nearest(q4[:, k : k + QUERY_ROWS])
+                     for k in range(0, q4.shape[1], QUERY_ROWS)]
         return np.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts])
 
     def within(self, z, r) -> tuple[np.ndarray, np.ndarray]:
@@ -456,7 +459,8 @@ class PointIndex:
         ``z`` is as for :meth:`nearest`.  Each pair comes once, in no set
         order.  Raises ``ValueError`` on a point that is not finite.
         """
-        rows, index, _ = self._ball(self._queries(z), r)
+        with np.errstate(over="ignore"):
+            rows, index, _ = self._ball(self._queries(z), r)
         return rows, index
 
     @staticmethod
@@ -489,8 +493,7 @@ class PointIndex:
         """Distance from the query to its box: zero inside; no box point is nearer."""
         near = np.maximum(gaps[:2], gaps[2:])
         np.maximum(near, 0.0, out=near)
-        near *= near
-        return np.sqrt(near[0] + near[1])
+        return _length(near[0], near[1])
 
     @staticmethod
     def _expand(rows, nodes, keep, deeper: bool):
@@ -506,7 +509,7 @@ class PointIndex:
         pos = (nodes - (1 << level)) * size + np.arange(size)[:, None]
         dx = self.px.take(pos) - q4[0].take(rows)
         dy = self.py.take(pos) - q4[1].take(rows)
-        return np.sqrt(dx * dx + dy * dy), pos
+        return _length(dx, dy), pos
 
     def _ball(self, q4, r):
         """Rows, indexes and distances of every pair within ``r`` (per row, or one for all)."""
@@ -539,14 +542,14 @@ class PointIndex:
         # noting the nearest split plane it passes
         stop = max(top, self._stop(nq))
         node += 1 << top
-        plane2 = np.full(nq, np.inf)
+        plane = np.full(nq, np.inf)
         for _ in range(stop - top):
             axis, left_high, right_low = self.splits.take(node, axis=1)
             c = np.where(axis, q4[1], q4[0])
             dl, dr = c - left_high, right_low - c
             right = dl > dr
             across = np.where(right, dl, dr)  # to the other child's side of the split
-            np.minimum(plane2, across * across, out=plane2)
+            np.minimum(plane, across, out=plane)
             node = 2 * node + right
         dist, pos = self._scan(q4, cols, node, stop)
         best = dist.min(axis=0)
@@ -556,7 +559,8 @@ class PointIndex:
         # node it passed by, is done; the others take the nearest,
         # lowest-index point of their ball of that radius, which holds the
         # home point
-        rows = np.flatnonzero(~(best < np.minimum(bound, np.sqrt(plane2))))
+        # a plane's distance as a point's, so no point beyond it is nearer
+        rows = np.flatnonzero(~(best < np.minimum(bound, _length(plane, np.zeros(nq)))))
         if rows.size:
             q, home, near = q4.take(rows, axis=1), node.take(rows), bound.take(rows)
             for up in range(stop - top):
@@ -568,6 +572,27 @@ class PointIndex:
             first = first[np.diff(hit.take(first), prepend=-1) != 0]
             best[rows], index[rows] = hit_dist.take(first), hit_index.take(first)
         return best, index
+
+
+def _length(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
+    """``sqrt(dx*dx + dy*dy)``, and where it overflows, the same formula scaled by ``2**-600``.
+
+    A scaled row has the bits the formula would have with an unbounded
+    exponent (inf past the largest float): its small square is far below half
+    an ulp of the large one, so losing it to underflow changes nothing.  So
+    the distance stays monotone in ``|dx|`` and ``|dy|`` across both forms.
+    Callers hold ``np.errstate(over="ignore")``.
+    """
+    try:
+        with np.errstate(over="raise"):  # an infinite part squares to inf without overflowing
+            return np.sqrt(dx * dx + dy * dy)
+    except FloatingPointError:
+        pass
+    d = np.sqrt(dx * dx + dy * dy)
+    big = np.isinf(d)
+    sx, sy = np.ldexp(dx[big], -600), np.ldexp(dy[big], -600)
+    d[big] = np.ldexp(np.sqrt(sx * sx + sy * sy), 600)
+    return d
 
 
 def hausdorff(a, b) -> float:

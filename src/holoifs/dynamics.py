@@ -338,21 +338,15 @@ class InverseDynamics:
         self.claim_radius = self.cert.pairwise_distance / 2.0 - net.epsilon
         if self.claim_radius <= 2.0 * net.epsilon:
             raise SeparationFailure("net too coarse to resolve inverse branches")
-        # A point at least `reach` from the domain centre c lies at least
-        # max|w - c| + 2*claim_radius from every image point w, so no branch
-        # claims it; it is not queried, where a huge point's squared
-        # distances would overflow.
-        c = system.domain.center
-        spread = max(float(np.max(np.abs(w - c))) for w in self.cert.images)
-        self.reach = 2.0 * (spread + self.claim_radius)
 
     def steps(self, xs: np.ndarray):
         """One step of the inverse map for every point of ``xs``.
 
         The branch trees are queried in branch order, each with the finite
-        points within ``reach`` of the domain centre that no earlier branch
-        claimed, with the strict ``d < claim_radius`` test, until no such
-        point is left; so each point takes the first branch that claims it.
+        points that no earlier branch claimed, with the strict ``d <
+        claim_radius`` test, until no such point is left; so each point takes
+        the first branch that claims it (a huge point's distance is at least
+        the claim radius, or inf).
         :func:`~holoifs.maps.apply_rows` maps the points each branch claims
         by its inverse (``self.inverses``) in one call of the exact kernel
         (:class:`~holoifs.maps.Exact`), and
@@ -367,9 +361,7 @@ class InverseDynamics:
         n = len(xs)
         finite = np.isfinite(xs)
         branch = np.full(n, -1, dtype=np.intp)
-        with np.errstate(over="ignore"):
-            within = np.abs(xs - self.system.domain.center) < self.reach
-        unclaimed = np.flatnonzero(finite & within)
+        unclaimed = np.flatnonzero(finite)
         for i, tree in enumerate(self.cert.trees):
             if not len(unclaimed):
                 break

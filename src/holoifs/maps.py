@@ -9,8 +9,9 @@ Each variant has one formula per operation, and the operand picks the
 arithmetic: CPython's on a scalar; numpy's on an array, as at the sites that
 feed the pinned reports (nets, images, samples), where complex ``*``, ``abs``
 and ``sqrt`` may differ from CPython's in the last bit; and on an
-:class:`Exact` array, for rows that stand for scalars, the bits of each
-row's scalar evaluation.  :func:`map_rows` evaluates a different map on each
+:class:`Exact` array, for rows that stand for scalars, CPython's own complex
+``*``, ``/`` and ``cmath.sqrt`` on each row, so the bits of each row's scalar
+evaluation.  :func:`map_rows` evaluates a different map on each
 row of an array, factor position by factor position.
 """
 
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 import cmath
 import math
-import sys
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -43,48 +44,10 @@ def _sqrt(z):
 # the exact kernel: complex arrays that round as CPython's complex scalars
 
 
-def _parts(x):
-    x = np.asarray(x, dtype=np.complex128)  # a real operand widens to imaginary part 0.0
-    return x.real, x.imag
-
-
-def _joined(re: np.ndarray, im: np.ndarray) -> np.ndarray:
-    out = np.empty(re.shape, dtype=np.complex128)
-    out.real, out.imag = re, im
-    return out
-
-
-def _exact_mul(a, b):  # _Py_c_prod
-    (ar, ai), (br, bi) = _parts(a), _parts(b)
-    return _joined(ar * br - ai * bi, ar * bi + ai * br)
-
-
-def _exact_div(a, b):  # _Py_c_quot: Smith's quotient, scaled by the larger part of b
-    (ar, ai), (br, bi) = _parts(a), _parts(b)
-    if np.any((br == 0.0) & (bi == 0.0)):
-        raise ZeroDivisionError("complex division by zero")
-    by_re = np.abs(br) >= np.abs(bi)
-    big, small, p, q = (np.where(by_re, u, v) for u, v in ((br, bi), (bi, br), (ar, ai), (ai, ar)))
-    ratio = small / big
-    t = p * ratio
-    denom = big + small * ratio
-    return _joined((p + q * ratio) / denom, np.where(by_re, q - t, t - q) / denom)
-
-
-def _exact_sqrt(z):  # cmath.sqrt, with its table for infinities and NaNs
-    special = ~np.isfinite(z)
-    x, y = _parts(np.where(special, 1.0, z))
-    ax, ay = np.abs(x), np.abs(y)
-    s = 2.0 * np.sqrt(ax / 8.0 + np.hypot(ax / 8.0, ay / 8.0))
-    # a pair of subnormal parts is scaled up by 2**53, and its root down by 2**-27
-    tiny = (ax < sys.float_info.min) & (ay < sys.float_info.min)
-    tx, ty = np.ldexp(ax[tiny], 53), np.ldexp(ay[tiny], 53)
-    s[tiny] = np.ldexp(np.sqrt(tx + np.hypot(tx, ty)), -27)
-    right = x >= 0.0
-    d = ay / (2.0 * np.where((x == 0.0) & (y == 0.0), 1.0, s))  # the root of 0 is (0, y)
-    out = _joined(np.where(right, s, d), np.copysign(np.where(right, d, s), y))
-    out[special] = [cmath.sqrt(v) for v in z[special].tolist()]
-    return out
+def _per_row(op, nin: int):
+    """``op`` of CPython applied to each row: by construction, the bits of the scalar operation."""
+    rows = np.frompyfunc(op, nin, 1)
+    return lambda *args: np.asarray(rows(*args), dtype=np.complex128)
 
 
 def modulus(z):  # _Py_c_abs
@@ -98,18 +61,21 @@ def circle(centers, radii, n: int) -> np.ndarray:
     return np.asarray(centers)[..., None] + np.asarray(radii)[..., None] * np.exp(1j * angles)
 
 
-_KERNELS = {np.multiply: _exact_mul, np.divide: _exact_div, np.sqrt: _exact_sqrt,
-            np.absolute: modulus}
+_KERNELS = {np.multiply: _per_row(operator.mul, 2), np.divide: _per_row(operator.truediv, 2),
+            np.sqrt: _per_row(cmath.sqrt, 1), np.absolute: modulus}
 
 
 class Exact(np.ndarray):
     """Complex array whose ``*``, ``/``, ``abs`` and ``sqrt`` round as CPython's complex scalars.
 
-    Numpy's complex loops may fuse or reorder these four; here they follow
-    ``_Py_c_prod``, ``_Py_c_quot``, ``_Py_c_abs`` and ``cmath.sqrt``.  The
-    other ufuncs already round as Python does.  So a map evaluated on
-    ``z.view(Exact)`` gives each row the bits of its scalar evaluation (an
-    overflowing modulus is inf where Python raises).
+    Numpy's complex loops may fuse or reorder these four.  Here ``*``, ``/``
+    and ``sqrt`` are CPython's own ``operator.mul``, ``operator.truediv`` and
+    ``cmath.sqrt``, applied to each row with its operands as Python objects
+    (so a real operand widens as Python widens it, and a zero divisor raises
+    ``ZeroDivisionError``); ``abs`` is :func:`modulus`, whose overflow is inf
+    where Python raises.  The other ufuncs, ``+`` and ``-`` among them, are
+    numpy's.  So a map evaluated on ``z.view(Exact)`` gives each row the bits
+    of its scalar evaluation.
     """
 
     def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):

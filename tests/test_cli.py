@@ -732,8 +732,8 @@ def test_symmetry_point_off_attractor(configs, capsys):
 
 @pytest.mark.parametrize("point", ["1e300", "1.7e308,1.7e308"])
 def test_symmetry_huge_point_prints_one_error_line(configs, point):
-    # the inverse steps leave a point far outside every image unqueried, so
-    # no squared distance overflows into a numpy warning before the error
+    # a point far outside every image gets a distance of at least the claim
+    # radius, or inf, with no numpy warning before the error
     args = ["symmetry", configs["thirds"], configs["thirds"], "--point", point, "--word", "0"]
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parent.parent))
     proc = subprocess.run([sys.executable, "-m", "holoifs.cli", *args], env=env,
@@ -741,3 +741,22 @@ def test_symmetry_huge_point_prints_one_error_line(configs, point):
     assert proc.returncode == 1
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+@pytest.mark.parametrize("s", [1e160, 1e200])
+def test_shared_on_a_pair_scaled_past_overflowing_squares_is_never_not_shared(tmp_path, capsys, s):
+    def affine(alpha, b):
+        return {"kind": "affine", "alpha_re": alpha, "alpha_im": 0, "b_re": b, "b_im": 0}
+
+    domain = {"center_re": s / 2, "center_im": 0, "radius": 2 * s}
+    paths = []
+    for name, maps in (("g", [affine(1 / 3, 0), affine(1 / 3, 2 * s / 3)]),
+                       ("f", [affine(1 / 3, 0), affine(-1 / 3, s)])):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({"maps": maps, "domain": domain}), encoding="utf-8")
+        paths.append(str(path))
+    code = cli.main(["shared", *paths, "--epsilon", repr(s / 1000)])
+    out, err = capsys.readouterr()
+    assert code != 1 and err == ""
+    verdicts = [line for line in out.splitlines() if line.startswith("verdict = ")]
+    assert len(verdicts) == 1 and verdicts[0] != "verdict = NotShared"

@@ -7,6 +7,7 @@ complex numbers.
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
-from holoifs.attractor import PointIndex, compute_net
+from holoifs.attractor import PointIndex, compute_net, hausdorff
 from holoifs.maps import Affine, Disk, IfsSystem
 from holoifs.systems import cantor_thirds
 
@@ -246,3 +247,64 @@ def test_index_agrees_with_ckdtree_on_a_736k_point_net():
         d2, _ = oracle.query(_xy(queries[::97]), k=2)
         unique = d2[:, 1] > d2[:, 0]
         assert np.array_equal(idx[::97][unique], i0[::97][unique])
+
+
+def _wide_distances(data: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """Every query-to-point distance: ``sqrt(dx*dx + dy*dy)`` where it is finite, else ``hypot``."""
+    with np.errstate(over="ignore"):
+        dx = queries[:, None, 0] - data[None, :, 0]
+        dy = queries[:, None, 1] - data[None, :, 1]
+        plain = np.sqrt(dx * dx + dy * dy)
+        return np.where(np.isfinite(plain), plain, np.hypot(dx, dy))
+
+
+def _same_distance(got: np.ndarray, want: np.ndarray) -> None:
+    """Bit for bit below 1e150, where no square overflows; within a few ulps above."""
+    small = want < 1e150
+    assert np.array_equal(got[small], want[small])
+    assert np.allclose(got[~small], want[~small], rtol=1e-15, atol=0.0)
+
+
+def _wide_points(rng, n: int) -> np.ndarray:
+    """Rows of coordinates near 0 mixed with coordinates up to 1e300, and a few extremes."""
+    xy = 10.0 ** rng.uniform(-3.0, 300.0, (n, 2)) * rng.choice([-1.0, 1.0], (n, 2))
+    near_zero = rng.random((n, 2)) < 0.3
+    xy[near_zero] = rng.normal(0.0, 1.0, near_zero.sum())
+    extremes = [[0.0, 0.0], [1e300, -1e300], [1.7e308, 0.0], [-1.7e308, 1.7e308], [2.0, 1e300]]
+    return np.concatenate((xy, extremes))
+
+
+@pytest.mark.parametrize("n", [1, 9, 300, 3000])
+def test_huge_coordinates_get_their_distances_without_warnings(n):
+    # squares of coordinate differences past about 1.3e154 overflow; the
+    # index still returns every distance, inf only past the largest float
+    rng = np.random.default_rng(n)
+    data, queries = _wide_points(rng, n), _wide_points(rng, 60)
+    every = _wide_distances(data, queries)
+    best = every.min(axis=1)
+    second = np.partition(every, 1, axis=1)[:, 1] if len(data) > 1 else np.full(len(best), np.inf)
+    clear = second > best * (1.0 + 1e-12)
+    radii = np.sort(every, axis=1)[:, every.shape[1] // 2]
+    near_r = np.any(np.isclose(every, radii[:, None], rtol=1e-9, atol=0.0), axis=1)
+    index = PointIndex(_z(data))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for rows in (slice(None), slice(0, 5), slice(7, 8)):
+            dist, idx = index.nearest(_z(queries[rows]))
+            _same_distance(dist, best[rows])
+            assert np.array_equal(idx[clear[rows]], every[rows].argmin(axis=1)[clear[rows]])
+            got_rows, got_cols = index.within(_z(queries[rows]), radii[rows])
+            got = _pairs_set(got_rows, got_cols)
+            want = _pairs_set(*np.nonzero(every[rows] <= radii[rows, None]))
+            keep = set(np.flatnonzero(~near_r[rows]).tolist())
+            assert {p for p in got if p[0] in keep} == {p for p in want if p[0] in keep}
+        d = hausdorff(_z(data), _z(queries))
+    _same_distance(np.array([d]), np.array([max(best.max(), every.min(axis=0).max())]))
+
+
+def test_hausdorff_of_a_huge_point_is_its_distance():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert hausdorff([0.0, 1e200], [0.0, 1.0]) == 1e200
+        assert hausdorff([0.0, 1e300j], [0.0]) == 1e300
+        assert hausdorff([-1.7e308], [1.7e308]) == math.inf

@@ -1,8 +1,9 @@
 """The exact kernel of ``holoifs.maps`` against Python's complex scalars.
 
 Every result must carry the bits of the scalar operation, signed zeros
-included.  A CPython whose complex arithmetic is compiled with FMA
-contraction, or that widens a real operand by other rules, fails here.
+included.  The kernel's ``*``, ``/`` and ``sqrt`` are CPython's own, applied
+to each row, so they hold on every CPython, however its complex arithmetic
+is compiled and whatever rules widen a real operand.
 """
 
 import cmath
@@ -131,3 +132,60 @@ def test_other_ufuncs_stay_numpy_and_results_keep_the_type():
     assert np.array_equal((z - 1).view(np.ndarray), z.view(np.ndarray) - 1)
     with pytest.raises(TypeError, match="no keywords"):
         np.multiply(z, z, out=np.empty(2, complex))
+
+
+def _rows(fn, *operands) -> list:
+    """``fn`` of Python scalars, element by element over the broadcast operands."""
+    cells = np.broadcast_arrays(*(np.asarray(x) for x in operands))
+    return _scalar(fn, *(c.ravel().tolist() for c in cells))
+
+
+OPERANDS = [
+    _exact([]),
+    _exact(1.5 - 2j),
+    _exact([[1 + 2j, -0.0 - 3j], [SUBNORMAL, 1e300 + 1e-300j]]),
+    _exact([[2 - 1j], [-0.0 + 0j], [1e-300j]]),
+    _exact([[0.5 + 0.5j, -3.0, TINY - 7j, complex(-0.0, -0.0)]]),
+]
+OTHERS = [3, -2, 0.25, -0.0, 1e300, 2 - 0.5j, complex(-0.0, 0.0),
+          np.array([1.5, -0.0, 1e-300, 1e300]), np.array([[0.5], [-2.0], [7.0]]),
+          np.float64(-3.5), np.complex128(1 + 1j)]
+
+
+def _checked(got, want):
+    assert type(got) is Exact and got.dtype == np.complex128
+    _same(got, want)
+
+
+@pytest.mark.parametrize("a", OPERANDS, ids=["empty", "0-d", "2x2", "3x1", "1x4"])
+def test_every_shape_and_operand_kind_rounds_as_python_does(a):
+    with np.errstate(over="ignore", invalid="ignore"):
+        for b in OPERANDS + OTHERS:
+            try:
+                np.broadcast_shapes(np.shape(a), np.shape(b))
+            except ValueError:
+                continue
+            _checked(a * b, _rows(lambda x, y: x * y, a, b))
+            _checked(b * a, _rows(lambda x, y: x * y, b, a))
+            if all(x != 0 for x in np.ravel(b)):
+                _checked(a / b, _rows(lambda x, y: x / y, a, b))
+            if all(x != 0 for x in np.ravel(a)):
+                _checked(b / a, _rows(lambda x, y: x / y, b, a))
+    _checked(np.sqrt(a), _rows(cmath.sqrt, a))
+
+
+def test_broadcast_columns_against_rows_round_as_python_does():
+    col = _exact([[1 + 2j], [-0.0 - 1j], [1e300 + 1e300j]])
+    row = _exact([[3 - 1j, -0.0 + 0j, 1e-300 + 2j, 1e200]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = col * row
+        assert got.shape == (3, 4)
+        _checked(got, _rows(lambda x, y: x * y, col, row))
+        _checked(row / col, _rows(lambda x, y: x / y, row, col))
+
+
+@pytest.mark.parametrize("divisor", [0, 0.0, -0.0, 0j, complex(-0.0, -0.0),
+                                     np.array([[1.0], [0.0]]), _exact([[2j, 0j]])])
+def test_a_zero_divisor_row_raises_in_any_shape(divisor):
+    with pytest.raises(ZeroDivisionError):
+        _exact([[1 + 1j, 2j], [3.0, -1j]]) / divisor

@@ -1519,3 +1519,15 @@ def test_osc_composition_property(thirds):
                 image = compose_word(system, Word(idx, 2))(members)
                 d, _ = tree.query(_xy(image), k=1)
                 assert np.max(d) <= net.epsilon + 1e-12
+
+
+@pytest.mark.parametrize("s", [1e160, 1e200])
+def test_the_thirds_pair_scaled_past_overflowing_squares_is_never_not_shared(s):
+    # {z/3, z/3 + 2s/3} and {z/3, s - z/3} share the scaled Cantor set; their
+    # net distances square past the largest float
+    domain = Disk(s / 2, 2 * s)
+    g = IfsSystem((Affine(1 / 3, 0.0), Affine(1 / 3, 2 * s / 3)), domain)
+    f = IfsSystem((Affine(1 / 3, 0.0), Affine(-1 / 3, s)), domain)
+    report = shared_attractor(g, f, s / 1000)
+    assert report.verdict != "NotShared"
+    assert report.hausdorff < 2 * s / 1000
