@@ -107,13 +107,26 @@ class SeparationCertificate:
             raise ValueError("the certificate was made from another net")
 
 
-def _refine_level(system: IfsSystem, centers: np.ndarray, radii: np.ndarray):
+def refine_level(system: IfsSystem, centers: np.ndarray, radii: np.ndarray):
     """One Hutchinson refinement step, merged in map-index order."""
     parts = [g.enclosure_arrays(centers, radii) for g in system.maps]
     return (
         np.concatenate([p[0] for p in parts]),
         np.concatenate([p[1] for p in parts]),
     )
+
+
+def self_enclosed(system: IfsSystem) -> bool:
+    """Whether every map's enclosure of the domain ``D = B(c0, R)`` lies inside ``D``.
+
+    Enclosures are monotone, so every enclosure of a disk inside ``D`` then
+    lies inside ``D`` too, and a map's Lipschitz bound on ``D``, its
+    enclosure radius of ``D`` over ``R``, is at most 1.  A square-root cut
+    that meets ``D`` raises :class:`DomainError`.
+    """
+    c0, radius = system.domain.center, system.domain.radius
+    dc, dr = refine_level(system, np.array([c0]), np.array([radius]))
+    return bool(np.all(np.abs(dc - c0) + dr <= radius))
 
 
 def first_per_key(*keys: np.ndarray) -> np.ndarray:
@@ -201,7 +214,7 @@ def compute_net(system: IfsSystem, epsilon: float, point_cap: int = POINT_CAP) -
     depth = 0
     while float(np.max(radii)) > epsilon / 4.0 and len(centers) * m <= NET_BLOCK:
         _check_budget(len(centers) * m, point_cap, depth)
-        centers, radii = _refine_level(system, centers, radii)
+        centers, radii = refine_level(system, centers, radii)
         depth += 1
     return _depth_first_net(system, epsilon, point_cap, centers, radii, depth)
 
@@ -212,7 +225,7 @@ def _blocks(system: IfsSystem, centers: np.ndarray, radii: np.ndarray, depth: in
 
     Block ``(a_1 .. a_j)`` is ``E_a1(..(E_aj(base)))``.  Its place in the
     whole level is the base-``m`` number ``a_1 .. a_j``, outer letter most
-    significant as in :func:`_refine_level`, so the map applied ``s``-th
+    significant as in :func:`refine_level`, so the map applied ``s``-th
     has place value ``m**s``; a subtree's places start at ``place`` in steps
     of ``value``.  Depth first: one block per level is alive.  ``frozen``
     flags the subtree's blocks by place; a subtree of frozen blocks is not
@@ -278,13 +291,11 @@ def _frozen_blocks(system: IfsSystem, centers: np.ndarray, radii: np.ndarray, ta
     try:
         with np.errstate(all="ignore"):
             bound = _bounding_disk(centers, float(np.max(radii)))
-            dc, dr = _refine_level(system, np.array([c0]), np.array([radius]))
-            if not (np.all(np.abs(dc - c0) + dr <= radius)
-                    and abs(bound.center - c0) + bound.radius <= radius):
+            if not (self_enclosed(system) and abs(bound.center - c0) + bound.radius <= radius):
                 return frozen, first
             chain = np.array([bound.center, centers[0]]), np.array([bound.radius, radii[0]])
             for _ in range(depth):
-                chain = _refine_level(system, *chain)
+                chain = refine_level(system, *chain)
     except (DomainError, ValueError):  # a cut, or a base level with no finite B
         return frozen, first
     kc, kr = chain[0][0::2], chain[1][0::2]
@@ -329,7 +340,7 @@ def _depth_first_net(system, epsilon, point_cap, centers, radii, base_depth) -> 
     depth = 0
     while True:
         while float(np.max(r)) > target and n * m ** (depth + 1) <= point_cap:
-            c, r = _refine_level(system, c, r)
+            c, r = refine_level(system, c, r)
             beam = np.argsort(r)[-NET_BEAM:]
             c, r = c[beam], r[beam]
             depth += 1
@@ -800,7 +811,7 @@ def box_restriction(
             return [Disk(c, r) for c, r in zip(centers, padded)]
         if len(centers) * m > point_cap:
             raise BudgetExceeded("box restriction exceeded the cylinder budget")
-        centers, radii = _refine_level(system, centers, radii)
+        centers, radii = refine_level(system, centers, radii)
         depth += 1
         if depth > 64:
             raise BudgetExceeded("box restriction failed to stabilize at depth 64")

@@ -30,7 +30,10 @@ length then necklace order, raises, as a scalar loop over the necklaces
 would.  These arrays keep numpy's arithmetic, which feeds the pinned
 reports: on real values it rounds as scalar arithmetic does; on complex
 values numpy's products and quotients may differ from CPython's in the last
-bit.
+bit.  :func:`extend_spectrum` solves only the lengths a spectrum lacks, and
+:func:`multiplier_length` bounds the multipliers of each word length by the
+enclosures of the domain, so a caller need not solve lengths whose
+multipliers cannot reach a given modulus.
 """
 
 from __future__ import annotations
@@ -40,9 +43,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attractor import AttractorNet, SeparationCertificate, certify_ssc, first_per_key
+from .attractor import (
+    AttractorNet,
+    SeparationCertificate,
+    certify_ssc,
+    first_per_key,
+    refine_level,
+    self_enclosed,
+)
 from .errors import (
     BudgetExceeded,
+    DomainError,
     HoloifsError,
     NoConvergence,
     NotInImage,
@@ -53,6 +64,7 @@ from .maps import (
     Affine,
     Exact,
     IfsSystem,
+    SqrtBranch,
     Word,
     apply_rows,
     compose_word,
@@ -61,6 +73,7 @@ from .maps import (
 )
 from .tolerances import (
     FIXED_POINT_TOL,
+    MULTIPLIER_BOUND_SLACK,
     PERIODIC_RESIDUAL_TOL,
     PREP_DEDUP_TOL,
     RECURRENCE_TOL,
@@ -239,16 +252,16 @@ def _necklace_letters(m: int, length: int) -> np.ndarray:
     return np.concatenate(kept)
 
 
-def _levels(system: IfsSystem, max_len: int):
-    """The necklaces of 1..``max_len`` letters, in increasing length, solved in one call.
+def _levels(system: IfsSystem, max_len: int, min_len: int = 1):
+    """The necklaces of ``min_len``..``max_len`` letters, in increasing length, solved in one call.
 
     Returns ``(letters, lengths, points, multipliers, error)``: row ``i`` of
     ``letters`` holds ``lengths[i]`` letters after the pad letter ``m``, and
     the rest is :func:`_solve_level`'s.
     """
     m = len(system.maps)
-    blocks = [_necklace_letters(m, length) for length in range(1, max_len + 1)]
-    lengths = np.repeat(np.arange(1, max_len + 1), [len(b) for b in blocks])
+    blocks = [_necklace_letters(m, length) for length in range(min_len, max_len + 1)]
+    lengths = np.repeat(np.arange(min_len, max_len + 1), [len(b) for b in blocks])
     letters = np.full((len(lengths), max_len), m, dtype=np.min_scalar_type(m))
     for block, end in zip(blocks, np.cumsum([len(b) for b in blocks])):
         letters[end - len(block):end, max_len - block.shape[1]:] = block
@@ -299,21 +312,83 @@ def spectrum(system: IfsSystem, max_len: int) -> MultiplierSpectrum:
     :func:`periodic_points`: the first failing row, in length then necklace
     order, raises.  Of the rows whose point and multiplier round alike at
     ``SPECTRUM_DEDUP_TOL``, the first is kept, and only the kept rows'
-    words become tuples.
+    words become tuples.  It is :func:`extend_spectrum` of no rows.
+    """
+    empty = np.empty(0, dtype=np.complex128)
+    no_rows = MultiplierSpectrum((), empty, empty, len(system.maps), 0)
+    return extend_spectrum(system, no_rows, max_len)
+
+
+def extend_spectrum(system: IfsSystem, spec: MultiplierSpectrum, max_len: int) -> MultiplierSpectrum:
+    """``spec``, a spectrum of ``system``, with its words extended up to ``max_len`` letters.
+
+    Only the necklaces longer than ``spec.max_word_length`` are solved, as
+    one array; the first failing row raises.  The rows of ``spec`` and then
+    the new rows are deduplicated as :func:`spectrum` does, which keeps
+    every row of ``spec`` (their keys differ) and the new rows that one pass
+    over all lengths keeps: a new row whose key is that of a row ``spec``
+    dropped has the key of the row that dropped it.  So the result equals
+    ``spectrum(system, max_len)``, and ``spec`` itself is returned when it
+    is long enough.
     """
     check_word_budget(system, max_len=max_len)
-    letters, lengths, points, lambdas, error = _levels(system, max_len)
+    start, n_old = spec.max_word_length, len(spec.words)
+    if max_len <= start:
+        return spec
+    letters, lengths, points, lambdas, error = _levels(system, max_len, start + 1)
     if error:
         raise error
+    points, lambdas = np.concatenate((spec.points, points)), np.concatenate((spec.lambdas, lambdas))
     keys = (points.real, points.imag, lambdas.real, lambdas.imag)
     rows = first_per_key(*(np.round(k / SPECTRUM_DEDUP_TOL) for k in keys))
-    kept = []
-    for n in range(1, max_len + 1):
-        kept += map(tuple, letters[rows[lengths[rows] == n], max_len - n:].tolist())
+    new = rows[n_old:] - n_old  # rows[:n_old] are spec's rows
+    kept = list(spec.words)
+    for n in range(start + 1, max_len + 1):
+        kept += map(tuple, letters[new[lengths[new] == n], max_len - n:].tolist())
     points, lambdas = points[rows], lambdas[rows]
     # read-only, so no caller of multipliers() or truncated() writes into the rows
     points.flags.writeable = lambdas.flags.writeable = False
     return MultiplierSpectrum(tuple(kept), points, lambdas, len(system.maps), max_len)
+
+
+def multiplier_length(system: IfsSystem, floor: float, max_len: int) -> int:
+    """The longest word length, up to ``max_len``, whose multipliers may reach modulus ``floor``.
+
+    Let ``U_k`` be the largest radius of the level-``k`` enclosures of the
+    domain ``D = B(c0, R)`` (:func:`~holoifs.attractor.refine_level`), over
+    ``R``.  The enclosure of a disk by an ``Affine`` or ``SqrtBranch``
+    factor has radius ``sup |f'|`` on the disk times its radius, and holds
+    the disk's image; so, by the chain rule, ``U_k`` bounds ``|g_w'|`` on
+    ``D`` for every word ``w`` of ``k`` letters.  When every map's
+    enclosure of ``D`` lies inside ``D`` (:func:`~holoifs.attractor.self_enclosed`),
+    the periodic points lie in ``D``, so ``U_k`` bounds the multipliers of
+    length ``k``, and every map is 1-Lipschitz on ``D``, so a disk's
+    enclosures are no larger than the disk and ``U_k`` does not increase
+    with ``k``.  Levels are refined, keeping only the disks that may still
+    reach ``floor``, until none does: every multiplier of a longer word has
+    modulus at most ``U_k < floor / (1 + MULTIPLIER_BOUND_SLACK)``.
+
+    With no bound, ``max_len`` is returned: a factor of another variant (a
+    ``_SqrtBranchInverse`` enclosure bounds the image, not the
+    derivative), an enclosure of ``D`` that leaves ``D``, a refinement that
+    raises, or a ``floor`` that is not positive.
+    """
+    factors, _ = factor_table(system.maps)
+    if not (floor > 0 and all(isinstance(f, (Affine, SqrtBranch)) for f in factors)):
+        return max_len
+    radius = system.domain.radius
+    centers, radii = np.array([system.domain.center]), np.array([radius])
+    try:
+        if self_enclosed(system):
+            for k in range(1, max_len + 1):
+                centers, radii = refine_level(system, centers, radii)
+                reach = radii / radius * (1.0 + MULTIPLIER_BOUND_SLACK) >= floor
+                if not reach.any():
+                    return k - 1
+                centers, radii = centers[reach], radii[reach]
+    except DomainError:  # a square-root cut meets an enclosure: no bound
+        pass
+    return max_len
 
 
 class InverseDynamics:

@@ -160,7 +160,11 @@ class HoloMap:
     * ``inverse()``: the closed-form inverse map, again a family member, and
       the one inversion rule: a preimage is ``g.inverse()(y)``;
     * ``enclosure_arrays(centers, radii)``: disks certified to contain the
-      images of many disks at once;
+      images of many disks at once; an ``Affine`` or ``SqrtBranch``
+      enclosure is centred at the centre's image and has radius ``sup |f'|``
+      on the disk times its radius, so a chain of them bounds the derivative
+      of a composition (a square-root branch's inverse bounds only the
+      image);
     * ``taylor(point, order)``: the image of ``point`` and the Taylor
       coefficients ``c_1..c_order`` there.
     """
@@ -176,7 +180,11 @@ class HoloMap:
         raise NotImplementedError
 
     def enclosure_arrays(self, centers: np.ndarray, radii: np.ndarray):
-        """Centers and radii of disks containing the images of the given disks."""
+        """Centers and radii of disks containing the images of the given disks.
+
+        For ``Affine`` and ``SqrtBranch`` the radius is ``sup |f'|`` on the
+        disk times the disk's radius.
+        """
         raise NotImplementedError
 
     def taylor(self, point: complex, order: int) -> tuple[complex, np.ndarray]:

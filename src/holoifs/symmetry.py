@@ -32,7 +32,16 @@ from .attractor import (
     hausdorff,
     rho_radius,
 )
-from .dynamics import InverseDynamics, check_word_budget, fixed_point, prep_points, spectrum
+from .dynamics import (
+    InverseDynamics,
+    MultiplierSpectrum,
+    check_word_budget,
+    extend_spectrum,
+    fixed_point,
+    multiplier_length,
+    prep_points,
+    spectrum,
+)
 from .errors import (
     AddressFailure,
     BudgetExceeded,
@@ -592,6 +601,31 @@ def spectrum_compat(specG, specF, l_max: int, tol: float = SPECTRUM_TOL):
     return out
 
 
+def _matches(sources: MultiplierSpectrum, target: IfsSystem, spec: MultiplierSpectrum,
+             budgets: Budgets) -> list:
+    """:func:`spectrum_compat` of ``sources`` into ``target``, whose solved spectrum is ``spec``.
+
+    ``spec`` is extended only by the target lengths that can still lower a
+    source's smallest power.  Each source ``lam`` takes its smallest power
+    ``l_p`` in the targets solved so far (``spectrum_l_max + 1`` if none).
+    A longer target word ``t`` matters only if ``|t|``, at most its length's
+    bound ``U_k`` (:func:`~holoifs.dynamics.multiplier_length`), can reach
+    ``|lam^l| - tol`` for some ``l < l_p``: else ``|lam^l - t| >= |lam^l| -
+    |t| > tol``, and ``t`` cannot give a smaller power.  Adding targets only
+    lowers each ``l_p``, so one extension suffices, and the matches are
+    those of every length up to ``spectrum_target_len``; an unmatched source
+    makes every length needed.
+    """
+    l_max, tol, tgt = budgets.spectrum_l_max, budgets.spectrum_tol, budgets.spectrum_target_len
+    matches = spectrum_compat(sources, spec.truncated(tgt), l_max, tol)
+    floor = min((abs(lam**l) - tol for lam, found in matches for l in range(1, found or l_max + 1)),
+                default=math.inf)
+    extended = extend_spectrum(target, spec, multiplier_length(target, floor, tgt))
+    if extended is spec:
+        return matches
+    return spectrum_compat(sources, extended.truncated(tgt), l_max, tol)
+
+
 def _prep_check(source: IfsSystem, target_dyn: InverseDynamics, budgets: Budgets):
     points = prep_points(source, budgets.prep_max_word)
     # the recurrence test scales with the points, as their rounding does, so a
@@ -724,6 +758,14 @@ def shared_attractor(
     computation that fails with a :class:`HoloifsError` other than
     :class:`BudgetExceeded`, which propagates: the note names the exception,
     and ``hausdorff`` is NaN if the net distance was not measured.
+
+    Each system's spectrum is solved up to ``spectrum_source_len`` once, then
+    extended, as a target, only by the word lengths up to
+    ``spectrum_target_len`` whose multiplier bound can still lower a
+    source's smallest matching power (:func:`_matches`); the matches are
+    those of solving every target length.  A target word that is never
+    solved cannot fail the verdict by its own error.  The word budgets are
+    still checked at the longer of the two lengths before any orbit walk.
     """
     budgets = budgets if budgets is not None else Budgets()
     h, ssc_both = math.nan, False  # until measured
@@ -756,15 +798,14 @@ def shared_attractor(
         prep_forward = _prep_check(G.system, dynF, budgets)
         prep_backward = _prep_check(F.system, dynG, budgets)
 
-        # one spectrum per system; its rows run in increasing word length and
-        # deduplication keeps the first, so truncated() equals a shorter spectrum
-        specG = spectrum(G.system, max(src, tgt))
-        specF = spectrum(F.system, max(src, tgt))
-        l_max, tol = budgets.spectrum_l_max, budgets.spectrum_tol
-        matches = tuple(
-            spectrum_compat(specG.truncated(src), specF.truncated(tgt), l_max, tol)
-            + spectrum_compat(specF.truncated(src), specG.truncated(tgt), l_max, tol)
-        )
+        # one spectrum per system, of the source lengths, then extended by
+        # the target lengths that can still move a match; its rows run in
+        # increasing word length and deduplication keeps the first, so
+        # truncated() and extend_spectrum() equal a spectrum of other length;
+        # G's targets are extended first, in the order of the systems
+        specG, specF = spectrum(G.system, src), spectrum(F.system, src)
+        into_g = _matches(specF, G.system, specG, budgets)
+        matches = tuple(_matches(specG, F.system, specF, budgets) + into_g)
 
         equations = _functional_sweep(G, F, budgets)
     except BudgetExceeded:

@@ -36,6 +36,9 @@ PERIODIC_RESIDUAL_TOL = 1e-10
 #: grid of the spectrum's (point, multiplier) keys; rounding between equal entries; absolute
 SPECTRUM_DEDUP_TOL = 1e-9
 
+#: |multiplier| against its length's bound U_k; rounding of ≤ length·factors moduli and radii; × U_k
+MULTIPLIER_BOUND_SLACK = 1e-9
+
 #: grid of the prep points' keys; rounding between points of one cycle; absolute
 PREP_DEDUP_TOL = 1e-10
 

@@ -25,10 +25,10 @@ from holoifs.attractor import (
     first_per_key,
     hausdorff,
     hutchinson_defect,
+    refine_level,
     rho_radius,
     _blocks,
     _grid_dedup,
-    _refine_level,
     _run_starts,
 )
 from holoifs.errors import BudgetExceeded, DomainError, SeparationFailure
@@ -101,7 +101,7 @@ def test_cylinder_radius_decay(thirds):
     radii = np.array([thirds.domain.radius])
     prev = float(np.max(radii))
     for _ in range(6):
-        centers, radii = _refine_level(thirds, centers, radii)
+        centers, radii = refine_level(thirds, centers, radii)
         cur = float(np.max(radii))
         assert cur <= prev * (1 / 3 + 1e-12)
         prev = cur
@@ -626,7 +626,7 @@ def _level_by_level_net(system, epsilon, point_cap=POINT_CAP):
             raise BudgetExceeded(
                 f"net refinement needs more than {point_cap} cylinders at depth {depth + 1}"
             )
-        centers, radii = _refine_level(system, centers, radii)
+        centers, radii = refine_level(system, centers, radii)
         depth += 1
     points = _grid_dedup(centers, target)
     return AttractorNet(points, epsilon, depth)
@@ -799,7 +799,7 @@ def test_frozen_walk_needs_the_domain_enclosures_inside_the_domain():
     walks = {}
     for radius in (5.0, 5.3):
         system = IfsSystem((SqrtBranch(c, 1), SqrtBranch(c, -1)), Disk(0.0, radius))
-        dc, dr = _refine_level(system, np.zeros(1, dtype=complex), np.full(1, radius))
+        dc, dr = refine_level(system, np.zeros(1, dtype=complex), np.full(1, radius))
         assert (np.max(np.abs(dc) + dr) > radius) == (radius == 5.3)
         walks[radius] = _assert_matches_level_by_level(system, 1e-6)
     assert _frozen(walks[5.3]) == 0 < _frozen(walks[5.0])

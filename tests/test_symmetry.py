@@ -1269,6 +1269,7 @@ def test_shared_verdict_and_notes_follow_each_check(monkeypatch):
     sweeps = [(passing,), (), (passing, failing)]
     unused = SimpleNamespace(truncated=lambda length: None)
     monkeypatch.setattr(holoifs.symmetry, "spectrum", lambda system, max_len: unused)
+    monkeypatch.setattr(holoifs.symmetry, "extend_spectrum", lambda system, spec, max_len: spec)
     for (forward, backward), matches, equations in itertools.product(preps, spectra, sweeps):
         checks = iter([forward, backward])
         monkeypatch.setattr(holoifs.symmetry, "_prep_check", lambda *args: next(checks))

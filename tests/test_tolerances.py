@@ -16,8 +16,8 @@ PACKAGE = Path(tolerances.__file__).resolve().parent
 READERS = {
     "maps": ("INVERT_RTOL", "DERIV_FLOOR", "CONTAINMENT_MARGIN"),
     "attractor": ("ROUNDING_PAD", "BALL_SLACK"),
-    "dynamics": ("FIXED_POINT_TOL", "PERIODIC_RESIDUAL_TOL", "SPECTRUM_DEDUP_TOL",
-                 "PREP_DEDUP_TOL", "RECURRENCE_TOL"),
+    "dynamics": ("FIXED_POINT_TOL", "MULTIPLIER_BOUND_SLACK", "PERIODIC_RESIDUAL_TOL",
+                 "SPECTRUM_DEDUP_TOL", "PREP_DEDUP_TOL", "RECURRENCE_TOL"),
     "symmetry": ("DERIV_FLOOR", "DERIV_SLACK", "GERM_EQUALITY_TOL", "SPECTRUM_TOL",
                  "FUNC_EQ_TOL", "SANDWICH_SLACK", "SYMMETRY_RESIDUAL_TOL",
                  "BACKWARD_DERIV_FLOOR", "RECURRENCE_TOL"),
