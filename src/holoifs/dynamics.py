@@ -30,16 +30,18 @@ length then necklace order, raises, as a scalar loop over the necklaces
 would.  These arrays keep numpy's arithmetic, which feeds the pinned
 reports: on real values it rounds as scalar arithmetic does; on complex
 values numpy's products and quotients may differ from CPython's in the last
-bit.  :func:`extend_spectrum` solves only the lengths a spectrum lacks, and
-:func:`multiplier_length` bounds the multipliers of each word length by the
-enclosures of the domain, so a caller need not solve lengths whose
-multipliers cannot reach a given modulus.
+bit.  A :class:`MultiplierSpectrum` keeps the table of every necklace it
+solved; its deduplicated rows, :meth:`~MultiplierSpectrum.truncated` and
+:func:`prep_points` read that table, and :func:`extend_spectrum` solves
+only the lengths it lacks.  :func:`multiplier_length` bounds the
+multipliers of each word length by the enclosures of the domain, so a
+caller need not solve lengths whose multipliers cannot reach a given
+modulus.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -109,28 +111,67 @@ class PeriodicPoint:
 
 @dataclass(frozen=True, eq=False)
 class MultiplierSpectrum:
-    """Deduplicated words, fixed points and multipliers, as arrays in increasing word length."""
+    """The periodic points and multipliers of the necklaces up to ``max_word_length`` letters.
 
-    words: tuple[tuple[int, ...], ...]
-    points: np.ndarray
-    lambdas: np.ndarray
+    ``table`` holds every solved necklace, one row each, in length then
+    necklace order: ``(letters, lengths, points, multipliers)``, where row
+    ``i`` of ``letters`` holds ``lengths[i]`` letters after the pad letter
+    ``alphabet_size``.  ``entries``, and their ``words``, ``points`` and
+    ``lambdas``, are derived from it: of the rows whose point and
+    multiplier round alike at ``SPECTRUM_DEDUP_TOL``, the first.  Every
+    array is read-only, so no caller of :meth:`multipliers` or
+    :meth:`truncated` writes into the rows.
+    """
+
+    table: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
     alphabet_size: int
     max_word_length: int
+    entries: tuple[PeriodicPoint, ...] = field(init=False)
+    words: tuple[tuple[int, ...], ...] = field(init=False)
+    points: np.ndarray = field(init=False)
+    lambdas: np.ndarray = field(init=False)
 
-    @property
-    def entries(self) -> tuple[PeriodicPoint, ...]:
-        """The rows as :class:`PeriodicPoint` objects, built on each call."""
-        rows = zip(self.words, self.points.tolist(), self.lambdas.tolist())
-        return tuple(PeriodicPoint(Word(w, self.alphabet_size), p, lam) for w, p, lam in rows)
+    def __post_init__(self):
+        letters, lengths, points, lambdas = self.table
+        keys = (points.real, points.imag, lambdas.real, lambdas.imag)
+        rows = first_per_key(*(np.round(k / SPECTRUM_DEDUP_TOL) for k in keys))
+        kept = (letters[rows], lengths[rows], points[rows], lambdas[rows])
+        object.__setattr__(self, "entries", tuple(_necklaces(self.alphabet_size, *kept)))
+        object.__setattr__(self, "words", tuple(pp.word.indices for pp in self.entries))
+        object.__setattr__(self, "points", points[rows])
+        object.__setattr__(self, "lambdas", lambdas[rows])
+        for array in (*self.table, self.points, self.lambdas):
+            array.flags.writeable = False
 
     def multipliers(self) -> np.ndarray:
         return self.lambdas
 
     def truncated(self, max_len: int) -> MultiplierSpectrum:
-        """The rows of words up to ``max_len`` letters, a prefix of the rows."""
-        n = bisect_right(self.words, max_len, key=len)
-        rows = (self.words[:n], self.points[:n], self.lambdas[:n], self.alphabet_size)
-        return MultiplierSpectrum(*rows, min(max_len, self.max_word_length))
+        """The spectrum of the words up to ``max_len`` letters, read off a prefix of the table."""
+        max_len = min(max_len, self.max_word_length)
+        letters, lengths, points, lambdas = self.table
+        n = np.searchsorted(lengths, max_len, side="right")
+        table = (letters[:n, letters.shape[1] - max_len:], lengths[:n], points[:n], lambdas[:n])
+        return MultiplierSpectrum(table, self.alphabet_size, max_len)
+
+    def orbit_points(self, system: IfsSystem) -> np.ndarray:
+        """The periodic orbits of the table's necklaces in ``system``, deduplicated and sorted.
+
+        Each orbit is :meth:`PeriodicPoint.orbit`, so the points are those
+        of every word up to ``max_word_length`` letters; of the points that
+        round alike at ``PREP_DEDUP_TOL``, the first is kept.
+        """
+        orbits = [x for pp in _necklaces(self.alphabet_size, *self.table) for x in pp.orbit(system)]
+        pts = np.array(orbits, dtype=np.complex128)
+        keys = (np.round(pts.real / PREP_DEDUP_TOL), np.round(pts.imag / PREP_DEDUP_TOL))
+        return np.sort_complex(pts[first_per_key(*keys)])
+
+
+def _necklaces(m: int, letters, lengths, points, multipliers) -> list[PeriodicPoint]:
+    """The rows of a necklace table over ``m`` letters as :class:`PeriodicPoint` objects."""
+    width = letters.shape[1]
+    rows = zip(letters.tolist(), lengths.tolist(), points.tolist(), multipliers.tolist())
+    return [PeriodicPoint(Word(w[width - n:], m), p, lam) for w, n, p, lam in rows]
 
 
 @dataclass(frozen=True)
@@ -277,32 +318,19 @@ def periodic_points(system: IfsSystem, max_len: int):
     solved as one array; the rows before the first that fails are yielded,
     then its exception is raised.
     """
-    check_word_budget(system, max_len=max_len)
-    m = len(system.maps)
-    letters, lengths, points, mults, error = _levels(system, max_len)
-    for word, n, p, lam in zip(letters.tolist(), lengths.tolist(), points.tolist(), mults.tolist()):
-        yield PeriodicPoint(Word(word[max_len - n:], m), p, lam)
+    check_word_budget(system, max_len)
+    *table, error = _levels(system, max_len)
+    yield from _necklaces(len(system.maps), *table)
     if error:
         raise error
 
 
-def check_word_budget(
-    system: IfsSystem,
-    max_len: int = 0,
-    max_word: int = 0,
-    word_cap: int = WORD_CAP,
-) -> None:
-    """Raise :class:`BudgetExceeded` before any work that would pass ``word_cap``.
-
-    ``max_len`` is the word length of :func:`spectrum` and ``max_word`` that
-    of :func:`prep_points`.  A zero skips that test.
-    """
+def check_word_budget(system: IfsSystem, max_len: int, word_cap: int = WORD_CAP) -> None:
+    """Raise :class:`BudgetExceeded` if the words of 1..``max_len`` letters exceed ``word_cap``."""
     m = len(system.maps)
     total = sum(m**k for k in range(1, max_len + 1))
     if total > word_cap:
         raise BudgetExceeded(f"{total} words exceed the cap {word_cap}")
-    if sum(m**k for k in range(1, max_word + 1)) > word_cap:
-        raise BudgetExceeded("preperiodic enumeration exceeds the word cap")
 
 
 def spectrum(system: IfsSystem, max_len: int) -> MultiplierSpectrum:
@@ -310,45 +338,33 @@ def spectrum(system: IfsSystem, max_len: int) -> MultiplierSpectrum:
 
     One row per necklace, all lengths solved as one array, as for
     :func:`periodic_points`: the first failing row, in length then necklace
-    order, raises.  Of the rows whose point and multiplier round alike at
-    ``SPECTRUM_DEDUP_TOL``, the first is kept, and only the kept rows'
-    words become tuples.  It is :func:`extend_spectrum` of no rows.
+    order, raises.  It is :func:`extend_spectrum` of an empty table.
     """
-    empty = np.empty(0, dtype=np.complex128)
-    no_rows = MultiplierSpectrum((), empty, empty, len(system.maps), 0)
-    return extend_spectrum(system, no_rows, max_len)
+    m, empty = len(system.maps), np.empty(0, dtype=np.complex128)
+    table = (np.empty((0, 0), np.min_scalar_type(m)), np.empty(0, np.intp), empty, empty)
+    return extend_spectrum(system, MultiplierSpectrum(table, m, 0), max_len)
 
 
 def extend_spectrum(system: IfsSystem, spec: MultiplierSpectrum, max_len: int) -> MultiplierSpectrum:
-    """``spec``, a spectrum of ``system``, with its words extended up to ``max_len`` letters.
+    """``spec``, a spectrum of ``system``, with its table extended up to ``max_len`` letters.
 
     Only the necklaces longer than ``spec.max_word_length`` are solved, as
-    one array; the first failing row raises.  The rows of ``spec`` and then
-    the new rows are deduplicated as :func:`spectrum` does, which keeps
-    every row of ``spec`` (their keys differ) and the new rows that one pass
-    over all lengths keeps: a new row whose key is that of a row ``spec``
-    dropped has the key of the row that dropped it.  So the result equals
-    ``spectrum(system, max_len)``, and ``spec`` itself is returned when it
-    is long enough.
+    one array; the first failing row raises.  The new rows follow the
+    table's rows, and each row is solved on its own, so the table is that of
+    ``spectrum(system, max_len)``; ``spec`` itself is returned when it is
+    long enough.
     """
-    check_word_budget(system, max_len=max_len)
-    start, n_old = spec.max_word_length, len(spec.words)
+    check_word_budget(system, max_len)
+    start = spec.max_word_length
     if max_len <= start:
         return spec
-    letters, lengths, points, lambdas, error = _levels(system, max_len, start + 1)
+    *new, error = _levels(system, max_len, start + 1)
     if error:
         raise error
-    points, lambdas = np.concatenate((spec.points, points)), np.concatenate((spec.lambdas, lambdas))
-    keys = (points.real, points.imag, lambdas.real, lambdas.imag)
-    rows = first_per_key(*(np.round(k / SPECTRUM_DEDUP_TOL) for k in keys))
-    new = rows[n_old:] - n_old  # rows[:n_old] are spec's rows
-    kept = list(spec.words)
-    for n in range(start + 1, max_len + 1):
-        kept += map(tuple, letters[new[lengths[new] == n], max_len - n:].tolist())
-    points, lambdas = points[rows], lambdas[rows]
-    # read-only, so no caller of multipliers() or truncated() writes into the rows
-    points.flags.writeable = lambdas.flags.writeable = False
-    return MultiplierSpectrum(tuple(kept), points, lambdas, len(system.maps), max_len)
+    letters, *rest = spec.table
+    letters = np.pad(letters, ((0, 0), (max_len - start, 0)), constant_values=spec.alphabet_size)
+    table = tuple(np.concatenate(pair) for pair in zip((letters, *rest), new))
+    return MultiplierSpectrum(table, spec.alphabet_size, max_len)
 
 
 def multiplier_length(system: IfsSystem, floor: float, max_len: int) -> int:
@@ -526,8 +542,4 @@ class InverseDynamics:
 
 def prep_points(system: IfsSystem, max_word: int) -> np.ndarray:
     """The periodic orbits of every word up to ``max_word``, deduplicated and sorted."""
-    check_word_budget(system, max_word=max_word)
-    orbits = [x for pp in periodic_points(system, max_word) for x in pp.orbit(system)]
-    pts = np.array(orbits, dtype=np.complex128)
-    keys = (np.round(pts.real / PREP_DEDUP_TOL), np.round(pts.imag / PREP_DEDUP_TOL))
-    return np.sort_complex(pts[first_per_key(*keys)])
+    return spectrum(system, max_word).orbit_points(system)

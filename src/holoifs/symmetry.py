@@ -39,7 +39,6 @@ from .dynamics import (
     extend_spectrum,
     fixed_point,
     multiplier_length,
-    prep_points,
     spectrum,
 )
 from .errors import (
@@ -94,6 +93,8 @@ WALK_CAP = 512
 
 #: outcomes of a germ construction that reject the germ rather than the run
 GERM_REJECTIONS = (CriterionEmpty, AddressFailure, GermBoundsError)
+#: exceptions of a measured row that fail the row rather than the run
+ROW_FAILURES = (NotInImage, DomainError, ValueError)
 
 
 @dataclass(frozen=True)
@@ -468,9 +469,9 @@ def _carry(points, center, radius, n_samples, carry, tree, tol):
     """``(residual, failures, count)`` of the points within ``radius`` of ``center``, carried.
 
     At most ``n_samples`` of them, nearest first, go through ``carry``, which
-    returns their images and a dict from row to exception; a
-    ``NotInImage``, ``DomainError`` or ``ValueError`` row fails, and any other
-    exception is raised.  Each image is measured against ``tree`` and fails
+    returns their images and a dict from row to exception; a row whose
+    exception is one of ``ROW_FAILURES`` fails, and any other exception is
+    raised.  Each image is measured against ``tree`` and fails
     beyond ``tol``.
     """
     dist = np.abs(points - center)
@@ -480,7 +481,7 @@ def _carry(points, center, radius, n_samples, carry, tree, tol):
         return 0.0, 0, 0
     images, errors = carry(points[sel])
     for exc in errors.values():
-        if not isinstance(exc, (NotInImage, DomainError, ValueError)):
+        if not isinstance(exc, ROW_FAILURES):
             raise exc
     x = np.delete(np.asarray(images), list(errors))
     if not len(x):
@@ -626,12 +627,13 @@ def _matches(sources: MultiplierSpectrum, target: IfsSystem, spec: MultiplierSpe
     return spectrum_compat(sources, extended.truncated(tgt), l_max, tol)
 
 
-def _prep_check(source: IfsSystem, target_dyn: InverseDynamics, budgets: Budgets):
-    points = prep_points(source, budgets.prep_max_word)
+def _prep_check(source: IfsSystem, spec: MultiplierSpectrum, target: InverseDynamics,
+                budgets: Budgets):
+    points = spec.orbit_points(source)
     # the recurrence test scales with the points, as their rounding does, so a
     # translated pair passes alike
     tol = RECURRENCE_TOL * max(1.0, float(np.max(np.abs(points), initial=0.0)))
-    reports = target_dyn.orbits(points, budgets.prep_orbit_cap, tol)
+    reports = target.orbits(points, budgets.prep_orbit_cap, tol)
     passes = sum(rep.is_preperiodic for rep in reports)
     return passes, len(reports) - passes
 
@@ -724,7 +726,7 @@ def _functional_sweep(
             exc = y_errors.get(c) or lhs_errors.get(j) or rhs_errors.get(j)
             if exc is None:
                 residual, note = float(np.max(np.abs(lhs[j] - rhs[j]))), ""
-            elif isinstance(exc, (NotInImage, DomainError, ValueError)):
+            elif isinstance(exc, ROW_FAILURES):
                 residual, note = math.inf, type(exc).__name__
             else:
                 raise exc
@@ -759,13 +761,15 @@ def shared_attractor(
     :class:`BudgetExceeded`, which propagates: the note names the exception,
     and ``hausdorff`` is NaN if the net distance was not measured.
 
-    Each system's spectrum is solved up to ``spectrum_source_len`` once, then
-    extended, as a target, only by the word lengths up to
-    ``spectrum_target_len`` whose multiplier bound can still lower a
-    source's smallest matching power (:func:`_matches`); the matches are
-    those of solving every target length.  A target word that is never
-    solved cannot fail the verdict by its own error.  The word budgets are
-    still checked at the longer of the two lengths before any orbit walk.
+    Each system's necklaces are solved once, as one table: up to
+    ``prep_max_word`` for its preperiodic cross-check, then extended to
+    ``spectrum_source_len`` for its sources, and, as a target, only by the
+    word lengths up to ``spectrum_target_len`` whose multiplier bound can
+    still lower a source's smallest matching power (:func:`_matches`); the
+    matches are those of solving every target length.  A target word that
+    is never solved cannot fail the verdict by its own error.  The word
+    budgets are still checked at the longer of the two spectrum lengths
+    before any orbit walk.
     """
     budgets = budgets if budgets is not None else Budgets()
     h, ssc_both = math.nan, False  # until measured
@@ -787,25 +791,24 @@ def shared_attractor(
         if not ssc_both:
             return report("Inconclusive", "separation certificate invalid; evidence unavailable")
 
-        dynG, dynF = G.dyn, F.dyn
         # the word budgets fail before any orbit walk, in the order the
         # stages below would meet them
         src, tgt = budgets.spectrum_source_len, budgets.spectrum_target_len
-        for system in (G.system, F.system):
-            check_word_budget(system, max_word=budgets.prep_max_word)
-        for system in (G.system, F.system):
-            check_word_budget(system, max_len=max(src, tgt))
-        prep_forward = _prep_check(G.system, dynF, budgets)
-        prep_backward = _prep_check(F.system, dynG, budgets)
-
-        # one spectrum per system, of the source lengths, then extended by
-        # the target lengths that can still move a match; its rows run in
-        # increasing word length and deduplication keeps the first, so
-        # truncated() and extend_spectrum() equal a spectrum of other length;
-        # G's targets are extended first, in the order of the systems
-        specG, specF = spectrum(G.system, src), spectrum(F.system, src)
-        into_g = _matches(specF, G.system, specG, budgets)
-        matches = tuple(_matches(specG, F.system, specF, budgets) + into_g)
+        for length, system in product((budgets.prep_max_word, max(src, tgt)), (G.system, F.system)):
+            check_word_budget(system, length)
+        # one necklace table per system: solved up to the prep length for its
+        # prep check, extended to the source length after both walks, and
+        # extended again, as a target, by the lengths that can still move a
+        # match; its rows run in increasing word length, each solved on its
+        # own, so truncated() and extend_spectrum() equal a spectrum of other
+        # length; G's targets are extended first, in the order of the systems
+        specG = spectrum(G.system, budgets.prep_max_word)
+        prep_forward = _prep_check(G.system, specG, F.dyn, budgets)
+        specF = spectrum(F.system, budgets.prep_max_word)
+        prep_backward = _prep_check(F.system, specF, G.dyn, budgets)
+        specG, specF = extend_spectrum(G.system, specG, src), extend_spectrum(F.system, specF, src)
+        into_g = _matches(specF.truncated(src), G.system, specG, budgets)
+        matches = tuple(_matches(specG.truncated(src), F.system, specF, budgets) + into_g)
 
         equations = _functional_sweep(G, F, budgets)
     except BudgetExceeded:

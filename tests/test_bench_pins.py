@@ -17,7 +17,7 @@ import holoifs.maps
 from holoifs.cli import shared_report_text
 from holoifs.dynamics import spectrum
 from holoifs.maps import Affine, Disk, IfsSystem
-from holoifs.symmetry import shared_attractor
+from holoifs.symmetry import Budgets, shared_attractor
 from holoifs.systems import cantor_thirds, cantor_thirds_reflected, iterate_system, sqrt_julia
 
 WORKLOADS = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
@@ -51,27 +51,63 @@ THIRDS = ("cantor-thirds", cantor_thirds)
 REFLECTED = ("cantor-thirds-reflected", cantor_thirds_reflected)
 
 
-def _report(g, f, epsilon):
+def _report(g, f, epsilon, budgets=None):
     (label_g, make_g), (label_f, make_f) = g, f
-    report = shared_attractor(make_g(), make_f(), epsilon)
+    report = shared_attractor(make_g(), make_f(), epsilon, budgets)
     return shared_report_text(report, epsilon, label_g, label_f).encode("utf-8")
 
 
+# prep and source lengths that differ: the sources are cut back from, or
+# extended past, the prep check's necklaces (the digests were taken before the
+# prep check and the spectrum shared one necklace table)
+PREP5_SOURCE3 = Budgets(prep_max_word=5, spectrum_source_len=3)
+PREP2_SOURCE5 = Budgets(prep_max_word=2, spectrum_source_len=5)
+
+
 @pytest.mark.parametrize(
-    "g, f, epsilon, digest",
+    "g, f, epsilon, budgets, digest",
     [
-        (THIRDS, REFLECTED, 1e-3,
+        (THIRDS, REFLECTED, 1e-3, None,
          "14bc3df02ae3c0f009c9edec0a37cc32e8eea4f75e1d9e3151e19e3444b414df"),
-        (REFLECTED, THIRDS, 1e-3,
+        (REFLECTED, THIRDS, 1e-3, None,
          "e5a98ae8f950e9c7fc6654da39b70bd9c4fb2a98a173e1d748a25f484e14d14c"),
         # thirds vs reflected at 1e-5 is the cantor-fine pin
-        (REFLECTED, THIRDS, 1e-5,
+        (REFLECTED, THIRDS, 1e-5, None,
          "cd1599f8093b288ff58a2c664431f0337dc3810e2d4fe0bf18da460a6add215d"),
+        # Shared
+        (THIRDS, REFLECTED, 1e-3, PREP5_SOURCE3,
+         "a4203a1b2e6fbc407a91c38b06c630bd1317a7056680f927055010cc95631f16"),
+        (REFLECTED, THIRDS, 1e-3, PREP5_SOURCE3,
+         "10c0d0642e6c32bdce3e760697392230fce51043ff914fd6d292aa5a06e29312"),
+        # Inconclusive: spectrum compatibility failed
+        (THIRDS, REFLECTED, 1e-3, PREP2_SOURCE5,
+         "71cce93349b176df1f14fbf3c52fa6b15ac93e1d45324ce84e9b39cd4ee2ae00"),
+        (REFLECTED, THIRDS, 1e-3, PREP2_SOURCE5,
+         "cb8e509bb718bfaa4f2cc9718c6d93f9f6d6bfa326c51b232f0014deb211b851"),
     ],
-    ids=["thirds-reflected-1e-3", "reflected-thirds-1e-3", "reflected-thirds-1e-5"],
+    ids=["thirds-reflected-1e-3", "reflected-thirds-1e-3", "reflected-thirds-1e-5",
+         "thirds-reflected-prep5-source3", "reflected-thirds-prep5-source3",
+         "thirds-reflected-prep2-source5", "reflected-thirds-prep2-source5"],
 )
-def test_cantor_reports_match_their_pins(g, f, epsilon, digest):
-    assert hashlib.sha256(_report(g, f, epsilon)).hexdigest() == digest
+def test_cantor_reports_match_their_pins(g, f, epsilon, budgets, digest):
+    assert hashlib.sha256(_report(g, f, epsilon, budgets)).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "budgets, digest",
+    [
+        # Inconclusive: preperiodic cross-check failed
+        (PREP5_SOURCE3, "425c2a56e40e27fdb26bed82ca9e15f73d1d6686436deaf12dfe9897bfa5d768"),
+        # Inconclusive: spectrum compatibility failed
+        (Budgets(prep_max_word=3, spectrum_source_len=6, spectrum_target_len=6),
+         "5d623309e218bcc992d6e0edfccce3f492936846d1fa0f3c12a832c329bed5e7"),
+    ],
+    ids=["prep5-source3", "prep3-source6-target6"],
+)
+def test_julia_square_reports_at_other_lengths_match_their_pins(budgets, digest):
+    julia = ("sqrt-julia", lambda: sqrt_julia(-6.0))
+    square = ("sqrt-julia^2", lambda: iterate_system(sqrt_julia(-6.0), 2))
+    assert hashlib.sha256(_report(julia, square, 1e-3, budgets)).hexdigest() == digest
 
 
 def test_julia_self_report_matches_the_cli_pin():

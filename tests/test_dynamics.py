@@ -32,6 +32,7 @@ from holoifs.attractor import (
     certify_ssc,
     certify_strong_osc,
     compute_net,
+    first_per_key,
     rho_radius,
 )
 from holoifs.dynamics import (
@@ -373,13 +374,15 @@ def test_a_value_that_raises_after_a_derivative_keeps_the_oracle_order():
 
 
 def test_word_budget_counts_spectrum_and_prep_words():
+    # the spectrum and the prep points read one necklace table, so one length
+    # counts the words of both
     thirds = cantor_thirds()
-    check_word_budget(thirds, max_len=3, word_cap=14)  # 2 + 4 + 8 words
+    check_word_budget(thirds, 3, word_cap=14)  # 2 + 4 + 8 words
     with pytest.raises(BudgetExceeded, match="^14 words exceed the cap 13$"):
-        check_word_budget(thirds, max_len=3, word_cap=13)
-    check_word_budget(thirds, max_word=2, word_cap=6)  # 2 + 4 words
-    with pytest.raises(BudgetExceeded, match="^preperiodic enumeration exceeds the word cap$"):
-        check_word_budget(thirds, max_word=2, word_cap=5)
+        check_word_budget(thirds, 3, word_cap=13)
+    check_word_budget(thirds, 2, word_cap=6)  # 2 + 4 words
+    with pytest.raises(BudgetExceeded, match="^6 words exceed the cap 5$"):
+        check_word_budget(thirds, 2, word_cap=5)
 
 
 # ---------------------------------------------------------------------------
@@ -477,11 +480,13 @@ def test_spectrum_rows_cannot_be_written_through_its_arrays():
     spec = spectrum(cantor_thirds_reflected(), 4)
     before = spec.entries[0]
     cut = spec.truncated(2)
-    for rows in (spec.multipliers(), spec.points, cut.multipliers(), cut.points):
+    for rows in (spec.multipliers(), spec.points, cut.multipliers(), cut.points,
+                 *spec.table, *cut.table):
         with pytest.raises(ValueError, match="read-only"):
             rows[0] = 5
     assert spec.entries[0] == before
     assert spec.entries[0].multiplier != 5
+    assert spec.table[2][0] == before.point
 
 
 def _no_solve(*args):
@@ -1137,7 +1142,61 @@ def test_prep_points_all_near_attractor():
 
 
 def test_prep_points_budget(monkeypatch):
-    # 2**25 - 2 words pass the default cap: it raises before any solve
+    # 2**25 - 2 words pass the default cap: it raises before any solve, as
+    # spectrum does
     monkeypatch.setattr(holoifs.dynamics, "_levels", _no_solve)
-    with pytest.raises(BudgetExceeded, match="^preperiodic enumeration exceeds the word cap$"):
+    with pytest.raises(BudgetExceeded, match="^33554430 words exceed the cap 10000000$"):
         prep_points(cantor_thirds(), 24)
+
+
+def _composed_prep_points(system, max_word):
+    """The orbits of periodic_points, deduplicated on rounded keys, as the oracle.
+
+    It is the composition prep_points was before it read the spectrum's table.
+    """
+    orbits = [x for pp in periodic_points(system, max_word) for x in pp.orbit(system)]
+    pts = np.array(orbits, dtype=np.complex128)
+    keys = (np.round(pts.real / PREP_DEDUP_TOL), np.round(pts.imag / PREP_DEDUP_TOL))
+    return np.sort_complex(pts[first_per_key(*keys)])
+
+
+@pytest.mark.parametrize("max_word", [1, 2, 3, 4])
+@pytest.mark.parametrize(
+    "make",
+    [
+        cantor_thirds,
+        cantor_thirds_reflected,
+        lambda: sqrt_julia(-6.0),
+        lambda: sqrt_julia(-6.0 + 0.5j),
+        lambda: iterate_system(cantor_thirds(), 2),
+        lambda: iterate_system(cantor_thirds_reflected(), 2),
+        lambda: iterate_system(sqrt_julia(-6.0), 2),
+        lambda: iterate_system(sqrt_julia(-6.0 + 0.5j), 2),
+    ],
+    ids=["thirds", "reflected", "julia6", "julia-complex", "thirds-squared",
+         "reflected-squared", "julia6-squared", "julia-complex-squared"],
+)
+def test_prep_points_equal_the_composed_oracle(make, max_word):
+    # the orbits are read off the spectrum's necklace table, with the bits of
+    # periodic_points and PeriodicPoint.orbit
+    system = make()
+    oracle = _composed_prep_points(system, max_word).tobytes()
+    assert prep_points(system, max_word).tobytes() == oracle
+    assert spectrum(system, 4).truncated(max_word).orbit_points(system).tobytes() == oracle
+
+
+def test_prep_points_raise_as_the_composed_oracle(monkeypatch):
+    # one necklace is not attracting, and, with one iteration, one fails to
+    # converge: both raise the first failing row's exception
+    julia = sqrt_julia(-6.0)
+    planted = _PlantedBranch(-6.0, 1)
+    repelling = IfsSystem((planted, julia.maps[1]), julia.domain)
+    planted.flat = julia.maps[1](fixed_point(julia, Word((0, 1), 2)).point)
+    slow = IfsSystem((Affine(0.2, -1.0), SqrtBranch(-6.0, 1)), Disk(0.0, 5.0))
+    for system, message, cap in ((repelling, "fixed point is not attracting", None),
+                                 (slow, "no fixed point after 1 iterations", 1)):
+        if cap:
+            monkeypatch.setattr(holoifs.dynamics, "FIXED_POINT_MAX_ITER", cap)
+        for solve in (_composed_prep_points, prep_points):
+            with pytest.raises(NoConvergence, match=f"^{message}$"):
+                solve(system, 3)

@@ -24,7 +24,7 @@ from holoifs.cli import shared_report_text
 from holoifs.dynamics import _necklace_letters, extend_spectrum, multiplier_length, spectrum
 from holoifs.errors import BudgetExceeded
 from holoifs.maps import Affine, Composite, Disk, IfsSystem, SqrtBranch, Word, compose_word
-from holoifs.symmetry import shared_attractor
+from holoifs.symmetry import Budgets, shared_attractor
 from holoifs.systems import cantor_thirds, cantor_thirds_reflected, iterate_system, sqrt_julia
 from holoifs.tolerances import MULTIPLIER_BOUND_SLACK
 
@@ -195,21 +195,22 @@ def test_enclosure_radius_bounds_the_derivative_on_the_disk(data):
 # which lengths are solved, counted in necklaces
 
 
-def _spy_solved_lengths(monkeypatch):
-    """Per system id, a Counter of the word lengths its spectra solve."""
+def _spy_solved_lengths(monkeypatch, calls=None):
+    """Per system id, a Counter of the word lengths whose necklaces are solved.
+
+    The level solver itself is spied, so the prep check's necklaces count
+    too; each call's ``(system id, min_len, max_len)`` is appended to ``calls``.
+    """
     solved = defaultdict(Counter)
-    plain, extend = holoifs.symmetry.spectrum, holoifs.symmetry.extend_spectrum
+    levels = holoifs.dynamics._levels
 
-    def spy_spectrum(system, max_len):
-        solved[id(system)].update(range(1, max_len + 1))
-        return plain(system, max_len)
+    def spy(system, max_len, min_len=1):
+        solved[id(system)].update(range(min_len, max_len + 1))
+        if calls is not None:
+            calls.append((id(system), min_len, max_len))
+        return levels(system, max_len, min_len)
 
-    def spy_extend(system, spec, max_len):
-        solved[id(system)].update(range(spec.max_word_length + 1, max_len + 1))
-        return extend(system, spec, max_len)
-
-    monkeypatch.setattr(holoifs.symmetry, "spectrum", spy_spectrum)
-    monkeypatch.setattr(holoifs.symmetry, "extend_spectrum", spy_extend)
+    monkeypatch.setattr(holoifs.dynamics, "_levels", spy)
     return solved
 
 
@@ -248,6 +249,46 @@ def test_without_a_bound_every_target_length_is_solved(monkeypatch, make_pruned,
         assert shared_attractor(g, target, EPS).verdict == "Shared"
     assert max(solved[id(pruned)]) < 8
     assert solved[id(fallback)] == Counter(range(1, 9))
+
+
+BUDGETS = {
+    "defaults": Budgets(),
+    "prep5-source3": Budgets(prep_max_word=5, spectrum_source_len=3),
+    "prep2-source5": Budgets(prep_max_word=2, spectrum_source_len=5),
+}
+
+
+@pytest.mark.parametrize("budgets", BUDGETS.values(), ids=BUDGETS.keys())
+@pytest.mark.parametrize(
+    "make_g, make_f",
+    [
+        (cantor_thirds, cantor_thirds_reflected),
+        (lambda: sqrt_julia(-6.0), lambda: iterate_system(sqrt_julia(-6.0), 2)),
+    ],
+    ids=["thirds-reflected", "julia-square"],
+)
+def test_each_system_solves_each_length_once(monkeypatch, make_g, make_f, budgets):
+    # one necklace table per system serves its prep check, its sources and
+    # its targets, whichever of the prep and source lengths is longer
+    solved = _spy_solved_lengths(monkeypatch)
+    g, f = make_g(), make_f()
+    shared_attractor(g, f, EPS, budgets)
+    needed = range(1, max(budgets.prep_max_word, budgets.spectrum_source_len) + 1)
+    for system in (g, f):
+        lengths = solved[id(system)]
+        assert set(lengths) == set(range(1, max(lengths) + 1)) >= set(needed)
+        assert set(lengths.values()) == {1}
+
+
+def test_julia_square_makes_three_solves_of_twelve_lengths(monkeypatch):
+    # G's prep lengths, then its extension to 8 letters; the square's prep
+    # lengths, which are its source lengths too
+    calls = []
+    _spy_solved_lengths(monkeypatch, calls)
+    g = sqrt_julia(-6.0)
+    square = iterate_system(g, 2)
+    shared_attractor(g, square, EPS)
+    assert calls == [(id(g), 1, 4), (id(square), 1, 4), (id(g), 5, 8)]
 
 
 def test_an_unmatched_source_makes_every_target_length_needed(monkeypatch):
@@ -290,9 +331,13 @@ def test_an_extended_spectrum_equals_one_pass(monkeypatch, make, start, stop):
     assert lengths == [(start + 1, stop)]  # only the new lengths are solved
     monkeypatch.undo()
     whole = spectrum(system, stop)
-    assert extended.words == whole.words
-    assert extended.points.tobytes() == whole.points.tobytes()
-    assert extended.lambdas.tobytes() == whole.lambdas.tobytes()
+    # the table and the rows derived from it, and again cut back to start
+    for mine, one_pass in ((extended, whole), (extended.truncated(start), base)):
+        assert mine.words == one_pass.words
+        assert mine.points.tobytes() == one_pass.points.tobytes()
+        assert mine.lambdas.tobytes() == one_pass.lambdas.tobytes()
+        for array, want in zip(mine.table, one_pass.table, strict=True):
+            assert (array.dtype, array.shape) == (want.dtype, want.shape)
+            assert array.tobytes() == want.tobytes()
     assert extended.max_word_length == whole.max_word_length == stop
     assert extend_spectrum(system, extended, stop - 1) is extended
-    assert extended.truncated(start).words == base.words
