@@ -42,6 +42,7 @@ modulus.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -116,32 +117,40 @@ class MultiplierSpectrum:
     ``table`` holds every solved necklace, one row each, in length then
     necklace order: ``(letters, lengths, points, multipliers)``, where row
     ``i`` of ``letters`` holds ``lengths[i]`` letters after the pad letter
-    ``alphabet_size``.  ``entries``, and their ``words``, ``points`` and
-    ``lambdas``, are derived from it: of the rows whose point and
-    multiplier round alike at ``SPECTRUM_DEDUP_TOL``, the first.  Every
-    array is read-only, so no caller of :meth:`multipliers` or
-    :meth:`truncated` writes into the rows.
+    ``alphabet_size``.  ``points`` and ``lambdas``, and the ``entries`` and
+    their ``words``, are derived from it: of the rows whose point and
+    multiplier round alike at ``SPECTRUM_DEDUP_TOL``, the first.  The
+    ``entries`` and ``words`` are built on first read.  Every array is
+    read-only, so no caller of :meth:`multipliers` or :meth:`truncated`
+    writes into the rows.
     """
 
     table: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
     alphabet_size: int
     max_word_length: int
-    entries: tuple[PeriodicPoint, ...] = field(init=False)
-    words: tuple[tuple[int, ...], ...] = field(init=False)
     points: np.ndarray = field(init=False)
     lambdas: np.ndarray = field(init=False)
+    _rows: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         letters, lengths, points, lambdas = self.table
         keys = (points.real, points.imag, lambdas.real, lambdas.imag)
         rows = first_per_key(*(np.round(k / SPECTRUM_DEDUP_TOL) for k in keys))
-        kept = (letters[rows], lengths[rows], points[rows], lambdas[rows])
-        object.__setattr__(self, "entries", tuple(_necklaces(self.alphabet_size, *kept)))
-        object.__setattr__(self, "words", tuple(pp.word.indices for pp in self.entries))
+        object.__setattr__(self, "_rows", rows)
         object.__setattr__(self, "points", points[rows])
         object.__setattr__(self, "lambdas", lambdas[rows])
         for array in (*self.table, self.points, self.lambdas):
             array.flags.writeable = False
+
+    @cached_property
+    def entries(self) -> tuple[PeriodicPoint, ...]:
+        letters, lengths, _, _ = self.table
+        return tuple(_necklaces(self.alphabet_size, letters[self._rows], lengths[self._rows],
+                                self.points, self.lambdas))
+
+    @cached_property
+    def words(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(pp.word.indices for pp in self.entries)
 
     def multipliers(self) -> np.ndarray:
         return self.lambdas
@@ -157,12 +166,30 @@ class MultiplierSpectrum:
     def orbit_points(self, system: IfsSystem) -> np.ndarray:
         """The periodic orbits of the table's necklaces in ``system``, deduplicated and sorted.
 
-        Each orbit is :meth:`PeriodicPoint.orbit`, so the points are those
-        of every word up to ``max_word_length`` letters; of the points that
-        round alike at ``PREP_DEDUP_TOL``, the first is kept.
+        Each row's orbit is :meth:`PeriodicPoint.orbit`: all rows are carried
+        through their letters, last letter first, as rows of the exact
+        kernel (:class:`~holoifs.maps.Exact`), so each point has the bits of
+        the scalar evaluation, and the first failing row, in table order,
+        raises.  The points are those of every word up to
+        ``max_word_length`` letters; of the points that round alike at
+        ``PREP_DEDUP_TOL``, the first is kept.
         """
-        orbits = [x for pp in _necklaces(self.alphabet_size, *self.table) for x in pp.orbit(system)]
-        pts = np.array(orbits, dtype=np.complex128)
+        letters, lengths, points, _ = self.table
+        width = letters.shape[1]
+        orbits = np.empty((len(points), width), dtype=np.complex128)
+        orbits[:, :1] = points[:, None]
+        here, errors = points.view(Exact), {}
+        for j in range(1, width):
+            # step j applies letter -j of each row with more than j letters
+            col = letters[:, width - j].astype(np.intp)
+            col[lengths <= j] = -1
+            col[list(errors)] = -1
+            here, _, failed = apply_rows(system.maps, col[:, None], here)
+            errors.update(failed)
+            orbits[:, j] = here
+        if errors:
+            raise errors[min(errors)]
+        pts = orbits[np.arange(width) < lengths[:, None]]
         keys = (np.round(pts.real / PREP_DEDUP_TOL), np.round(pts.imag / PREP_DEDUP_TOL))
         return np.sort_complex(pts[first_per_key(*keys)])
 

@@ -457,7 +457,8 @@ def rowwise(fn, z: np.ndarray):
     return out, errors
 
 
-def apply_rows(factors: list, table: np.ndarray, z: np.ndarray, deriv: bool = False):
+def apply_rows(factors: list, table: np.ndarray, z: np.ndarray, deriv: bool = False,
+               d0: np.ndarray | None = None):
     """Carry each row of ``z`` through the factors its row of ``table`` names.
 
     ``table[i]`` indexes ``factors`` outermost first (-1 names none); the last
@@ -465,12 +466,14 @@ def apply_rows(factors: list, table: np.ndarray, z: np.ndarray, deriv: bool = Fa
     in one column are evaluated in one call, so each row gets the bits of its
     own chain of calls.  Without ``deriv`` a factor may be any row-wise
     callable (a bound ``deriv`` method, say); with it, the maps' derivatives
-    are multiplied into 1 innermost first, as ``Composite.deriv`` does.  A row
-    whose call raises stops and keeps the exception (see :func:`rowwise`).
-    Returns ``(values, derivatives or None, errors)``.
+    are multiplied into ``d0`` (1 by default) innermost first, as
+    ``Composite.deriv`` does; so ``z`` and ``d0`` taken from a call on the
+    inner factors resume that call's chain.  A row whose call raises stops and
+    keeps the exception (see :func:`rowwise`).  Returns ``(values, derivatives
+    or None, errors)``.
     """
     values = z.copy()
-    derivs = np.ones_like(z) if deriv else None
+    derivs = (np.ones_like(z) if d0 is None else d0.copy()) if deriv else None
     errors: dict = {}
     live = np.ones(len(z), dtype=bool)
     for col in table.T[::-1]:
@@ -494,24 +497,28 @@ def apply_rows(factors: list, table: np.ndarray, z: np.ndarray, deriv: bool = Fa
 def factor_table(maps) -> tuple[list, np.ndarray]:
     """The distinct factors of ``maps`` and each map's row of :func:`apply_rows` indexes.
 
-    A composite is the chain of its factors, any other map one factor.
+    A composite is the chain of its factors, any other map one factor.  The
+    maps that are one object, as the rows of a sweep that share a cached
+    composition are, share one chain, unpacked once.
     """
-    chains = [m.factors if isinstance(m, Composite) else (m,) for m in maps]
+    distinct: dict = {}
+    rows = [distinct.setdefault(id(m), (len(distinct), m))[0] for m in maps]
+    chains = [m.factors if isinstance(m, Composite) else (m,) for _, m in distinct.values()]
     flat = [f for chain in chains for f in chain]
     number: dict = {}
     index = [number.setdefault(id(f), len(number)) for f in flat]
     factors = list({id(f): f for f in flat}.values())
     lengths = np.array([len(chain) for chain in chains], dtype=np.intp)
     width = int(lengths.max(initial=0))
-    table = np.full((len(maps), width), -1, dtype=np.min_scalar_type(-len(factors) - 1))
+    table = np.full((len(chains), width), -1, dtype=np.min_scalar_type(-len(factors) - 1))
     table[np.arange(width) >= width - lengths[:, None]] = index
-    return factors, table
+    return factors, table[rows]
 
 
-def map_rows(maps, z: np.ndarray, deriv: bool = False):
-    """:func:`apply_rows` of ``maps[i]`` on row ``i``.
+def map_rows(maps, z: np.ndarray, deriv: bool = False, d0: np.ndarray | None = None):
+    """:func:`apply_rows` of ``maps[i]`` on row ``i``, with ``d0[i]`` its initial derivative.
 
     A map of one factor has its derivative multiplied into 1 too, which can
     change only the sign of a zero part.
     """
-    return apply_rows(*factor_table(maps), z, deriv)
+    return apply_rows(*factor_table(maps), z, deriv, d0)

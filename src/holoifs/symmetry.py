@@ -349,7 +349,12 @@ def build_symmetries(G: SystemNet, F: SystemNet, a, words) -> list:
     The words are rows of arrays.  ``g_w(a)``, ``g_w'(a)``, ``H(a)`` and
     ``H'(a)`` are rows of the exact kernel (:class:`~holoifs.maps.Exact`),
     the target addresses of all ``g_w(a)`` are walked together, and the
-    image sandwiches of all germs are one (germs × samples) array.  Returns,
+    image sandwiches of all germs are one (germs × samples) array.  Unless
+    :func:`~holoifs.maps.compose_maps` folded ``H`` into one affine map, its
+    chain is ``f_V^{-1}``'s factors after ``g_w``'s, so ``H(a)`` and
+    ``H'(a)`` resume from the rows of ``g_w(a)`` and ``g_w'(a)``, which hold
+    the bits that chain has after ``g_w``'s factors; a folded ``H`` is
+    evaluated from ``a``.  Returns,
     per word in order, its germ or the exception :func:`build_symmetry`
     raises for it; nothing is raised, so a caller that raises the first
     exception it reads fails as a word-by-word loop would.
@@ -383,7 +388,7 @@ def build_symmetries(G: SystemNet, F: SystemNet, a, words) -> list:
     inverses = cache(lambda V: compose_word(F.system, V).inverse())
     # one germ map per (V, w), so the germs that share it share its factor rows
     germ_map = cache(lambda V, w: compose_maps((inverses(V), compose(w))))
-    germs: dict = {}  # word index -> (H, V)
+    germs: dict = {}  # word index -> (H, V, row of g_w(a))
     for k, letters in zip(walked, _address_prefixes(F, start[walked], abs(lam[walked]), WALK_CAP)):
         i = rows[k]
         if isinstance(letters, Exception):
@@ -394,7 +399,7 @@ def build_symmetries(G: SystemNet, F: SystemNet, a, words) -> list:
         else:
             V = Word(tuple(letters), len(F.system.maps))
             try:
-                germs[i] = (germ_map(V, words[i]), V)
+                germs[i] = (germ_map(V, words[i]), V, k)
             except Exception as exc:
                 out[i] = exc
     if not germs:
@@ -402,13 +407,16 @@ def build_symmetries(G: SystemNet, F: SystemNet, a, words) -> list:
     # each germ meets its checks in the order H'(a) (whose chain holds H(a)),
     # its bounds, the boundary images, the outer and the inner sandwich disk
     r = RADIUS_FRACTION * rho
-    maps = [H for H, _ in germs.values()]
+    maps, Vs, ks = map(list, zip(*germs.values()))
     at = np.array([bases[i] for i in germs], dtype=complex)
-    Ha, dH, failed = map_rows(maps, at.view(Exact), deriv=True)
+    folded = np.array([isinstance(H, Affine) for H in maps])
+    tails = [H if fold else inverses(V) for H, V, fold in zip(maps, Vs, folded)]
+    Ha, dH, failed = map_rows(tails, np.where(folded, at, start[ks]).view(Exact), deriv=True,
+                              d0=np.where(folded, 1.0, lam[ks]).view(Exact))
     images, _, escaped = map_rows(maps, circle(at, r, BOUNDARY_SAMPLES))
     dist = np.abs(images - Ha.view(np.ndarray)[:, None])
     far, near, mod = dist.max(axis=1), dist.min(axis=1), abs(dH)
-    for j, (i, (H, V)) in enumerate(germs.items()):
+    for j, (i, (H, V, _)) in enumerate(germs.items()):
         if j in failed:
             out[i] = failed[j]
         elif not (sF - DERIV_SLACK <= mod[j] <= 1.0 + DERIV_SLACK):
@@ -491,7 +499,7 @@ def _carry(points, center, radius, n_samples, carry, tree, tol):
 
 
 def _germ_classes(germs: list, bases, radius: float, groups) -> list:
-    """Class representative of each germ, scanned group by group.
+    """Class representative of each germ, scanned group by group in rounds.
 
     ``germs`` are built at ``bases`` with ``radius``, ``None`` for a rejected
     one, and the germs of one group are scanned in order.  Returns, per
@@ -499,12 +507,22 @@ def _germ_classes(germs: list, bases, radius: float, groups) -> list:
     equals within ``GERM_EQUALITY_TOL`` on ``GERM_SAMPLES`` points of the
     circle of radius ``radius / 2`` about its base, its own index when it
     becomes one, ``None`` for ``None``, or the exception that ends its
-    group's scan.  Every germ
-    is evaluated on its samples up front, as one (germs × samples) array.  A
-    germ whose evaluation raised ends the scan at its first comparison,
-    before the representative's, as an evaluation made there would; so only
-    a group's first germ becomes a representative unevaluated, and a lone
-    germ never ends a scan.
+    group's scan.  Every germ is evaluated on its samples up front, as one
+    (germs × samples) array.  A germ whose evaluation raised ends the scan
+    at its first comparison, before the representative's, as an evaluation
+    made there would: a group's scan ends at its first germ after the first
+    whose evaluation raised, or at its second germ if the first one raised,
+    and that germ's exception, else the first's, is the outcome of every
+    germ from there on; so only a group's first germ becomes a
+    representative unevaluated, and a lone germ never ends a scan.
+
+    Each round makes the first unscanned germ of every group a
+    representative and gives it, in one array comparison, the later
+    unscanned germs of its group that equal it.  Representatives are found
+    in order, and a germ is taken by the first that it equals, so each germ
+    gets the representative a germ-by-germ loop gives it.  A round holds
+    one (unscanned germs × samples) array, and there are as many rounds as
+    a group has representatives.
     """
     live = [i for i, germ in enumerate(germs) if germ is not None]
     values = np.full((len(germs), GERM_SAMPLES), complex(math.nan, math.nan))
@@ -512,21 +530,34 @@ def _germ_classes(germs: list, bases, radius: float, groups) -> list:
         [germs[i].map for i in live],
         circle(np.array([bases[i] for i in live], dtype=complex), 0.5 * radius, GERM_SAMPLES))
     errors = {live[k]: exc for k, exc in failed.items()}
-    out: list = [None] * len(germs)
-    reps: dict = {}  # group -> its representatives, or the exception that ended its scan
-    for i in live:
-        seen = reps.setdefault(groups[i], [])
-        # of the representatives only the first, seen[0], can have raised
-        if isinstance(seen, list) and seen and (exc := errors.get(i) or errors.get(seen[0])):
-            reps[groups[i]] = seen = exc
-        if isinstance(seen, Exception):
-            out[i] = seen
-            continue
-        near = np.flatnonzero(np.max(np.abs(values[seen] - values[i]), axis=1)
-                              <= GERM_EQUALITY_TOL)
-        out[i] = seen[near[0]] if len(near) else i
-        if not len(near):
-            seen.append(i)
+    # the live germs group by group, in order within each: group c holds
+    # positions head[c]..bound[c] - 1 of ``order``, and its scan ends at stop[c]
+    codes: dict = {}
+    code = np.array([codes.setdefault(groups[i], len(codes)) for i in live], dtype=np.intp)
+    sort = np.argsort(code, kind="stable")
+    order, code = np.array(live, dtype=np.intp)[sort], code[sort]
+    head = np.flatnonzero(np.diff(code, prepend=-1))
+    bound = np.append(head[1:], len(order))
+    stop = bound.copy()
+    for p in np.flatnonzero(np.isin(order, list(errors))).tolist():
+        c = code[p]
+        stop[c] = min(stop[c], head[c] + 1 if p == head[c] else p)
+    rep = np.full(len(germs), -1, dtype=np.intp)
+    pending = np.flatnonzero(np.arange(len(order)) < stop[code])
+    while len(pending):
+        lead = np.diff(code[pending], prepend=-1) != 0
+        i = order[pending]
+        r = i[lead][np.cumsum(lead) - 1]
+        taken = lead.copy()
+        taken[~lead] = (np.max(np.abs(values[r[~lead]] - values[i[~lead]]), axis=1)
+                        <= GERM_EQUALITY_TOL)
+        rep[i[taken]] = r[taken]
+        pending = pending[~taken]
+    out: list = [None if c < 0 else c for c in rep.tolist()]
+    for c in np.flatnonzero(stop < bound).tolist():
+        exc = errors.get(int(order[stop[c]])) or errors.get(int(order[head[c]]))
+        for i in order[stop[c]:bound[c]].tolist():
+            out[i] = exc
     return out
 
 
@@ -583,8 +614,11 @@ def detect_coincidence(G: SystemNet, F: SystemNet, w: Word, K_max: int = 16) -> 
 def spectrum_compat(specG, specF, l_max: int, tol: float = SPECTRUM_TOL):
     """Smallest power matching each source multiplier into the target spectrum.
 
-    Returns ``(value, l)`` pairs with ``l = None`` for unmatched entries; source
-    values are deduplicated on ``tol``-rounded keys and ordered by real then imaginary part.
+    A power ``lam^l`` matches a target ``t`` when ``|lam^l - t| <= tol |lam^l|``,
+    relative to the power tested, so a power below ``tol`` cannot match every
+    small target.  Returns ``(value, l)`` pairs with ``l = None`` for
+    unmatched entries; source values are deduplicated on keys rounded to an
+    absolute ``tol`` grid and ordered by real then imaginary part.
     """
     if not tol >= np.finfo(float).tiny:  # else a multiplier over tol may overflow
         raise ValueError(f"the spectrum tolerance must be a normal float, got {tol!r}")
@@ -595,7 +629,8 @@ def spectrum_compat(specG, specF, l_max: int, tol: float = SPECTRUM_TOL):
     for lam in np.sort_complex(lams[first_per_key(*keys)]).tolist():
         found = None
         for l in range(1, l_max + 1):
-            if len(targets) and float(np.min(np.abs(lam**l - targets))) <= tol:
+            power = lam**l
+            if len(targets) and float(np.min(np.abs(power - targets))) <= tol * abs(power):
                 found = l
                 break
         out.append((lam, found))
@@ -611,16 +646,16 @@ def _matches(sources: MultiplierSpectrum, target: IfsSystem, spec: MultiplierSpe
     ``l_p`` in the targets solved so far (``spectrum_l_max + 1`` if none).
     A longer target word ``t`` matters only if ``|t|``, at most its length's
     bound ``U_k`` (:func:`~holoifs.dynamics.multiplier_length`), can reach
-    ``|lam^l| - tol`` for some ``l < l_p``: else ``|lam^l - t| >= |lam^l| -
-    |t| > tol``, and ``t`` cannot give a smaller power.  Adding targets only
+    ``|lam^l| (1 - tol)`` for some ``l < l_p``: else ``|lam^l - t| >= |lam^l|
+    - |t| > tol |lam^l|``, and ``t`` cannot give a smaller power.  Adding targets only
     lowers each ``l_p``, so one extension suffices, and the matches are
     those of every length up to ``spectrum_target_len``; an unmatched source
     makes every length needed.
     """
     l_max, tol, tgt = budgets.spectrum_l_max, budgets.spectrum_tol, budgets.spectrum_target_len
     matches = spectrum_compat(sources, spec.truncated(tgt), l_max, tol)
-    floor = min((abs(lam**l) - tol for lam, found in matches for l in range(1, found or l_max + 1)),
-                default=math.inf)
+    floor = min((abs(lam**l) * (1.0 - tol)
+                 for lam, found in matches for l in range(1, found or l_max + 1)), default=math.inf)
     extended = extend_spectrum(target, spec, multiplier_length(target, floor, tgt))
     if extended is spec:
         return matches
@@ -659,8 +694,10 @@ def _functional_sweep(
     chain of calls, or the folded map of two affine maps, that the germ's own
     evaluation makes, so its bits and its exception are that evaluation's.
     A disk with fewer samples repeats them to the common width, which moves
-    no maximum and no exception.  Each germ meets, in order, the exceptions
-    of the scan, of its ``y`` and of each side.
+    no maximum and no exception.  Every residual, the largest modulus of a
+    row of the two sides' difference, is one reduction over all rows.  Each
+    germ meets, in order, the exceptions of the scan, of its ``y`` and of
+    each side.
     """
     sF = F.s_floor
     M = min_depth(G.system, G.net, sF) + 1
@@ -702,6 +739,9 @@ def _functional_sweep(
                   for i in rows], at)
         for field, word in (("word_f", f_word), ("word_g", g_word))
     )
+    # a failed row's NaN is never read; initial=0 moves no maximum of moduli
+    # and allows a sweep with no rows
+    residuals = np.max(np.abs(lhs - rhs), axis=1, initial=0.0).tolist()
     entries: list[FunctionalEquation] = []
     for d in range(len(disks)):
         if d not in cover:
@@ -725,7 +765,7 @@ def _functional_sweep(
                 raise c
             exc = y_errors.get(c) or lhs_errors.get(j) or rhs_errors.get(j)
             if exc is None:
-                residual, note = float(np.max(np.abs(lhs[j] - rhs[j]))), ""
+                residual, note = residuals[j], ""
             elif isinstance(exc, ROW_FAILURES):
                 residual, note = math.inf, type(exc).__name__
             else:

@@ -53,7 +53,7 @@ DERIV_SLACK = 1e-9
 #: two germs' values on the class samples; rounding of the two compositions; absolute
 GERM_EQUALITY_TOL = 1e-9
 
-#: |lam^l - mu| and the source multipliers' key grid; rounding of both spectra; absolute
+#: |lam^l - mu| of a match, × |lam^l|; the sources' key grid, absolute; rounding of the spectra
 SPECTRUM_TOL = 1e-9
 
 #: functional-equation residual on the disk samples; rounding of both sides; absolute

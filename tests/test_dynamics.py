@@ -1200,3 +1200,45 @@ def test_prep_points_raise_as_the_composed_oracle(monkeypatch):
         for solve in (_composed_prep_points, prep_points):
             with pytest.raises(NoConvergence, match=f"^{message}$"):
                 solve(system, 3)
+
+
+def test_orbit_points_raise_the_first_failing_row_in_table_order():
+    # the rows are carried column by column, but an earlier row that fails at
+    # its second step raises before a later row that fails at its first, as
+    # PeriodicPoint.orbit row by row does
+    julia = sqrt_julia(-6.0)
+    spec = spectrum(julia, 4)
+    rows = list(periodic_points(julia, 4))
+    orbits = [pp.orbit(julia) for pp in rows]
+    early = next(k for k, pp in enumerate(rows) if len(pp.word) > 2 and pp.word.indices[-2] == 1)
+    late = next(k for k, pp in enumerate(rows)
+                if k > early and len(pp.word) > 2 and pp.word.indices[-2:] == (0, 1))
+    planted = _PlantedBranch(-6.0, -1)
+    system = IfsSystem((julia.maps[0], planted), julia.domain)
+    planted.exact = orbits[early][1]
+    planted.trap = orbits[late][0]
+    with pytest.raises(DomainError, match="^planted value$"):
+        [pp.orbit(system) for pp in rows]
+    with pytest.raises(DomainError, match="^planted value$"):
+        spec.orbit_points(system)
+    planted.exact = None
+    with pytest.raises(DomainError, match="^planted$"):
+        spec.orbit_points(system)
+
+
+def test_spectrum_entries_and_words_are_built_on_first_read(monkeypatch):
+    built = []
+    necklaces = holoifs.dynamics._necklaces
+
+    def counting(*args):
+        built.append(len(args[1]))
+        return necklaces(*args)
+
+    monkeypatch.setattr(holoifs.dynamics, "_necklaces", counting)
+    spec = spectrum(sqrt_julia(-6.0), 4)
+    cut = spec.truncated(2)
+    spec.multipliers(), cut.points, spec.orbit_points(sqrt_julia(-6.0))
+    assert built == []
+    assert len(spec.words) == len(spec.entries) == len(spec.points)
+    assert cut.entries == spec.entries[:len(cut.entries)]
+    assert built == [len(spec.points), len(cut.points)]

@@ -15,6 +15,7 @@ from holoifs.maps import (
     apply_rows,
     compose_maps,
     compose_word,
+    factor_table,
 )
 from holoifs.systems import cantor_thirds, cantor_thirds_reflected, sqrt_julia
 
@@ -290,3 +291,59 @@ def test_apply_rows_equals_each_rows_own_chain(n_rows, n_factors, deriv, bound_d
                 assert derivs[i:i + 1].tobytes() == np.array([scalar_d], dtype=complex).tobytes()
     # the square-root inverse raises on some rows; the derivatives never raise here
     assert raised == (set() if bound_derivs else {NotInImage})
+
+
+@pytest.mark.parametrize("exact", [False, True], ids=["plain", "exact"])
+@pytest.mark.parametrize("split", [1, 2, 3])
+def test_apply_rows_resumed_from_initial_derivative_rows_equals_one_full_chain_call(exact, split):
+    # the inner columns' values and derivatives, passed as z and d0 to a call on
+    # the outer columns, give the bits and the exceptions of one call on all
+    rng = np.random.default_rng(20261020 + split)
+    branch = SqrtBranch(complex(*rng.uniform(-1, 1, 2)), 1)
+    maps = [Affine(complex(*rng.uniform(-1, 1, 2)), complex(*rng.uniform(-1, 1, 2))),
+            SqrtBranch(complex(*rng.uniform(-1, 1, 2)), -1),
+            branch.inverse(),  # raises NotInImage on the rows outside its branch's half-plane
+            Affine(complex(*rng.uniform(-1, 1, 2)), complex(*rng.uniform(-1, 1, 2)))]
+    table = rng.integers(-1, len(maps), size=(60, 4))
+    z = rng.uniform(-2, 2, 60) + 1j * rng.uniform(-2, 2, 60)
+    if exact:
+        z = z.view(Exact)
+    values, derivs, errors = apply_rows(maps, table, z, deriv=True)
+    inner_values, inner_derivs, inner_errors = apply_rows(maps, table[:, split:], z, deriv=True)
+    outer = table[:, :split].copy()
+    outer[list(inner_errors)] = -1  # a row that failed inside is not carried on
+    got, got_derivs, outer_errors = apply_rows(maps, outer, inner_values, deriv=True,
+                                               d0=inner_derivs)
+    assert inner_errors.keys().isdisjoint(outer_errors)
+    resumed_errors = {**inner_errors, **outer_errors}
+    assert {k: type(e) for k, e in resumed_errors.items()} == {k: type(e) for k, e in errors.items()}
+    assert NotInImage in {type(e) for e in errors.values()}
+    ok = [k for k in range(len(z)) if k not in errors]
+    assert got[ok].tobytes() == values[ok].tobytes()
+    assert got_derivs[ok].tobytes() == derivs[ok].tobytes()
+    # by default the derivatives start from 1
+    ones = apply_rows(maps, table, z, deriv=True, d0=np.ones_like(z))
+    assert ones[1][ok].tobytes() == derivs[ok].tobytes()
+
+
+def _unpacked_factor_table(maps):
+    """Each map's chain unpacked on its own, the factors numbered in order of first use."""
+    chains = [m.factors if isinstance(m, Composite) else (m,) for m in maps]
+    factors = list({id(f): f for chain in chains for f in chain}.values())
+    number = {id(f): k for k, f in enumerate(factors)}
+    width = max(map(len, chains), default=0)
+    return factors, [[-1] * (width - len(c)) + [number[id(f)] for f in c] for c in chains]
+
+
+def test_factor_table_shares_the_chain_of_one_map_object():
+    # the rows of one map object share one unpacked chain, and the table is
+    # that of unpacking every row
+    julia = sqrt_julia(-6.0)
+    g, h = compose_word(julia, Word((0, 1, 1), 2)), compose_word(julia, Word((1,), 2))
+    affine = Affine(0.5, 0.25)
+    for maps in ([g, h, g, affine, g, h], [affine, affine], [h], []):
+        factors, table = factor_table(maps)
+        want_factors, want_table = _unpacked_factor_table(maps)
+        assert [id(f) for f in factors] == [id(f) for f in want_factors]
+        assert table.tolist() == want_table
+        assert table.shape == (len(maps), max((len(r) for r in want_table), default=0))

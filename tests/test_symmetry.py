@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import math
 import sys
+import tracemalloc
 from collections import Counter
 from types import SimpleNamespace
 
@@ -33,7 +35,17 @@ from holoifs import (
 )
 from holoifs.attractor import certify_strong_osc, compute_net
 from holoifs.dynamics import fixed_point, prep_points, spectrum
-from holoifs.maps import Affine, Composite, HoloMap, SqrtBranch, compose_maps, compose_word
+from holoifs.maps import (
+    Affine,
+    Composite,
+    Exact,
+    HoloMap,
+    SqrtBranch,
+    circle,
+    compose_maps,
+    compose_word,
+    map_rows,
+)
 from holoifs.symmetry import (
     BOUNDARY_SAMPLES,
     DERIV_SLACK,
@@ -413,6 +425,81 @@ def test_build_symmetries_equal_the_one_word_code(thirds, reflected, julia_pairs
         assert all(_same_outcome(x, y) for x, y in zip(got, want))
         for w, outcome in zip(words[:6], want):
             assert _same_outcome(_outcome(build_symmetry, G, F, a, w), outcome)
+
+
+def _complex_mixed():
+    return IfsSystem((SqrtBranch(-6.0 + 0.5j, 1), Affine(0.2 + 0.1j, -1.0 + 0.3j)), Disk(0.0, 5.0))
+
+
+class _PlantedInverse(type(SqrtBranch(-6.0, 1).inverse())):
+    """A square-root branch's inverse that raises on every value right of the imaginary axis."""
+
+    def __call__(self, y):
+        if np.any(np.real(y) > 0.0):
+            raise NotInImage("planted")
+        return super().__call__(y)
+
+
+GERM_RESUME_PAIRS = {
+    # (G, F, the kinds of germ map the pair builds)
+    "thirds-reflected": lambda: (cantor_thirds(), cantor_thirds_reflected(), {"folded"}),
+    "julia6-squared": lambda: (sqrt_julia(-6.0), iterate_system(sqrt_julia(-6.0), 2), {"resumed"}),
+    "complex-mixed": lambda: (_complex_mixed(), _complex_mixed(), {"folded", "resumed"}),
+    "julia6-planted": lambda: (sqrt_julia(-6.0), sqrt_julia(-6.0), {"resumed"}),
+}
+
+
+@pytest.mark.parametrize("pair", list(GERM_RESUME_PAIRS))
+def test_germ_images_resume_from_the_source_rows(monkeypatch, pair):
+    g, f, kinds = GERM_RESUME_PAIRS[pair]()
+    G, F = system_net(g), system_net(f)
+    # the walk's inverses, the radii and the floor are made before any plant
+    assert F.dyn.claim_radius > 0 and G.rho > 0 and F.rho > 0 and F.s_floor > 0
+    if pair == "julia6-planted":  # the germs' f_V^{-1} raises where the walk did not
+        branch = f.maps[0]
+        monkeypatch.setitem(branch.__dict__, "_inverse", _PlantedInverse(branch))
+    calls = []
+    rows_of = holoifs.symmetry.map_rows
+
+    def recording(maps, z, deriv=False, d0=None):
+        out = rows_of(maps, z, deriv, d0)
+        calls.append((maps, d0, out))
+        return out
+
+    monkeypatch.setattr(holoifs.symmetry, "map_rows", recording)
+    # words of one to three letters, the lengths interleaved
+    words = sorted(_all_words(len(g.maps), 3), key=lambda w: w.indices[::-1])
+    seen, outcomes = set(), Counter()
+    for a in prep_points(g, 2)[:3]:
+        calls.clear()
+        got = build_symmetries(G, F, a, words)
+        # H(a) and H'(a), resumed from g_w(a) and g_w'(a), have the bits and
+        # the exceptions of H's whole chain evaluated from a; the boundary
+        # images, the next call, take the germ maps themselves
+        [k] = [k for k, (_, d0, _) in enumerate(calls) if d0 is not None]
+        H = calls[k + 1][0]
+        values, derivs, errors = calls[k][2]
+        want, want_derivs, want_errors = rows_of(H, np.full(len(H), complex(a)).view(Exact),
+                                                 deriv=True)
+        assert {j: (type(e), str(e)) for j, e in errors.items()} == {
+            j: (type(e), str(e)) for j, e in want_errors.items()}
+        ok = [j for j in range(len(H)) if j not in want_errors]
+        assert values[ok].tobytes() == want[ok].tobytes()
+        assert derivs[ok].tobytes() == want_derivs[ok].tobytes()
+        seen.update("folded" if isinstance(m, Affine) else "resumed" for m in H)
+        # every field of each batched germ is the one-word path's
+        for w, x in zip(words, got):
+            one = _outcome(build_symmetry, G, F, a, w)
+            assert _same_outcome(x, one)
+            if isinstance(x, SymmetryGerm):
+                assert [getattr(x, n) for n in ("base", "radius", "word_g", "word_f", "map")] == [
+                    getattr(one, n) for n in ("base", "radius", "word_g", "word_f", "map")]
+                assert (np.array([x.image, x.derivative]).tobytes()
+                        == np.array([one.image, one.derivative]).tobytes())
+            outcomes[str(x) if isinstance(x, Exception) else "germ"] += 1
+    assert seen == kinds
+    assert outcomes["germ"] > 0
+    assert (outcomes["planted"] > 0) is (pair == "julia6-planted")
 
 
 @pytest.mark.parametrize(
@@ -1024,6 +1111,75 @@ def test_germ_scan_evaluates_a_germ_at_its_first_comparison():
                  groups=[0, 1, 0, 1, 1, 2]) == [0, 1, 0, None, "other", 5]
 
 
+def _loop_germ_classes(germs, bases, radius, groups):
+    """The class scan as a germ-by-germ loop over the same (germs × samples) values, as the oracle."""
+    live = [i for i, germ in enumerate(germs) if germ is not None]
+    values = np.full((len(germs), GERM_SAMPLES), complex(math.nan, math.nan))
+    values[live], _, failed = map_rows(
+        [germs[i].map for i in live],
+        circle(np.array([bases[i] for i in live], dtype=complex), 0.5 * radius, GERM_SAMPLES))
+    errors = {live[k]: exc for k, exc in failed.items()}
+    out = [None] * len(germs)
+    reps = {}  # group -> its representatives, or the exception that ended its scan
+    for i in live:
+        seen = reps.setdefault(groups[i], [])
+        if isinstance(seen, list) and seen and (exc := errors.get(i) or errors.get(seen[0])):
+            reps[groups[i]] = seen = exc
+        if isinstance(seen, Exception):
+            out[i] = seen
+            continue
+        near = np.flatnonzero(np.max(np.abs(values[seen] - values[i]), axis=1)
+                              <= GERM_EQUALITY_TOL)
+        out[i] = seen[near[0]] if len(near) else i
+        if not len(near):
+            seen.append(i)
+    return out
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_germ_classes_in_rounds_equal_the_germ_by_germ_loop(seed):
+    # few classes per group, with offsets 0.7 tol apart, so a germ may lie
+    # within the tolerance of two representatives and must take the first;
+    # in group 0 the first germ raises, in group 1 a later germ, and rejected
+    # germs and the groups interleave
+    rng = np.random.default_rng(seed)
+    n = 300
+    groups = rng.integers(0, 10, n).tolist()
+    steps = rng.integers(0, 6, n) * 0.7 * GERM_EQUALITY_TOL + rng.integers(0, 3, n) * 1e-3
+    germs = [None if rng.random() < 0.1 else _scan_germ(Affine(1.0, b)) for b in steps.tolist()]
+    for k in rng.choice(n, 4, replace=False).tolist():
+        germs[k] = _scan_germ(_raising(f"germ {k}"))
+    first0 = next(i for i, x in enumerate(germs) if x is not None and groups[i] == 0)
+    germs[first0] = _scan_germ(_raising("first of group 0"))
+    later1 = [i for i, x in enumerate(germs) if x is not None and groups[i] == 1][3]
+    germs[later1] = _scan_germ(_raising("later in group 1"))
+    got = holoifs.symmetry._germ_classes(germs, [0.25] * n, 0.01, groups)
+    want = _loop_germ_classes(germs, [0.25] * n, 0.01, groups)
+    assert [str(c) if isinstance(c, _Planted) else c for c in got] == [
+        str(c) if isinstance(c, _Planted) else c for c in want]
+    outcomes = Counter(type(c).__name__ for c in got)
+    assert outcomes["_Planted"] > 0 and outcomes["int"] > 0 and outcomes["NoneType"] > 0
+    assert "first of group 0" in map(str, got) and "later in group 1" in map(str, got)
+    assert sum(c not in (None, i) and isinstance(c, int) for i, c in enumerate(got)) > 0
+
+
+def test_germ_class_scan_memory_grows_linearly_with_the_germs():
+    # one group with four classes: 4,096 germs against 256
+    def peak(n):
+        germs = [_scan_germ(Affine(1.0, 1e-3 * (i % 4))) for i in range(n)]
+        tracemalloc.start()
+        try:
+            classes = holoifs.symmetry._germ_classes(germs, [0.25] * n, 0.01, [0] * n)
+            return tracemalloc.get_traced_memory()[1], len(set(classes))
+        finally:
+            tracemalloc.stop()
+
+    (small, small_classes), (big, big_classes) = peak(256), peak(4096)
+    assert small_classes == big_classes == 4
+    # 16 times the germs; pairs of germs would be 256 times
+    assert big <= 20 * small
+
+
 @pytest.mark.parametrize("lone", [False, True])
 def test_functional_sweep_evaluates_a_planted_germ_only_when_compared(monkeypatch, lone):
     build = holoifs.symmetry.build_symmetries
@@ -1168,7 +1324,10 @@ def test_spectrum_compat_reports_unmatched():
 
 
 def _dict_spectrum_compat(specG, specF, l_max, tol):
-    """The dict of ``round`` keys and ``sorted`` that the float keys replaced, as the oracle."""
+    """The dict of ``round`` keys and ``sorted`` that the float keys replaced, as the oracle.
+
+    A power matches a target within ``tol`` times its own modulus.
+    """
     targets = specF.multipliers()
     seen = {}
     for lam in specG.multipliers():
@@ -1179,7 +1338,7 @@ def _dict_spectrum_compat(specG, specF, l_max, tol):
     for lam in sorted(seen.values(), key=lambda z: (z.real, z.imag)):
         found = None
         for l in range(1, l_max + 1):
-            if len(targets) and float(np.min(np.abs(lam**l - targets))) <= tol:
+            if len(targets) and float(np.min(np.abs(lam**l - targets))) <= tol * abs(lam**l):
                 found = l
                 break
         out.append((lam, found))
@@ -1212,6 +1371,38 @@ def _signed_zero_spectrum():
 def test_spectrum_compat_equals_the_dict_oracle(make, tol):
     specG, specF = make()
     assert spectrum_compat(specG, specF, 8, tol) == _dict_spectrum_compat(specG, specF, 8, tol)
+
+
+def test_spectrum_compat_has_no_vacuous_match_below_the_tolerance():
+    # F's 0.06 and 0.0036 once matched G's spectrum at l = 8 and l = 4, where
+    # every power and target lies below the absolute tolerance: 0.06**8 =
+    # 1.7e-10 against 0.05**8 = 3.9e-11; relative to the power, they do not
+    G = IfsSystem((Affine(0.05, 0.0), Affine(0.05, 0.95)), Disk(0.5 + 0j, 2.0))
+    F = IfsSystem((Affine(0.05, 0.0), Affine(0.06, 0.94)), Disk(0.5 + 0j, 2.0))
+    matches = dict(spectrum_compat(spectrum(F, 2), spectrum(G, 8), 8))
+    assert abs(0.06**8 - 0.05**8) <= 1e-9 and abs(0.0036**4 - 0.05**8) <= 1e-9
+    assert matches[complex(0.06)] is None and matches[complex(0.06 * 0.06)] is None
+    assert matches[complex(0.05)] == 1
+    # a power matches a target within tol of its own modulus, not of 1: the
+    # absolute rule matched the square 1e-12 to the target 0
+    tiny = SimpleNamespace(multipliers=lambda: np.array([1e-6]))
+    for target, want in ((1e-6 * (1 + 5e-10), 1), (1e-6 * (1 + 2e-9), None), (0.0, None)):
+        spec = SimpleNamespace(multipliers=lambda t=target: np.array([t]))
+        assert spectrum_compat(tiny, spec, 2) == [(1e-6 + 0j, want)]
+
+
+@pytest.mark.parametrize("delta", [1e-9, 1e-10])
+def test_a_perturbed_thirds_pair_fails_the_spectrum_check(delta):
+    # {(1/3 + delta) z, z/3 + 2/3} against the thirds: the multiplier
+    # (1/3 + delta)^4 of the word 0000 differs from the thirds' 3^-4 by about
+    # 12 delta times its modulus, beyond the relative tolerance 1e-9, and so
+    # do its powers; the absolute rule matched it
+    g = cantor_thirds()
+    f = IfsSystem((Affine(1 / 3 + delta, 0.0), Affine(1 / 3, 2 / 3)), g.domain)
+    report = shared_attractor(g, f, EPS)
+    assert report.verdict == "Inconclusive"
+    assert report.notes == ("preperiodic cross-check failed", "spectrum compatibility failed")
+    assert any(l is None for _, l in report.spectrum_matches)
 
 
 @pytest.mark.parametrize("tol", [1e-320, 0.0, float("nan")])
