@@ -26,11 +26,23 @@ POINT_CAP = 10**7
 
 #: the largest level :func:`compute_net` builds whole; deeper levels are
 #: walked in blocks of that many cylinders.  Smaller blocks have smaller chain
-#: disks, so more of them freeze, but cost more Python per cylinder: on
-#: {0.5z, 0.05z + 0.95} at epsilon 1e-6, 2**11, 2**12 and 2**13 froze 88%, 81%
-#: and 68% of the blocks, and took 0.065, 0.054 and 0.058 s (medians of 9
-#: runs on a shared 2-vCPU host)
+#: disks, so more (block, group) pairs freeze, but cost more Python per
+#: cylinder: on {0.5z, 0.05z + 0.95} at epsilon 1e-6, 2**11, 2**12 and 2**13
+#: froze 95.7%, 95.0% and 93.1% of the pairs, and took 17.5, 12.7 and 16.2 ms
+#: (medians of 9 processes on a shared 2-vCPU host)
 NET_BLOCK = 2**12
+
+#: the base level of the walk splits into the most groups of rows, a power of
+#: m, up to NET_GROUPS, each frozen on its own: on the same net, 2, 4, 8, 16
+#: and 32 groups froze 87.7%, 93.0%, 95.0%, 95.7% and 96.0% of the pairs, and
+#: took 23.4, 14.5, 12.7, 12.2 and 12.7 ms (the same runs); the chain refines
+#: 2 * groups rows per block, so a fixed power of m would grow it with m
+NET_GROUPS = 8
+
+#: rows of the freeze chain refined breadth first at once: on the same net's
+#: 32,768 chain rows, chunks of 2**12, 2**13 and 2**14 rows and the whole chain
+#: took 0.99, 0.76, 0.59 and 1.12 ms and peaked at 0.57, 0.80, 1.27 and 2.21 MiB
+NET_CHUNK = 2**14
 
 #: cylinders per level that bound a level's largest radius from below
 NET_BEAM = 8
@@ -157,20 +169,23 @@ def _grid_dedup(points: np.ndarray, cell: float) -> np.ndarray:
     return np.sort_complex(kept)
 
 
-def _run_starts(points: np.ndarray, cell: float) -> np.ndarray:
-    """Row 0 and every row whose grid cell differs from the previous row's.
+def _run_starts(points: np.ndarray, cell: float, real: bool) -> np.ndarray:
+    """Flag, in each row of ``points``, column 0 and each point in another grid cell than its left neighbour.
 
-    A row in its predecessor's cell is not the first in its cell.  Cells are
-    compared by the float keys of :func:`_grid_dedup`.
+    A point in its predecessor's cell is not the first in its cell.  Cells
+    are compared by the float keys of :func:`_grid_dedup`; when ``real``,
+    every imaginary part is +-0 and its key is not compared.
     """
+    starts = np.zeros(points.shape, dtype=bool)
+    flat = starts.reshape(-1)
     # run starts are taken before the level is known to be the last; only
     # the last level's overflow of the grid is reported, by _grid_dedup
     with np.errstate(all="ignore"):
-        kr = np.floor(points.real / cell)
-        ki = np.floor(points.imag / cell)
-    starts = np.ones(len(points), dtype=bool)
-    starts[1:] = (kr[1:] != kr[:-1]) | (ki[1:] != ki[:-1])
-    return points[starts]
+        for part in (points.real,) if real else (points.real, points.imag):
+            key = np.floor(part / cell).reshape(-1)
+            flat[1:] |= key[1:] != key[:-1]
+    starts[:, :1] = True
+    return starts
 
 
 def _check_budget(cylinders: int, point_cap: int, depth: int) -> None:
@@ -191,20 +206,24 @@ def compute_net(system: IfsSystem, epsilon: float, point_cap: int = POINT_CAP) -
     more than ``point_cap`` cylinders raises :class:`BudgetExceeded`.
 
     Levels are built whole while the next holds at most ``NET_BLOCK``
-    cylinders.  From the last such level on, levels are walked depth first
-    in blocks of it (:func:`_blocks`), and only the run starts of the last
-    level's blocks are kept (:func:`_depth_first_net`), so memory stays near
-    one block per level.  A last-level block whose cylinders provably share
-    one grid cell is frozen, and only its first row is computed
-    (:func:`_frozen_blocks`).  Enclosures are monotone and every base
-    cylinder lies in the base level's bounding disk ``B``, so the block's
-    chain disk ``E_u(B)`` holds all its cylinders; when that disk, padded
-    for rounding, lies in one cell, the first row is the block's only run
-    start.  The pad's bound needs every map to send the domain into itself
-    and ``B`` to lie in the domain, else nothing freezes.  On real affine
-    systems with a real base level the imaginary axis is exactly +-0 and is
-    not tested.  Depth, points and their order are those of whole levels,
-    and ``point_cap`` still limits the cylinders of each level.
+    cylinders.  From the last such level on, the base level, levels are
+    walked depth first in blocks of it (:func:`_blocks`), and only run
+    starts of the last level are kept (:func:`_depth_first_net`), so memory
+    stays near one block per level.  The base level splits into groups of
+    contiguous rows, the cylinders that share their outermost letters.  A
+    (last-level block, group) pair whose cylinders provably share one grid
+    cell is frozen, and only its first row is computed
+    (:func:`_frozen_groups`): enclosures are monotone and every cylinder of
+    group ``k`` lies in its bounding disk ``B_k``, so the pair's chain disk
+    ``E_u(B_k)`` holds all its cylinders, and when that disk, padded for
+    rounding, lies in one cell, the first row is the pair's only run start.
+    The pad's bound needs every map to send the domain into itself and every
+    ``B_k`` to lie in the domain, else nothing freezes.  The walk refines
+    only the rows of the groups that are unfrozen somewhere below a block,
+    and skips a subtree where every pair is frozen.  On real affine systems
+    with a real base level the imaginary axis is exactly +-0 and is neither
+    tested nor compared.  Depth, points and their order are those of whole
+    levels, and ``point_cap`` still limits the cylinders of each level.
     """
     if not (math.isfinite(epsilon) and epsilon > 0):
         raise ValueError(f"epsilon must be finite and positive, got {epsilon!r}")
@@ -219,99 +238,135 @@ def compute_net(system: IfsSystem, epsilon: float, point_cap: int = POINT_CAP) -
     return _depth_first_net(system, epsilon, point_cap, centers, radii, depth)
 
 
-def _blocks(system: IfsSystem, centers: np.ndarray, radii: np.ndarray, depth: int,
-            frozen: np.ndarray, place: int = 0, value: int = 1):
-    """Yield ``(place, centers, radii)`` for the unfrozen blocks ``depth`` levels down.
+def _live_tree(frozen: np.ndarray, m: int) -> list:
+    """Per level ``d`` below the base, by subtree place: its live groups, and whether it has any.
 
+    ``frozen`` flags the last level's (block, group) pairs.  Level ``d``'s
+    entry is the flags, by place and group, of the groups unfrozen in some
+    block of the subtree, and, by place, 0 if it has none, 1 if they are its
+    parent's, else 2.
+    """
+    live = [~frozen]
+    while len(live[0]) > 1:
+        live.insert(0, live[0].reshape(m, -1, frozen.shape[1]).any(axis=0))
+    tree = []
+    for flags, parent in zip(live, live[:1] + live):
+        same = (flags == np.tile(parent, (len(flags) // len(parent), 1))).all(axis=1)
+        tree.append((flags, (flags.any(axis=1) * (2 - same)).tolist()))
+    return tree
+
+
+def _blocks(system: IfsSystem, centers: np.ndarray, radii: np.ndarray, tree: list, groups: np.ndarray,
+            level: int = 0, place: int = 0):
+    """Yield ``(place, groups, centers, radii)`` for each last-level block with a live group.
+
+    Row ``k`` of ``centers`` and ``radii`` holds base group ``groups[k]``.
     Block ``(a_1 .. a_j)`` is ``E_a1(..(E_aj(base)))``.  Its place in the
     whole level is the base-``m`` number ``a_1 .. a_j``, outer letter most
-    significant as in :func:`refine_level`, so the map applied ``s``-th
-    has place value ``m**s``; a subtree's places start at ``place`` in steps
-    of ``value``.  Depth first: one block per level is alive.  ``frozen``
-    flags the subtree's blocks by place; a subtree of frozen blocks is not
-    refined.
+    significant as in :func:`refine_level`, so the map applied ``s``-th has
+    place value ``m**s``.  ``tree`` is :func:`_live_tree`'s: only the rows
+    of a subtree's live groups are refined, and a subtree with none is not.
+    Depth first: one block per level is alive.
     """
-    if frozen.all():
+    if level == len(tree) - 1:
+        yield place, groups, centers, radii
         return
-    if depth == 0:
-        yield place, centers, radii
-        return
-    m = len(system.maps)
+    flags, codes = tree[level + 1]
+    step = len(system.maps) ** level
     for a, g in enumerate(system.maps):
-        children = g.enclosure_arrays(centers, radii)
-        yield from _blocks(system, *children, depth - 1, frozen[a::m], place + a * value, value * m)
+        child = place + a * step
+        if codes[child]:
+            keep = slice(None) if codes[child] == 1 else flags[child, groups]
+            children = g.enclosure_arrays(centers[keep], radii[keep])
+            yield from _blocks(system, *children, tree, groups[keep], level + 1, child)
 
 
-def _frozen_blocks(system: IfsSystem, centers: np.ndarray, radii: np.ndarray, target: float,
-                   depth: int) -> tuple[np.ndarray, np.ndarray]:
-    """Flag, by place, the blocks ``depth`` levels below the base whose cylinders share a grid cell.
+def _frozen_groups(system: IfsSystem, centers: np.ndarray, radii: np.ndarray, target: float,
+                   depth: int, real: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Flag, by place and base group, the groups of the blocks ``depth`` levels down that share a grid cell.
 
-    Returns the flags and each block's first leaf (last-level cylinder)
-    centre.  One chain of enclosures is refined ``depth`` times from two
-    rows: the bounding disk ``B`` of the base level, and the base level's
-    first cylinder.  Block ``u`` gets the chain disk ``E_u(B)`` and
-    ``E_u(base[0])``, which has the bits of the walk's first row of the
-    block, since enclosures are elementwise.
+    Row ``k`` of ``centers`` and ``radii`` holds base group ``k``.  Returns
+    the flags and the first leaf (last-level cylinder) centre of each
+    (block, group), both of shape ``(m**depth, groups)``.  One chain of
+    enclosures is refined ``depth`` times from ``2 * groups`` rows: the
+    bounding disk ``B_k`` of each group, and each group's first cylinder.
+    Block ``u`` gets the chain disks ``E_u(B_k)`` and ``E_u(first_k)``,
+    which has the bits of the walk's first row of group ``k`` in the block,
+    since enclosures are elementwise.  The chain is refined over its first
+    letters, then each place of them on its own, breadth first in chunks of
+    at most ``NET_CHUNK`` rows; only the flags and first rows are kept.
+    Nothing freezes less than two levels down (see :func:`_depth_first_net`).
 
     Every variant's enclosure is monotone: a disk inside another has its
-    enclosure inside the other's.  Every base cylinder lies in ``B``, so
-    every leaf of block ``u`` lies in ``E_u(B)``.  A block is frozen when
-    its ``E_u(B)``, padded for rounding, lies in one grid cell on each axis:
-    every leaf is then in the first leaf's cell, so the first row is the
-    block's only run start.  A disk inside a cell of side ``target`` has
-    radius below ``target/2``, and so has each leaf, so a frozen block never
-    decides whether the level is the last or where the walk restarts.  If
-    the chain raised (the branch-cut test of a square-root map), nothing is
-    frozen; else no cylinder above a leaf meets a cut either.
+    enclosure inside the other's.  Every cylinder of group ``k`` lies in
+    ``B_k``, so every leaf of the group in block ``u`` lies in ``E_u(B_k)``.
+    The group is frozen there when that disk, padded for rounding, lies in
+    one grid cell on each axis: every such leaf is then in the first one's
+    cell, so the first is the group's only run start in the block.  A disk
+    inside a cell of side ``target`` has radius below ``target/2``, and so
+    has each leaf, so a frozen group never decides whether the level is the
+    last or where the walk restarts.  If the chain raised (the branch-cut
+    test of a square-root map), nothing is frozen; else no cylinder above a
+    leaf meets a cut either.  The whole-block test is ``groups == 1``.
 
     The pad: an enclosure step rounds a centre by a few units in the last
     place of the moduli it meets.  Nothing is frozen unless every map's
-    enclosure of the domain ``D = B(c0, R)`` lies inside ``D`` and ``B``
-    lies inside ``D``.  Those moduli are then at most ``|c0| + R``, and a
-    map's Lipschitz bound on ``D``, its enclosure radius of ``D`` over
+    enclosure of the domain ``D = B(c0, R)`` lies inside ``D`` and every
+    ``B_k`` lies inside ``D``.  Those moduli are then at most ``|c0| + R``,
+    and a map's Lipschitz bound on ``D``, its enclosure radius of ``D`` over
     ``R``, is at most 1, so an error carried into a step does not grow.  A
     leaf takes ``depth`` steps from its base cylinder as computed, which
-    ``B`` holds, and the chain ``depth`` steps from ``B``; ``ROUNDING_PAD *
-    (|c0| + R)`` for each step, one more for ``B`` and one for the cell
-    bounds, leaves thousands of units to spare.
+    ``B_k`` holds, and the chain ``depth`` steps from ``B_k``;
+    ``ROUNDING_PAD * (|c0| + R)`` for each step, one more for ``B_k`` and
+    one for the cell bounds, leaves thousands of units to spare.
 
-    Real axis: when every base centre and the coefficients of every map,
-    all ``Affine``, are real, every leaf's imaginary part is exactly +-0.
-    In ``alpha*z + b``, the imaginary part of the product is
+    Real axis (``real``): when every base centre and the coefficients of
+    every map, all ``Affine``, are real, every leaf's imaginary part is
+    exactly +-0.  In ``alpha*z + b``, the imaginary part of the product is
     ``Re(alpha)*Im(z) + Im(alpha)*Re(z)``, and each product has an exact
     zero factor (``Im(z)`` by induction, ``Im(alpha)`` by assumption), so it
     is +-0, and adding ``Im(b) = 0`` keeps +-0.  Every imaginary cell key is
     then 0, so that axis is not tested; without this an attractor on the
-    grid line ``Im z = 0`` would never freeze.  A real centre of ``B`` is
+    grid line ``Im z = 0`` would never freeze.  A real centre of ``B_k`` is
     not enough: base centres at ``x + iy`` and ``x - iy`` give one.
     """
-    m = len(system.maps)
-    frozen, first = np.zeros(m**depth, dtype=bool), np.zeros(m**depth, dtype=np.complex128)
+    m, groups = len(system.maps), len(centers)
+    frozen = np.zeros((m**depth, groups), dtype=bool)
+    first = np.zeros((m**depth, groups), dtype=np.complex128)
+    if depth < 2:  # the chain would cost more than the walk it could save
+        return frozen, first
     c0, radius = system.domain.center, system.domain.radius
+    pad = ROUNDING_PAD * (abs(c0) + radius) * 2 * (depth + 1)
+    # the first letters, refined before the chunks of the last ones
+    top = depth - max((k for k in range(depth + 1) if 2 * groups * m**k <= NET_CHUNK), default=0)
+
+    def one_cell(x, r):
+        return np.floor((x - r) / target) == np.floor((x + r) / target)
+
     try:
         with np.errstate(all="ignore"):
-            bound = _bounding_disk(centers, float(np.max(radii)))
-            if not (self_enclosed(system) and abs(bound.center - c0) + bound.radius <= radius):
+            bc, br = _bounding_disks(centers, np.max(radii, axis=1))
+            if not (self_enclosed(system) and np.all(np.abs(bc - c0) + br <= radius)):
                 return frozen, first
-            chain = np.array([bound.center, centers[0]]), np.array([bound.radius, radii[0]])
-            for _ in range(depth):
+            chain = np.concatenate([bc, centers[:, 0]]), np.concatenate([br, radii[:, 0]])
+            for _ in range(top):
                 chain = refine_level(system, *chain)
-    except (DomainError, ValueError):  # a cut, or a base level with no finite B
-        return frozen, first
-    kc, kr = chain[0][0::2], chain[1][0::2]
-    pad = kr + ROUNDING_PAD * (abs(c0) + radius) * 2 * (depth + 1)
+            for place, (c, r) in enumerate(zip(*(x.reshape(m**top, -1) for x in chain))):
+                for _ in range(depth - top):
+                    c, r = refine_level(system, c, r)
+                c, r = c.reshape(-1, 2, groups), r.reshape(-1, 2, groups)[:, 0] + pad
+                frozen[place :: m**top] = one_cell(c[:, 0].real, r) & (real or one_cell(c[:, 0].imag, r))
+                first[place :: m**top] = c[:, 1]
+    except DomainError:  # a cut
+        frozen[:] = False
+    return frozen, first
 
-    def one_cell(x):
-        return np.floor((x - pad) / target) == np.floor((x + pad) / target)
 
-    real = not centers.imag.any() and all(
-        isinstance(g, Affine) and g.alpha.imag == 0 and g.b.imag == 0 for g in system.maps
-    )
-    with np.errstate(all="ignore"):
-        frozen = one_cell(kc.real)
-        if not real:
-            frozen &= one_cell(kc.imag)
-    return frozen, chain[0][1::2]
+def _batch_starts(batch: list, cell: float, real: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The run starts of a batch of ``(slots, centers)`` leaf blocks, in order, and each one's slot."""
+    slots, points = batch[0] if len(batch) == 1 else map(np.concatenate, zip(*batch))
+    flat = np.flatnonzero(_run_starts(points, cell, real))
+    return points.reshape(-1)[flat], slots[flat // points.shape[1]]
 
 
 def _depth_first_net(system, epsilon, point_cap, centers, radii, base_depth) -> AttractorNet:
@@ -326,15 +381,33 @@ def _depth_first_net(system, epsilon, point_cap, centers, radii, base_depth) -> 
     ``epsilon/4`` is sure to be reached.  The blocks are walked that deep;
     the largest radius of that level decides whether it is the last, and
     else its largest cylinder starts the next beam and the walk is repeated
-    deeper.  Of the last level only each block's run starts are kept: in
-    level order they hold every first occurrence of a grid cell, so
-    :func:`_grid_dedup` of them is that of the whole level.  A frozen block
-    (:func:`_frozen_blocks`) is not walked: the chain gives its first row,
-    its only run start, and its radii are below ``epsilon/8``, so they never
-    decide the largest radius of a level that is not the last.
+    deeper.
+
+    The base level splits into the most groups of contiguous rows, a power
+    of ``m`` up to ``NET_GROUPS`` (one row each if it is smaller), the
+    cylinders that share their outermost letters.  Nothing freezes less than
+    two levels down, where the chain would cost more than the walk it could
+    save, and a walk that freezes nothing walks whole blocks, as one
+    group.  Of the last level each (block, group) pair keeps, in level order,
+    the chain's first row if it is frozen (:func:`_frozen_groups`), else its
+    run starts, with its first row.  Such a subsequence holds every first
+    occurrence of a grid cell: in a frozen pair it is the first row, and in
+    a walked one a row that is not a run start follows a row of its own
+    cell.  So :func:`_grid_dedup` of it is that of the whole level.  Frozen
+    first rows in the cell of the frozen row before them are dropped too;
+    the walk's run starts are taken over batches of about one base level's
+    rows.  Each kept row carries its pair's place in the level, its slot,
+    which orders the depth-first walk's rows back into level order.  Frozen
+    rows have radii below ``epsilon/8``, so they never decide the largest
+    radius of a level that is not the last.
     """
     target = epsilon / 4.0
-    m, n = len(system.maps), len(centers)
+    m, n, split = len(system.maps), len(centers), 1
+    while split < n and split * m <= NET_GROUPS:
+        split *= m
+    real = not centers.imag.any() and all(
+        isinstance(g, Affine) and g.alpha.imag == 0 and g.b.imag == 0 for g in system.maps
+    )
     beam = np.argsort(radii)[-NET_BEAM:]
     c, r = centers[beam], radii[beam]
     depth = 0
@@ -344,17 +417,33 @@ def _depth_first_net(system, epsilon, point_cap, centers, radii, base_depth) -> 
             beam = np.argsort(r)[-NET_BEAM:]
             c, r = c[beam], r[beam]
             depth += 1
-        frozen, first = _frozen_blocks(system, centers, radii, target, depth)
-        kept = list(first[:, None])  # each block's run starts, by place
-        level_max = -np.inf
-        for place, bc, br in _blocks(system, centers, radii, depth, frozen):
+        groups = split
+        gc, gr = centers.reshape(groups, -1), radii.reshape(groups, -1)
+        frozen, first = _frozen_groups(system, gc, gr, target, depth, real)
+        if not frozen.any():  # nothing to skip: walk whole blocks
+            groups, gc, gr, frozen, first = 1, centers[None], radii[None], frozen[:, :1], first[:, :1]
+        tree, slots, first = _live_tree(frozen, m), np.flatnonzero(frozen), first[frozen]
+        keep = _run_starts(first[None], target, real)[0]  # the rest follow a row of their cell
+        # kept: (rows, slots) pairs, where a slot is place * groups + group
+        kept, batch, rows, level_max = [(first[keep], slots[keep])], [], 0, -np.inf
+        del first, slots, keep  # not held through the walk
+        live = np.flatnonzero(tree[0][0][0])
+        for place, ids, bc, br in _blocks(system, gc[live], gr[live], tree, live):
             i = int(np.argmax(br))  # a NaN radius, if any, as np.max finds it
-            level_max = np.maximum(level_max, br[i])
-            if br[i] == level_max:
-                c, r = bc[i : i + 1], br[i : i + 1]
-            kept[place] = _run_starts(bc, target)
+            level_max = np.maximum(level_max, br.flat[i])
+            if br.flat[i] == level_max:
+                c, r = bc.reshape(-1)[i : i + 1], br.reshape(-1)[i : i + 1]
+            batch.append((place * groups + ids, bc))
+            rows += bc.size
+            if rows >= n:
+                kept.append(_batch_starts(batch, target, real))
+                batch, rows = [], 0
+        if batch:
+            kept.append(_batch_starts(batch, target, real))
         if not level_max > target:
-            return AttractorNet(_grid_dedup(np.concatenate(kept), target), epsilon, base_depth + depth)
+            points, slots = (np.concatenate(x) for x in zip(*kept))
+            points = points[np.argsort(slots, kind="stable")]
+            return AttractorNet(_grid_dedup(points, target), epsilon, base_depth + depth)
         _check_budget(n * m ** (depth + 1), point_cap, base_depth + depth)
 
 
@@ -772,13 +861,12 @@ def rho_radius(
     return rho_h, rho_g
 
 
-def _bounding_disk(points: np.ndarray, pad: float) -> Disk:
-    center = complex(
-        0.5 * (points.real.min() + points.real.max()),
-        0.5 * (points.imag.min() + points.imag.max()),
-    )
-    radius = float(np.max(np.abs(points - center))) + pad
-    return Disk(center, radius)
+def _bounding_disks(points: np.ndarray, pad) -> tuple[np.ndarray, np.ndarray]:
+    """Centre and radius of a disk around each row of ``points``: its bounding box's centre, plus ``pad``."""
+    center = np.empty(len(points), dtype=np.complex128)
+    parts = np.stack([points.real, points.imag])
+    center.real, center.imag = 0.5 * (parts.min(axis=2) + parts.max(axis=2))
+    return center, np.max(np.abs(points - center[:, None]), axis=1) + pad
 
 
 def box_restriction(
@@ -798,9 +886,8 @@ def box_restriction(
     if not (math.isfinite(eps_target) and eps_target > 0):
         raise ValueError(f"eps_target must be finite and positive, got {eps_target!r}")
     eps = net.epsilon
-    base = _bounding_disk(net.points, eps)
-    centers = np.array([base.center], dtype=np.complex128)
-    radii = np.array([base.radius], dtype=np.float64)
+    centers, radii = _bounding_disks(net.points[None], eps)
+    Disk(centers[0], radii[0])  # a disk that is not finite raises ValueError
     m = len(system.maps)
     depth = 0
     while True:

@@ -239,10 +239,6 @@ def _parse_disks(text: str) -> tuple[Disk, ...]:
 # output formatting
 
 
-def _g15(x: float) -> str:
-    return f"{x:.15g}"
-
-
 def _g17(x: float) -> str:
     return f"{x:.17g}"
 
@@ -266,7 +262,7 @@ def _write(flag: str, write, *args) -> None:
 
 
 def write_csv(path: str, points: np.ndarray) -> None:
-    lines = [f"{_g15(p.real)},{_g15(p.imag)}" for p in points]
+    lines = [f"{z.real:.15g},{z.imag:.15g}" for z in points.tolist()]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

@@ -261,7 +261,9 @@ def _solve_level(system: IfsSystem, letters: np.ndarray):
         active = active[~settled]
     capped = NoConvergence(f"no fixed point after {FIXED_POINT_MAX_ITER} iterations")
     failed.update(dict.fromkeys(rest[active].tolist(), capped))
-    ok = np.flatnonzero(~np.isin(rest, list(failed)))
+    bad = np.zeros(n, dtype=bool)
+    bad[list(failed)] = True
+    ok = np.flatnonzero(~bad[rest])
     # one pass gives the residual and the multiplier, by the chain rule over
     # the factors in the order of Composite.deriv; if a row raised, a pass
     # without derivatives gives the values and the values' own exceptions

@@ -539,7 +539,9 @@ def _germ_classes(germs: list, bases, radius: float, groups) -> list:
     head = np.flatnonzero(np.diff(code, prepend=-1))
     bound = np.append(head[1:], len(order))
     stop = bound.copy()
-    for p in np.flatnonzero(np.isin(order, list(errors))).tolist():
+    erred = np.zeros(len(germs), dtype=bool)
+    erred[list(errors)] = True
+    for p in np.flatnonzero(erred[order]).tolist():
         c = code[p]
         stop[c] = min(stop[c], head[c] + 1 if p == head[c] else p)
     rep = np.full(len(germs), -1, dtype=np.intp)
@@ -676,8 +678,8 @@ def _prep_check(source: IfsSystem, spec: MultiplierSpectrum, target: InverseDyna
 def _subsample(points: np.ndarray, cap: int) -> np.ndarray:
     if len(points) <= cap:
         return points
-    idx = np.linspace(0, len(points) - 1, cap).round().astype(int)
-    return points[np.unique(idx)]
+    idx = np.linspace(0, len(points) - 1, cap).round().astype(int)  # non-decreasing
+    return points[idx[np.diff(idx, prepend=-1) != 0]]
 
 
 def _functional_sweep(

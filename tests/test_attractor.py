@@ -28,7 +28,9 @@ from holoifs.attractor import (
     refine_level,
     rho_radius,
     _blocks,
+    _frozen_groups,
     _grid_dedup,
+    _live_tree,
     _run_starts,
 )
 from holoifs.errors import BudgetExceeded, DomainError, SeparationFailure
@@ -642,27 +644,28 @@ def _net_outcome(build, system, epsilon, point_cap):
 
 
 def _spy_walks(mp):
-    """The frozen-block flags of each walk of ``compute_net``, as a list that fills up."""
+    """``(args, frozen, first)`` of each walk's :func:`_frozen_groups`, as a list that fills up."""
     walks = []
-    frozen_blocks = holoifs.attractor._frozen_blocks
+    frozen_groups = holoifs.attractor._frozen_groups
 
     def spy(*args):
-        frozen, first = frozen_blocks(*args)
-        walks.append(frozen)
+        frozen, first = frozen_groups(*args)
+        walks.append((args, frozen, first))
         return frozen, first
 
-    mp.setattr(holoifs.attractor, "_frozen_blocks", spy)
+    mp.setattr(holoifs.attractor, "_frozen_groups", spy)
     return walks
 
 
 def _frozen(walks):
-    return sum(int(frozen.sum()) for frozen in walks)
+    """The frozen (block, group) pairs of all walks."""
+    return sum(int(frozen.sum()) for _, frozen, _ in walks)
 
 
 def _assert_matches_level_by_level(system, epsilon, point_cap=POINT_CAP, block=8):
     """Depth-first ``compute_net`` with ``block``-cylinder levels equals the oracle.
 
-    Returns the frozen-block flags of each walk, none if no walk ran.
+    Returns the walks of :func:`_spy_walks`, none if no walk ran.
     """
     expected = _net_outcome(_level_by_level_net, system, epsilon, point_cap)
     with pytest.MonkeyPatch.context() as mp:
@@ -716,7 +719,7 @@ def test_depth_first_branch_cut_matches_level_by_level(c, eps, block):
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(st.data())
 def test_depth_first_net_matches_level_by_level_on_random_affine_systems(data):
-    # real systems on a real centre take the real-axis rule of _frozen_blocks
+    # real systems on a real centre take the real-axis rule of _frozen_groups
     real = data.draw(st.booleans(), label="real")
     maps = []
     for _ in range(data.draw(st.integers(2, 4), label="maps")):
@@ -766,13 +769,30 @@ def test_frozen_walk_budget_matches_level_by_level(point_cap):
         assert _frozen(walks) > 0
 
 
+def _spy_leaf_rows(mp):
+    """The cylinders of the last-level blocks that the walks yield, as a list of one count."""
+    rows = [0]
+    blocks = holoifs.attractor._blocks
+
+    def spy(system, centers, radii, tree, groups, level=0, place=0):
+        if level == len(tree) - 1:
+            rows[0] += centers.size
+        yield from blocks(system, centers, radii, tree, groups, level, place)
+
+    mp.setattr(holoifs.attractor, "_blocks", spy)
+    return rows
+
+
 def test_frozen_blocks_engage_on_the_nonuniform_system(monkeypatch):
-    # a silent fallback to the full walk would keep every byte and fail here
-    walks = _spy_walks(monkeypatch)
+    # a silent fallback to whole blocks, or to the full walk, would keep
+    # every byte and fail here: whole blocks froze 81% and walked 1.63M rows
+    walks, rows = _spy_walks(monkeypatch), _spy_leaf_rows(monkeypatch)
     net = compute_net(_nonuniform(), 1e-6)
     assert (net.depth, len(net)) == (23, 1864)
-    (frozen,) = walks
-    assert frozen.mean() >= 0.8
+    ((_, centers, *_), frozen, _), = walks
+    assert centers.shape == (8, 512) and frozen.shape == (2048, 8)
+    assert frozen.mean() >= 0.9
+    assert rows[0] <= 500_000
 
 
 @pytest.mark.parametrize(
@@ -809,9 +829,9 @@ def _triangle(radius):
     """Maps towards the cube roots of unity ``v_k``: ``0.3z + 0.7v_0`` and ``0.05z + 0.95v_k``.
 
     Each map fixes its ``v_k``, so every radius above 1 gives a domain that
-    each map, and its enclosure, sends into itself.  At ``NET_BLOCK`` 8 the
-    base level is the first, and its bounding disk, centred at about 0.11,
-    reaches 1.45 from 0.
+    each map, and its enclosure, sends into itself.  On ``Disk(0, 1.1)`` the
+    bounding disk of the first level, centred at about 0.11, reaches 1.45
+    from 0.
     """
     v = [cmath.exp(2j * math.pi * k / 3) for k in range(3)]
     maps = tuple(Affine(a, (1 - a) * vk) for a, vk in zip((0.3, 0.05, 0.05), v))
@@ -820,8 +840,16 @@ def _triangle(radius):
 
 @pytest.mark.parametrize("eps", [1e-2, 1e-3])
 def test_frozen_walk_needs_the_bounding_disk_inside_the_domain(eps):
-    assert _frozen(_assert_matches_level_by_level(_triangle(1.1), eps)) == 0
-    assert _frozen(_assert_matches_level_by_level(_triangle(2.0), eps)) > 0
+    # the first level as one group: its bounding disk lies outside Disk(0, 1.1)
+    # and inside Disk(0, 2); at NET_BLOCK 8 each group is one cylinder of the
+    # first level, whose bounding disk is itself, so both walks freeze
+    for radius in (1.1, 2.0):
+        system = _triangle(radius)
+        assert _frozen(_assert_matches_level_by_level(system, eps)) > 0
+        centers, radii = refine_level(system, np.zeros(1, dtype=complex), np.full(1, radius))
+        frozen, _ = _frozen_groups(system, centers[None], radii[None], eps / 4, 4, False)
+        assert frozen.shape == (81, 1)
+        assert frozen.any() == (radius == 2.0)
 
 
 @pytest.mark.parametrize("eps", [1e-2, 1e-3])
@@ -836,6 +864,29 @@ def test_real_maps_on_a_centre_off_the_real_axis_do_not_freeze(eps):
 
 
 @pytest.mark.parametrize(
+    "system, eps, block, shape",
+    [
+        (_triangle(2.0), 1e-4, 3**5, (3, 81)),
+        (IfsSystem((Affine(0.3, 0.0), Affine(0.05, 0.45), Affine(0.05, 0.95)), Disk(0.5, 2.0)), 1e-4, 3**5, (3, 81)),
+        (_nonuniform(), 1e-4, 8, (8, 1)),
+        (_nonuniform(0.2608171825055785 + 0.07907681980551806j), 1e-4, 8, (8, 1)),
+        (sqrt_julia(-6.0 + 0.5j), 1e-6, 64, (8, 8)),
+        (iterate_system(sqrt_julia(-6.0 + 0.5j), 2), 1e-5, 4**2, (4, 4)),
+    ],
+    ids=["triangle", "three-real", "nonuniform-one-row", "off-grid-one-row", "julia-complex", "julia-complex-squared"],
+)
+def test_grouped_walk_matches_level_by_level(system, eps, block, shape):
+    # base groups of m**j rows (at most NET_GROUPS of them), or of one row
+    # when the base level is small; in some block one group freezes while
+    # another is walked
+    walks = _assert_matches_level_by_level(system, eps, block=block)
+    assert walks
+    assert all(centers.shape == shape for (_, centers, *_), _, _ in walks)
+    frozen = np.concatenate([frozen for _, frozen, _ in walks])
+    assert (frozen.any(axis=1) & ~frozen.all(axis=1)).any()
+
+
+@pytest.mark.parametrize(
     "system, eps",
     [
         (_nonuniform(), 1e-4),
@@ -845,26 +896,26 @@ def test_real_maps_on_a_centre_off_the_real_axis_do_not_freeze(eps):
     ],
     ids=["nonuniform", "off-grid", "julia-complex", "triangle"],
 )
-def test_frozen_block_row_is_its_first_run_start(monkeypatch, system, eps):
-    # the chain's row of a frozen block, walked whole, is the block's only run start
-    monkeypatch.setattr(holoifs.attractor, "NET_BLOCK", 8)
-    calls = []
-    frozen_blocks = holoifs.attractor._frozen_blocks
-
-    def spy(*args):
-        calls.append((args, frozen_blocks(*args)))
-        return calls[-1][1]
-
-    monkeypatch.setattr(holoifs.attractor, "_frozen_blocks", spy)
-    compute_net(system, eps)
-    assert calls
-    for (_, centers, radii, target, depth), (frozen, first) in calls:
-        walked = 0
-        for place, bc, _ in _blocks(system, centers, radii, depth, np.zeros_like(frozen)):
-            if frozen[place]:
-                assert _run_starts(bc, target).tobytes() == first[place : place + 1].tobytes()
-                walked += 1
-        assert walked == frozen.sum() > 0
+def test_frozen_block_row_is_its_first_run_start(system, eps):
+    # the chain's row of a frozen (block, group) pair, walked whole, is the
+    # group's only run start in the block, on both axes; at NET_BLOCK 8 a
+    # group is one cylinder, at 64 several
+    for block in (8, 64):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(holoifs.attractor, "NET_BLOCK", block)
+            walks = _spy_walks(mp)
+            compute_net(system, eps)
+        assert walks
+        for (_, centers, radii, target, _, _), frozen, first in walks:
+            walked = 0
+            tree = _live_tree(np.zeros_like(frozen), len(system.maps))
+            for place, groups, bc, _ in _blocks(system, centers, radii, tree, np.arange(len(centers))):
+                assert groups.tolist() == list(range(len(centers)))
+                for k in np.flatnonzero(frozen[place]).tolist():
+                    row = bc[k : k + 1]
+                    assert row[_run_starts(row, target, False)].tobytes() == first[place, k : k + 1].tobytes()
+                    walked += 1
+            assert walked == frozen.sum() > 0
 
 
 @pytest.mark.parametrize("eps", [1e-8, 1e-9])
@@ -916,6 +967,7 @@ def test_nonuniform_net_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # whole levels held all 2**23 depth-23 cylinders: a 672 MB peak
+    # whole levels held all 2**23 depth-23 cylinders: a 672 MB peak; the
+    # freeze chain refined breadth first over every place reached 2.7 MiB
     assert (net.depth, len(net)) == (23, 1864)
-    assert peak < 32 * 2**20
+    assert peak < 2 * 2**20
