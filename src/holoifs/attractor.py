@@ -47,7 +47,8 @@ NET_CHUNK = 2**14
 #: cylinders per level that bound a level's largest radius from below
 NET_BEAM = 8
 
-#: most points in a leaf of a :class:`PointIndex`
+#: most points in a leaf of a :class:`PointIndex`, and the rows that
+#: :func:`_farthest` and :func:`_closest` ask the index first
 LEAF_SIZE = 8
 
 #: a :class:`PointIndex` query tests at most about this many (row, box) pairs
@@ -92,8 +93,9 @@ class SeparationCertificate:
     condition for the true attractor, a non-positive margin is inconclusive.
     An SSC certificate carries its ``net``, the images ``g_i(net)``, one
     :class:`PointIndex` over each (the only index of those points) and, for
-    each pair ``i < j``, the ``nearest`` distances and indices of image ``i``'s
-    points in image ``j``; a StrongOSC one has none of them.
+    each pair ``i < j``, one ``closest`` pair ``(distance, row, index)``: a
+    point of image ``i`` and its nearest point in image ``j`` at the least
+    distance between the two images; a StrongOSC one has none of them.
     """
 
     kind: str
@@ -102,7 +104,7 @@ class SeparationCertificate:
     checks: dict = field(default_factory=dict)
     images: tuple[np.ndarray, ...] = field(default=(), repr=False, compare=False)
     trees: tuple = field(default=(), repr=False, compare=False)
-    nearest: dict = field(default_factory=dict, repr=False, compare=False)
+    closest: dict = field(default_factory=dict, repr=False, compare=False)
     net: AttractorNet | None = field(default=None, repr=False, compare=False)
 
     @property
@@ -453,6 +455,20 @@ def _as_points(obj) -> np.ndarray:
     return np.asarray(obj, dtype=np.complex128)
 
 
+def _queries(z) -> np.ndarray:
+    """The points of ``z`` as the columns of ``(x, y, -x, -y)``, the queries of a :class:`PointIndex`."""
+    z = np.asarray(z, dtype=np.complex128)
+    if z.ndim > 1:
+        raise ValueError(f"query points must be a scalar or 1-D, got shape {z.shape}")
+    z = z.reshape(-1)
+    q4 = np.empty((4, len(z)))
+    q4[0], q4[1] = z.real, z.imag
+    if not np.isfinite(q4[:2]).all():
+        raise ValueError("query points must be finite")
+    np.negative(q4[:2], out=q4[2:])
+    return q4
+
+
 class PointIndex:
     """Median-split k-d tree over a 1-D array of complex points, queried a batch at a time.
 
@@ -545,7 +561,10 @@ class PointIndex:
         ``z`` is a 1-D array of complex points, or one point.  Ties go to the
         lowest index.  Raises ``ValueError`` on a point that is not finite.
         """
-        q4 = self._queries(z)
+        return self._answer(_queries(z))
+
+    def _answer(self, q4) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`nearest` of the query columns ``q4`` (see :func:`_queries`)."""
         with np.errstate(over="ignore"):  # a difference past the largest float is inf
             if q4.shape[1] <= QUERY_ROWS:
                 return self._nearest(q4)
@@ -560,22 +579,8 @@ class PointIndex:
         order.  Raises ``ValueError`` on a point that is not finite.
         """
         with np.errstate(over="ignore"):
-            rows, index, _ = self._ball(self._queries(z), r)
+            rows, index, _ = self._ball(_queries(z), r)
         return rows, index
-
-    @staticmethod
-    def _queries(z) -> np.ndarray:
-        """The points of ``z`` as the columns of ``(x, y, -x, -y)``."""
-        z = np.asarray(z, dtype=np.complex128)
-        if z.ndim > 1:
-            raise ValueError(f"query points must be a scalar or 1-D, got shape {z.shape}")
-        z = z.reshape(-1)
-        q4 = np.empty((4, len(z)))
-        q4[0], q4[1] = z.real, z.imag
-        if not np.isfinite(q4[:2]).all():
-            raise ValueError("query points must be finite")
-        np.negative(q4[:2], out=q4[2:])
-        return q4
 
     def _stop(self, nq: int) -> int:
         """The level whose nodes ``nq`` rows scan: the highest within ``SCAN_PAIRS``, else the leaves."""
@@ -611,21 +616,46 @@ class PointIndex:
         dy = self.py.take(pos) - q4[1].take(rows)
         return _length(dx, dy), pos
 
-    def _ball(self, q4, r):
-        """Rows, indexes and distances of every pair within ``r`` (per row, or one for all)."""
+    def _ball(self, q4, r, shrink: bool = False):
+        """Rows, indexes and distances of every pair within ``r`` (per row, or one for all).
+
+        With ``shrink`` each row's radius falls, level by level, to the
+        distance of the first point of every node it keeps (a pad's is inf):
+        the pairs left are those within that smaller radius, which still
+        holds every point nearest the row.
+        """
         nq = q4.shape[1]
         r = np.broadcast_to(np.asarray(r, dtype=np.float64), (nq,))
+        if shrink:
+            r = r.copy()
         stop = self._stop(nq)
         rows, nodes = np.arange(nq), np.ones(nq, dtype=np.intp)
         for level in range(stop + 1):
             near = self._near(self._gaps(q4, rows, nodes))
-            rows, nodes = self._expand(rows, nodes, near <= r.take(rows), level < stop)
+            keep = near <= r.take(rows)
+            if shrink and keep.any():
+                # rows stay in increasing order, so each row's pairs are one run
+                kept, first = rows[keep], (nodes[keep] - (1 << level)) * self.width[level]
+                dist = _length(self.px.take(first) - q4[0].take(kept),
+                               self.py.take(first) - q4[1].take(kept))
+                starts = np.flatnonzero(np.diff(kept, prepend=-1))
+                heads = kept.take(starts)
+                r[heads] = np.minimum(r.take(heads), np.minimum.reduceat(dist, starts))
+            rows, nodes = self._expand(rows, nodes, keep, level < stop)
         dist, pos = self._scan(q4, rows, nodes, stop)
         index = self.order.take(pos)
         hit = (dist <= r.take(rows)) & (index < self.n)
         return np.broadcast_to(rows, hit.shape)[hit], index[hit], dist[hit]
 
     def _nearest(self, q4):
+        """Distance to, and lowest index of, the nearest point of each query column.
+
+        Each row first scans its home node, and a row that the boxes and
+        split planes it passed by do not settle takes the nearest point of a
+        ball whose radius falls with every point it meets (:meth:`_ball`), so
+        it gathers about its nearest points, not every point within the home
+        node's distance.
+        """
         nq = q4.shape[1]
         cols = np.arange(nq)
         # each row starts in the nearest box of the deepest level whose boxes
@@ -657,8 +687,8 @@ class PointIndex:
         # a row nearer its home point than the other boxes of the top level
         # and every split plane on its path, or else than the box of every
         # node it passed by, is done; the others take the nearest,
-        # lowest-index point of their ball of that radius, which holds the
-        # home point
+        # lowest-index point of their shrinking ball of that radius, which
+        # holds every nearest point
         # a plane's distance as a point's, so no point beyond it is nearer
         rows = np.flatnonzero(~(best < np.minimum(bound, _length(plane, np.zeros(nq)))))
         if rows.size:
@@ -667,7 +697,7 @@ class PointIndex:
                 np.minimum(near, self._near(self.boxes.take((home >> up) ^ 1, axis=1) - q), out=near)
             rows = rows[~(best.take(rows) < near)]
         if rows.size:
-            hit, hit_index, hit_dist = self._ball(q4.take(rows, axis=1), best.take(rows))
+            hit, hit_index, hit_dist = self._ball(q4.take(rows, axis=1), best.take(rows), True)
             first = np.lexsort((hit_index, hit_dist, hit))
             first = first[np.diff(hit.take(first), prepend=-1) != 0]
             best[rows], index[rows] = hit_dist.take(first), hit_index.take(first)
@@ -696,10 +726,52 @@ def _length(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
 
 
 def hausdorff(a, b) -> float:
-    """Hausdorff distance between two finite point sets (or nets)."""
+    """Hausdorff distance between two finite point sets (or nets).
+
+    Each point set is indexed by a :class:`PointIndex`, and the largest
+    nearest distance is asked of it only for the points that can attain it
+    (:func:`_farthest`), with the first direction's maximum as the floor of
+    the second: the distance is that of querying every point.  Every point
+    of both sets is checked, in the order of those full queries, before any
+    is picked.
+    """
     za, zb = _as_points(a), _as_points(b)
-    d_ab, d_ba = PointIndex(zb).nearest(za)[0], PointIndex(za).nearest(zb)[0]
-    return float(max(np.max(d_ab), np.max(d_ba)))
+    tree_b, qa = PointIndex(zb), _queries(za)
+    tree_a, qb = PointIndex(za), _queries(zb)
+    return _farthest(tree_a, za, qb, _farthest(tree_b, zb, qa, -math.inf))
+
+
+def _farthest(tree: PointIndex, points: np.ndarray, q4: np.ndarray, floor: float) -> float:
+    """The largest distance from a query column of ``q4`` to its nearest point of ``tree``, or ``floor``.
+
+    ``tree`` indexes ``points``.  A row's nearest distance is at most its
+    distance to its two neighbours in the order of ``points`` along the
+    longer side of their bounding box, each the same float the index
+    computes.  The index answers the ``LEAF_SIZE`` rows with the largest
+    bounds, then every other row whose bound exceeds the largest distance
+    found; no row left can exceed it.
+    """
+    with np.errstate(over="ignore"):  # a difference past the largest float is inf
+        coords = (points.real, points.imag)
+        axis = int(np.ptp(coords[1]) > np.ptp(coords[0]))
+        order = np.argsort(coords[axis], kind="stable")
+        pos = np.searchsorted(coords[axis].take(order), q4[axis])
+        upper = np.full(q4.shape[1], np.inf)
+        for side in (np.maximum(pos - 1, 0), np.minimum(pos, len(points) - 1)):
+            near = order.take(side)
+            np.minimum(upper, _length(coords[0].take(near) - q4[0], coords[1].take(near) - q4[1]),
+                       out=upper)
+    k = min(LEAF_SIZE, len(upper))
+    top = np.argpartition(upper, -k)[-k:]
+    top = top[upper.take(top) > floor]
+    if not top.size:
+        return floor
+    found = max(floor, float(tree._answer(q4.take(top, axis=1))[0].max()))
+    upper[top] = -np.inf  # answered
+    rest = np.flatnonzero(upper > found)
+    if rest.size:
+        found = max(found, float(tree._answer(q4.take(rest, axis=1))[0].max()))
+    return found
 
 
 def hutchinson_defect(system: IfsSystem, net: AttractorNet) -> float:
@@ -715,15 +787,18 @@ def certify_ssc(system: IfsSystem, net: AttractorNet) -> SeparationCertificate:
     the net resolution, which bounds how far the sampled images can sit from
     the true pieces of the attractor.  Each image ``g_i(net)`` is computed
     once and indexed by one :class:`PointIndex`; the certificate carries
-    both, and each pair's nearest-point query, which :func:`rho_radius` reads.
+    both, and each pair's closest pair (:func:`_closest`), which
+    :func:`rho_radius` reads.  Every image is indexed, so every image point
+    is checked, before any pair is measured.
     """
     images = tuple(g(net.points) for g in system.maps)
     trees = tuple(PointIndex(w) for w in images)
-    nearest = {}
+    closest = {}
     for i in range(len(images)):
+        q4 = _queries(images[i])
         for j in range(i + 1, len(images)):
-            nearest[i, j] = trees[j].nearest(images[i])
-    pairwise = min((float(np.min(d)) for d, _ in nearest.values()), default=math.inf)
+            closest[i, j] = _closest(trees[j], q4)
+    pairwise = min((d for d, _, _ in closest.values()), default=math.inf)
     if not math.isfinite(pairwise):
         pairwise = 0.0  # single-map system: nothing to separate
     lip = max(float(np.max(np.abs(g.deriv(net.points)))) for g in system.maps)
@@ -735,9 +810,37 @@ def certify_ssc(system: IfsSystem, net: AttractorNet) -> SeparationCertificate:
         checks={"lipschitz": lip, "epsilon": net.epsilon},
         images=images,
         trees=trees,
-        nearest=nearest,
+        closest=closest,
         net=net,
     )
+
+
+def _box_gap(tree: PointIndex, q4: np.ndarray) -> np.ndarray:
+    """Each query column's distance to the root box of ``tree``: no point of ``tree`` is nearer."""
+    with np.errstate(over="ignore"):
+        return tree._near(tree.boxes[:, 1, None] - q4)
+
+
+def _closest(tree: PointIndex, q4: np.ndarray) -> tuple[float, int, int]:
+    """A closest pair ``(distance, row, index)`` of the query columns ``q4`` and the points of ``tree``.
+
+    A row's nearest distance is at least its :func:`_box_gap`.  The index
+    answers the ``LEAF_SIZE`` rows with the least gaps, then every other row
+    whose gap is below the least distance found; no row left can be nearer.
+    Of the rows answered at the least distance, the lowest is taken.
+    """
+    def least(rows):
+        dist, index = tree._answer(q4.take(rows, axis=1))
+        k = np.lexsort((rows, dist))[0]
+        return float(dist[k]), int(rows[k]), int(index[k])
+
+    lower = _box_gap(tree, q4)
+    k = min(LEAF_SIZE, len(lower))
+    top = np.argpartition(lower, k - 1)[:k]
+    pair = least(top)
+    lower[top] = np.inf  # answered
+    rest = np.flatnonzero(lower < pair[0])
+    return min(pair, least(rest)) if rest.size else pair
 
 
 def certify_strong_osc(
@@ -822,18 +925,18 @@ def rho_radius(
     :class:`SeparationFailure` names the first that does not.
 
     The minimum is exact, without an all-pairs scan.  For each pair of
-    images, the pseudo-hyperbolic distances from the points ``u`` of one to
-    their Euclidean nearest neighbours in the other (the certificate's
-    ``nearest``), and the minimum of the earlier pairs, bound the minimum by
-    some ``t``.  The pseudo-hyperbolic ``t``-ball about ``u`` is a Euclidean
-    disk (:func:`pseudo_hyperbolic_ball`), so a ball query of the
-    certificate's index over those disks, widened by ``BALL_SLACK`` against
+    images, the pseudo-hyperbolic distance of the certificate's closest pair
+    (evaluated as a one-element array, as the candidates are), and the
+    minimum of the earlier pairs, bound the minimum by some ``t``.  The
+    pseudo-hyperbolic ``t``-ball about a point ``u`` of one image is a
+    Euclidean disk (:func:`pseudo_hyperbolic_ball`), so a ball query of the
+    other image's index over those disks, widened by ``BALL_SLACK`` against
     rounding, gathers every pair at distance at most ``t``: the minimising
     pair is among them, and the distance is evaluated on those pairs only.
-    A disk that lies nearer ``u`` than ``u``'s nearest neighbour holds none of
-    them and is not queried.  The indexes hold the images in the domain
-    ``B(c, R)``, so their distances are divided by ``R`` and each disk is
-    mapped back by ``z -> c + R*z``.
+    A disk that lies nearer ``u`` than the other image's bounding box
+    (:func:`_box_gap`) holds none of them and is not queried.  The indexes
+    hold the images in the domain ``B(c, R)``, so their distances are divided
+    by ``R`` and each disk is mapped back by ``z -> c + R*z``.
     """
     cert = cert if cert is not None else certify_ssc(system, net)
     cert.require_trees(net, "strong separation not certified")
@@ -846,13 +949,14 @@ def rho_radius(
             raise SeparationFailure(f"image point {z} of map {k} is not inside the domain disk")
     best = math.inf
     for i, u in enumerate(images):
+        q4 = _queries(cert.images[i])
         for j in range(i + 1, len(images)):
             v = images[j]
-            dist, nearest = cert.nearest[i, j]
-            best = min(best, float(np.min(pseudo_hyperbolic(u, v[nearest]))))
+            _, row, col = cert.closest[i, j]
+            best = min(best, float(pseudo_hyperbolic(u[row : row + 1], v[col : col + 1])[0]))
             centers, radii = pseudo_hyperbolic_ball(u, best)
             radii = radii * (1.0 + BALL_SLACK) + BALL_SLACK * (1.0 + abs(c) / radius)
-            reach = np.flatnonzero(dist / radius <= np.abs(centers - u) + radii)
+            reach = np.flatnonzero(_box_gap(cert.trees[j], q4) / radius <= np.abs(centers - u) + radii)
             rows, cols = cert.trees[j].within(c + radius * centers[reach], radius * radii[reach])
             if rows.size:
                 best = min(best, float(np.min(pseudo_hyperbolic(u[reach[rows]], v[cols]))))

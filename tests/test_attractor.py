@@ -16,6 +16,7 @@ import holoifs.attractor
 from holoifs.attractor import (
     POINT_CAP,
     AttractorNet,
+    PointIndex,
     SeparationCertificate,
     box_restriction,
     cardinality_bound,
@@ -118,6 +119,150 @@ def test_hausdorff_against_bruteforce_oracle():
         max(min(abs(x - y) for y in a) for x in b),
     )
     assert hausdorff(a, b) == pytest.approx(brute, abs=1e-14)
+
+
+def _nearest_oracle(data: np.ndarray, queries: np.ndarray, rows: int = 256) -> np.ndarray:
+    """Each query's least ``sqrt(dx*dx + dy*dy)`` to ``data``, block by block."""
+    out = []
+    for k in range(0, len(queries), rows):
+        q = queries[k : k + rows, None]
+        dx, dy = data.real - q.real, data.imag - q.imag
+        out.append(np.sqrt(dx * dx + dy * dy).min(axis=1))
+    return np.concatenate(out)
+
+
+def _hausdorff_oracle(a, b) -> float:
+    a, b = np.asarray(a, dtype=np.complex128), np.asarray(b, dtype=np.complex128)
+    return float(max(_nearest_oracle(b, a).max(), _nearest_oracle(a, b).max()))
+
+
+def _ssc_oracle(system, net) -> tuple[float, float]:
+    """``pairwise_distance`` and ``margin`` of :func:`certify_ssc` from every pair's distances."""
+    images = [g(net.points) for g in system.maps]
+    pairwise = min((float(_nearest_oracle(v, u).min()) for u, v in combinations(images, 2)),
+                   default=math.inf)
+    pairwise = pairwise if math.isfinite(pairwise) else 0.0
+    lip = max(float(np.max(np.abs(g.deriv(net.points)))) for g in system.maps)
+    return pairwise, pairwise - 2.0 * lip * net.epsilon
+
+
+def _assert_pruned_extrema(system, net, other) -> None:
+    """``hausdorff`` both ways and ``certify_ssc`` equal their oracles, bit for bit."""
+    for a, b in ((net.points, other), (net.points, np.concatenate([g(net.points) for g in system.maps]))):
+        want = _hausdorff_oracle(a, b)
+        assert hausdorff(a, b) == want and hausdorff(b, a) == want
+    cert = certify_ssc(system, net)
+    assert (cert.pairwise_distance, cert.margin) == _ssc_oracle(system, net)
+    for (i, j), (dist, row, index) in cert.closest.items():
+        u, v = cert.images[i], cert.images[j]
+        assert dist == float(_nearest_oracle(v, u).min())
+        assert dist == float(_nearest_oracle(v[index : index + 1], u[row : row + 1])[0])
+
+
+@pytest.mark.filterwarnings("ignore:net has fewer than 2 points")
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_pruned_extrema_equal_brute_force_on_random_affine_systems(data):
+    def draw_system():
+        maps = []
+        for _ in range(data.draw(st.integers(2, 3), label="maps")):
+            ratio = data.draw(st.floats(0.1, 0.45))
+            angle = data.draw(st.floats(0.0, 2 * math.pi))
+            shift = complex(data.draw(st.floats(-1.0, 1.0)), data.draw(st.floats(-1.0, 1.0)))
+            maps.append(Affine(ratio * cmath.exp(1j * angle), shift))
+        least = max(abs(g.b) / (1.0 - abs(g.alpha)) for g in maps)
+        return IfsSystem(tuple(maps), Disk(0.0, 1.5 * least + 1e-3))
+
+    system, other = draw_system(), draw_system()
+    eps = data.draw(st.sampled_from([0.05, 0.02, 0.01]), label="eps")
+    net = compute_net(system, eps * system.domain.radius)
+    _assert_pruned_extrema(system, net, compute_net(other, eps * other.domain.radius).points)
+
+
+def test_pruned_extrema_equal_brute_force_on_a_vertical_line():
+    # the thirds and their reflection turned onto the imaginary axis: every
+    # real part is 0, so an order by real part would bound no row
+    up = IfsSystem((Affine(1 / 3, 0.0), Affine(1 / 3, 2j / 3)), Disk(0.5j, 2.0))
+    down = IfsSystem((Affine(1 / 3, 0.0), Affine(-1 / 3, 1j)), Disk(0.5j, 2.0))
+    for eps in (1e-2, 1e-3):
+        net = compute_net(up, eps)
+        assert not np.any(net.points.real)
+        for other in (compute_net(down, eps).points, net.points + 1e-3, net.points[::-1] * 0.999):
+            _assert_pruned_extrema(up, net, other)
+
+
+def test_pruned_extrema_equal_brute_force_on_duplicate_points(thirds):
+    net = compute_net(thirds, 1e-3)
+    twice = AttractorNet(np.concatenate([net.points, net.points[::3], net.points[:1]]), 1e-3, net.depth)
+    other = compute_net(cantor_thirds_reflected(), 1e-3).points
+    _assert_pruned_extrema(thirds, twice, np.concatenate([other, other[::-2]]))
+    assert hausdorff(twice, net) == 0.0
+    assert hausdorff(np.full(5, 1.0 + 2.0j), [1.0 + 2.0j]) == 0.0
+
+
+def _error(fn, *args) -> tuple[type, str]:
+    try:
+        fn(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+    raise AssertionError("no exception")
+
+
+def test_hausdorff_checks_every_point_before_pruning(thirds_net):
+    net = thirds_net.points
+    nan_at = {k: net.copy() for k in (0, 100, len(net) - 1)}
+    for k, pts in nan_at.items():
+        pts[k] = math.nan  # row 0 sits farthest from the far set below, the others nearer
+    inf_at = net.copy()
+    inf_at[7] = complex(0.0, math.inf)
+    finite = ValueError, "index points must be finite"
+    empty = ValueError, "an index needs at least one point"
+    query = ValueError, "query points must be finite"
+    # (a, b) -> the first check of the full queries: index b, query a, index a
+    cases = [
+        (([], net), empty), ((net, []), empty), (([], []), empty),
+        (([], nan_at[100]), finite), ((nan_at[100], []), empty),
+        ((nan_at[0], net + 0.5), query), ((nan_at[100], net), query),
+        ((nan_at[len(net) - 1], net), query), ((inf_at, net), query),
+        ((net, nan_at[0]), finite), ((net, inf_at), finite), ((nan_at[100], inf_at), finite),
+        ((np.zeros((2, 2)), net), (ValueError, "query points must be a scalar or 1-D, got shape (2, 2)")),
+        ((net, np.zeros((2, 2))), (ValueError, "index points must be a 1-D array, got shape (2, 2)")),
+        ((1.0, net), (ValueError, "index points must be a 1-D array, got shape ()")),
+        ((np.zeros((2, 2)), nan_at[0]), finite),
+    ]
+    for args, want in cases:
+        assert _error(hausdorff, *args) == want
+
+
+@pytest.mark.parametrize("bad", [(1,), (0,), (0, 1), (2,)], ids=["second", "first", "both", "third"])
+def test_certify_ssc_checks_every_image_before_pruning(thirds_net, bad):
+    # (0.6 - 0.6i) * (1.7e308 + 1.7e308i) overflows to inf in both parts
+    net = AttractorNet(np.append(thirds_net.points, 1.7e308 + 1.7e308j), EPS, thirds_net.depth)
+    maps = [Affine(1 / 3, 0.0), Affine(1 / 3, 2 / 3), Affine(1 / 3, 1.0 / 3.0j)]
+    for k in bad:
+        maps[k] = Affine(0.6 - 0.6j, maps[k].b)
+    system = IfsSystem(tuple(maps[: max(2, max(bad) + 1)]), Disk(0.5, 1e300))
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert _error(certify_ssc, system, net) == (ValueError, "index points must be finite")
+        assert _error(hutchinson_defect, system, net) == (ValueError, "index points must be finite")
+
+
+def test_2d_pair_separation_memory():
+    # C = {(0.3+0.3i)z, (0.3+0.3i)z + 0.7} and its square: every SSC pair and
+    # rho ball query asks the index only about the rows that can attain the
+    # extremum; measuring every row's nearest point peaked at 171.5 MiB
+    C = IfsSystem((Affine(0.3 + 0.3j, 0.0), Affine(0.3 + 0.3j, 0.7)), Disk(0.35, 1.0))
+    for system in (C, iterate_system(C, 2)):
+        net = compute_net(system, 3e-4)
+        tracemalloc.start()
+        try:
+            cert = certify_ssc(system, net)
+            rho_radius(system, net, cert)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert cert.valid
+        assert peak < 8 * 2**20
 
 
 def test_ssc_certificate_thirds(thirds, thirds_net):
@@ -431,19 +576,30 @@ def test_rho_radius_exact_when_domain_hugs_attractor():
 def test_rho_radius_skips_pairs_without_candidates(monkeypatch):
     system = iterate_system(cantor_thirds(), 3)
     net = compute_net(system, EPS)
-    calls = []
+    calls, hits = [], []
 
     def spy(w1, w2):
         calls.append(np.size(w2))
         return pseudo_hyperbolic(w1, w2)
 
+    within = PointIndex.within
+
+    def spy_within(self, z, r):
+        rows, cols = within(self, z, r)
+        hits.append(rows.size)
+        return rows, cols
+
     monkeypatch.setattr(holoifs.attractor, "pseudo_hyperbolic", spy)
+    monkeypatch.setattr(PointIndex, "within", spy_within)
     rho_radius(system, net)
     pairs = 8 * 7 // 2
-    # one nearest-neighbour evaluation per image pair; candidate evaluations
-    # only for the pairs whose balls hold a point, which is not all of them
-    assert calls.count(len(net)) >= pairs
-    assert pairs < len(calls) < 2 * pairs
+    # per image pair, one evaluation of its closest pair, then one of the
+    # candidates only when its balls hold a point, which is not every pair;
+    # no call evaluates a whole image
+    assert len(hits) == pairs
+    assert calls == [size for h in hits for size in ([1, h] if h else [1])]
+    assert 0 < sum(h > 0 for h in hits) < pairs
+    assert max(calls) < len(net)
 
 
 @pytest.mark.parametrize("outlier", [7.5, 10.0 + 1.0j], ids=["on-circle", "outside"])

@@ -17,7 +17,7 @@ from scipy.spatial import cKDTree
 
 from holoifs.attractor import PointIndex, compute_net, hausdorff
 from holoifs.maps import Affine, Disk, IfsSystem
-from holoifs.systems import cantor_thirds
+from holoifs.systems import cantor_thirds, iterate_system
 
 coord = st.floats(-4.0, 4.0, allow_nan=False, allow_infinity=False)
 point = st.tuples(coord, coord)
@@ -308,3 +308,61 @@ def test_hausdorff_of_a_huge_point_is_its_distance():
         assert hausdorff([0.0, 1e200], [0.0, 1.0]) == 1e200
         assert hausdorff([0.0, 1e300j], [0.0]) == 1e300
         assert hausdorff([-1.7e308], [1.7e308]) == math.inf
+
+
+def _sierpinski_nets(eps: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nets of G = {0.45 z + 0.55 p : p in {0, 1, 0.5 + 0.866i}} and of its square."""
+    G = IfsSystem(tuple(Affine(0.45, 0.55 * p) for p in (0.0, 1.0, 0.5 + 0.866j)),
+                  Disk(0.5 + 0.3j, 1.5))
+    return compute_net(G, eps).points, compute_net(iterate_system(G, 2), eps).points
+
+
+def _spy_balls(monkeypatch) -> list:
+    """Per ball query of the index, its rows and the pairs it returns."""
+    balls, ball = [], PointIndex._ball
+
+    def spy(self, q4, r, *args):
+        out = ball(self, q4, r, *args)
+        balls.append((q4.shape[1], len(out[0])))
+        return out
+
+    monkeypatch.setattr(PointIndex, "_ball", spy)
+    return balls
+
+
+def _grid(n: int) -> np.ndarray:
+    return np.stack(np.meshgrid(np.arange(float(n)), np.arange(float(n))), axis=-1).reshape(-1, 2)
+
+
+@pytest.mark.parametrize("case", ["sierpinski", "grid-halves", "grid-twice"])
+def test_nearest_fallback_agrees_with_brute_force(monkeypatch, case):
+    # large batches in 2-D and on tie-heavy grids, whose rows the home node
+    # does not settle, take the ball with the shrinking radius
+    rng = np.random.default_rng(5)
+    if case == "sierpinski":
+        data, queries = (_xy(z) for z in _sierpinski_nets(1e-2))
+    else:
+        data = _grid(48)[rng.permutation(48 * 48)]
+        if case == "grid-twice":  # every point twice, under two indices
+            data = np.concatenate((data, data[rng.permutation(len(data))]))
+        queries = _grid(98) / 2.0 - 0.5
+    balls = _spy_balls(monkeypatch)
+    dist, idx = PointIndex(_z(data)).nearest(_z(queries))
+    assert sum(rows for rows, _ in balls) > 0.1 * len(queries)
+    queries, dist, idx = queries[::3], dist[::3], idx[::3]  # the oracle checks every third row
+    lowest, _, _ = _brute(data, queries, np.zeros(len(queries)))
+    assert np.array_equal(idx, lowest)
+    d = data[lowest] - queries
+    assert np.array_equal(dist, np.sqrt(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]))
+
+
+def test_nearest_fallback_gathers_about_the_nearest_points(monkeypatch):
+    # the square's net queried on G's: a ball of the home node's fixed radius
+    # gathered 87 points per row (931k pairs for 10.7k rows); one whose
+    # radius falls to each kept node's first point gathers about 2
+    data, queries = _sierpinski_nets(3e-3)
+    balls = _spy_balls(monkeypatch)
+    PointIndex(data).nearest(queries)
+    rows = sum(rows for rows, _ in balls)
+    assert rows > 5000
+    assert sum(pairs for _, pairs in balls) < 4 * rows

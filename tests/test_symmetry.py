@@ -1683,6 +1683,27 @@ def test_shared_attractor_indexes_each_map_image_once(monkeypatch, pair, trees):
     assert len(built) == trees
 
 
+def test_2d_similarity_pair_against_its_square_is_shared():
+    # C = {(0.3+0.3i)z, (0.3+0.3i)z + 0.7}, whose nets fill out 2-D: the net
+    # distance, the SSC gaps and rho are asked of the point indexes only for
+    # the rows that can attain them (CI bounds the run's peak memory)
+    C = IfsSystem((Affine(0.3 + 0.3j, 0.0), Affine(0.3 + 0.3j, 0.7)), Disk(0.35, 1.0))
+    report = shared_attractor(C, iterate_system(C, 2), 1e-4)
+    assert report.verdict == "Shared"
+    assert report.hausdorff == 2.1028495873954602e-05
+
+
+def test_2d_sierpinski_pair_reaches_the_word_budget():
+    # S = {0.4z + 0.6p : p in {0, 1, 0.5+0.866i}} against its square: the net
+    # distance and both SSC certificates, on about 10^5 points each, come
+    # before the word budget of the 9-map square, and each asks the point
+    # indexes only about the rows that can attain its extremum
+    S = IfsSystem(tuple(Affine(0.4, 0.6 * p) for p in (0.0, 1.0, 0.5 + 0.866j)),
+                  Disk(0.5 + 0.3j, 1.5))
+    with pytest.raises(BudgetExceeded, match="^48427560 words exceed the cap 10000000$"):
+        shared_attractor(S, iterate_system(S, 2), 1e-3)
+
+
 def test_word_budgets_fail_before_the_prep_check(monkeypatch):
     # T = {z/5, z/5 + 2/5, z/5 + 4/5}: the spectrum of its 9-map square to
     # length 8 needs 9 + 81 + ... + 9**8 words
