@@ -1039,8 +1039,13 @@ def cardinality_bound(r: float, diam: float) -> int:
 
     Packing count for disks of radius ``r/(2*diam)`` (after rescaling the
     attractor to unit diameter) inside the concentrically fattened unit disk.
+    Arguments that are not finite and positive, or whose bound is not a
+    finite float, raise ``ValueError``.
     """
-    if r <= 0 or diam <= 0:
-        raise ValueError("radius and diameter must be positive")
+    if not (0.0 < r < math.inf and 0.0 < diam < math.inf):
+        raise ValueError(f"radius and diameter must be finite and positive, got {r!r} and {diam!r}")
     q = r / (2.0 * diam)
-    return int(math.floor(((1.0 + q) / q) ** 2))
+    try:
+        return int(math.floor(((1.0 + q) / q) ** 2))
+    except (ZeroDivisionError, OverflowError, ValueError) as exc:  # q underflows or overflows
+        raise ValueError(f"the packing bound of r = {r!r}, diam = {diam!r} is not a finite float") from exc

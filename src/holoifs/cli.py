@@ -19,9 +19,10 @@ Subcommands
     Build and verify a local symmetry germ between two systems.
 
 Exit codes: 0 pass/Shared, 1 fail/NotShared, 2 configuration error (an
-unwritable output file too), 3 budget exceeded, 4 inconclusive.  Any other
-library error exits 1, except under ``shared``, where it leaves the verdict
-open and exits 4.
+unwritable output file or a raster too large for memory too), 3 budget
+exceeded, 4 inconclusive.  Any other library error exits 1, except under
+``shared``, where it leaves the verdict open and exits 4.  Errors and library
+warnings are one line each on stderr.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ import cmath
 import json
 import math
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -334,7 +336,10 @@ def cmd_attractor(args) -> int:
     if args.out_csv:
         _write("--out-csv", write_csv, args.out_csv, net.points)
     if args.out_pgm:
-        _write("--out-pgm", write_pgm, args.out_pgm, net.points, args.pixels)
+        try:
+            _write("--out-pgm", write_pgm, args.out_pgm, net.points, args.pixels)
+        except MemoryError as exc:  # numpy's message names the raster's size
+            raise ConfigError(f"--pixels: {exc}") from exc
     print(f"system = {label}")
     print(f"epsilon = {_g17(net.epsilon)}")
     print(f"points = {len(net.points)}")
@@ -530,23 +535,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _warning_line(message, category, filename, lineno, file=None, line=None) -> None:
+    """Show a warning as one ``warning: <message>`` line on stderr, with no source line."""
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
-    try:
-        return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except BudgetExceeded as exc:
-        print(f"error: budget exceeded: {exc}", file=sys.stderr)
-        return 3
-    except HoloifsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    with warnings.catch_warnings():
+        warnings.showwarning = _warning_line
+        try:
+            return args.func(args)
+        except ConfigError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        except BudgetExceeded as exc:
+            print(f"error: budget exceeded: {exc}", file=sys.stderr)
+            return 3
+        except HoloifsError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
 
 
 if __name__ == "__main__":

@@ -30,13 +30,14 @@ length then necklace order, raises, as a scalar loop over the necklaces
 would.  These arrays keep numpy's arithmetic, which feeds the pinned
 reports: on real values it rounds as scalar arithmetic does; on complex
 values numpy's products and quotients may differ from CPython's in the last
-bit.  A :class:`MultiplierSpectrum` keeps the table of every necklace it
-solved; its deduplicated rows, :meth:`~MultiplierSpectrum.truncated` and
-:func:`prep_points` read that table, and :func:`extend_spectrum` solves
-only the lengths it lacks.  :func:`multiplier_length` bounds the
-multipliers of each word length by the enclosures of the domain, so a
-caller need not solve lengths whose multipliers cannot reach a given
-modulus.
+bit.  A :class:`MultiplierSpectrum`, made by :func:`spectrum`, keeps the
+table of every necklace it solved, and answers every periodic-point
+question: its deduplicated rows, :meth:`~MultiplierSpectrum.truncated` and
+the periodic orbits :meth:`~MultiplierSpectrum.orbit_points` read that
+table, and :func:`extend_spectrum` solves only the lengths it lacks.
+:func:`multiplier_length` bounds the multipliers of each word length by the
+enclosures of the domain, so a caller need not solve lengths whose
+multipliers cannot reach a given modulus.
 """
 
 from __future__ import annotations
@@ -98,17 +99,6 @@ class PeriodicPoint:
     point: complex
     multiplier: complex
 
-    def orbit(self, system: IfsSystem) -> tuple[complex, ...]:
-        """The full periodic orbit; entry ``j+1`` applies letter ``-1-j``.
-
-        Each cyclic rotation of the word fixes the corresponding orbit
-        point, so the orbit lists the fixed points of all rotations.
-        """
-        pts = [self.point]
-        for letter in self.word.indices[:0:-1]:
-            pts.append(complex(system.maps[letter](pts[-1])))
-        return tuple(pts)
-
 
 @dataclass(frozen=True, eq=False)
 class MultiplierSpectrum:
@@ -117,11 +107,11 @@ class MultiplierSpectrum:
     ``table`` holds every solved necklace, one row each, in length then
     necklace order: ``(letters, lengths, points, multipliers)``, where row
     ``i`` of ``letters`` holds ``lengths[i]`` letters after the pad letter
-    ``alphabet_size``.  ``points`` and ``lambdas``, and the ``entries`` and
-    their ``words``, are derived from it: of the rows whose point and
-    multiplier round alike at ``SPECTRUM_DEDUP_TOL``, the first.  The
-    ``entries`` and ``words`` are built on first read.  Every array is
-    read-only, so no caller of :meth:`multipliers` or :meth:`truncated`
+    ``alphabet_size``.  ``points`` and ``lambdas``, and the ``entries``,
+    are derived from it: of the rows whose point and multiplier round alike
+    at ``SPECTRUM_DEDUP_TOL``, the first.  The ``entries``, one
+    :class:`PeriodicPoint` per row, are built on first read.  Every array
+    is read-only, so no reader of ``lambdas`` or of :meth:`truncated`
     writes into the rows.
     """
 
@@ -145,15 +135,10 @@ class MultiplierSpectrum:
     @cached_property
     def entries(self) -> tuple[PeriodicPoint, ...]:
         letters, lengths, _, _ = self.table
-        return tuple(_necklaces(self.alphabet_size, letters[self._rows], lengths[self._rows],
-                                self.points, self.lambdas))
-
-    @cached_property
-    def words(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(pp.word.indices for pp in self.entries)
-
-    def multipliers(self) -> np.ndarray:
-        return self.lambdas
+        width, m = letters.shape[1], self.alphabet_size
+        rows = zip(letters[self._rows].tolist(), lengths[self._rows].tolist(),
+                   self.points.tolist(), self.lambdas.tolist())
+        return tuple(PeriodicPoint(Word(w[width - n:], m), p, lam) for w, n, p, lam in rows)
 
     def truncated(self, max_len: int) -> MultiplierSpectrum:
         """The spectrum of the words up to ``max_len`` letters, read off a prefix of the table."""
@@ -166,10 +151,13 @@ class MultiplierSpectrum:
     def orbit_points(self, system: IfsSystem) -> np.ndarray:
         """The periodic orbits of the table's necklaces in ``system``, deduplicated and sorted.
 
-        Each row's orbit is :meth:`PeriodicPoint.orbit`: all rows are carried
-        through their letters, last letter first, as rows of the exact
-        kernel (:class:`~holoifs.maps.Exact`), so each point has the bits of
-        the scalar evaluation, and the first failing row, in table order,
+        The orbit of a row ``w`` with point ``p`` is ``p``, then
+        ``g_{w[-1]}(p)``, then ``g_{w[-2]}`` of that, up to letter ``w[1]``:
+        each point is fixed by a rotation of ``w``, so the orbit lists the
+        fixed points of all rotations.  All rows are carried through their
+        letters, last letter first, as rows of the exact kernel
+        (:class:`~holoifs.maps.Exact`), so each point has the bits of the
+        scalar evaluation, and the first failing row, in table order,
         raises.  The points are those of every word up to
         ``max_word_length`` letters; of the points that round alike at
         ``PREP_DEDUP_TOL``, the first is kept.
@@ -192,13 +180,6 @@ class MultiplierSpectrum:
         pts = orbits[np.arange(width) < lengths[:, None]]
         keys = (np.round(pts.real / PREP_DEDUP_TOL), np.round(pts.imag / PREP_DEDUP_TOL))
         return np.sort_complex(pts[first_per_key(*keys)])
-
-
-def _necklaces(m: int, letters, lengths, points, multipliers) -> list[PeriodicPoint]:
-    """The rows of a necklace table over ``m`` letters as :class:`PeriodicPoint` objects."""
-    width = letters.shape[1]
-    rows = zip(letters.tolist(), lengths.tolist(), points.tolist(), multipliers.tolist())
-    return [PeriodicPoint(Word(w[width - n:], m), p, lam) for w, n, p, lam in rows]
 
 
 @dataclass(frozen=True)
@@ -284,7 +265,7 @@ def _solve_level(system: IfsSystem, letters: np.ndarray):
 def fixed_point(system: IfsSystem, word: Word) -> PeriodicPoint:
     """Attracting fixed point of ``g_w``, exact for affine words.
 
-    The one-row case of the level solver behind :func:`periodic_points`.
+    The one-row case of the level solver behind :func:`spectrum`.
     """
     if len(word) == 0:
         raise ValueError("the empty word fixes every point")
@@ -338,22 +319,6 @@ def _levels(system: IfsSystem, max_len: int, min_len: int = 1):
     return (letters, lengths, *_solve_level(system, letters))
 
 
-def periodic_points(system: IfsSystem, max_len: int):
-    """One attracting periodic point per necklace of 1..``max_len`` letters.
-
-    Every word is a rotation of exactly one necklace, and rotations share
-    the orbit and the multiplier, so the orbits of the yielded points list
-    the fixed points of all words.  After the word budget, all lengths are
-    solved as one array; the rows before the first that fails are yielded,
-    then its exception is raised.
-    """
-    check_word_budget(system, max_len)
-    *table, error = _levels(system, max_len)
-    yield from _necklaces(len(system.maps), *table)
-    if error:
-        raise error
-
-
 def check_word_budget(system: IfsSystem, max_len: int, word_cap: int = WORD_CAP) -> None:
     """Raise :class:`BudgetExceeded` if the words of 1..``max_len`` letters exceed ``word_cap``."""
     m = len(system.maps)
@@ -365,9 +330,12 @@ def check_word_budget(system: IfsSystem, max_len: int, word_cap: int = WORD_CAP)
 def spectrum(system: IfsSystem, max_len: int) -> MultiplierSpectrum:
     """Periodic points and multipliers over all words up to ``max_len``.
 
-    One row per necklace, all lengths solved as one array, as for
-    :func:`periodic_points`: the first failing row, in length then necklace
-    order, raises.  It is :func:`extend_spectrum` of an empty table.
+    One attracting periodic point per necklace of 1..``max_len`` letters:
+    every word is a rotation of exactly one necklace, and rotations share
+    the orbit and the multiplier, so the table's orbits list the fixed
+    points of all words.  After the word budget, all lengths are solved as
+    one array, and the first failing row, in length then necklace order,
+    raises.  It is :func:`extend_spectrum` of an empty table.
     """
     m, empty = len(system.maps), np.empty(0, dtype=np.complex128)
     table = (np.empty((0, 0), np.min_scalar_type(m)), np.empty(0, np.intp), empty, empty)
@@ -567,8 +535,3 @@ class InverseDynamics:
         no periodicity claim; any other failure of a step propagates.
         """
         return self.orbits([x], max_iter, tol)[0]
-
-
-def prep_points(system: IfsSystem, max_word: int) -> np.ndarray:
-    """The periodic orbits of every word up to ``max_word``, deduplicated and sorted."""
-    return spectrum(system, max_word).orbit_points(system)

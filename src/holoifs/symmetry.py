@@ -624,8 +624,8 @@ def spectrum_compat(specG, specF, l_max: int, tol: float = SPECTRUM_TOL):
     """
     if not tol >= np.finfo(float).tiny:  # else a multiplier over tol may overflow
         raise ValueError(f"the spectrum tolerance must be a normal float, got {tol!r}")
-    targets = specF.multipliers()
-    lams = specG.multipliers()
+    targets = specF.lambdas
+    lams = specG.lambdas
     keys = (np.round(lams.real / tol), np.round(lams.imag / tol))
     out = []
     for lam in np.sort_complex(lams[first_per_key(*keys)]).tolist():

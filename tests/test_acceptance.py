@@ -166,12 +166,21 @@ def test_06_conjugacy_extraction(thirds_sn, reflected_sn):
         assert rel.exponent_l == 2
         assert rel.residual <= 1e-12
         law = (-1 / 3) ** 2
-        spec = spectrum(cantor_thirds(), 2)
+        thirds = cantor_thirds()
+
+        def orbit(e):
+            # the entry's point, then its images under the word's letters,
+            # last letter first, up to the second
+            pts = [e.point]
+            for letter in e.word.indices[:0:-1]:
+                pts.append(complex(thirds.maps[letter](pts[-1])))
+            return pts
+
         hits = [
             e
-            for e in spec.entries
+            for e in spectrum(thirds, 2).entries
             if abs(e.multiplier - law) <= 1e-10
-            and any(abs(p - 0.75) <= 1e-10 for p in e.orbit(cantor_thirds()))
+            and any(abs(p - 0.75) <= 1e-10 for p in orbit(e))
         ]
         assert hits
 

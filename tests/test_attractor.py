@@ -682,6 +682,23 @@ def test_cardinality_bound_values(r, diam, expected):
     assert cardinality_bound(r, diam) == expected
 
 
+@pytest.mark.parametrize(
+    "r, diam",
+    [(0.0, 1.0), (1.0, -1.0), (1.0, math.inf), (math.inf, 1.0), (-math.inf, 1.0),
+     (math.nan, 1.0), (1.0, math.nan)],
+)
+def test_cardinality_bound_refuses_arguments_that_are_not_finite_and_positive(r, diam):
+    with pytest.raises(ValueError, match="^radius and diameter must be finite and positive, got "):
+        cardinality_bound(r, diam)
+
+
+@pytest.mark.parametrize("r, diam", [(1e-300, 1e300), (1e-160, 1.0), (1e300, 1e-300)])
+def test_cardinality_bound_refuses_a_bound_past_the_float_range(r, diam):
+    # the ratio r/(2 diam) underflows to 0, its square overflows, or it overflows to inf
+    with pytest.raises(ValueError, match="^the packing bound of .* is not a finite float$"):
+        cardinality_bound(r, diam)
+
+
 def test_j6_net_contains_fixed_points():
     j6 = sqrt_julia(-6.0)
     net = compute_net(j6, EPS)

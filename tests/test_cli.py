@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -68,6 +70,18 @@ JULIA6 = {
 }
 
 
+def _sqrt_julia(label, c):
+    """The config of ``systems.sqrt_julia(c)``, on its default domain B(0, 5)."""
+    return {
+        "label": label,
+        "maps": [
+            {"kind": "sqrt_branch", "c_re": c.real, "c_im": c.imag, "sign": sign}
+            for sign in (1, -1)
+        ],
+        "domain": {"center_re": 0, "center_im": 0, "radius": 5.0},
+    }
+
+
 @pytest.fixture()
 def configs(tmp_path):
     paths = {}
@@ -78,6 +92,8 @@ def configs(tmp_path):
         ("halves", HALVES),
         ("julia6", JULIA6),
         ("julia55", JULIA55),
+        ("sqrt-julia6", _sqrt_julia("sqrt-julia-6", -6.0 + 0j)),
+        ("sqrt-julia-complex", _sqrt_julia("sqrt-julia-6+0.5i", -6.0 + 0.5j)),
     ):
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(payload), encoding="utf-8")
@@ -466,6 +482,54 @@ def test_unwritable_output_file_is_a_configuration_error(configs, tmp_path, caps
     assert err.count("\n") == 1
 
 
+def test_an_oversized_raster_is_a_configuration_error(configs, tmp_path, capsys, monkeypatch):
+    # a width of 10**7 pixels asks for an 8.27 TiB raster; numpy's refusal is
+    # planted, so no allocation is attempted
+    full, asked = np.full, []
+
+    def refuse_rasters(shape, fill_value, dtype=None):
+        if dtype is not np.uint8:
+            return full(shape, fill_value, dtype=dtype)
+        asked.append(shape)
+        raise MemoryError(f"Unable to allocate 8.27 TiB for an array with shape {shape}")
+
+    monkeypatch.setattr(np, "full", refuse_rasters)
+    target = tmp_path / "x.pgm"
+    argv = ["attractor", configs["thirds"], "--epsilon", "1e-2", "--out-pgm", str(target),
+            "--pixels", "10000000"]
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert asked == [(909091, 10000000)]
+    assert out == ""
+    assert err == ("error: --pixels: Unable to allocate 8.27 TiB for an array with shape "
+                   "(909091, 10000000)\n")
+    assert not target.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, warning",
+    [
+        (["attractor", "{thirds}", "--epsilon", "100"],
+         "net has fewer than 2 points; the attractor is degenerate"),
+        (["roots", "--lambda", "0.95", "--l", "2"],
+         "multiplier close to 1; linearization coefficients may be ill-conditioned"),
+    ],
+    ids=["one-point-net", "multiplier-near-one"],
+)
+def test_a_library_warning_is_one_line(configs, capsys, argv, warning):
+    # no source path and no code line; stdout and the exit code are those of
+    # a run that ignores the warning
+    argv = [a.format(**configs) for a in argv]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert cli.main(argv) == 0
+    quiet = capsys.readouterr().out
+    assert cli.main(argv) == 0
+    out, err = capsys.readouterr()
+    assert err == f"warning: {warning}\n"
+    assert out == quiet and out
+
+
 # ---------------------------------------------------------------------------
 # check command
 
@@ -534,6 +598,25 @@ def test_spectrum_output(configs, capsys):
     mults = {complex(row.split()[2]) for row in data}
     assert any(abs(m - 1 / 3) < 1e-12 for m in mults)
     assert any(abs(m - 1 / 9) < 1e-12 for m in mults)
+
+
+@pytest.mark.parametrize(
+    "name, digest",
+    [
+        ("thirds", "6f40df594965aa08c3107112af2f4b1303fac079a0947e69fb81183494a9de29"),
+        ("reflected", "7246fd1efdee58f1f2330a5a72a06aa0854c13a453d3386a33e9b3f224a22b2d"),
+        ("sqrt-julia6", "9761a28c4d71e907afdbda726c0eced82861a121ce9fbfea7a6e8e34ee371b66"),
+        # complex values, so these bits are numpy's complex arithmetic's
+        ("sqrt-julia-complex", "103c03849e52fd36333846dc3e1589ea8da8ad9797d6dbf6289598483f94f16f"),
+    ],
+    ids=["thirds", "reflected", "sqrt-julia6", "sqrt-julia-complex"],
+)
+def test_spectrum_output_bytes_match_their_pins(configs, capsys, name, digest):
+    # every entry's word, point and multiplier, as the command prints them
+    assert cli.main(["spectrum", configs[name], "--max-len", "4"]) == 0
+    out = capsys.readouterr().out
+    assert out.count("\n") == 2 + 15  # the header and one line per necklace of 1..4 letters
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_spectrum_deterministic(configs, capsys):

@@ -44,8 +44,6 @@ from holoifs.dynamics import (
     _necklace_letters,
     check_word_budget,
     fixed_point,
-    periodic_points,
-    prep_points,
     spectrum,
 )
 from holoifs.maps import Affine, Composite, SqrtBranch, compose_word
@@ -109,16 +107,32 @@ def test_fixed_point_rejects_empty_word():
         fixed_point(cantor_thirds(), Word((), 2))
 
 
+def _scalar_orbit(system, pp):
+    """The periodic orbit of ``pp`` by scalar calls, as the oracle of ``orbit_points``.
+
+    Entry ``j+1`` applies letter ``-1-j``: each cyclic rotation of the word
+    fixes the corresponding orbit point, so the orbit lists the fixed points
+    of all rotations.
+    """
+    pts = [pp.point]
+    for letter in pp.word.indices[:0:-1]:
+        pts.append(complex(system.maps[letter](pts[-1])))
+    return tuple(pts)
+
+
 def test_orbit_of_periodic_point_lists_rotation_fixed_points():
     system = cantor_thirds()
     pp = fixed_point(system, Word((0, 1), 2))
-    pts = pp.orbit(system)
+    pts = _scalar_orbit(system, pp)
     assert len(pts) == 2
     assert abs(pts[0] - 0.25) < 1e-14
     assert abs(pts[1] - 0.75) < 1e-14
     # each orbit point is fixed by the corresponding rotation of the word
     rot = fixed_point(system, Word((1, 0), 2))
     assert abs(rot.point - pts[1]) < 1e-14
+    # the table's orbits: those of (0) and (0,0), of (0,1), and of (1) and (1,1)
+    orbits = spectrum(system, 2).orbit_points(system)
+    assert np.allclose(orbits, [0.0, 0.25, 0.75, 1.0], rtol=0.0, atol=1e-14)
 
 
 def test_multiplier_is_rotation_invariant():
@@ -194,6 +208,14 @@ def _scalar_periodic_points(system, max_len):
     ]
 
 
+def _table_rows(spec):
+    """Every row of a spectrum's necklace table as a ``PeriodicPoint``, in table order."""
+    letters, lengths, points, lambdas = spec.table
+    width, m = letters.shape[1], spec.alphabet_size
+    rows = zip(letters.tolist(), lengths.tolist(), points.tolist(), lambdas.tolist())
+    return [PeriodicPoint(Word(w[width - n:], m), p, lam) for w, n, p, lam in rows]
+
+
 def _complex_similarity():
     return IfsSystem(
         (Affine(0.4 + 0.2j, 0.0), Affine(0.3 - 0.25j, 0.6 + 0.3j)), Disk(0.5, 2.0)
@@ -229,7 +251,7 @@ def test_periodic_points_equal_the_scalar_oracle(make, max_len):
     # affine words take the same closed form, and real values round the
     # same in arrays as in scalars, so every word, point and multiplier is ==
     system = make()
-    assert list(periodic_points(system, max_len)) == _scalar_periodic_points(system, max_len)
+    assert _table_rows(spectrum(system, max_len)) == _scalar_periodic_points(system, max_len)
 
 
 @pytest.mark.parametrize(
@@ -245,7 +267,7 @@ def test_periodic_points_match_the_oracle_on_complex_values(make, max_len):
     # numpy's complex products and quotients may differ from CPython's in
     # the last bit
     system = make()
-    mine = list(periodic_points(system, max_len))
+    mine = _table_rows(spectrum(system, max_len))
     oracle = _scalar_periodic_points(system, max_len)
     assert [pp.word for pp in mine] == [pp.word for pp in oracle]
     for pp, want in zip(mine, oracle):
@@ -277,16 +299,13 @@ def test_periodic_points_fail_in_the_oracle_order(monkeypatch):
     message = "^no fixed point after 1 iterations$"
     with pytest.raises(NoConvergence, match=message):
         _scalar_fixed_point(system, Word((1,), 2))
-    points = periodic_points(system, 3)
-    assert next(points) == _scalar_fixed_point(system, Word((0,), 2))
     with pytest.raises(NoConvergence, match=message):
-        next(points)
+        _scalar_periodic_points(system, 3)
     with pytest.raises(NoConvergence, match=message):
         fixed_point(system, Word((0, 1), 2))
-    with pytest.raises(NoConvergence, match=message):
-        _round_key_spectrum(system, 3)
-    with pytest.raises(NoConvergence, match=message):
-        spectrum(system, 3)
+    for max_len in (1, 3):
+        with pytest.raises(NoConvergence, match=message):
+            spectrum(system, max_len)
 
 
 class _PlantedBranch(SqrtBranch):
@@ -322,11 +341,9 @@ def test_the_first_failing_row_in_length_order_raises_after_the_rows_before_it()
     message = "^fixed point is not attracting$"
     with pytest.raises(NoConvergence, match=message):
         _scalar_periodic_points(system, 3)
-    points = periodic_points(system, 3)
-    words = [Word(w, 2) for w in [(0,), (1,), (0, 0)]]
-    assert [next(points) for _ in words] == [_scalar_fixed_point(system, w) for w in words]
-    with pytest.raises(NoConvergence, match=message):
-        next(points)
+    # the rows before the failing (0, 1): (0), (1) and (0, 0)
+    assert _table_rows(spectrum(system, 1)) == _scalar_periodic_points(system, 1)
+    assert fixed_point(system, Word((0, 0), 2)) == _scalar_fixed_point(system, Word((0, 0), 2))
     with pytest.raises(NoConvergence, match=message):
         spectrum(system, 3)
 
@@ -350,7 +367,7 @@ def test_a_derivative_that_raises_inside_a_word_keeps_the_oracle_order(
     system = IfsSystem((Composite((julia.maps[1], planted)), julia.maps[0]), julia.domain)
     if tol is not None:
         monkeypatch.setattr(holoifs.dynamics, "PERIODIC_RESIDUAL_TOL", tol)
-    for solve in (_scalar_periodic_points, lambda *a: list(periodic_points(*a)), spectrum):
+    for solve in (_scalar_periodic_points, spectrum):
         with pytest.raises(error, match=message):
             solve(system, 2)
 
@@ -364,13 +381,10 @@ def test_a_value_that_raises_after_a_derivative_keeps_the_oracle_order():
     system = IfsSystem((julia.maps[0], Composite((outer, inner))), julia.domain)
     p = fixed_point(system, Word((1,), 2)).point
     inner.sharp, outer.exact = p, inner(np.array([p]))[0]
-    for solve in (_scalar_periodic_points, lambda *a: list(periodic_points(*a)), spectrum):
+    for solve in (_scalar_periodic_points, spectrum):
         with pytest.raises(DomainError, match="^planted value$"):
             solve(system, 2)
-    points = periodic_points(system, 2)
-    assert next(points) == _scalar_fixed_point(system, Word((0,), 2))
-    with pytest.raises(DomainError, match="^planted value$"):
-        next(points)
+    assert fixed_point(system, Word((0,), 2)) == _scalar_fixed_point(system, Word((0,), 2))
 
 
 def test_word_budget_counts_spectrum_and_prep_words():
@@ -390,7 +404,7 @@ def test_word_budget_counts_spectrum_and_prep_words():
 
 
 def _unique_multipliers(spec):
-    vals = spec.multipliers()
+    vals = spec.lambdas
     uniq = np.unique(np.round(vals.real, 9) + 1j * np.round(vals.imag, 9))
     return uniq
 
@@ -426,14 +440,14 @@ def test_spectrum_matches_brute_enumeration():
             p = _brute_fixed_point(system, indices)
             lam = _brute_multiplier(system, indices, p)
             brute.add(complex(round(lam.real, 9), round(lam.imag, 9)))
-    mine = {complex(round(v.real, 9), round(v.imag, 9)) for v in spec.multipliers()}
+    mine = {complex(round(v.real, 9), round(v.imag, 9)) for v in spec.lambdas}
     assert mine == brute
 
 
-def _round_key_spectrum(system, max_len):
+def _round_key_spectrum(rows):
     """The ``round``-key loop that the array dedup of the spectrum replaced, as the oracle."""
     entries, keys = [], set()
-    for pp in periodic_points(system, max_len):
+    for pp in rows:
         key = (
             round(pp.point.real / SPECTRUM_DEDUP_TOL),
             round(pp.point.imag / SPECTRUM_DEDUP_TOL),
@@ -462,17 +476,16 @@ def _round_key_spectrum(system, max_len):
 def test_spectrum_equals_the_round_key_oracle(make, max_len):
     system = make()
     spec = spectrum(system, max_len)
-    oracle = _round_key_spectrum(system, max_len)
-    assert [Word(w, len(system.maps)) for w in spec.words] == [pp.word for pp in oracle]
+    oracle = _round_key_spectrum(_table_rows(spec))
     assert spec.points.tolist() == [pp.point for pp in oracle]
-    assert spec.multipliers().tolist() == [pp.multiplier for pp in oracle]
+    assert spec.lambdas.tolist() == [pp.multiplier for pp in oracle]
     assert spec.entries == tuple(oracle)
     # shared_attractor reads the shorter spectra off the longest one
     for k in range(max_len + 1):
         cut, short = spec.truncated(k), spectrum(system, k)
-        assert cut.words == short.words
+        assert cut.entries == short.entries
         assert cut.points.tolist() == short.points.tolist()
-        assert cut.multipliers().tolist() == short.multipliers().tolist()
+        assert cut.lambdas.tolist() == short.lambdas.tolist()
         assert cut.max_word_length == short.max_word_length == k
 
 
@@ -480,7 +493,7 @@ def test_spectrum_rows_cannot_be_written_through_its_arrays():
     spec = spectrum(cantor_thirds_reflected(), 4)
     before = spec.entries[0]
     cut = spec.truncated(2)
-    for rows in (spec.multipliers(), spec.points, cut.multipliers(), cut.points,
+    for rows in (spec.lambdas, spec.points, cut.lambdas, cut.points,
                  *spec.table, *cut.table):
         with pytest.raises(ValueError, match="read-only"):
             rows[0] = 5
@@ -546,7 +559,7 @@ def test_necklace_letters_hold_a_block_and_the_output_at_once():
 
 def test_periodic_points_one_per_necklace():
     system = cantor_thirds_reflected()
-    words = [pp.word.indices for pp in periodic_points(system, 4)]
+    words = [pp.word.indices for pp in _table_rows(spectrum(system, 4))]
     assert words == [w for n in range(1, 5) for w in _first_seen_min_rotations(2, n)]
 
 
@@ -580,7 +593,7 @@ def test_prep_points_match_per_word_fixed_points(make):
     _, first = np.unique(keys, return_index=True)
     brute = brute[first]
 
-    pts = prep_points(system, max_word)
+    pts = spectrum(system, max_word).orbit_points(system)
     assert len(pts) == len(brute)
     assert np.max(np.min(np.abs(pts[:, None] - brute[None, :]), axis=1)) <= 1e-12
     assert np.max(np.min(np.abs(brute[:, None] - pts[None, :]), axis=1)) <= 1e-12
@@ -734,7 +747,7 @@ def test_orbit_takes_the_lowest_claiming_branch():
 def test_one_inverse_dynamics_serves_every_orbit(system, epsilon):
     net = compute_net(system, epsilon)
     shared = InverseDynamics(system, net)
-    points = prep_points(system, Budgets().prep_max_word)
+    points = spectrum(system, Budgets().prep_max_word).orbit_points(system)
     reused = [shared.orbit(p, 64, 1e-9) for p in points]
     fresh = [InverseDynamics(system, net).orbit(p, 64, 1e-9) for p in points]
     assert reused == fresh
@@ -754,7 +767,7 @@ def _walk(dyn, x, n):
 def test_walk_follows_the_address(system):
     net = compute_net(system, 2e-3)
     dyn = InverseDynamics(system, net)
-    for pp in periodic_points(system, 3):
+    for pp in spectrum(system, 3).entries:
         steps = _walk(dyn, pp.point, 20)
         letters = tuple(j for j, _ in steps)
         assert letters == address(SystemNet(system, net), pp.point, 20).indices
@@ -835,7 +848,7 @@ def _with_images(system, points):
 
 def _walk_points(system, net, max_word):
     """Prep points, their first images, points off the attractor and net points."""
-    points = _with_images(system, prep_points(system, max_word))
+    points = _with_images(system, spectrum(system, max_word).orbit_points(system))
     spread = net.points[:: max(1, len(net.points) // 40)]
     c, r = system.domain.center, system.domain.radius
     off = c + r * np.array([0.0, 0.3, 0.55j, -0.7 + 0.1j, 2.0])
@@ -940,7 +953,7 @@ def test_a_row_its_branch_cannot_invert_fails_alone(monkeypatch):
     # its orbit ends with no period, and the other rows still move
     system = sqrt_julia(-6.0)
     dyn = InverseDynamics(system, compute_net(system, 1e-3))
-    points = prep_points(system, 2)
+    points = spectrum(system, 2).orbit_points(system)
     planted = complex(points[1])
     _, i = dyn.step(planted)
     inverse = dyn.inverses[i]
@@ -1060,7 +1073,7 @@ def test_orbits_memory_follows_the_walk_not_the_cap():
     # a table of max_iter + 1 columns per point could not be allocated
     system = sqrt_julia(-6.0)
     dyn = InverseDynamics(system, compute_net(system, 1e-3))
-    points = _with_images(system, prep_points(system, 4))
+    points = _with_images(system, spectrum(system, 4).orbit_points(system))
     assert dyn.orbits(points, 10**18, 1e-9) == dyn.orbits(points, 64, 1e-9)
 
 
@@ -1089,7 +1102,8 @@ def test_orbits_past_sixteen_steps_equal_the_step_loop(make):
     dyn = InverseDynamics(system, compute_net(system, 1e-3))
     w20 = (0, 1, 1, 0, 1, 0, 0, 0, 1, 1, 1, 0, 1, 0, 0, 1, 1, 0, 0, 0)
     words = [Word(w20, 2), Word(w20 + (1, 1, 0, 1, 0), 2)]
-    points = [fixed_point(system, w).point for w in words] + list(prep_points(system, 3)[:4])
+    points = [fixed_point(system, w).point for w in words]
+    points += list(spectrum(system, 3).orbit_points(system)[:4])
     for tol in (1e-6, 1e-9, 0.0):
         want = [_step_loop_orbit(dyn, p, 64, tol) for p in points]
         assert dyn.orbits(points, 64, tol) == want
@@ -1111,7 +1125,7 @@ def test_orbits_of_no_points():
 
 def test_prep_points_small_budget_exact():
     system = cantor_thirds()
-    pts = prep_points(system, max_word=1)
+    pts = spectrum(system, 1).orbit_points(system)
     assert np.allclose(pts, [0.0, 1.0], atol=1e-12)
     images = _with_images(system, pts)
     assert np.allclose(np.unique(images.real), [0.0, 1 / 3, 2 / 3, 1.0], atol=1e-12)
@@ -1120,8 +1134,8 @@ def test_prep_points_small_budget_exact():
 
 def test_prep_points_dedup_and_growth():
     system = cantor_thirds()
-    small = prep_points(system, max_word=2)
-    large = prep_points(system, max_word=3)
+    small = spectrum(system, 2).orbit_points(system)
+    large = spectrum(system, 3).orbit_points(system)
     assert len(large) > len(small)
     # each point once, although the words 00 and 000 repeat the orbit of 0
     assert np.all(np.diff(large.real) > 1e-10)
@@ -1133,7 +1147,7 @@ def test_prep_points_dedup_and_growth():
 def test_prep_points_all_near_attractor():
     system = cantor_thirds_reflected()
     net = compute_net(system, 1e-3)
-    pts = _with_images(system, _with_images(system, prep_points(system, max_word=3)))
+    pts = _with_images(system, _with_images(system, spectrum(system, 3).orbit_points(system)))
     from scipy.spatial import cKDTree
 
     tree = cKDTree(np.column_stack((net.points.real, net.points.imag)))
@@ -1142,19 +1156,17 @@ def test_prep_points_all_near_attractor():
 
 
 def test_prep_points_budget(monkeypatch):
-    # 2**25 - 2 words pass the default cap: it raises before any solve, as
-    # spectrum does
+    # 2**25 - 2 words pass the default cap: the prep points' spectrum raises
+    # before any solve
     monkeypatch.setattr(holoifs.dynamics, "_levels", _no_solve)
     with pytest.raises(BudgetExceeded, match="^33554430 words exceed the cap 10000000$"):
-        prep_points(cantor_thirds(), 24)
+        spectrum(cantor_thirds(), 24)
 
 
 def _composed_prep_points(system, max_word):
-    """The orbits of periodic_points, deduplicated on rounded keys, as the oracle.
-
-    It is the composition prep_points was before it read the spectrum's table.
-    """
-    orbits = [x for pp in periodic_points(system, max_word) for x in pp.orbit(system)]
+    """The scalar orbits of the table's rows, deduplicated on rounded keys, as the oracle."""
+    rows = _table_rows(spectrum(system, max_word))
+    orbits = [x for pp in rows for x in _scalar_orbit(system, pp)]
     pts = np.array(orbits, dtype=np.complex128)
     keys = (np.round(pts.real / PREP_DEDUP_TOL), np.round(pts.imag / PREP_DEDUP_TOL))
     return np.sort_complex(pts[first_per_key(*keys)])
@@ -1178,10 +1190,10 @@ def _composed_prep_points(system, max_word):
 )
 def test_prep_points_equal_the_composed_oracle(make, max_word):
     # the orbits are read off the spectrum's necklace table, with the bits of
-    # periodic_points and PeriodicPoint.orbit
+    # scalar calls along each row
     system = make()
     oracle = _composed_prep_points(system, max_word).tobytes()
-    assert prep_points(system, max_word).tobytes() == oracle
+    assert spectrum(system, max_word).orbit_points(system).tobytes() == oracle
     assert spectrum(system, 4).truncated(max_word).orbit_points(system).tobytes() == oracle
 
 
@@ -1197,7 +1209,7 @@ def test_prep_points_raise_as_the_composed_oracle(monkeypatch):
                                  (slow, "no fixed point after 1 iterations", 1)):
         if cap:
             monkeypatch.setattr(holoifs.dynamics, "FIXED_POINT_MAX_ITER", cap)
-        for solve in (_composed_prep_points, prep_points):
+        for solve in (_scalar_periodic_points, lambda s, n: spectrum(s, n).orbit_points(s)):
             with pytest.raises(NoConvergence, match=f"^{message}$"):
                 solve(system, 3)
 
@@ -1205,11 +1217,11 @@ def test_prep_points_raise_as_the_composed_oracle(monkeypatch):
 def test_orbit_points_raise_the_first_failing_row_in_table_order():
     # the rows are carried column by column, but an earlier row that fails at
     # its second step raises before a later row that fails at its first, as
-    # PeriodicPoint.orbit row by row does
+    # the scalar orbits row by row do
     julia = sqrt_julia(-6.0)
     spec = spectrum(julia, 4)
-    rows = list(periodic_points(julia, 4))
-    orbits = [pp.orbit(julia) for pp in rows]
+    rows = _table_rows(spec)
+    orbits = [_scalar_orbit(julia, pp) for pp in rows]
     early = next(k for k, pp in enumerate(rows) if len(pp.word) > 2 and pp.word.indices[-2] == 1)
     late = next(k for k, pp in enumerate(rows)
                 if k > early and len(pp.word) > 2 and pp.word.indices[-2:] == (0, 1))
@@ -1218,7 +1230,7 @@ def test_orbit_points_raise_the_first_failing_row_in_table_order():
     planted.exact = orbits[early][1]
     planted.trap = orbits[late][0]
     with pytest.raises(DomainError, match="^planted value$"):
-        [pp.orbit(system) for pp in rows]
+        [_scalar_orbit(system, pp) for pp in rows]
     with pytest.raises(DomainError, match="^planted value$"):
         spec.orbit_points(system)
     planted.exact = None
@@ -1226,19 +1238,18 @@ def test_orbit_points_raise_the_first_failing_row_in_table_order():
         spec.orbit_points(system)
 
 
-def test_spectrum_entries_and_words_are_built_on_first_read(monkeypatch):
+def test_spectrum_entries_are_built_on_first_read(monkeypatch):
     built = []
-    necklaces = holoifs.dynamics._necklaces
 
     def counting(*args):
-        built.append(len(args[1]))
-        return necklaces(*args)
+        built.append(args[0])
+        return PeriodicPoint(*args)
 
-    monkeypatch.setattr(holoifs.dynamics, "_necklaces", counting)
+    monkeypatch.setattr(holoifs.dynamics, "PeriodicPoint", counting)
     spec = spectrum(sqrt_julia(-6.0), 4)
     cut = spec.truncated(2)
-    spec.multipliers(), cut.points, spec.orbit_points(sqrt_julia(-6.0))
+    spec.lambdas, cut.points, spec.orbit_points(sqrt_julia(-6.0))
     assert built == []
-    assert len(spec.words) == len(spec.entries) == len(spec.points)
+    assert len(spec.entries) == len(spec.entries) == len(spec.points)  # built once
     assert cut.entries == spec.entries[:len(cut.entries)]
-    assert built == [len(spec.points), len(cut.points)]
+    assert built == [pp.word for pp in spec.entries + cut.entries]

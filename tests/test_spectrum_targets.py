@@ -157,7 +157,7 @@ def test_every_multiplier_lies_under_its_length_bound(make):
     bounds = _level_bounds(system, 8)
     assert all(b >= a for a, b in zip(bounds[1:], bounds))  # U_k does not increase
     spec = spectrum(system, 8)
-    lengths = np.array([len(w) for w in spec.words])
+    lengths = np.array([len(e.word) for e in spec.entries])
     limit = np.array(bounds)[lengths - 1] * (1.0 + MULTIPLIER_BOUND_SLACK)
     assert np.all(np.abs(spec.lambdas) <= limit)
     # the longest length whose bound reaches the floor, or 0
@@ -333,7 +333,7 @@ def test_an_extended_spectrum_equals_one_pass(monkeypatch, make, start, stop):
     whole = spectrum(system, stop)
     # the table and the rows derived from it, and again cut back to start
     for mine, one_pass in ((extended, whole), (extended.truncated(start), base)):
-        assert mine.words == one_pass.words
+        assert mine.entries == one_pass.entries
         assert mine.points.tobytes() == one_pass.points.tobytes()
         assert mine.lambdas.tobytes() == one_pass.lambdas.tobytes()
         for array, want in zip(mine.table, one_pass.table, strict=True):

@@ -34,7 +34,7 @@ from holoifs import (
     Word,
 )
 from holoifs.attractor import certify_strong_osc, compute_net
-from holoifs.dynamics import fixed_point, prep_points, spectrum
+from holoifs.dynamics import fixed_point, spectrum
 from holoifs.maps import (
     Affine,
     Composite,
@@ -418,7 +418,7 @@ def test_build_symmetries_equal_the_one_word_code(thirds, reflected, julia_pairs
                 shifted=system_net(shifted_system()))
     G, F = nets[g], nets[f]
     words = _all_words(len(G.system.maps), max_len)
-    for a in prep_points(G.system, 2)[:4]:
+    for a in spectrum(G.system, 2).orbit_points(G.system)[:4]:
         want = [_outcome(_scalar_build_symmetry, G, F, a, w) for w in words]
         got = build_symmetries(G, F, a, words)
         assert len(got) == len(want)
@@ -470,7 +470,7 @@ def test_germ_images_resume_from_the_source_rows(monkeypatch, pair):
     # words of one to three letters, the lengths interleaved
     words = sorted(_all_words(len(g.maps), 3), key=lambda w: w.indices[::-1])
     seen, outcomes = set(), Counter()
-    for a in prep_points(g, 2)[:3]:
+    for a in spectrum(g, 2).orbit_points(g)[:3]:
         calls.clear()
         got = build_symmetries(G, F, a, words)
         # H(a) and H'(a), resumed from g_w(a) and g_w'(a), have the bits and
@@ -512,7 +512,7 @@ def test_address_equals_the_scalar_address_walk(thirds, reflected, julia_pairs, 
     m = len(F.system.maps)
     c, r = F.system.domain.center, F.system.domain.radius
     off = c + r * np.array([0.0, 0.3, 0.55j, -0.7 + 0.1j, 2.0])
-    points = np.concatenate((prep_points(F.system, 2)[:12], off))
+    points = np.concatenate((spectrum(F.system, 2).orbit_points(F.system)[:12], off))
     names = set()
     for x in points:
         try:
@@ -808,7 +808,8 @@ def test_verify_symmetry_counts_preimages_that_fail(julia_pairs):
     # measured; the net of {z/3, z/3 + 2/3, z/3 + i/3} near 0 holds both kinds
     identity = _FaultyAffine(Affine(1.0, 0.0), "ring")
     julia = julia_pairs["julia-complex"]
-    germ = build_symmetry(julia, julia, prep_points(julia.system, 1)[0], Word((0,), 2))
+    a = spectrum(julia.system, 1).orbit_points(julia.system)[0]
+    germ = build_symmetry(julia, julia, a, Word((0,), 2))
     report = verify_symmetry(dataclasses.replace(germ, map=identity), julia, julia)
     assert report.backward_count == report.backward_failures > 0
     assert report.backward_residual == 0.0
@@ -1328,9 +1329,9 @@ def _dict_spectrum_compat(specG, specF, l_max, tol):
 
     A power matches a target within ``tol`` times its own modulus.
     """
-    targets = specF.multipliers()
+    targets = specF.lambdas
     seen = {}
-    for lam in specG.multipliers():
+    for lam in specG.lambdas:
         key = (round(lam.real / tol), round(lam.imag / tol))
         if key not in seen:
             seen[key] = complex(lam)
@@ -1352,7 +1353,7 @@ def _signed_zero_spectrum():
     lambdas = np.array(
         [complex(0.25, -0.0), 0.25, complex(-0.0, 0.5), 0.5j, 0.3 + 1e-10j, 0.3, -0.0, 0.0, 0.25]
     )
-    return SimpleNamespace(multipliers=lambda: lambdas)
+    return SimpleNamespace(lambdas=lambdas)
 
 
 @pytest.mark.parametrize("tol", [1e-9, 1e-12, 1e-300])
@@ -1385,9 +1386,9 @@ def test_spectrum_compat_has_no_vacuous_match_below_the_tolerance():
     assert matches[complex(0.05)] == 1
     # a power matches a target within tol of its own modulus, not of 1: the
     # absolute rule matched the square 1e-12 to the target 0
-    tiny = SimpleNamespace(multipliers=lambda: np.array([1e-6]))
+    tiny = SimpleNamespace(lambdas=np.array([1e-6]))
     for target, want in ((1e-6 * (1 + 5e-10), 1), (1e-6 * (1 + 2e-9), None), (0.0, None)):
-        spec = SimpleNamespace(multipliers=lambda t=target: np.array([t]))
+        spec = SimpleNamespace(lambdas=np.array([target]))
         assert spectrum_compat(tiny, spec, 2) == [(1e-6 + 0j, want)]
 
 
@@ -1587,7 +1588,8 @@ def test_functional_equation_entries_structure():
 def test_prep_points_of_reflected_land_on_cantor():
     # independent oracle: every fixed point of the reflected system lies on
     # the middle-thirds Cantor set
-    for p in prep_points(cantor_thirds_reflected(), 4):
+    reflected = cantor_thirds_reflected()
+    for p in spectrum(reflected, 4).orbit_points(reflected):
         assert abs(p.imag) < 1e-12
         assert _cantor_distance(p.real) < 1e-12
 
