@@ -288,9 +288,11 @@ def write_pgm(path: str, points: np.ndarray, pixels: int) -> None:
     ix = np.clip(((xs - xmin) / (xmax - xmin) * width).astype(int), 0, width - 1)
     iy = np.clip(((ys - ymin) / (ymax - ymin) * height).astype(int), 0, height - 1)
     img[height - 1 - iy, ix] = 0  # row 0 is the top of the viewport
+    # the raster is built before the file is opened and written without a
+    # copy, so a refused allocation leaves no file behind
     with open(path, "wb") as fh:
         fh.write(f"P5\n{width} {height}\n255\n".encode("ascii"))
-        fh.write(img.tobytes())
+        fh.write(img)
 
 
 def shared_report_text(report, epsilon: float, label_g: str, label_f: str) -> str:

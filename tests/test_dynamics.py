@@ -1250,6 +1250,6 @@ def test_spectrum_entries_are_built_on_first_read(monkeypatch):
     cut = spec.truncated(2)
     spec.lambdas, cut.points, spec.orbit_points(sqrt_julia(-6.0))
     assert built == []
-    assert len(spec.entries) == len(spec.entries) == len(spec.points)  # built once
+    assert len(spec.entries) == len(spec.points)
     assert cut.entries == spec.entries[:len(cut.entries)]
     assert built == [pp.word for pp in spec.entries + cut.entries]

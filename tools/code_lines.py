@@ -5,7 +5,7 @@ or a line break: blank lines, comment-only lines and docstrings do not
 count, and a statement that spans several lines counts each of them.  A
 docstring is a string statement, the only statement on its line(s).
 
-Usage: ``python tools/code_lines.py [PACKAGE_DIR]`` (default ``src/holoifs``).
+Usage: ``python tools/code_lines.py``.
 """
 
 from __future__ import annotations
@@ -36,8 +36,8 @@ def code_lines(path: Path) -> int:
     return len(lines)
 
 
-def main(argv: list[str]) -> int:
-    root = Path(argv[0]) if argv else Path(__file__).resolve().parent.parent / "src" / "holoifs"
+def main() -> int:
+    root = Path(__file__).resolve().parent.parent / "src" / "holoifs"
     counts = {path.name: code_lines(path) for path in sorted(root.glob("*.py"))}
     width = max(map(len, counts), default=0)
     for name, count in counts.items():
@@ -47,4 +47,4 @@ def main(argv: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
