@@ -986,6 +986,13 @@ def box_restriction(
     cover disk, and disks whose cylinder words start with different letters
     are pairwise disjoint.  This is the sampled stand-in for a box-like
     restriction neighborhood.
+
+    When ``net`` is the system's own net, every returned disk holds a net
+    point: each attractor point lies within ``(1 + sqrt 2) epsilon / 4`` of
+    one (:func:`compute_net`), the first disk, the net's bounding disk padded
+    by ``epsilon``, holds the attractor ``A``, so each cylinder disk
+    ``E_w(B_0)`` holds the non-empty ``g_w(A)``, and the returned disk pads
+    it by ``epsilon`` again.
     """
     if not (math.isfinite(eps_target) and eps_target > 0):
         raise ValueError(f"eps_target must be finite and positive, got {eps_target!r}")

@@ -21,8 +21,10 @@ Subcommands
 Exit codes: 0 pass/Shared, 1 fail/NotShared, 2 configuration error (an
 unwritable output file or a raster too large for memory too), 3 budget
 exceeded, 4 inconclusive.  Any other library error exits 1, except under
-``shared``, where it leaves the verdict open and exits 4.  Errors and library
-warnings are one line each on stderr.
+``shared``, where it leaves the verdict open and exits 4.  A stdout that its
+reader closes early ends the run quietly with 141, the shell's status of a
+writer killed by SIGPIPE.  Errors and library warnings are one line each on
+stderr.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ import argparse
 import cmath
 import json
 import math
+import os
 import sys
 import warnings
 from pathlib import Path
@@ -551,7 +554,14 @@ def main(argv=None) -> int:
     with warnings.catch_warnings():
         warnings.showwarning = _warning_line
         try:
-            return args.func(args)
+            code = args.func(args)
+            sys.stdout.flush()
+            return code
+        except BrokenPipeError:
+            # the reader closed stdout: end as a writer killed by SIGPIPE, and
+            # let the interpreter's last flush of stdout write to the null device
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            return 141
         except ConfigError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2

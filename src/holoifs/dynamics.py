@@ -216,10 +216,8 @@ def _solve_level(system: IfsSystem, letters: np.ndarray):
                               for row in lookup])
     affine = affine_letter[letters].all(axis=1)
     for i in np.flatnonzero(affine).tolist():
+        # |alpha| < 1: IfsSystem refuses an affine map with |alpha| >= 1
         gw = compose_word(system, Word(letters[i][letters[i] < m].tolist(), m))
-        if abs(gw.alpha) >= 1.0:
-            failed[i] = NoConvergence("word map is not a contraction")
-            continue
         p = gw.b / (1.0 - gw.alpha)
         points[i], mults[i] = p, gw.alpha
         if abs(complex(gw(p)) - p) > PERIODIC_RESIDUAL_TOL:

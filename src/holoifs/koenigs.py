@@ -178,9 +178,7 @@ def functional_roots(germ: PowerSeriesGerm, l: int) -> tuple[PowerSeriesGerm, ..
     if l < 1:
         raise ValueError("root order must be at least 1")
     lam = germ.multiplier
-    if not 0.0 < abs(lam) < 1.0:
-        raise InvalidMultiplier(f"need 0 < |multiplier| < 1, got |{lam}| = {abs(lam)}")
-    psi = koenigs(germ)
+    psi = koenigs(germ)  # refuses a multiplier outside 0 < |lam| < 1
     psi_inv = psi.inverse()
     base_mod = abs(lam) ** (1.0 / l)
     base_arg = cmath.phase(lam)

@@ -169,28 +169,6 @@ class HoloMap:
       coefficients ``c_1..c_order`` there.
     """
 
-    def __call__(self, z):
-        raise NotImplementedError
-
-    def deriv(self, z):
-        raise NotImplementedError
-
-    def inverse(self) -> "HoloMap":
-        """Closed-form inverse map within the variant family."""
-        raise NotImplementedError
-
-    def enclosure_arrays(self, centers: np.ndarray, radii: np.ndarray):
-        """Centers and radii of disks containing the images of the given disks.
-
-        For ``Affine`` and ``SqrtBranch`` the radius is ``sup |f'|`` on the
-        disk times the disk's radius.
-        """
-        raise NotImplementedError
-
-    def taylor(self, point: complex, order: int) -> tuple[complex, np.ndarray]:
-        """Image value and centered coefficients ``c_1..c_order`` at ``point``."""
-        raise NotImplementedError
-
 
 @dataclass(frozen=True)
 class Affine(HoloMap):

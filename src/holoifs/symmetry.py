@@ -710,19 +710,18 @@ def _functional_sweep(
     mG = len(G.system.maps)
     words = [Word(t, mG) for t in product(range(mG), repeat=M)]
     n = len(words)
-    # germ i is word i % n at the i // n-th covered disk
-    cover: dict = {}  # disk -> the net point nearest its centre, its samples, its first germ
-    for d, disk in enumerate(disks):
+    # germ i is word i % n at disk i // n; every disk holds a net point
+    # (box_restriction), and its anchor is the one nearest its centre
+    anchors, samples = [], []
+    for disk in disks:
         dist = np.abs(netG.points - disk.center)
         inside = np.nonzero(dist <= disk.radius)[0]
-        if len(inside):
-            anchor = complex(netG.points[inside[np.argmin(dist[inside])]])
-            cover[d] = (anchor, _subsample(netG.points[inside], budgets.eq_samples), len(cover) * n)
-    samples = [s for _, s, _ in cover.values()]
-    bases = np.repeat([anchor for anchor, _, _ in cover.values()], n).tolist()
-    built = build_symmetries(G, F, bases, words * len(cover))
+        anchors.append(complex(netG.points[inside[np.argmin(dist[inside])]]))
+        samples.append(_subsample(netG.points[inside], budgets.eq_samples))
+    bases = np.repeat(anchors, n).tolist()
+    built = build_symmetries(G, F, bases, words * len(disks))
     germs = [None if isinstance(g, Exception) else g for g in built]
-    classes = _germ_classes(germs, bases, r, np.repeat(list(cover), n).tolist())
+    classes = _germ_classes(germs, bases, r, np.repeat(np.arange(len(disks)), n).tolist())
     reps = [i for i, c in enumerate(classes) if c == i]
     width = max(map(len, samples), default=0)
     # each word's map, and each side word(u) ∘ word(u_c)^{-1}, is composed once per sweep
@@ -746,14 +745,7 @@ def _functional_sweep(
     residuals = np.max(np.abs(lhs - rhs), axis=1, initial=0.0).tolist()
     entries: list[FunctionalEquation] = []
     for d in range(len(disks)):
-        if d not in cover:
-            entries.append(
-                FunctionalEquation(d, Word((), mG), None, None, None,
-                                   math.inf, False, "empty cover disk")
-            )
-            continue
-        start = cover[d][2]
-        for i, tw in enumerate(words, start):
+        for i, tw in enumerate(words, d * n):
             outcome, c, j = built[i], classes[i], rows.get(i)
             if isinstance(outcome, GERM_REJECTIONS):
                 entries.append(

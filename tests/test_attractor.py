@@ -677,6 +677,77 @@ def test_box_restriction_covers_net_and_respects_diameter(thirds, thirds_net):
     assert covered.all()
 
 
+@pytest.mark.filterwarnings("ignore:net has fewer than 2 points")
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_every_box_restriction_disk_holds_a_net_point(data):
+    # the functional-equation sweep anchors each disk at a net point inside it
+    if data.draw(st.booleans(), label="julia"):
+        system = sqrt_julia(data.draw(st.floats(-7.0, -6.0), label="c"))
+    else:
+        maps = []
+        for _ in range(data.draw(st.integers(2, 3), label="maps")):
+            ratio = data.draw(st.floats(0.15, 0.45))
+            angle = data.draw(st.floats(0.0, 2 * math.pi))
+            shift = complex(data.draw(st.floats(-1.0, 1.0)), data.draw(st.floats(-1.0, 1.0)))
+            maps.append(Affine(ratio * cmath.exp(1j * angle), shift))
+        least = max(abs(g.b) / (1.0 - abs(g.alpha)) for g in maps)
+        system = IfsSystem(tuple(maps), Disk(0.0, 1.5 * least + 1e-3))
+    eps = data.draw(st.sampled_from([1e-2, 1e-3]), label="eps")
+    target = data.draw(st.floats(0.05, 1.0), label="target") * system.domain.radius
+    try:
+        net = compute_net(system, eps, point_cap=2**16)
+        disks = box_restriction(system, net, target, point_cap=2**8)
+    except BudgetExceeded:
+        return
+    for d in disks:
+        assert np.any(np.abs(net.points - d.center) <= d.radius)
+
+
+def test_box_restriction_without_disjoint_leading_letters_exceeds_its_budget(thirds):
+    # the thirds' coarse net never gives disjoint disks for the two leading
+    # letters, so the cylinders outgrow the cap
+    net = compute_net(thirds, 0.2)
+    with pytest.raises(BudgetExceeded, match="^box restriction exceeded the cylinder budget$"):
+        box_restriction(thirds, net, 1.0, point_cap=1000)
+
+
+@pytest.fixture(scope="module")
+def one_map():
+    """{z/2 + 1/4} on B(1/2, 1): its attractor is the one point 1/2."""
+    system = IfsSystem((Affine(0.5, 0.25),), Disk(0.5, 1.0))
+    with pytest.warns(UserWarning, match="^net has fewer than 2 points"):
+        net = compute_net(system, 1e-3)
+    return system, net
+
+
+def test_box_restriction_of_a_one_point_net_fails_to_stabilize(one_map):
+    # each disk is padded by epsilon, so its diameter never drops below the target
+    system, net = one_map
+    with pytest.raises(BudgetExceeded, match="^box restriction failed to stabilize at depth 64$"):
+        box_restriction(system, net, net.epsilon)
+
+
+def test_ssc_of_a_one_map_system_has_nothing_to_separate(one_map):
+    system, net = one_map
+    cert = certify_ssc(system, net)
+    assert cert.pairwise_distance == 0.0
+    assert cert.margin == -net.epsilon
+    assert not cert.valid
+
+
+def test_strong_osc_needs_a_disk(thirds, thirds_net):
+    with pytest.raises(ValueError, match="^need at least one candidate disk$"):
+        certify_strong_osc(thirds, (), thirds_net)
+
+
+def test_strong_osc_of_a_one_map_system_has_no_image_gap(one_map):
+    system, net = one_map
+    cert = certify_strong_osc(system, (Disk(0.5, 0.6),), net)
+    assert cert.checks["image_disjointness"] == 0.0
+    assert not cert.valid
+
+
 @pytest.mark.parametrize("r,diam,expected", [(1 / 3, 1.0, 49), (1.0, 1.0, 9), (2.0, 1.0, 4)])
 def test_cardinality_bound_values(r, diam, expected):
     assert cardinality_bound(r, diam) == expected

@@ -826,6 +826,23 @@ def test_symmetry_huge_point_prints_one_error_line(configs, point):
     assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
+def test_a_stdout_closed_by_its_reader_ends_quietly(configs):
+    # the spectrum to length 14 is about 191 KB, more than a pipe holds, so
+    # the writer is still printing when the reader closes the pipe, as
+    # `holoifs spectrum ... | head -1` does
+    args = ["spectrum", configs["thirds"], "--max-len", "14"]
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parent.parent))
+    proc = subprocess.Popen([sys.executable, "-m", "holoifs.cli", *args], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 141
+    assert first == "system = cantor-thirds\n"
+    assert err == ""
+
+
 @pytest.mark.parametrize("s", [1e160, 1e200])
 def test_shared_on_a_pair_scaled_past_overflowing_squares_is_never_not_shared(tmp_path, capsys, s):
     def affine(alpha, b):

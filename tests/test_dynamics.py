@@ -661,6 +661,17 @@ def test_a_strong_osc_certificate_is_refused():
         rho_radius(system, net, cert)
 
 
+def test_a_net_too_coarse_for_its_claim_radius_is_refused():
+    # the thirds' certificate at epsilon 0.06 is valid, but its claim radius,
+    # half the images' gap less epsilon, is not above 2 epsilon
+    system = cantor_thirds()
+    net = compute_net(system, 0.06)
+    cert = certify_ssc(system, net)
+    assert cert.valid and cert.pairwise_distance / 2 - net.epsilon <= 2 * net.epsilon
+    with pytest.raises(SeparationFailure, match="^net too coarse to resolve inverse branches$"):
+        InverseDynamics(system, net, cert)
+
+
 def test_orbit_period_two():
     system = cantor_thirds()
     net = compute_net(system, 1e-3)

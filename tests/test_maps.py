@@ -1,7 +1,12 @@
 """Map algebra: evaluation, derivatives, inversion, word composition."""
 
+import cmath
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from holoifs.errors import DomainError, NotInImage
 from holoifs.maps import (
@@ -180,6 +185,21 @@ def test_system_construction_rejects_non_contraction():
     # branch cut through the domain disk is refused
     with pytest.raises(DomainError):
         IfsSystem((SqrtBranch(-6.0, +1), SqrtBranch(-6.0, -1)), Disk(0.0, 7.0))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.floats(1.0, 4.0), st.floats(-math.pi, math.pi), st.floats(-3.0, 3.0),
+       st.floats(-3.0, 3.0), st.floats(-3.0, 3.0), st.floats(-3.0, 3.0))
+def test_system_construction_rejects_every_affine_map_that_does_not_contract(
+        modulus, angle, log_radius, center_re, center_im, shift):
+    # the images of the boundary samples are a regular polygon of radius
+    # |alpha| R about g(centre), so one lies at least |alpha| R from the
+    # centre; every affine word of a system therefore has |alpha_w| < 1
+    radius = 10.0**log_radius
+    center = complex(center_re, center_im) * radius
+    alpha = cmath.rect(modulus, angle)
+    with pytest.raises(DomainError, match="does not send the domain strictly into itself"):
+        IfsSystem((Affine(alpha, shift * radius + (1 - alpha) * center),), Disk(center, radius))
 
 
 def test_system_construction_rejects_a_cut_inside_a_composite():
